@@ -21,6 +21,7 @@ merge-compatible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -260,8 +261,7 @@ class FixedBinHistogram:
             raise ValueError(
                 f"histogram configs differ: [{self.lo},{self.hi})x{len(self.bins)}"
                 f" vs [{other.lo},{other.hi})x{len(other.bins)}")
-        for i, c in enumerate(other.bins):
-            self.bins[i] += c
+        self.bins[:] = map(operator.add, self.bins, other.bins)
         self.underflow += other.underflow
         self.overflow += other.overflow
         return self

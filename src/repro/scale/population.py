@@ -28,9 +28,9 @@ is shed (admission pressure) and accounted as blocked user-seconds.
 Per-user quantities reuse the *same* measured access distributions the
 event-level simulator builds links from (:mod:`repro.wireless.profiles`):
 a cell references an :class:`~repro.wireless.profiles.AccessProfile`
-by name, per-user throughput under load comes from
-:meth:`AccessProfile.per_user_share`, and the MAR-readiness
-classification applies the §III-B thresholds to the loaded profile.
+by name, and both per-user throughput under load and the §III-B
+MAR-readiness classification scale that profile by
+:func:`~repro.wireless.profiles.load_factors`.
 
 Everything a cell produces is distilled into O(1)-sized mergeable
 aggregates (:class:`repro.fleet.aggregate.Aggregate` via an
@@ -45,12 +45,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.stats import FixedBinHistogram, StreamingMoments
 from repro.simnet.engine import Simulator
 from repro.wireless.profiles import (
     MAR_MAX_RTT,
     MAR_MIN_UPLINK_BPS,
     AccessProfile,
     all_profiles,
+    load_factors,
 )
 
 #: AR(1) relaxation of the log-load perturbation per fluid step: the
@@ -69,13 +71,16 @@ UTILIZATION_HI = 2.0
 UTILIZATION_BINS = 100
 
 
+PROFILE_NAMES: Dict[str, AccessProfile] = {p.name: p for p in all_profiles()}
+
+
 def profile_by_name(name: str) -> AccessProfile:
     """Look up a built-in access profile by its ``name`` field."""
-    for profile in all_profiles():
-        if profile.name == name:
-            return profile
-    raise KeyError(f"unknown access profile {name!r}; "
-                   f"known: {[p.name for p in all_profiles()]}")
+    try:
+        return PROFILE_NAMES[name]
+    except KeyError:
+        raise KeyError(f"unknown access profile {name!r}; "
+                       f"known: {list(PROFILE_NAMES)}") from None
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,30 @@ class CellSpec:
     def capacity_users(self) -> float:
         """How many mean-demand users saturate the uplink."""
         return self.capacity_up_bps / max(self.demand_up_bps, 1e-9)
+
+
+class CellSummary:
+    """One cell's per-sample statistics, accumulated in a single pass
+    (:meth:`CellTimeline.summarise`) and copied from there into the
+    registry feed and the fleet aggregate."""
+
+    __slots__ = ("active_users", "utilization", "per_user_up_bps",
+                 "utilization_bins", "contended", "overloaded", "mar_ready")
+
+    def __init__(self) -> None:
+        self.active_users = StreamingMoments()
+        self.utilization = StreamingMoments()
+        self.per_user_up_bps = StreamingMoments()
+        self.utilization_bins = FixedBinHistogram(0.0, UTILIZATION_HI,
+                                                  UTILIZATION_BINS)
+        self.contended = 0    # samples with ρ > CONTENTION_RHO
+        self.overloaded = 0   # samples with ρ > 1
+        self.mar_ready = 0    # samples meeting the §III-B thresholds
+
+    @property
+    def mar_ready_fraction(self) -> float:
+        n = self.utilization.count
+        return self.mar_ready / n if n else 0.0
 
 
 @dataclass
@@ -167,23 +196,41 @@ class CellTimeline:
             total += rho * (t_next - ts)
         return total / (t1 - t0)
 
-    def mar_ready_fraction(self) -> float:
-        """Fraction of samples where a §III-B-compliant session fits.
+    def summarise(self) -> CellSummary:
+        """Everything the aggregates need from the samples, in one walk.
 
-        Applies the MAR uplink and latency requirements to the cell's
-        profile *under its instantaneous load* — the same
-        ``under_load`` hook the foreground coupling uses.
+        Each sample costs one :func:`load_factors` call.  The readiness
+        predicate multiplies the profile's mean uplink and RTT by the
+        same factors ``AccessProfile.under_load`` would — the §III-B
+        thresholds applied to the cell *under its instantaneous load* —
+        without building the loaded profile.
         """
-        if not self.samples:
-            return 0.0
         profile = profile_by_name(self.spec.profile)
-        ready = 0
-        for _t, _n, rho in self.samples:
-            loaded = profile.under_load(rho)
-            if (loaded.up_mean >= MAR_MIN_UPLINK_BPS
-                    and loaded.rtt <= MAR_MAX_RTT):
-                ready += 1
-        return ready / len(self.samples)
+        up_mean = profile.up_mean
+        rtt = profile.rtt
+        out = CellSummary()
+        add_users = out.active_users.add
+        add_rho = out.utilization.add
+        add_up = out.per_user_up_bps.add
+        add_bin = out.utilization_bins.add
+        for _t, n, rho in self.samples:
+            f = load_factors(rho)
+            up = up_mean * f.share
+            add_users(n)
+            add_rho(rho)
+            add_up(up)
+            add_bin(rho)
+            if rho > CONTENTION_RHO:
+                out.contended += 1
+            if rho > 1.0:
+                out.overloaded += 1
+            if up >= MAR_MIN_UPLINK_BPS and rtt * f.delay_factor <= MAR_MAX_RTT:
+                out.mar_ready += 1
+        return out
+
+    def mar_ready_fraction(self) -> float:
+        """Fraction of samples where a §III-B-compliant session fits."""
+        return self.summarise().mar_ready_fraction
 
 
 class CellProcess:
@@ -244,6 +291,9 @@ class CellProcess:
         do — and lift into fleet aggregates through the existing
         ``aggregate_from_registry`` mapping under ``obs.scale.*``.
         """
+        return self._registry(self.timeline.summarise())
+
+    def _registry(self, summary: CellSummary):
         from repro.obs import MetricsRegistry
 
         reg = MetricsRegistry()
@@ -251,20 +301,17 @@ class CellProcess:
         reg.counter("scale.cells").inc()
         reg.counter("scale.users").inc(tl.distinct_users)
         reg.counter("scale.fluid_steps").inc(len(tl.samples))
+        # Merging into a fresh instrument is an exact copy.
         users = reg.gauge("scale.active_users")
+        users.moments.merge(summary.active_users)
+        if tl.samples:
+            users.value = tl.samples[-1][1]
         util = reg.histogram("scale.utilization", 0.0, UTILIZATION_HI,
                              UTILIZATION_BINS)
-        contended = 0
-        overloaded = 0
-        for _t, n, rho in tl.samples:
-            users.set(n)
-            util.observe(rho)
-            if rho > CONTENTION_RHO:
-                contended += 1
-            if rho > 1.0:
-                overloaded += 1
-        reg.counter("scale.contended_samples").inc(contended)
-        reg.counter("scale.overloaded_samples").inc(overloaded)
+        util.bins.merge(summary.utilization_bins)
+        util.moments.merge(summary.utilization)
+        reg.counter("scale.contended_samples").inc(summary.contended)
+        reg.counter("scale.overloaded_samples").inc(summary.overloaded)
         return reg
 
     def aggregate(self):
@@ -276,21 +323,17 @@ class CellProcess:
         """
         from repro.fleet.aggregate import Aggregate, aggregate_from_registry
 
-        profile = profile_by_name(self.spec.profile)
         tl = self.timeline
+        summary = tl.summarise()
         agg = Aggregate()
         agg.count("scale.cells")
         agg.count("scale.users", tl.distinct_users)
-        rho_moment = agg.moment("scale.utilization")
-        users_moment = agg.moment("scale.active_users")
-        share_moment = agg.moment("scale.per_user_up_bps")
-        for _t, n, rho in tl.samples:
-            rho_moment.add(rho)
-            users_moment.add(n)
-            share_moment.add(profile.up_mean * profile.per_user_share(rho))
+        agg.moment("scale.utilization").merge(summary.utilization)
+        agg.moment("scale.active_users").merge(summary.active_users)
+        agg.moment("scale.per_user_up_bps").merge(summary.per_user_up_bps)
         agg.moment("scale.service_fraction").add(tl.service_fraction)
-        agg.moment("scale.mar_ready_fraction").add(tl.mar_ready_fraction())
-        agg.merge(aggregate_from_registry(self.registry()))
+        agg.moment("scale.mar_ready_fraction").add(summary.mar_ready_fraction)
+        agg.merge(aggregate_from_registry(self._registry(summary)))
         return agg
 
 
@@ -312,6 +355,7 @@ __all__ = [
     "CONTENTION_RHO",
     "CellProcess",
     "CellSpec",
+    "CellSummary",
     "CellTimeline",
     "OU_BETA",
     "UTILIZATION_BINS",
@@ -319,8 +363,3 @@ __all__ = [
     "profile_by_name",
     "run_cell",
 ]
-
-
-# Re-exported so callers can build per-profile demand maps without a
-# second import site.
-PROFILE_NAMES: Dict[str, AccessProfile] = {p.name: p for p in all_profiles()}

@@ -15,6 +15,11 @@ from repro.scale.shards import (
 )
 
 
+#: sha256 of the merged ``city_coverage_campaign("smoke")`` aggregate.
+SMOKE_FINGERPRINT = (
+    "c2f6bfb3272e491a67290f661262db6bb0a063af7bb6d6ea7322474d8b844107")
+
+
 def small_city():
     # The smoke tier cut down further: 4 cells, still exercising the
     # full member-0 fluid/promotion path + the cohort path.
@@ -56,6 +61,15 @@ class TestCampaignRuns:
         fp_a = hashlib.sha256(a.aggregate.to_json().encode()).hexdigest()
         fp_b = hashlib.sha256(b.aggregate.to_json().encode()).hexdigest()
         assert fp_a == fp_b
+
+    def test_smoke_city_fingerprint_pinned(self):
+        # Computed on the commit before the fluid summary became one
+        # pass: a speed-up of the scale layer must not move a byte of
+        # the merged aggregate.  A deliberate model change re-pins this
+        # together with BENCH_PR8.json's tier fingerprints.
+        result = run_campaign(city_coverage_campaign("smoke"), workers=1)
+        assert hashlib.sha256(
+            result.aggregate.to_json().encode()).hexdigest() == SMOKE_FINGERPRINT
 
     def test_city_campaign_counts_background_users(self):
         result = run_campaign(small_city(), workers=1)

@@ -1,19 +1,36 @@
 """Fluid background population model: determinism, aggregation, merge."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.aggregate import Aggregate, approx_equal_moments
+from repro.fleet.aggregate import (
+    Aggregate,
+    aggregate_from_registry,
+    approx_equal_moments,
+)
+from repro.obs import MetricsRegistry
 from repro.scale.population import (
+    CONTENTION_RHO,
+    PROFILE_NAMES,
+    UTILIZATION_BINS,
+    UTILIZATION_HI,
     CellProcess,
     CellSpec,
+    CellTimeline,
     profile_by_name,
     run_cell,
 )
+from repro.scale.shards import CELL_PROFILE_MIX
 from repro.simnet.engine import Simulator
+from repro.wireless.profiles import (
+    MAR_MAX_RTT,
+    MAR_MIN_UPLINK_BPS,
+    MIN_LOAD_SHARE,
+)
 
 
 def make_spec(cell_id=0, load=0.8, profile="LTE", dt=0.5, **kwargs):
@@ -51,7 +68,7 @@ class TestCellSpec:
     def test_unknown_profile_raises(self):
         spec = make_spec(profile="LTE")
         object.__setattr__(spec, "profile", "nope")
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="known:.*LTE.*5G"):
             profile_by_name("nope")
 
 
@@ -170,3 +187,150 @@ class TestAggregation:
         for name in forward.moments:
             assert approx_equal_moments(forward.moments[name],
                                         other.moments[name])
+
+
+# ----------------------------------------------------------------------
+# Reference implementation: the three independent walks over the samples
+# that CellTimeline.summarise() replaced.  The single pass must
+# reproduce them exactly, not approximately.
+# ----------------------------------------------------------------------
+def reference_mar_ready_fraction(tl):
+    if not tl.samples:
+        return 0.0
+    profile = profile_by_name(tl.spec.profile)
+    ready = 0
+    for _t, _n, rho in tl.samples:
+        loaded = profile.under_load(rho)
+        if (loaded.up_mean >= MAR_MIN_UPLINK_BPS
+                and loaded.rtt <= MAR_MAX_RTT):
+            ready += 1
+    return ready / len(tl.samples)
+
+
+def reference_registry(process):
+    reg = MetricsRegistry()
+    tl = process.timeline
+    reg.counter("scale.cells").inc()
+    reg.counter("scale.users").inc(tl.distinct_users)
+    reg.counter("scale.fluid_steps").inc(len(tl.samples))
+    users = reg.gauge("scale.active_users")
+    util = reg.histogram("scale.utilization", 0.0, UTILIZATION_HI,
+                         UTILIZATION_BINS)
+    contended = 0
+    overloaded = 0
+    for _t, n, rho in tl.samples:
+        users.set(n)
+        util.observe(rho)
+        if rho > CONTENTION_RHO:
+            contended += 1
+        if rho > 1.0:
+            overloaded += 1
+    reg.counter("scale.contended_samples").inc(contended)
+    reg.counter("scale.overloaded_samples").inc(overloaded)
+    return reg
+
+
+def reference_aggregate(process):
+    profile = profile_by_name(process.spec.profile)
+    tl = process.timeline
+    agg = Aggregate()
+    agg.count("scale.cells")
+    agg.count("scale.users", tl.distinct_users)
+    rho_moment = agg.moment("scale.utilization")
+    users_moment = agg.moment("scale.active_users")
+    share_moment = agg.moment("scale.per_user_up_bps")
+    for _t, n, rho in tl.samples:
+        rho_moment.add(rho)
+        users_moment.add(n)
+        share_moment.add(profile.up_mean * profile.per_user_share(rho))
+    agg.moment("scale.service_fraction").add(tl.service_fraction)
+    agg.moment("scale.mar_ready_fraction").add(
+        reference_mar_ready_fraction(tl))
+    agg.merge(aggregate_from_registry(reference_registry(process)))
+    return agg
+
+
+def assert_matches_reference(process):
+    tl = process.timeline
+    assert tl.mar_ready_fraction() == reference_mar_ready_fraction(tl)
+    reg, ref_reg = process.registry(), reference_registry(process)
+    assert reg.to_json() == ref_reg.to_json()
+    assert (reg.gauges["scale.active_users"].value
+            == ref_reg.gauges["scale.active_users"].value)
+    assert process.aggregate().to_json() == reference_aggregate(process).to_json()
+
+
+def hand_built(profile, rhos):
+    """A process whose timeline is exactly ``rhos``, never stepped."""
+    spec = make_spec(profile=profile)
+    process = CellProcess(Simulator(seed=0), spec)
+    process.timeline = CellTimeline(
+        spec=spec,
+        samples=[(i * spec.dt, rho * spec.capacity_users, rho)
+                 for i, rho in enumerate(rhos)],
+        arrivals=3.0, user_seconds=50.0, blocked_user_seconds=5.0)
+    return process
+
+
+def ulp_neighbourhood(x, width=3):
+    below = above = x
+    out = [x]
+    for _ in range(width):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+class TestSinglePassMatchesThreePass:
+    @pytest.mark.parametrize("profile", sorted(set(CELL_PROFILE_MIX)))
+    @pytest.mark.parametrize("load", [0.0, 0.2, 0.8, 1.4, 2.0])
+    def test_city_profiles(self, profile, load):
+        assert_matches_reference(
+            run_cell(make_spec(profile=profile, load=load), seed=11,
+                     duration=120.0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(profile=st.sampled_from(sorted(set(CELL_PROFILE_MIX))),
+           load=st.floats(0.0, 2.0),
+           dt=st.floats(0.1, 2.0),
+           burstiness=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**16))
+    def test_drawn_cell_specs(self, profile, load, dt, burstiness, seed):
+        spec = make_spec(profile=profile, load=load, dt=dt,
+                         burstiness=burstiness)
+        assert_matches_reference(run_cell(spec, seed=seed, duration=30.0))
+
+    @pytest.mark.parametrize("profile", sorted(PROFILE_NAMES))
+    def test_one_ulp_either_side_of_every_threshold(self, profile):
+        p = profile_by_name(profile)
+        # ρ at which the loaded uplink / RTT sits on its §III-B limit
+        # (only inside (0, 1) for profiles that meet it unloaded), the
+        # share floor, and the contended / overloaded / histogram edges.
+        edges = [1.0 - MAR_MIN_UPLINK_BPS / p.up_mean,
+                 1.0 - p.rtt / MAR_MAX_RTT,
+                 1.0 - MIN_LOAD_SHARE, CONTENTION_RHO, 1.0, UTILIZATION_HI]
+        rhos = [0.0, 2.5, 40.0]
+        for edge in edges:
+            if edge > 0.0:
+                rhos += ulp_neighbourhood(edge)
+        assert_matches_reference(hand_built(profile, rhos))
+
+    @pytest.mark.parametrize("profile, bound_by", [
+        ("5G(KPI)", "uplink"), ("LTE-Direct", "rtt")])
+    def test_threshold_neighbourhood_flips_readiness(self, profile, bound_by):
+        # The neighbourhood of the binding threshold must hold samples
+        # on both sides of it, or the test above would not be probing
+        # that half of the predicate at all.
+        p = profile_by_name(profile)
+        edge = {"uplink": 1.0 - MAR_MIN_UPLINK_BPS / p.up_mean,
+                "rtt": 1.0 - p.rtt / MAR_MAX_RTT}[bound_by]
+        process = hand_built(profile, ulp_neighbourhood(edge))
+        ready = process.timeline.summarise().mar_ready
+        assert 0 < ready < len(process.timeline.samples)
+        assert_matches_reference(process)
+
+    def test_empty_timeline(self):
+        process = hand_built("LTE", [])
+        assert process.timeline.mar_ready_fraction() == 0.0
+        assert_matches_reference(process)
