@@ -77,6 +77,7 @@ class _StreamTx:
     """Sender-side per-stream state."""
 
     spec: StreamSpec
+    flow: str
     next_seq: int = 0
     tokens: float = 0.0
     backlog: Deque[Message] = field(default_factory=deque)
@@ -102,6 +103,10 @@ class MartpSender:
         if not paths:
             raise ValueError("need at least one path")
         self.paths = paths
+        # First endpoint wins on a duplicated path name.
+        self._endpoints: Dict[str, PathEndpoint] = {
+            p.state.name: p for p in reversed(paths)
+        }
         self.sim = paths[0].socket.sim
         self.scheduler = MultipathScheduler([p.state for p in paths], policy)
         self.degradation = DegradationController(streams)
@@ -120,7 +125,7 @@ class MartpSender:
         self.tick = tick
         self._tx: Dict[int, _StreamTx] = {}
         for spec in streams:
-            tx = _StreamTx(spec=spec)
+            tx = _StreamTx(spec=spec, flow=f"martp:{spec.name}")
             if spec.traffic_class.retransmits:
                 tx.arq = ArqBuffer(spec)
             if spec.fec:
@@ -292,13 +297,13 @@ class MartpSender:
             tx.arq.store(message)
         for state in chosen:
             self._util_bytes[state.name] += message.size
-            endpoint = self._endpoint_for(state.name)
+            endpoint = self._endpoints[state.name]
             endpoint.socket.sendto(
                 endpoint.dst,
                 endpoint.dst_port,
                 message.size + MARTP_HEADER,
                 kind="martp-data",
-                flow=f"martp:{tx.spec.name}",
+                flow=tx.flow,
                 stream=message.stream_id,
                 seq=message.seq,
                 created=message.created_at,
@@ -314,12 +319,6 @@ class MartpSender:
             parity = tx.fec.push(message)
             if parity is not None:
                 self._dispatch(tx, parity)
-
-    def _endpoint_for(self, name: str) -> PathEndpoint:
-        for p in self.paths:
-            if p.state.name == name:
-                return p
-        raise KeyError(name)
 
     # ------------------------------------------------------------------
     # Feedback handling

@@ -299,6 +299,7 @@ class OffloadExecutor:
         self.frame_timeout = frame_timeout
         self.result = SessionResult(deadline=app.deadline, energy=EnergyModel(radio=radio))
         self.socket = UdpSocket(net[client], client_port, on_receive=self._on_packet)
+        self._flow = f"offload:{self.socket.host.name}"
         self.server = _ServerSide(net, server, server_port, server_device)
         self._pending: Dict[int, Dict[str, float]] = {}
         self._frame_index = 0
@@ -396,7 +397,7 @@ class OffloadExecutor:
                 self.server_port,
                 size,
                 kind="frame-fragment",
-                flow=f"offload:{self.socket.host.name}",
+                flow=self._flow,
                 frame=index,
                 n_fragments=n_fragments,
                 remote_megacycles=plan.remote_megacycles,
@@ -671,7 +672,7 @@ class ResilientOffloadExecutor(OffloadExecutor):
                 self.server_port,
                 size,
                 kind="frame-fragment",
-                flow=f"offload:{self.socket.host.name}",
+                flow=self._flow,
                 frame=index,
                 n_fragments=n_fragments,
                 remote_megacycles=plan.remote_megacycles,

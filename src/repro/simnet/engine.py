@@ -27,6 +27,15 @@ allocates a fresh sequence number at call time — exactly what a
 cancel+push would have done — so tie-breaking, and therefore the whole
 run, is bit-identical to the naive implementation.
 
+:meth:`Simulator.run` fires an unobserved event inline (no ``_fire``
+frame) and reads one slot, ``_observed``, per event to decide.
+Assigning ``trace_hook`` or ``profiler`` points that slot at the bound
+:meth:`Simulator._fire`, the single definition of observed dispatch
+that :meth:`~Simulator.step` and :meth:`~Simulator.fire_event` also
+use.  Handlers always see a current ``now`` / ``events_fired`` /
+``pending``, and an observer attached while event *n* fires sees event
+*n + 1*.
+
 Clock semantics of :meth:`Simulator.run` (all three exit paths):
 
 - **drain** (no events left): the clock rests at the last fired event,
@@ -201,18 +210,47 @@ class Simulator:
         self.events_scheduled = 0
         self.events_fired = 0
         self.compactions = 0
-        #: optional per-fire hook ``hook(event)`` for trace capture;
-        #: costs one None-check per fired event when unset.  Seeded from
-        #: the module-level ``default_trace_hook`` so a harness (the
-        #: fleet flight recorder) can observe every simulator a worker
-        #: process creates without threading a parameter through every
-        #: scenario runner.
-        self.trace_hook: Optional[Callable[[Event], None]] = default_trace_hook
-        #: optional :class:`repro.obs.profile.EngineProfiler`; when set,
-        #: :meth:`_fire` bumps ``profiler.counts[fn]`` per dispatch and,
-        #: if the profiler carries an injected clock, attributes handler
-        #: wall time to ``profiler.wall[fn]``.
-        self.profiler = None
+        self._trace_hook: Optional[Callable[[Event], None]] = None
+        self._profiler = None
+        # The one slot run() reads per event: None while neither
+        # observer is attached, else the bound ``_fire``.  A bound
+        # method (not a closure) so Checkpoint's deepcopy rebinds it to
+        # the copied simulator.
+        self._observed: Optional[Callable[[Event], None]] = None
+        # Seeded from the module-level ``default_trace_hook`` so a
+        # harness (the fleet flight recorder) can observe every
+        # simulator a worker process creates without threading a
+        # parameter through every scenario runner.
+        self.trace_hook = default_trace_hook
+
+    @property
+    def trace_hook(self) -> Optional[Callable[[Event], None]]:
+        """Optional per-fire hook ``hook(event)`` for trace capture."""
+        return self._trace_hook
+
+    @trace_hook.setter
+    def trace_hook(self, hook: Optional[Callable[[Event], None]]) -> None:
+        self._trace_hook = hook
+        self._select_dispatch()
+
+    @property
+    def profiler(self):
+        """Optional :class:`repro.obs.profile.EngineProfiler`; when set,
+        :meth:`_fire` bumps ``profiler.counts[fn]`` per dispatch and, if
+        the profiler carries an injected clock, attributes handler wall
+        time to ``profiler.wall[fn]``."""
+        return self._profiler
+
+    @profiler.setter
+    def profiler(self, profiler) -> None:
+        self._profiler = profiler
+        self._select_dispatch()
+
+    def _select_dispatch(self) -> None:
+        # Takes effect from the next fired event, also when assigned
+        # from inside a handler: run() re-reads the slot per event.
+        unobserved = self._trace_hook is None and self._profiler is None
+        self._observed = None if unobserved else self._fire
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -221,7 +259,13 @@ class Simulator:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, fn, *args, **kwargs)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args, kwargs or None, self)
+        heapq.heappush(self._heap, (time, seq, event))
+        self._pending += 1
+        self.events_scheduled += 1
+        return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``fn(*args, **kwargs)`` at absolute simulation ``time``."""
@@ -324,14 +368,20 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def _fire(self, event: Event) -> None:
+        """Fire one event, feeding the attached observers.  The only
+        definition of observed dispatch: step(), fire_event() and an
+        observed run() all come through here; run() inlines the plain
+        case (the four bookkeeping statements and the call) and nothing
+        else."""
         event._state = _FIRED
         self._pending -= 1
         self.now = event.time
         self.events_fired += 1
-        if self.trace_hook is not None:
-            self.trace_hook(event)
+        hook = self._trace_hook
+        if hook is not None:
+            hook(event)
         fn = event.fn
-        prof = self.profiler
+        prof = self._profiler
         if prof is not None:
             # Profiling is inlined here rather than delegated: a method
             # call per event would alone cost more than the whole
@@ -402,7 +452,19 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                self._fire(event)
+                observed = self._observed
+                if observed is not None:
+                    observed(event)
+                else:
+                    event._state = _FIRED
+                    self._pending -= 1
+                    self.now = time
+                    self.events_fired += 1
+                    kw = event.kwargs
+                    if kw is None:
+                        event.fn(*event.args)
+                    else:
+                        event.fn(*event.args, **kw)
                 fired += 1
         finally:
             self._running = False

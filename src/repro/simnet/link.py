@@ -113,28 +113,33 @@ class Link:
             self._busy = False
             return
         self._busy = True
-        tx_time = packet.bits / self.rate_bps
-        self.bytes_sent += packet.size
-        self.sim.schedule(tx_time, self._finish_cb, packet)
+        size = packet.size
+        self.bytes_sent += size
+        self.sim.schedule(size * 8 / self.rate_bps, self._finish_cb, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
-        if self._rng.random() < self.loss:
+        rng = self._rng
+        if rng.random() < self.loss:
             self.packets_lost += 1
             self.bytes_lost += packet.size
         else:
-            extra = self._rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
+            jitter = self.jitter
+            extra = rng.uniform(0.0, jitter) if jitter > 0 else 0.0
             arrival = self.sim.now + self.delay + extra
             # Never reorder: delivery is monotone along one link.
-            arrival = max(arrival, self._last_delivery)
-            self._last_delivery = arrival
+            if arrival < self._last_delivery:
+                arrival = self._last_delivery
+            else:
+                self._last_delivery = arrival
             self.sim.schedule_at(arrival, self._deliver_cb, packet)
+        # Virtual on purpose: TraceReplayLink holds service in an outage.
         self._start_transmission()
 
     def _deliver(self, packet: Packet) -> None:
         packet.hops += 1
         self.bytes_delivered += packet.size
         self.packets_delivered += 1
-        self.dst.receive(packet, via=self)
+        self.dst.receive(packet, self)
 
     # ------------------------------------------------------------------
     @property

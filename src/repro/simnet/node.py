@@ -48,9 +48,6 @@ class Node:
             raise ValueError(f"route via a link that does not start at {self.name}")
         self.routes[dst] = link
 
-    def route_for(self, dst: str) -> Optional["Link"]:
-        return self.routes.get(dst)
-
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Inject a locally generated packet toward its destination."""
@@ -59,10 +56,7 @@ class Node:
             return False
         if packet.created_at == 0.0:
             packet.created_at = self.sim.now
-        return self._forward(packet)
-
-    def _forward(self, packet: Packet) -> bool:
-        link = self.route_for(packet.dst)
+        link = self.routes.get(packet.dst)
         if link is None:
             self.packets_unroutable += 1
             return False
@@ -78,7 +72,11 @@ class Node:
             self._deliver_local(packet)
         else:
             self.packets_forwarded += 1
-            self._forward(packet)
+            link = self.routes.get(packet.dst)
+            if link is None:
+                self.packets_unroutable += 1
+            else:
+                link.send(packet)
 
     def _deliver_local(self, packet: Packet) -> None:
         raise NotImplementedError(f"{type(self).__name__} cannot terminate packets")

@@ -11,8 +11,8 @@ header overhead in ``size``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from operator import attrgetter
+from typing import Any, Dict, Optional
 
 _packet_ids = itertools.count(1)
 
@@ -23,7 +23,6 @@ IP_UDP_HEADER = 28
 IP_TCP_HEADER = 40
 
 
-@dataclass
 class Packet:
     """A simulated packet.
 
@@ -48,25 +47,53 @@ class Packet:
         Number of links traversed so far.
     """
 
-    src: str
-    dst: str
-    size: int
-    src_port: int = 0
-    dst_port: int = 0
-    kind: str = "data"
-    flow: str = ""
-    payload: Dict[str, Any] = field(default_factory=dict)
-    created_at: float = 0.0
-    enqueued_at: float = 0.0
-    hops: int = 0
-    uid: int = field(default_factory=lambda: next(_packet_ids))
-    ecn: bool = False
+    # One is built per datagram, so construction is a single
+    # hand-written frame (no dataclass default factories or
+    # ``__post_init__`` hop) and the fields are slot-backed.
+    __slots__ = (
+        "src", "dst", "size", "src_port", "dst_port", "kind", "flow",
+        "payload", "created_at", "enqueued_at", "hops", "uid", "ecn",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size}")
-        if not self.flow:
-            self.flow = f"{self.src}:{self.src_port}->{self.dst}:{self.dst_port}"
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        size: int,
+        src_port: int = 0,
+        dst_port: int = 0,
+        kind: str = "data",
+        flow: str = "",
+        payload: Optional[Dict[str, Any]] = None,
+        created_at: float = 0.0,
+        enqueued_at: float = 0.0,
+        hops: int = 0,
+        uid: Optional[int] = None,
+        ecn: bool = False,
+    ) -> None:
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.kind = kind
+        self.flow = flow or f"{src}:{src_port}->{dst}:{dst_port}"
+        self.payload = {} if payload is None else payload
+        self.created_at = created_at
+        self.enqueued_at = enqueued_at
+        self.hops = hops
+        self.uid = next(_packet_ids) if uid is None else uid
+        self.ecn = ecn
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _fields(self) == _fields(other)
+        return NotImplemented
+
+    # Field-wise equality on a mutable object: unhashable, as before.
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def bits(self) -> int:
@@ -103,6 +130,9 @@ class Packet:
             f"<Packet #{self.uid} {self.kind} {self.src}:{self.src_port}->"
             f"{self.dst}:{self.dst_port} {self.size}B>"
         )
+
+
+_fields = attrgetter(*Packet.__slots__)
 
 
 def reset_packet_ids() -> None:

@@ -36,20 +36,8 @@ class SocketBase:
         flow: str = "",
         **payload,
     ) -> Packet:
-        return Packet(
-            src=self.host.name,
-            dst=dst,
-            size=size,
-            src_port=self.port,
-            dst_port=dst_port,
-            kind=kind,
-            flow=flow,
-            payload=payload,
-            created_at=self.sim.now,
-        )
-
-    def _transmit(self, packet: Packet) -> bool:
-        return self.host.send(packet)
+        return Packet(self.host.name, dst, size, self.port, dst_port,
+                      kind, flow, payload, self.sim.now)
 
     def on_packet(self, packet: Packet) -> None:
         raise NotImplementedError

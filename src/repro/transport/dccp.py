@@ -58,6 +58,7 @@ class DccpSocket(SocketBase):
         super().__init__(host, port)
         self.dst = dst
         self.dst_port = dst_port
+        self.flow = f"dccp:{host.name}:{port}"
         self.segment_size = segment_size
         self.on_receive = on_receive
         self.allowed_rate_bps = initial_rate_bps
@@ -105,13 +106,13 @@ class DccpSocket(SocketBase):
                 self.dst_port,
                 size + IP_UDP_HEADER,
                 kind="dccp-data",
-                flow=f"dccp:{self.host.name}:{self.port}",
+                flow=self.flow,
                 seq=self._seq,
                 sent_at=self.sim.now,
             )
             self._seq += 1
             self.datagrams_sent += 1
-            self._transmit(packet)
+            self.host.send(packet)
         interval = (sent_size * 8) / max(self.allowed_rate_bps, 1000.0)
         self.sim.schedule(interval, self._send_tick)
 
@@ -157,7 +158,7 @@ class DccpSocket(SocketBase):
             recv_rate_bps=recv_rate,
             echo_ts=self.sim.now,
         )
-        self._transmit(packet)
+        self.host.send(packet)
         self._rcv_bytes = 0
         self._window_start = self.sim.now
         self._loss_events = max(0, self._loss_events - 1)  # age out old events

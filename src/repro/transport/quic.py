@@ -87,6 +87,7 @@ class QuicConnection(SocketBase):
         super().__init__(host, port)
         self.dst = dst
         self.dst_port = dst_port
+        self.flow = f"quic:{host.name}:{port}"
         self.on_stream_data = on_stream_data
         self.established = False
         self.handshake_rtts = 0
@@ -123,7 +124,7 @@ class QuicConnection(SocketBase):
         else:
             packet = self._packet(self.dst, self.dst_port, QUIC_HEADER + 48,
                                   kind="quic-initial")
-            self._transmit(packet)
+            self.host.send(packet)
 
     # ------------------------------------------------------------------
     # Application interface
@@ -167,10 +168,10 @@ class QuicConnection(SocketBase):
         packet = self._packet(
             self.dst, self.dst_port, length + QUIC_HEADER + IP_UDP_HEADER,
             kind="quic-data",
-            flow=f"quic:{self.host.name}:{self.port}",
+            flow=self.flow,
             pn=pn, stream=stream_id, offset=offset, len=length,
         )
-        self._transmit(packet)
+        self.host.send(packet)
 
     def _arm_pto(self) -> None:
         if self._inflight:
@@ -205,7 +206,7 @@ class QuicConnection(SocketBase):
             self.established = True
             reply = self._packet(packet.src, packet.src_port,
                                  QUIC_HEADER + 48, kind="quic-accept")
-            self._transmit(reply)
+            self.host.send(reply)
         elif kind == "quic-accept":
             if not self.established:
                 self.established = True
@@ -241,7 +242,7 @@ class QuicConnection(SocketBase):
         ]
         packet = self._packet(peer, peer_port, ACK_SIZE, kind="quic-ack",
                               largest=self._largest_rx, missing=missing[:64])
-        self._transmit(packet)
+        self.host.send(packet)
 
     # ------------------------------------------------------------------
     def _on_ack(self, packet: Packet) -> None:

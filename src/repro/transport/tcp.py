@@ -182,11 +182,11 @@ class TcpConnection(SocketBase):
         self._send_times[seq] = (self.sim.now, retransmit or seq in self._send_times)
         if retransmit:
             self.retransmits += 1
-        self._transmit(packet)
+        self.host.send(packet)
 
     def _send_ctrl(self, kind: str) -> None:
         packet = self._packet(self.dst, self.dst_port, ACK_SIZE, kind=kind, flow=self.flow)
-        self._transmit(packet)
+        self.host.send(packet)
 
     # ------------------------------------------------------------------
     # RTO handling
@@ -315,7 +315,7 @@ class TcpConnection(SocketBase):
         packet = self._packet(
             self.dst, self.dst_port, ACK_SIZE, kind="tcp-ack", flow=self.flow, ack=self.rcv_nxt
         )
-        self._transmit(packet)
+        self.host.send(packet)
 
     # --- sender side ---
     def _on_ack(self, packet: Packet) -> None:
@@ -415,10 +415,10 @@ class TcpListener(SocketBase):
             # Answer the SYN from the listener port so the client's
             # syn-ack matcher sees the expected source.
             reply = self._packet(packet.src, packet.src_port, ACK_SIZE, kind="syn-ack")
-            self._transmit(reply)
+            self.host.send(reply)
         elif packet.kind == "syn":
             reply = self._packet(packet.src, packet.src_port, ACK_SIZE, kind="syn-ack")
-            self._transmit(reply)
+            self.host.send(reply)
         else:
             conn.on_packet(packet)
 

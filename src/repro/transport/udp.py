@@ -46,8 +46,10 @@ class UdpSocket(SocketBase):
         """Send ``size`` payload bytes (+28 B header) to ``dst:dst_port``."""
         if self.closed:
             raise RuntimeError("socket is closed")
-        packet = self._packet(dst, dst_port, size + IP_UDP_HEADER, kind, flow, **payload)
-        self._transmit(packet)
+        host = self.host
+        packet = Packet(host.name, dst, size + IP_UDP_HEADER, self.port, dst_port,
+                        kind, flow, payload, self.sim.now)
+        host.send(packet)
         self.bytes_sent += packet.size
         self.datagrams_sent += 1
         return packet

@@ -370,3 +370,171 @@ def test_trace_hook_sees_fired_events_only():
     sim.reschedule(e, 4.0)
     sim.run()
     assert log == [(1.0, "cb"), (4.0, "cb")]
+
+
+# ----------------------------------------------------------------------
+# The observer slot: trace_hook / profiler feed one dispatch choice
+# ----------------------------------------------------------------------
+class _Ring:
+    """A checkpointable workload: bound-method handlers that re-arm
+    themselves, with same-deadline ties and a kwargs event."""
+
+    def __init__(self, sim, rounds=5):
+        self.sim = sim
+        self.rounds = rounds
+        self.log = []
+        for lane in range(3):
+            sim.schedule(0.5, self.tick, lane, 0)
+        sim.schedule(0.75, self.note, tag="kw")
+
+    def tick(self, lane, n):
+        self.log.append((self.sim.now, lane, n))
+        if n + 1 < self.rounds:
+            self.sim.schedule(0.5 + 0.25 * lane, self.tick, lane, n + 1)
+
+    def note(self, tag=""):
+        self.log.append((self.sim.now, tag))
+
+
+def _observed_ring(drive):
+    from repro.obs.profile import EngineProfiler
+
+    sim = Simulator(seed=3)
+    ring = _Ring(sim)
+    trace = []
+    sim.trace_hook = lambda ev: trace.append((ev.time, ev.seq, ev.fn.__name__))
+    sim.profiler = EngineProfiler()
+    drive(sim)
+    assert sim.pending == 0
+    return trace, sim.profiler.counts_by_name(), ring.log, sim.events_fired
+
+
+def _drive_fire_event(sim):
+    while True:
+        ties = sim.pending_ties()
+        if not ties:
+            return
+        sim.fire_event(ties[0])
+
+
+def _drive_step(sim):
+    while sim.step():
+        pass
+
+
+def test_run_step_and_fire_event_observe_identically():
+    by_run = _observed_ring(lambda sim: sim.run())
+    assert by_run[0] and by_run[3] == len(by_run[0]) == sum(by_run[1].values())
+    assert _observed_ring(_drive_step) == by_run
+    assert _observed_ring(_drive_fire_event) == by_run
+
+
+def test_hook_assigned_inside_handler_sees_the_next_event():
+    sim = Simulator()
+    seen = []
+
+    def attach():
+        sim.trace_hook = lambda ev: seen.append(ev.fn.__name__)
+
+    def later():
+        pass
+
+    def detach():
+        sim.trace_hook = None
+
+    sim.schedule(1.0, attach)
+    sim.schedule(2.0, later)
+    sim.schedule(3.0, detach)
+    sim.schedule(4.0, later)
+    sim.run()
+    # Not the attaching event itself, every event after it, and nothing
+    # after the detaching one.
+    assert seen == ["later", "detach"]
+
+
+def test_profiler_assigned_inside_handler_counts_from_the_next_event():
+    from repro.obs.profile import EngineProfiler, handler_name
+
+    sim = Simulator()
+    prof = EngineProfiler()
+
+    def attach():
+        sim.profiler = prof
+
+    def later():
+        pass
+
+    sim.schedule(1.0, attach)
+    sim.schedule(2.0, later)
+    sim.schedule(3.0, later)
+    sim.run()
+    assert prof.counts_by_name() == {handler_name(later): 2}
+
+
+def test_clearing_both_observers_returns_to_inline_dispatch():
+    from repro.obs.profile import EngineProfiler
+
+    sim = Simulator()
+    assert sim._observed is None
+    sim.trace_hook = lambda ev: None
+    sim.profiler = EngineProfiler()
+    assert sim._observed == sim._fire
+    sim.trace_hook = None
+    assert sim._observed == sim._fire      # the profiler still observes
+    sim.profiler = None
+    assert sim._observed is None
+    assert sim.trace_hook is None and sim.profiler is None
+    fired = []
+    sim.schedule(1.0, fired.append, "plain")
+    assert sim.run() == 1 and fired == ["plain"]
+
+
+def test_default_trace_hook_seeds_the_observer_slot(monkeypatch):
+    from repro.simnet import engine
+
+    seen = []
+    monkeypatch.setattr(engine, "default_trace_hook", seen.append)
+    sim = Simulator()
+    assert sim.trace_hook == seen.append
+    event = sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert seen == [event]
+
+
+def test_handlers_see_current_clock_and_counters_when_unobserved():
+    sim = Simulator()
+    seen = []
+
+    def probe():
+        seen.append((sim.now, sim.events_fired, sim.pending))
+
+    sim.schedule(1.0, probe)
+    sim.schedule(2.0, probe)
+    sim.run()
+    assert seen == [(1.0, 1, 1), (2.0, 2, 0)]
+
+
+def test_restored_checkpoint_counts_into_its_own_profiler():
+    from repro.obs.profile import EngineProfiler
+
+    sim = Simulator(seed=3)
+    ring = _Ring(sim)
+    prof = EngineProfiler()
+    sim.profiler = prof
+    sim.run(max_events=4)
+    before = prof.events
+    assert before == 4
+
+    cp = sim.checkpoint(ring)
+    sim2, ring2 = cp.restore()
+    assert sim2.profiler is not prof
+    assert sim2._observed.__self__ is sim2
+    fired = sim2.run()
+    assert fired > 0
+    assert prof.events == before                  # the original is untouched
+    assert sim2.profiler.events == before + fired
+    assert ring.log == ring2.log[:len(ring.log)] and len(ring2.log) > len(ring.log)
+
+    # ...and the original world carries on into the original profiler.
+    assert sim.run() == fired
+    assert prof.counts_by_name() == sim2.profiler.counts_by_name()

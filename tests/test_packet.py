@@ -53,3 +53,81 @@ def test_copy_overrides():
 def test_header_constants():
     assert IP_UDP_HEADER == 28
     assert IP_TCP_HEADER == 40
+
+
+# ----------------------------------------------------------------------
+# Construction contract of the hand-written __slots__ class
+# ----------------------------------------------------------------------
+def test_positional_and_keyword_construction_agree():
+    positional = Packet("a", "b", 100, 1, 2, "ack", "f", {"k": 1}, 0.5, 0.25, 3, 77, True)
+    keyword = Packet(src="a", dst="b", size=100, src_port=1, dst_port=2, kind="ack",
+                     flow="f", payload={"k": 1}, created_at=0.5, enqueued_at=0.25,
+                     hops=3, uid=77, ecn=True)
+    assert positional == keyword
+    assert (positional.src, positional.dst, positional.size) == ("a", "b", 100)
+    assert (positional.src_port, positional.dst_port) == (1, 2)
+    assert (positional.kind, positional.flow, positional.payload) == ("ack", "f", {"k": 1})
+    assert (positional.created_at, positional.enqueued_at) == (0.5, 0.25)
+    assert (positional.hops, positional.uid, positional.ecn) == (3, 77, True)
+
+
+def test_defaults():
+    p = Packet("a", "b", 10)
+    assert (p.src_port, p.dst_port, p.kind) == (0, 0, "data")
+    assert p.flow == "a:0->b:0"
+    assert p.payload == {}
+    assert (p.created_at, p.enqueued_at, p.hops, p.ecn) == (0.0, 0.0, 0, False)
+    assert isinstance(p.uid, int)
+
+
+def test_default_payload_is_not_shared():
+    a = Packet("a", "b", 10)
+    b = Packet("a", "b", 10)
+    a.payload["k"] = 1
+    assert b.payload == {}
+
+
+def test_negative_size_rejected():
+    with pytest.raises(ValueError, match="positive"):
+        Packet("a", "b", -1)
+
+
+def test_equality_is_field_wise_and_includes_uid():
+    a = Packet("a", "b", 10, uid=5, payload={"k": 1})
+    assert a == Packet("a", "b", 10, uid=5, payload={"k": 1})
+    assert a != Packet("a", "b", 10, uid=6, payload={"k": 1})
+    assert a != Packet("a", "b", 11, uid=5, payload={"k": 1})
+    assert a != Packet("a", "b", 10, uid=5, payload={"k": 2})
+    assert a != "not a packet"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_no_ad_hoc_attributes():
+    with pytest.raises(AttributeError):
+        Packet("a", "b", 10).colour = "red"
+
+
+def test_copy_keeps_wire_fields_and_resets_transit_state():
+    p = Packet("a", "b", 10, 1, 2, "ack", "f", {"k": [1]}, created_at=0.5,
+               enqueued_at=0.7, hops=2, ecn=True)
+    q = p.copy()
+    assert (q.src, q.dst, q.size, q.src_port, q.dst_port) == ("a", "b", 10, 1, 2)
+    assert (q.kind, q.flow, q.created_at, q.ecn) == ("ack", "f", 0.5, True)
+    assert (q.enqueued_at, q.hops) == (0.0, 0)
+    assert q.uid > p.uid
+    # shallow: a fresh mapping over the same values
+    assert q.payload == p.payload and q.payload is not p.payload
+    assert q.payload["k"] is p.payload["k"]
+
+
+def test_deepcopy_and_pickle_round_trip():
+    import copy
+    import pickle
+
+    p = Packet("a", "b", 10, 1, 2, "ack", "f", {"k": [1]}, 0.5, 0.7, 2, ecn=True)
+    for clone in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and clone is not p
+        assert clone.uid == p.uid
+        assert clone.payload is not p.payload
+        assert clone.payload["k"] is not p.payload["k"]
