@@ -13,10 +13,10 @@ pipeline would otherwise use).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-from scipy import ndimage
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Cycles per blurred pixel (separable gaussian).
 CYCLES_PER_BLURRED_PIXEL = 90.0
@@ -71,6 +71,9 @@ class PrivacyFilter:
 
     def apply(self, frame: np.ndarray, regions: Sequence[SensitiveRegion]) -> FilterResult:
         """Blur every region; returns a new frame plus cost accounting."""
+        import numpy as np
+        from scipy import ndimage
+
         out = np.array(frame, dtype=np.float64, copy=True)
         img_h, img_w = out.shape
         pixels = 0
@@ -91,4 +94,6 @@ class PrivacyFilter:
     @staticmethod
     def information_loss(before: np.ndarray, after: np.ndarray) -> float:
         """Mean absolute pixel change — a proxy for destroyed detail."""
+        import numpy as np
+
         return float(np.abs(np.asarray(before) - np.asarray(after)).mean())

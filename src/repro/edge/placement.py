@@ -21,9 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-import numpy as np
-from scipy.optimize import linprog
-
 from repro.edge.topology import CityTopology
 
 
@@ -130,6 +127,9 @@ def solve_lp_rounding(
     when sampling misses someone).  The LP optimum is returned as
     ``lower_bound``.
     """
+    import numpy as np
+    from scipy.optimize import linprog
+
     n_u, n_s = problem.n_users, problem.n_sites
     a_ub = np.zeros((n_u, n_s))
     for si, users in enumerate(problem.coverage):

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ class CityTopology:
 
     def latency_matrix(self) -> np.ndarray:
         """(n_users, n_sites) one-way latencies."""
+        import numpy as np
+
         return np.array(
             [[self.latency(u, s) for s in self.sites] for u in self.users]
         )

@@ -394,9 +394,10 @@ def _pool_context(method: Optional[str] = None):
     """Pick the multiprocessing context for the warm pool.
 
     Prefers ``fork`` — workers inherit the parent's already-imported
-    simulation stack, which is the warmest possible start (measured
-    ~20 ms to spin a 2-worker pool vs ~1 s+ for spawn/forkserver, which
-    re-import the main module per worker).  The runner is
+    simulation stack, which is the warmest possible start (measured on
+    a 4-shard 2-worker campaign: ~20 ms, vs ~0.2 s for spawn/forkserver,
+    which re-import the stack per worker — standard library and repro
+    only, docs/PERF.md §6).  The runner is
     single-threaded, so fork is safe here.  Where fork is unavailable
     (Windows/macOS-spawn), falls back to ``spawn``; ``forkserver`` can
     be requested explicitly and gets the scenario module preloaded so

@@ -20,9 +20,7 @@ Two pieces the static strategies in :mod:`repro.mar.offload` lack:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.mar.application import MarApplication
 from repro.mar.decision import DecisionEngine
@@ -34,7 +32,11 @@ from repro.mar.offload import (
     OffloadExecutor,
     OffloadStrategy,
 )
-from repro.vision.pipeline import ArPipeline
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.vision.pipeline import ArPipeline
 
 
 class AdaptiveTrackingOffload(OffloadStrategy):

@@ -36,6 +36,7 @@ from repro.obs.spans import (
 )
 from repro.simnet.network import Network
 from repro.simnet.packet import IP_UDP_HEADER
+from repro.vision.costs import estimate_stage_costs
 
 #: Histogram ranges (fixed, so registries always merge-compatible).
 LATENCY_HI = 2.0
@@ -150,8 +151,6 @@ class FrameObserver:
         if attrs is None:
             attrs = {"megacycles": remote_megacycles}
             if self.app is not None:
-                from repro.vision.pipeline import estimate_stage_costs
-
                 w, h = self.app.resolution
                 costs = estimate_stage_costs(w * h).scaled_to(remote_megacycles)
                 for stage, mc in costs.as_dict().items():

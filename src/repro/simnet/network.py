@@ -2,15 +2,14 @@
 
 :class:`Network` is a convenience layer over the raw node/link objects:
 it tracks every node and link, computes static shortest-path routes
-(delay-weighted, via networkx), and offers path inspection helpers used
-by benchmarks (minimum RTT, bottleneck rate).
+(delay-weighted Dijkstra), and offers path inspection helpers used by
+benchmarks (minimum RTT, bottleneck rate).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import networkx as nx
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import DuplexLink, Link
@@ -93,36 +92,86 @@ class Network:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def graph(self) -> nx.DiGraph:
-        """Directed graph of the topology, edges weighted by delay."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
+    def _successors(self) -> Dict[str, Dict[str, Tuple[float, Link]]]:
+        """``{node: {next node: (weight, link)}}``, in link-insertion order.
+
+        A later parallel link between the same pair replaces the earlier
+        one's weight and link but keeps its position.
+        """
+        succ: Dict[str, Dict[str, Tuple[float, Link]]] = {name: {} for name in self.nodes}
         for link in self.links:
             # Serialization of one MTU gives a tiny rate-aware tiebreak.
             weight = link.delay + (1514 * 8) / link.rate_bps
-            g.add_edge(link.src.name, link.dst.name, weight=weight, link=link)
-        return g
+            succ[link.src.name][link.dst.name] = (weight, link)
+        return succ
+
+    @staticmethod
+    def _shortest_path_tree(
+        succ: Dict[str, Dict[str, Tuple[float, Link]]], source: str
+    ) -> Dict[str, Optional[str]]:
+        """Dijkstra from ``source``: each reachable node's predecessor.
+
+        Keys are in settling order (``source`` first, mapped to None).
+        The tie-break decides routes, so it is part of the behaviour
+        contract (networkx is the oracle in tests/test_node_network.py):
+        a node keeps the first predecessor that reached it at its final
+        distance (strict ``<`` relaxation), and equal distances settle
+        in the order they were pushed.
+        """
+        best = {source: 0.0}
+        pred: Dict[str, Optional[str]] = {source: None}
+        settled: Dict[str, Optional[str]] = {}
+        pushed = 0
+        fringe: List[Tuple[float, int, str]] = [(0.0, pushed, source)]
+        while fringe:
+            dist, _, node = heappop(fringe)
+            if node in settled:
+                continue
+            settled[node] = pred[node]
+            for nxt, (weight, _link) in succ[node].items():
+                through = dist + weight
+                if nxt not in settled and (nxt not in best or through < best[nxt]):
+                    best[nxt] = through
+                    pred[nxt] = node
+                    pushed += 1
+                    heappush(fringe, (through, pushed, nxt))
+        return settled
 
     def build_routes(self) -> None:
         """Fill every node's routing table with delay-weighted shortest paths."""
-        g = self.graph()
-        paths = dict(nx.all_pairs_dijkstra_path(g, weight="weight"))
-        for src_name, by_dst in paths.items():
-            node = self.nodes[src_name]
-            for dst_name, path in by_dst.items():
-                if dst_name == src_name or len(path) < 2:
+        succ = self._successors()
+        for src_name, node in self.nodes.items():
+            first_hop: Dict[str, Link] = {}
+            for dst_name, via in self._shortest_path_tree(succ, src_name).items():
+                if via is None:
                     continue
-                first_hop = g.edges[path[0], path[1]]["link"]
-                node.add_route(dst_name, first_hop)
+                hop = succ[src_name][dst_name][1] if via == src_name else first_hop[via]
+                first_hop[dst_name] = hop
+                node.add_route(dst_name, hop)
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
     def path_links(self, a: str, b: str) -> List[Link]:
-        """The links on the current route from ``a`` to ``b``."""
-        g = self.graph()
-        path = nx.dijkstra_path(g, a, b, weight="weight")
-        return [g.edges[u, v]["link"] for u, v in zip(path, path[1:])]
+        """The links on the current route from ``a`` to ``b``.
+
+        Raises :class:`KeyError` for a node the network does not have
+        and :class:`ValueError` when ``b`` cannot be reached from ``a``.
+        """
+        for name in (a, b):
+            if name not in self.nodes:
+                raise KeyError(name)
+        succ = self._successors()
+        pred = self._shortest_path_tree(succ, a)
+        if b not in pred:
+            raise ValueError(f"no path from {a!r} to {b!r}")
+        links: List[Link] = []
+        node = b
+        while pred[node] is not None:
+            links.append(succ[pred[node]][node][1])
+            node = pred[node]
+        links.reverse()
+        return links
 
     def base_rtt(self, a: str, b: str, packet_size: int = 1514) -> float:
         """Unloaded round-trip time between two nodes.

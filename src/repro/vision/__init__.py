@@ -16,41 +16,54 @@ package implements that pipeline from scratch:
   tracking that decides when a keyframe must be (re-)processed;
 - :mod:`~repro.vision.pipeline` — the assembled AR pipeline with
   per-stage compute-cost accounting (megacycles) consumed by the
-  offloading models of :mod:`repro.mar`.
+  offloading models of :mod:`repro.mar`;
+- :mod:`~repro.vision.costs` — the analytic cost model on its own: the
+  one submodule that needs no numpy.
+
+The names below resolve on first access (PEP 562 module ``__getattr__``)
+rather than at import: every submodule but ``costs`` loads numpy, and
+:mod:`repro.obs` imports :mod:`repro.vision.costs` on the simulation
+path, which stays on the standard library (docs/PERF.md, "Cold start
+and footprint").
 """
 
-from repro.vision.synthetic import make_scene, random_homography, warp_image
-from repro.vision.features import detect_corners, describe, Keypoint
-from repro.vision.matching import match_descriptors, Match
-from repro.vision.homography import estimate_homography, ransac_homography, reprojection_error
-from repro.vision.tracking import Tracker, TrackResult
-from repro.vision.pipeline import ArPipeline, FrameResult, StageCosts
-from repro.vision.pose import Pose, decompose_homography, default_intrinsics, homography_from_pose
-from repro.vision.overlay import PanningCamera, acceptable_latency, misalignment_profile, misalignment_px
+from importlib import import_module
 
-__all__ = [
-    "make_scene",
-    "random_homography",
-    "warp_image",
-    "detect_corners",
-    "describe",
-    "Keypoint",
-    "match_descriptors",
-    "Match",
-    "estimate_homography",
-    "ransac_homography",
-    "reprojection_error",
-    "Tracker",
-    "TrackResult",
-    "ArPipeline",
-    "FrameResult",
-    "StageCosts",
-    "Pose",
-    "decompose_homography",
-    "default_intrinsics",
-    "homography_from_pose",
-    "PanningCamera",
-    "acceptable_latency",
-    "misalignment_profile",
-    "misalignment_px",
-]
+#: Public name → the submodule that defines it.
+_EXPORTS = {
+    "make_scene": "synthetic",
+    "random_homography": "synthetic",
+    "warp_image": "synthetic",
+    "detect_corners": "features",
+    "describe": "features",
+    "Keypoint": "features",
+    "match_descriptors": "matching",
+    "Match": "matching",
+    "estimate_homography": "homography",
+    "ransac_homography": "homography",
+    "reprojection_error": "homography",
+    "Tracker": "tracking",
+    "TrackResult": "tracking",
+    "ArPipeline": "pipeline",
+    "FrameResult": "pipeline",
+    "StageCosts": "costs",
+    "Pose": "pose",
+    "decompose_homography": "pose",
+    "default_intrinsics": "pose",
+    "homography_from_pose": "pose",
+    "PanningCamera": "overlay",
+    "acceptable_latency": "overlay",
+    "misalignment_profile": "overlay",
+    "misalignment_px": "overlay",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

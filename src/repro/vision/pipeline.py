@@ -9,79 +9,33 @@ run), so the offloading models in :mod:`repro.mar` can convert it to
 wall-clock time on any device of Table I via its clock rate — exactly
 the p(a) term of the paper's execution-time equations.
 
-Cycle constants are calibrated to the common wisdom that full
-feature-based recognition of a 320x240 frame costs on the order of
-hundreds of milliseconds on a mobile-class core (the reason offloading
-exists at all) and a few milliseconds of tracking (the reason Glimpse
-works).
+The cost model itself (cycle constants, :class:`StageCosts`,
+:func:`estimate_stage_costs`) lives in :mod:`repro.vision.costs`, which
+needs no numpy; its names are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
+from repro.vision.costs import (
+    CYCLES_PER_KEYPOINT_DESCRIBE,
+    CYCLES_PER_MATCH_PAIR,
+    CYCLES_PER_PIXEL_DETECT,
+    CYCLES_PER_PIXEL_ENCODE,
+    CYCLES_PER_PIXEL_RENDER,
+    CYCLES_PER_RANSAC_ITER,
+    CYCLES_PER_TRACKED_POINT,
+    StageCosts,
+    estimate_stage_costs,  # noqa: F401 - re-exported
+)
 from repro.vision.features import Keypoint, describe, descriptor_size_bytes, detect_corners
 from repro.vision.homography import ransac_homography
 from repro.vision.matching import Match, match_descriptors, match_points
 from repro.vision.tracking import Tracker
-
-# Cycle-cost constants (cycles per unit of work).
-CYCLES_PER_PIXEL_DETECT = 450.0       # gradients + 3 gaussian filters + NMS
-CYCLES_PER_KEYPOINT_DESCRIBE = 25_000.0
-CYCLES_PER_MATCH_PAIR = 48.0          # 32-byte XOR + popcount + bookkeeping
-CYCLES_PER_RANSAC_ITER = 9_000.0      # 4-point DLT + error for all pairs
-CYCLES_PER_TRACKED_POINT = 60_000.0   # SSD search window
-CYCLES_PER_PIXEL_ENCODE = 35.0        # software video encode (uplink prep)
-CYCLES_PER_PIXEL_RENDER = 18.0        # overlay composition
-
-
-@dataclass
-class StageCosts:
-    """Per-stage compute cost of one frame, in megacycles."""
-
-    detect: float = 0.0
-    describe: float = 0.0
-    match: float = 0.0
-    ransac: float = 0.0
-    track: float = 0.0
-    encode: float = 0.0
-    render: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return sum(getattr(self, f.name) for f in fields(self))
-
-    def __add__(self, other: "StageCosts") -> "StageCosts":
-        return StageCosts(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
-
-    def split(self, local_stages: List[str]) -> Dict[str, float]:
-        """Partition into local vs remote megacycles by stage name."""
-        local = sum(getattr(self, name) for name in local_stages)
-        return {"local": local, "remote": self.total - local}
-
-    def as_dict(self) -> Dict[str, float]:
-        """Stage-name → megacycles, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def scaled_to(self, total_megacycles: float) -> "StageCosts":
-        """Rescale proportionally so the stages sum to a given total.
-
-        Lets an estimated stage *shape* (from :func:`estimate_stage_costs`)
-        be fitted to a known aggregate budget — e.g. annotating a server
-        compute span whose total p(a) comes from the application model.
-        """
-        current = self.total
-        if current <= 0.0:
-            return StageCosts()
-        factor = total_megacycles / current
-        return StageCosts(
-            **{f.name: getattr(self, f.name) * factor for f in fields(self)}
-        )
 
 
 @dataclass
@@ -204,24 +158,3 @@ class ArPipeline:
     def encode_cost(frame_pixels: int) -> StageCosts:
         """Cost of software-encoding a frame for network upload."""
         return StageCosts(encode=frame_pixels * CYCLES_PER_PIXEL_ENCODE / 1e6)
-
-
-def estimate_stage_costs(n_pixels: int, n_keypoints: int = 300,
-                         n_ref_keypoints: int = 300,
-                         ransac_iters: int = 400) -> StageCosts:
-    """Analytic per-stage cost of full recognition, without running it.
-
-    Applies the module's cycle constants to nominal workload sizes —
-    the same arithmetic :meth:`ArPipeline.process_frame` performs on
-    measured quantities, usable where no pixels exist (observability
-    annotations, capacity planning).  Combine with
-    :meth:`StageCosts.scaled_to` to fit the stage *shape* to a known
-    total p(a).
-    """
-    return StageCosts(
-        detect=n_pixels * CYCLES_PER_PIXEL_DETECT / 1e6,
-        describe=n_keypoints * CYCLES_PER_KEYPOINT_DESCRIBE / 1e6,
-        match=n_keypoints * n_ref_keypoints * CYCLES_PER_MATCH_PAIR / 1e6,
-        ransac=ransac_iters * CYCLES_PER_RANSAC_ITER / 1e6,
-        render=n_pixels * CYCLES_PER_PIXEL_RENDER / 1e6,
-    )
