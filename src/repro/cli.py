@@ -284,10 +284,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if telemetry is not None:
         status = _emit_telemetry(result, FLEET_RESULTS_DIR, args.quiet)
     if cache is not None:
+        failed = (f", {cache.write_errors} cache writes failed"
+                  if cache.write_errors else "")
         print(f"[fleet] cache: {result.cache_hits} hits / "
               f"{result.cache_misses} misses "
-              f"({result.cache_hits / max(1, len(result.outcomes)):.0%} hit rate)",
-              file=sys.stderr)
+              f"({result.cache_hits / max(1, len(result.outcomes)):.0%} "
+              f"hit rate){failed}", file=sys.stderr)
     print(f"[fleet] {workers} worker(s), {time.monotonic() - t0:.1f}s wall, "
           f"report saved to {out}", file=sys.stderr)
     if args.expect_quarantine and not result.quarantined:

@@ -106,12 +106,26 @@ class Aggregate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Aggregate":
+        """Rebuild from :meth:`to_dict` output.
+
+        This is where outside input enters — cache files and the pool's
+        result wire — so a document that is valid JSON of the wrong
+        shape raises ``ValueError`` here, like one that is not JSON.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("aggregate document is not a mapping")
+        counts = d.get("counts", {})
+        moments = d.get("moments", {})
+        histograms = d.get("histograms", {})
+        if not (isinstance(counts, dict) and isinstance(moments, dict)
+                and isinstance(histograms, dict)):
+            raise ValueError("aggregate section is not a mapping")
         a = cls()
-        a.counts = {k: int(v) for k, v in d.get("counts", {}).items()}
+        a.counts = {k: int(v) for k, v in counts.items()}
         a.moments = {k: StreamingMoments.from_dict(v)
-                     for k, v in d.get("moments", {}).items()}
+                     for k, v in moments.items()}
         a.histograms = {k: FixedBinHistogram.from_dict(v)
-                        for k, v in d.get("histograms", {}).items()}
+                        for k, v in histograms.items()}
         return a
 
     def to_json(self) -> str:

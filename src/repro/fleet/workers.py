@@ -452,7 +452,10 @@ def run_campaign(
     shards-per-task batch (``None`` auto-tunes, ``1`` restores unbatched
     dispatch); ``mp_context`` pins the multiprocessing start method.
     ``cache`` (optional) is consulted before any execution and updated
-    after every successful shard.
+    after every successful shard; a run that ends with every shard ok
+    also records its merge there, and a re-run whose cache directory
+    still verifies against that record is served from it without
+    parsing a shard (:mod:`repro.fleet.cache`).
 
     ``telemetry`` (optional :class:`TelemetryCollector`) turns on the
     wall-clock telemetry bus; the finalized document lands in
@@ -467,7 +470,6 @@ def run_campaign(
     shards = campaign.shards()
     scenario = get_scenario(campaign.scenario)
     t0 = time.monotonic()
-    reducer = OrderedReducer([s.point_label for s in shards])
     outcomes: Dict[int, ShardOutcome] = {}
     backoff = DecorrelatedBackoff.from_tag(
         campaign.base_seed, f"fleet-retry:{campaign.name}",
@@ -476,19 +478,37 @@ def run_campaign(
     # -- cache pass ----------------------------------------------------
     cache_t0 = telemetry.now() if telemetry is not None else 0.0
     todo: List[ShardSpec] = []
-    cache_hits = cache_misses = 0
-    for spec in shards:
-        agg = cache.get(campaign, spec) if cache is not None else None
-        if agg is not None:
-            reducer.offer(spec.index, agg)
-            outcomes[spec.index] = ShardOutcome(
-                tag=spec.tag, index=spec.index, status="ok", attempts=0,
-                cached=True, scenario=campaign.scenario)
-            cache_hits += 1
-        else:
-            todo.append(spec)
-            if cache is not None:
-                cache_misses += 1
+    served: List[ShardSpec] = []      # shards the cache answered
+    #: sha256 of each shard's cache file as read or written by this run;
+    #: stays None for a quarantined shard and for a failed write
+    digests: List[Optional[str]] = [None] * len(shards)
+    merged = cache.get_merged(campaign, shards) if cache is not None else None
+    reducer: Optional[OrderedReducer] = None
+    if merged is not None and merged.verified:
+        # A completed campaign whose shard files all still hash to what
+        # it recorded: there is nothing to parse and nothing to merge.
+        served = shards
+    else:
+        reducer = OrderedReducer([s.point_label for s in shards])
+        # An intact entry that failed verification still knows what each
+        # shard file must hash to; a file that drifted is a miss.
+        recorded = (merged.digests if merged is not None
+                    else [None] * len(shards))
+        for spec in shards:
+            hit = (cache.get(campaign, spec, recorded[spec.index])
+                   if cache is not None else None)
+            if hit is not None:
+                reducer.offer(spec.index, hit[0])
+                digests[spec.index] = hit[1]
+                served.append(spec)
+            else:
+                todo.append(spec)
+    for spec in served:
+        outcomes[spec.index] = ShardOutcome(
+            tag=spec.tag, index=spec.index, status="ok", attempts=0,
+            cached=True, scenario=campaign.scenario)
+    cache_hits = len(served)
+    cache_misses = len(todo) if cache is not None else 0
     if telemetry is not None and cache is not None:
         telemetry.record({"ev": "cache_pass", "t0": cache_t0,
                           "t1": telemetry.now(), "hits": cache_hits,
@@ -504,7 +524,7 @@ def run_campaign(
             telemetry.record({"ev": "merge", "t": telemetry.now(),
                               "tag": spec.tag, "buffered": reducer.pending})
         if cache is not None:
-            cache.put(campaign, spec, agg)
+            digests[spec.index] = cache.put(campaign, spec, agg_json)
         if progress is not None:
             progress(len(outcomes), len(shards), time.monotonic() - t0)
 
@@ -550,17 +570,25 @@ def run_campaign(
                               backoff, record_ok, record_quarantine,
                               telemetry=telemetry, flight_dir=flight_dir)
 
+    if reducer is None:
+        aggregate, per_point, max_buffered = (
+            merged.aggregate, merged.per_point, 0)
+    else:
+        aggregate, per_point, max_buffered = (
+            reducer.finish(), reducer.per_point, reducer.max_buffered)
+        if cache is not None and None not in digests:
+            cache.put_merged(campaign, digests, aggregate, per_point)
     result = FleetResult(
         campaign=campaign,
-        aggregate=reducer.finish(),
-        per_point=reducer.per_point,
+        aggregate=aggregate,
+        per_point=per_point,
         outcomes=[outcomes[s.index] for s in shards],
         cache_hits=cache_hits,
         cache_misses=cache_misses,
         elapsed=time.monotonic() - t0,
         workers=max(1, workers),
         n_batches=n_batches,
-        max_buffered=reducer.max_buffered,
+        max_buffered=max_buffered,
         start_method=start_method,
         latency_key=scenario.latency_key,
         rate_key=scenario.rate_key,

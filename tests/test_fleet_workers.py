@@ -1,5 +1,6 @@
 """Fleet runner: serial/parallel equivalence, fault tolerance, cache."""
 
+import errno
 import os
 
 import pytest
@@ -15,6 +16,7 @@ from repro.fleet import (
     run_shard,
     usable_cpus,
 )
+from repro.fleet.cache import MERGED_NAME
 from repro.fleet.workers import MAX_BATCH, OVERSUBSCRIBE, _ShardState
 
 FAST_BACKOFF = dict(backoff_base=0.002, backoff_cap=0.02)
@@ -341,6 +343,54 @@ class TestCache:
         # repaired on the way through
         r2 = run_campaign(c, workers=1, cache=ResultCache(tmp_path))
         assert r2.cache_misses == 0
+
+    @pytest.mark.parametrize("document", [
+        "[]", "null", "3", '{"counts": []}', '{"moments": 1}'])
+    def test_wrong_shape_entry_is_a_miss_and_repaired(self, tmp_path,
+                                                      document):
+        """Valid JSON that is not an aggregate is rejected by the parse
+        (the merged entry is removed so its digest check cannot get in
+        first), not raised out of the run."""
+        c = tiny_campaign()
+        cache = ResultCache(tmp_path)
+        clean = run_campaign(c, workers=1, cache=cache)
+        (cache.campaign_dir(c) / MERGED_NAME).unlink()
+        victim = cache.shard_path(c, c.shards()[0])
+        good = victim.read_bytes()
+        victim.write_text(document)
+        r = run_campaign(c, workers=1, cache=ResultCache(tmp_path))
+        assert r.cache_misses == 1
+        assert r.aggregate.to_json() == clean.aggregate.to_json()
+        assert victim.read_bytes() == good
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cache_write_does_not_fail_the_shard(
+            self, tmp_path, monkeypatch, workers):
+        """ENOSPC beneath ``put``: every simulation succeeded, so the
+        run completes, charges no retry and writes no merged entry."""
+        def no_space(path, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ResultCache, "_atomic_write",
+                            staticmethod(no_space))
+        c = tiny_campaign()
+        cache = ResultCache(tmp_path)
+        r = run_campaign(c, workers=workers, cache=cache)
+        assert r.completed == len(c.shards())
+        assert all(o.attempts == 1 for o in r.outcomes)
+        assert cache.write_errors == len(c.shards())
+        assert not (cache.campaign_dir(c) / MERGED_NAME).exists()
+        assert (r.aggregate.to_json()
+                == run_campaign(c, workers=1).aggregate.to_json())
+
+    def test_shard_file_holds_the_wire_text(self, tmp_path):
+        c = tiny_campaign()
+        cache = ResultCache(tmp_path)
+        run_campaign(c, workers=1, cache=cache)
+        fn = get_scenario(c.scenario).fn
+        for spec in c.shards():
+            assert (cache.shard_path(c, spec).read_text()
+                    == fn(spec.seed, spec.param_dict()).to_json())
 
 
 class TestProgress:
