@@ -308,33 +308,6 @@ def fleet_telemetry_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def profile_hotspot_table(profiler, top: int = 12) -> str:
-    """Render an :class:`~repro.obs.profile.EngineProfiler` hotspot table.
-
-    Counts are deterministic; the wall columns appear only when the
-    caller injected a clock into the profiler (telemetry-only — the
-    hotspot *ordering* is then wall-driven, which is the point of
-    ``python -m repro obs --profile``).
-    """
-    rows = profiler.hotspots(top=top)
-    total = profiler.events or 1
-    if profiler.timed:
-        total_wall = sum(w for _, _, w in rows) or 1.0
-        table_rows = [
-            [name, n, f"{n / total:6.1%}", format_time(wall),
-             f"{wall / total_wall:6.1%}",
-             format_time(wall / n) if n else "—"]
-            for name, n, wall in rows]
-        headers = ["handler", "events", "ev%", "wall", "wall%", "per event"]
-    else:
-        table_rows = [[name, n, f"{n / total:6.1%}"]
-                      for name, n, _ in rows]
-        headers = ["handler", "events", "ev%"]
-    return ascii_table(
-        headers, table_rows,
-        title=f"Engine hotspots ({profiler.events} events)")
-
-
 class Figure:
     """An ASCII line 'figure': named series over a shared x axis."""
 

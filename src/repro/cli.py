@@ -418,29 +418,21 @@ def cmd_obs(args: argparse.Namespace) -> int:
     Emits three files under ``benchmarks/results/obs/`` (or ``--out``):
     a Perfetto-loadable Chrome trace, a qlog-schema JSON-lines stream,
     and a canonical metrics-registry dump — then prints the critical-
-    path breakdown table and headline summary.  ``--profile`` attaches
-    the deterministic engine profiler (wall clock injected here, in
-    harness code) and prints the handler hotspot table — the evidence
-    base for macro-event batching.  ``--check`` validates the trace
-    schema and the stage-sum reconciliation invariant — and, with
-    ``--profile``, that a second profiled run reproduces identical
-    handler counts — exiting non-zero on any problem (the CI obs-smoke
-    gate).
+    path breakdown table and headline summary.  ``--check`` validates
+    the trace schema and the stage-sum reconciliation invariant,
+    exiting non-zero on any problem (the CI obs-smoke gate).
     """
-    from repro.analysis.report import obs_breakdown_table, profile_hotspot_table
-    from repro.obs import (EngineProfiler, OBS_SCENARIOS, chrome_trace_json,
-                           qlog_lines, reconcile_frame_spans,
-                           run_obs_scenario, snapshot, validate_chrome_trace)
+    from repro.analysis.report import obs_breakdown_table
+    from repro.obs import (OBS_SCENARIOS, chrome_trace_json, qlog_lines,
+                           reconcile_frame_spans, run_obs_scenario, snapshot,
+                           validate_chrome_trace)
 
     if args.scenario not in OBS_SCENARIOS:
         print(f"unknown obs scenario {args.scenario!r}; "
               f"try: {', '.join(OBS_SCENARIOS)}", file=sys.stderr)
         return 2
 
-    profiler = EngineProfiler(clock=time.perf_counter) if args.profile \
-        else None
-    run = run_obs_scenario(args.scenario, seed=args.seed, frames=args.frames,
-                           profiler=profiler)
+    run = run_obs_scenario(args.scenario, seed=args.seed, frames=args.frames)
     trace = chrome_trace_json(run.tracer)
     qlog = qlog_lines(tracer=run.tracer, log=run.event_log,
                       registry=run.registry)
@@ -458,9 +450,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
             run.breakdowns,
             title=f"{args.scenario} (seed {args.seed}) critical path"))
         print()
-    if profiler is not None:
-        print(profile_hotspot_table(profiler))
-        print()
     snap = snapshot(run.registry, run.tracer)
     frames = snap.get("frames", {})
     print("summary: " + ", ".join(
@@ -477,24 +466,13 @@ def cmd_obs(args: argparse.Namespace) -> int:
         reconciled = bool(run.breakdowns)
         if reconciled:
             problems += reconcile_frame_spans(run.tracer)
-        if profiler is not None:
-            # Counts must be a pure function of (scenario, seed, frames):
-            # re-run with a fresh clockless profiler and compare the
-            # deterministic export (wall times are telemetry, excluded).
-            rerun_prof = EngineProfiler()
-            run_obs_scenario(args.scenario, seed=args.seed,
-                             frames=args.frames, profiler=rerun_prof)
-            if rerun_prof.to_dict() != profiler.to_dict():
-                problems.append(
-                    "profiler handler counts differ between identical runs")
         if problems:
             for p in problems:
                 print(f"[obs] CHECK FAIL: {p}", file=sys.stderr)
             return 1
         print("[obs] check OK: trace schema valid" + (
             ", stage sums reconcile with frame latency (±1 µs)"
-            if reconciled else "") + (
-            ", profiler counts deterministic" if profiler is not None else ""))
+            if reconciled else ""))
     return 0
 
 
@@ -638,13 +616,8 @@ def main(argv=None) -> int:
     obs.add_argument("--out", default=None,
                      help="output directory (default: "
                           "benchmarks/results/obs/)")
-    obs.add_argument("--profile", action="store_true",
-                     help="attach the engine profiler and print the handler "
-                          "hotspot table (counts deterministic, wall times "
-                          "telemetry-only)")
     obs.add_argument("--check", action="store_true",
-                     help="validate trace schema + stage-sum reconciliation "
-                          "(and, with --profile, count determinism); "
+                     help="validate trace schema + stage-sum reconciliation; "
                           "exit non-zero on problems")
     obs.set_defaults(func=cmd_obs)
     check = sub.add_parser(

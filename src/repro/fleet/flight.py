@@ -36,10 +36,9 @@ import json
 import os
 import pathlib
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.fleet.campaign import stable_hash
-from repro.obs.profile import handler_name
 
 #: Flight artifact schema version.
 FLIGHT_SCHEMA = 1
@@ -49,6 +48,13 @@ FLIGHT_SCHEMA = 1
 RING_CAPACITY = 256
 
 _CANON = {"sort_keys": True, "separators": (",", ":")}
+
+
+def handler_name(fn: Callable) -> str:
+    """Stable display name for a handler function object."""
+    module = getattr(fn, "__module__", None) or "?"
+    qual = getattr(fn, "__qualname__", None) or repr(fn)
+    return f"{module}.{qual}"
 
 
 def _safe_stem(tag: str) -> str:

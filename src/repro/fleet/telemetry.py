@@ -38,8 +38,8 @@ per shard — validated by the same
 
 None of this participates in the determinism boundary: telemetry is
 collected beside the result path, and enabling it changes no aggregate
-byte — pinned by ``tests/test_fleet_telemetry.py`` and gated for
-overhead by ``benchmarks/perf/obs_overhead.py`` (BENCH_PR10).
+byte — pinned by ``tests/test_fleet_telemetry.py``; its cost is a
+Python-frame budget in ``tests/test_hot_path_budget.py``.
 """
 
 from __future__ import annotations

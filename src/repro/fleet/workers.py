@@ -15,8 +15,8 @@ The original pool dispatched one task per shard, re-pickled the
 scenario name + params + seed into every attempt, and paid worker
 startup per pool.  For campaigns of many ~10 ms shards the IPC and
 setup overhead exceeded the work and parallel runs came out *slower*
-than serial (BENCH_PR3: 0.82x at 2 and 4 workers).  Three coordinated
-changes fix that:
+than serial (0.82x at 2 and 4 workers, measured at PR 3).  Three
+coordinated changes fix that:
 
 - **Persistent warm workers** — the pool is created once per campaign
   with an initializer that installs the campaign spec (canonical JSON,
@@ -108,7 +108,7 @@ def usable_cpus() -> int:
     ``os.cpu_count()`` reports the machine, not the process: under a
     CPU-affinity mask or a container quota it overstates usable
     parallelism, and sizing a pool from it guarantees oversubscription
-    (BENCH_PR3 ran 4 workers on a 1-core box).  Prefer the scheduling
+    (PR 3 measured 4 workers on a 1-core box).  Prefer the scheduling
     affinity, falling back where the platform lacks it.
     """
     try:
@@ -397,7 +397,7 @@ def _pool_context(method: Optional[str] = None):
     simulation stack, which is the warmest possible start (measured on
     a 4-shard 2-worker campaign: ~20 ms, vs ~0.2 s for spawn/forkserver,
     which re-import the stack per worker — standard library and repro
-    only, docs/PERF.md §6).  The runner is
+    only, docs/PERF.md §3).  The runner is
     single-threaded, so fork is safe here.  Where fork is unavailable
     (Windows/macOS-spawn), falls back to ``spawn``; ``forkserver`` can
     be requested explicitly and gets the scenario module preloaded so

@@ -43,14 +43,12 @@ from repro.obs.instrument import (
     collect_martp,
     path_costs,
 )
-from repro.obs.profile import EngineProfiler, handler_name
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.runner import OBS_SCENARIOS, ObsRun, run_obs_scenario
 from repro.obs.spans import FrameTrace, Span, Tracer
 
 __all__ = [
     "Counter",
-    "EngineProfiler",
     "FrameObserver",
     "FrameTrace",
     "Gauge",
@@ -65,7 +63,6 @@ __all__ = [
     "chrome_trace_json",
     "collect_links",
     "collect_martp",
-    "handler_name",
     "path_costs",
     "qlog_lines",
     "run_obs_scenario",

@@ -37,11 +37,11 @@ class ObsRun:
     """Everything one observed scenario run produced."""
 
     __slots__ = ("scenario", "seed", "tracer", "registry", "event_log",
-                 "breakdowns", "summary", "profiler")
+                 "breakdowns", "summary")
 
     def __init__(self, scenario: str, seed: int, tracer: Tracer,
                  registry: MetricsRegistry, event_log, breakdowns: List[dict],
-                 summary: Dict[str, float], profiler=None) -> None:
+                 summary: Dict[str, float]) -> None:
         self.scenario = scenario
         self.seed = seed
         self.tracer = tracer
@@ -49,12 +49,9 @@ class ObsRun:
         self.event_log = event_log
         self.breakdowns = breakdowns
         self.summary = summary
-        #: the :class:`~repro.obs.profile.EngineProfiler` that dispatched
-        #: this run's events, when one was requested (``--profile``).
-        self.profiler = profiler
 
 
-def _run_cell_offload(seed: int, frames: int, profiler=None) -> ObsRun:
+def _run_cell_offload(seed: int, frames: int) -> ObsRun:
     """One MAR cell user: feature offload over cloud WiFi, fully traced."""
     from repro.mar.application import APP_ARCHETYPES
     from repro.mar.devices import CLOUD, SMARTPHONE
@@ -67,7 +64,6 @@ def _run_cell_offload(seed: int, frames: int, profiler=None) -> ObsRun:
     duration = frames * app.frame_budget + 2.0
 
     sim = Simulator(seed=seed)
-    sim.profiler = profiler
     net = Network(sim)
     net.add_host("client")
     net.add_host("server")
@@ -106,10 +102,10 @@ def _run_cell_offload(seed: int, frames: int, profiler=None) -> ObsRun:
         "mean_link_rtt": result.mean_link_rtt,
     }
     return ObsRun("cell_offload", seed, tracer, registry, None,
-                  observer.breakdowns(), summary, profiler=profiler)
+                  observer.breakdowns(), summary)
 
 
-def _run_martp_session(seed: int, frames: int, profiler=None) -> ObsRun:
+def _run_martp_session(seed: int, frames: int) -> ObsRun:
     """A MARTP streaming session: qlog + protocol/link metrics."""
     from repro.core import OffloadSession, ScenarioBuilder, mos_score
 
@@ -117,7 +113,6 @@ def _run_martp_session(seed: int, frames: int, profiler=None) -> ObsRun:
     scenario = ScenarioBuilder(seed=seed).single_path(rtt=0.036, up_bps=12e6)
     session = OffloadSession(scenario)
     sim = scenario.net.sim
-    sim.profiler = profiler
     tracer = Tracer(sim)
     registry = MetricsRegistry()
     event_log = instrument_sender(session.sender, EventLog())
@@ -133,27 +128,20 @@ def _run_martp_session(seed: int, frames: int, profiler=None) -> ObsRun:
         "qlog_events": float(len(event_log)),
     }
     return ObsRun("martp_session", seed, tracer, registry, event_log,
-                  [], summary, profiler=profiler)
+                  [], summary)
 
 
-#: Scenario name → runner(seed, frames, profiler=None).
+#: Scenario name → runner(seed, frames).
 OBS_SCENARIOS: Dict[str, Callable[..., ObsRun]] = {
     "cell_offload": _run_cell_offload,
     "martp_session": _run_martp_session,
 }
 
 
-def run_obs_scenario(name: str, seed: int = 11, frames: int = 60,
-                     profiler=None) -> ObsRun:
-    """Run one observed scenario; deterministic in ``(name, seed, frames)``.
-
-    ``profiler`` (optional :class:`~repro.obs.profile.EngineProfiler`)
-    attaches to the scenario's simulator before it runs: its handler
-    counts are as deterministic as the run itself, and wall times exist
-    only if the caller injected a clock into the profiler.
-    """
+def run_obs_scenario(name: str, seed: int = 11, frames: int = 60) -> ObsRun:
+    """Run one observed scenario; deterministic in ``(name, seed, frames)``."""
     runner = OBS_SCENARIOS.get(name)
     if runner is None:
         raise ValueError(
             f"unknown obs scenario {name!r}; try: {', '.join(OBS_SCENARIOS)}")
-    return runner(seed, frames, profiler=profiler)
+    return runner(seed, frames)

@@ -29,7 +29,7 @@ run, is bit-identical to the naive implementation.
 
 :meth:`Simulator.run` fires an unobserved event inline (no ``_fire``
 frame) and reads one slot, ``_observed``, per event to decide.
-Assigning ``trace_hook`` or ``profiler`` points that slot at the bound
+Assigning ``trace_hook`` points that slot at the bound
 :meth:`Simulator._fire`, the single definition of observed dispatch
 that :meth:`~Simulator.step` and :meth:`~Simulator.fire_event` also
 use.  Handlers always see a current ``now`` / ``events_fired`` /
@@ -211,11 +211,10 @@ class Simulator:
         self.events_fired = 0
         self.compactions = 0
         self._trace_hook: Optional[Callable[[Event], None]] = None
-        self._profiler = None
-        # The one slot run() reads per event: None while neither
-        # observer is attached, else the bound ``_fire``.  A bound
-        # method (not a closure) so Checkpoint's deepcopy rebinds it to
-        # the copied simulator.
+        # The one slot run() reads per event: None while no hook is
+        # attached, else the bound ``_fire``.  A bound method (not a
+        # closure) so Checkpoint's deepcopy rebinds it to the copied
+        # simulator.
         self._observed: Optional[Callable[[Event], None]] = None
         # Seeded from the module-level ``default_trace_hook`` so a
         # harness (the fleet flight recorder) can observe every
@@ -230,27 +229,10 @@ class Simulator:
 
     @trace_hook.setter
     def trace_hook(self, hook: Optional[Callable[[Event], None]]) -> None:
-        self._trace_hook = hook
-        self._select_dispatch()
-
-    @property
-    def profiler(self):
-        """Optional :class:`repro.obs.profile.EngineProfiler`; when set,
-        :meth:`_fire` bumps ``profiler.counts[fn]`` per dispatch and, if
-        the profiler carries an injected clock, attributes handler wall
-        time to ``profiler.wall[fn]``."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, profiler) -> None:
-        self._profiler = profiler
-        self._select_dispatch()
-
-    def _select_dispatch(self) -> None:
         # Takes effect from the next fired event, also when assigned
         # from inside a handler: run() re-reads the slot per event.
-        unobserved = self._trace_hook is None and self._profiler is None
-        self._observed = None if unobserved else self._fire
+        self._trace_hook = hook
+        self._observed = None if hook is None else self._fire
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -368,7 +350,7 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def _fire(self, event: Event) -> None:
-        """Fire one event, feeding the attached observers.  The only
+        """Fire one event, feeding the attached hook.  The only
         definition of observed dispatch: step(), fire_event() and an
         observed run() all come through here; run() inlines the plain
         case (the four bookkeeping statements and the call) and nothing
@@ -381,30 +363,6 @@ class Simulator:
         if hook is not None:
             hook(event)
         fn = event.fn
-        prof = self._profiler
-        if prof is not None:
-            # Profiling is inlined here rather than delegated: a method
-            # call per event would alone cost more than the whole
-            # counts path.  Keys are the raw callables — equal bound
-            # methods collapse in the dict; names resolve at export.
-            # Wall attribution times every ``stride``-th occurrence per
-            # handler (scaled back at export), so the injected clock is
-            # read on a deterministic sample, not on every dispatch.
-            counts = prof.counts
-            n = counts[fn] + 1
-            counts[fn] = n
-            clock = prof.clock
-            if clock is not None and not n % prof.stride:
-                kw = event.kwargs
-                t0 = clock()
-                try:
-                    if kw is None:
-                        fn(*event.args)
-                    else:
-                        fn(*event.args, **kw)
-                finally:
-                    prof.wall[fn] += clock() - t0
-                return
         kw = event.kwargs
         if kw is None:
             fn(*event.args)

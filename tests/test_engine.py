@@ -373,7 +373,7 @@ def test_trace_hook_sees_fired_events_only():
 
 
 # ----------------------------------------------------------------------
-# The observer slot: trace_hook / profiler feed one dispatch choice
+# The observer slot: trace_hook alone decides inline vs observed dispatch
 # ----------------------------------------------------------------------
 class _Ring:
     """A checkpointable workload: bound-method handlers that re-arm
@@ -383,6 +383,7 @@ class _Ring:
         self.sim = sim
         self.rounds = rounds
         self.log = []
+        self.seen = []
         for lane in range(3):
             sim.schedule(0.5, self.tick, lane, 0)
         sim.schedule(0.75, self.note, tag="kw")
@@ -395,18 +396,18 @@ class _Ring:
     def note(self, tag=""):
         self.log.append((self.sim.now, tag))
 
+    def observe(self, event):
+        """A trace hook that deep-copies with the world it observes."""
+        self.seen.append((event.time, event.seq, event.fn.__name__))
+
 
 def _observed_ring(drive):
-    from repro.obs.profile import EngineProfiler
-
     sim = Simulator(seed=3)
     ring = _Ring(sim)
-    trace = []
-    sim.trace_hook = lambda ev: trace.append((ev.time, ev.seq, ev.fn.__name__))
-    sim.profiler = EngineProfiler()
+    sim.trace_hook = ring.observe
     drive(sim)
     assert sim.pending == 0
-    return trace, sim.profiler.counts_by_name(), ring.log, sim.events_fired
+    return ring.seen, ring.log, sim.events_fired
 
 
 def _drive_fire_event(sim):
@@ -424,7 +425,7 @@ def _drive_step(sim):
 
 def test_run_step_and_fire_event_observe_identically():
     by_run = _observed_ring(lambda sim: sim.run())
-    assert by_run[0] and by_run[3] == len(by_run[0]) == sum(by_run[1].values())
+    assert by_run[0] and by_run[2] == len(by_run[0])
     assert _observed_ring(_drive_step) == by_run
     assert _observed_ring(_drive_fire_event) == by_run
 
@@ -452,38 +453,13 @@ def test_hook_assigned_inside_handler_sees_the_next_event():
     assert seen == ["later", "detach"]
 
 
-def test_profiler_assigned_inside_handler_counts_from_the_next_event():
-    from repro.obs.profile import EngineProfiler, handler_name
-
-    sim = Simulator()
-    prof = EngineProfiler()
-
-    def attach():
-        sim.profiler = prof
-
-    def later():
-        pass
-
-    sim.schedule(1.0, attach)
-    sim.schedule(2.0, later)
-    sim.schedule(3.0, later)
-    sim.run()
-    assert prof.counts_by_name() == {handler_name(later): 2}
-
-
-def test_clearing_both_observers_returns_to_inline_dispatch():
-    from repro.obs.profile import EngineProfiler
-
+def test_clearing_the_hook_returns_to_inline_dispatch():
     sim = Simulator()
     assert sim._observed is None
     sim.trace_hook = lambda ev: None
-    sim.profiler = EngineProfiler()
     assert sim._observed == sim._fire
     sim.trace_hook = None
-    assert sim._observed == sim._fire      # the profiler still observes
-    sim.profiler = None
-    assert sim._observed is None
-    assert sim.trace_hook is None and sim.profiler is None
+    assert sim._observed is None and sim.trace_hook is None
     fired = []
     sim.schedule(1.0, fired.append, "plain")
     assert sim.run() == 1 and fired == ["plain"]
@@ -514,27 +490,24 @@ def test_handlers_see_current_clock_and_counters_when_unobserved():
     assert seen == [(1.0, 1, 1), (2.0, 2, 0)]
 
 
-def test_restored_checkpoint_counts_into_its_own_profiler():
-    from repro.obs.profile import EngineProfiler
-
+def test_restored_checkpoint_observes_through_its_own_hook():
     sim = Simulator(seed=3)
     ring = _Ring(sim)
-    prof = EngineProfiler()
-    sim.profiler = prof
+    sim.trace_hook = ring.observe
     sim.run(max_events=4)
-    before = prof.events
-    assert before == 4
+    before = list(ring.seen)
+    assert len(before) == 4
 
     cp = sim.checkpoint(ring)
     sim2, ring2 = cp.restore()
-    assert sim2.profiler is not prof
+    assert sim2.trace_hook.__self__ is ring2
     assert sim2._observed.__self__ is sim2
     fired = sim2.run()
     assert fired > 0
-    assert prof.events == before                  # the original is untouched
-    assert sim2.profiler.events == before + fired
+    assert ring.seen == before                    # the original is untouched
+    assert ring2.seen[:4] == before and len(ring2.seen) == 4 + fired
     assert ring.log == ring2.log[:len(ring.log)] and len(ring2.log) > len(ring.log)
 
-    # ...and the original world carries on into the original profiler.
+    # ...and the original world carries on into the original hook.
     assert sim.run() == fired
-    assert prof.counts_by_name() == sim2.profiler.counts_by_name()
+    assert ring.seen == ring2.seen

@@ -24,6 +24,7 @@ from repro.fleet.flight import (
     FlightRecorder,
     collect_flight_dump,
     flight_summary,
+    handler_name,
     read_flight_dump,
 )
 from repro.fleet.telemetry import TELEMETRY_SCHEMA
@@ -287,3 +288,22 @@ class TestFlightRecorder:
         assert engine.default_trace_hook is second.hook
         second.uninstall()
         assert engine.default_trace_hook is None
+
+
+class TestHandlerName:
+    def test_plain_function(self):
+        def handler():
+            pass
+
+        name = handler_name(handler)
+        assert name.endswith("handler")
+        assert name.startswith(__name__)
+
+    def test_object_without_metadata(self):
+        class Opaque:
+            def __call__(self):
+                pass
+
+        obj = Opaque()  # instances expose neither __module__ nor __qualname__
+        name = handler_name(obj)
+        assert name == f"{Opaque.__module__}.{repr(obj)}"

@@ -19,13 +19,35 @@ before the entry existed (parsing the file and two ordered merges).
 takes when the merged entry is absent or unusable — the only path that
 serves an interrupted, quarantined or damaged campaign — so that it
 cannot quietly get slower behind the fast one: 168.4 frames, writing
-the entry back included.  docs/PERF.md §7.
+the entry back included.  docs/PERF.md §4.
+
+The last three budgets price *observing* a run, by the same count, and
+replace wall-clock overhead ratios that a host swinging ~20 % could not
+resolve (CPython 3.11 figures; each test also asserts the observed run
+produced the same outcome bytes as the plain one):
+
+- the full obs stack (tracer + frame observer + queue and link
+  monitors) on a 120-frame ``gaming`` offload session sharing its path
+  with a MARTP session: 185,920 frames against 180,701 plain, +2.9 %
+  and 43.5 per offloaded frame (six spans and their bookkeeping).
+  ``OBS_ARMED_RATIO`` is the old "enabled may cost at most 5 %" gate
+  made exact; ``OBS_FRAME_BUDGET`` is the one that notices a seventh
+  span.
+- the fleet telemetry bus on a serial 16-shard ``cell_offload``
+  campaign: 48 frames per campaign and 14 per shard (17.0 per shard
+  all told, against ~6,800 to run one).
+- the armed flight recorder on the same campaign: exactly one frame per
+  fired event — the ``_fire`` the engine dispatches through while any
+  hook is attached; the hook itself is the ring's C-level ``append`` —
+  plus 38.9 per shard to spill the ring at the shard boundary.
 """
 
+import gc
 import sys
 
-from repro.fleet import Campaign, ResultCache, run_campaign
+from repro.fleet import Campaign, ResultCache, TelemetryCollector, run_campaign
 from repro.fleet.cache import MERGED_NAME
+from repro.simnet import engine
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.transport.udp import UdpSocket
@@ -38,10 +60,22 @@ WARM_SHARDS = 256
 WARM_VERIFIED_BUDGET = 12
 WARM_FALLBACK_BUDGET = 175
 
+OBS_FRAMES = 120
+OBS_ARMED_RATIO = 1.05
+OBS_FRAME_BUDGET = 45
+
+FLEET_OBS_SHARDS = 16
+TELEMETRY_SHARD_BUDGET = 17.5
+FLIGHT_EVENT_BUDGET = 1
+FLIGHT_SPILL_BUDGET = 40
+
 
 def _python_calls(fn) -> int:
     """Python-level function calls made while ``fn()`` runs (C calls
-    are reported as ``c_call`` and not counted)."""
+    are reported as ``c_call`` and not counted).  The collector is held
+    off meanwhile: when it runs depends on what the process allocated
+    before, and hypothesis hooks it with a Python-level callback, which
+    would make the count depend on which tests ran first."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -50,11 +84,15 @@ def _python_calls(fn) -> int:
             calls += 1
 
     previous = sys.getprofile()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls
 
 
@@ -119,3 +157,101 @@ def test_cached_fleet_shard_stays_within_frame_budget(tmp_path):
     for result in results:
         assert result.cache_hits == WARM_SHARDS and not result.cache_misses
         assert result.aggregate.to_json() == cold.aggregate.to_json()
+
+
+def _mar_session(armed: bool):
+    """A ``gaming`` full-frame offload loop sharing one 36 ms path with
+    a MARTP session; ``armed`` attaches the whole obs stack at the
+    sampling intervals every obs scenario ships.  Returns the Python
+    frames the simulation loop took and the outcome."""
+    from repro.core import OffloadSession, ScenarioBuilder, mos_score
+    from repro.mar.application import APP_ARCHETYPES
+    from repro.mar.devices import CLOUD, SMARTPHONE
+    from repro.mar.offload import FullOffload, OffloadExecutor
+    from repro.obs import MetricsRegistry, Tracer, attach_frame_observer
+    from repro.simnet.monitor import LinkMonitor, QueueMonitor
+
+    app = APP_ARCHETYPES["gaming"]
+    scenario = ScenarioBuilder(seed=11).single_path(
+        rtt=0.036, up_bps=40e6, down_bps=80e6)
+    session = OffloadSession(scenario)
+    executor = OffloadExecutor(scenario.net, "client", "server", app,
+                               FullOffload(), SMARTPHONE, server_device=CLOUD)
+    duration = OBS_FRAMES * app.frame_budget
+    if armed:
+        registry = MetricsRegistry()
+        attach_frame_observer(executor, Tracer(scenario.sim))
+        uplink = scenario.net.path_links("client", "server")[0]
+        QueueMonitor(scenario.sim, uplink.queue, horizon=duration + 1.0,
+                     registry=registry, name="uplink")
+        LinkMonitor(scenario.sim, uplink, horizon=duration + 1.0,
+                    registry=registry)
+    reports = []
+
+    def simulate():
+        executor.start(n_frames=OBS_FRAMES)
+        reports.append(session.run(duration))
+
+    calls = _python_calls(simulate)
+    result = executor.result
+    return calls, (result.frames_completed, result.mean_offloaded_latency,
+                   result.deadline_hit_rate, mos_score(reports[0]))
+
+
+def test_armed_obs_stack_stays_within_frame_budget():
+    plain, plain_outcome = _mar_session(armed=False)
+    armed, armed_outcome = _mar_session(armed=True)
+
+    assert armed_outcome == plain_outcome
+    assert armed_outcome[0] == OBS_FRAMES
+    assert armed <= OBS_ARMED_RATIO * plain, (
+        f"the armed obs stack costs {armed / plain - 1:+.1%} Python frames "
+        f"over the plain session (gate {OBS_ARMED_RATIO - 1:.0%})")
+    per_frame = (armed - plain) / OBS_FRAMES
+    assert per_frame <= OBS_FRAME_BUDGET, (
+        f"observing one offloaded frame costs {per_frame:.1f} Python frames "
+        f"(budget {OBS_FRAME_BUDGET}): a span or a per-fragment hook was "
+        f"added to the frame pipeline")
+
+
+def test_fleet_telemetry_and_flight_recorder_stay_within_frame_budget(
+        tmp_path, monkeypatch):
+    campaign = Campaign(
+        name="obs-budget", scenario="cell_offload",
+        seeds=FLEET_OBS_SHARDS // 4, base_seed=1,
+        grid={"rtt": [0.008, 0.036, 0.072, 0.120]},
+        params={"duration": 0.5, "up_bps": 12e6})
+    results = []
+
+    def calls(**kw):
+        return _python_calls(
+            lambda: results.append(run_campaign(campaign, **kw)))
+
+    calls()     # first use of the scenario imports its modules
+    plain = calls()
+    telemetry = calls(telemetry=TelemetryCollector())
+    flight = calls(flight_dir=tmp_path)
+    fired = []
+    monkeypatch.setattr(engine, "default_trace_hook", fired.append)
+    hooked = calls()
+
+    for result in results:
+        assert len(result.outcomes) == FLEET_OBS_SHARDS
+        assert result.aggregate.to_json() == results[0].aggregate.to_json()
+
+    per_shard = (telemetry - plain) / FLEET_OBS_SHARDS
+    assert per_shard <= TELEMETRY_SHARD_BUDGET, (
+        f"the telemetry bus costs {per_shard:.1f} Python frames per shard "
+        f"(budget {TELEMETRY_SHARD_BUDGET})")
+
+    # A C-level hook costs the one ``_fire`` frame per event and nothing
+    # else; the recorder may add only its per-shard spill on top.
+    events = len(fired)
+    assert events > 300 * FLEET_OBS_SHARDS
+    assert hooked - plain <= FLIGHT_EVENT_BUDGET * events
+    spill = (flight - plain - FLIGHT_EVENT_BUDGET * events) / FLEET_OBS_SHARDS
+    assert spill <= FLIGHT_SPILL_BUDGET, (
+        f"the armed flight recorder costs {(flight - plain) / events:.2f} "
+        f"Python frames per event, {spill:.1f} per shard beyond the one "
+        f"``_fire`` frame (budget {FLIGHT_SPILL_BUDGET}): the hook is no "
+        f"longer the ring's C-level append, or the spill grew")

@@ -19,6 +19,16 @@ from repro.scale.shards import (
 SMOKE_FINGERPRINT = (
     "c2f6bfb3272e491a67290f661262db6bb0a063af7bb6d6ea7322474d8b844107")
 
+#: The same for the ``small`` tier (128 shards), the one the CI
+#: ``scale-smoke`` job double-runs, and the population it must reach.
+SMALL_FINGERPRINT = (
+    "2b81a4607c795b3efca444f0e21c0c026e5e3b45f6335e1e8a9d23b7cd82e61a")
+SMALL_MIN_USERS = 100_000
+
+
+def aggregate_sha256(result):
+    return hashlib.sha256(result.aggregate.to_json().encode()).hexdigest()
+
 
 def small_city():
     # The smoke tier cut down further: 4 cells, still exercising the
@@ -58,18 +68,21 @@ class TestCampaignRuns:
         campaign = small_city()
         a = run_campaign(campaign, workers=1)
         b = run_campaign(campaign, workers=1)
-        fp_a = hashlib.sha256(a.aggregate.to_json().encode()).hexdigest()
-        fp_b = hashlib.sha256(b.aggregate.to_json().encode()).hexdigest()
-        assert fp_a == fp_b
+        assert aggregate_sha256(a) == aggregate_sha256(b)
 
     def test_smoke_city_fingerprint_pinned(self):
         # Computed on the commit before the fluid summary became one
         # pass: a speed-up of the scale layer must not move a byte of
         # the merged aggregate.  A deliberate model change re-pins this
-        # together with BENCH_PR8.json's tier fingerprints.
+        # together with SMALL_FINGERPRINT and the ungated ``metro``
+        # reference value in docs/SCALE.md §5.
         result = run_campaign(city_coverage_campaign("smoke"), workers=1)
-        assert hashlib.sha256(
-            result.aggregate.to_json().encode()).hexdigest() == SMOKE_FINGERPRINT
+        assert aggregate_sha256(result) == SMOKE_FINGERPRINT
+
+    def test_small_city_fingerprint_pinned_at_1e5_users(self):
+        result = run_campaign(city_coverage_campaign("small"), workers=1)
+        assert aggregate_sha256(result) == SMALL_FINGERPRINT
+        assert city_users(result.aggregate) >= SMALL_MIN_USERS
 
     def test_city_campaign_counts_background_users(self):
         result = run_campaign(small_city(), workers=1)

@@ -92,7 +92,7 @@ def test_sim002_exempts_harness_paths():
     src = "import time\nt0 = time.monotonic()\n"
     assert "SIM002" not in codes(src, HARNESS_PATH)
     assert "SIM002" not in codes(src, "src/repro/cli.py")
-    assert "SIM002" not in codes(src, "benchmarks/perf/run_benchmarks.py")
+    assert "SIM002" not in codes(src, "benchmarks/e2e/run.py")
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_domain_classification():
     assert classify("src/repro/fleet/workers.py") is Domain.HARNESS
     assert classify("src/repro/cli.py") is Domain.HARNESS
     assert classify("src/repro/lint/rules.py") is Domain.HARNESS
-    assert classify("benchmarks/perf/workloads.py") is Domain.HARNESS
+    assert classify("benchmarks/e2e/workloads.py") is Domain.HARNESS
     assert classify("tests/test_engine.py") is Domain.HARNESS
     assert classify("src/repro/analysis/stats.py") is Domain.SIM
 
