@@ -150,8 +150,31 @@ class StreamingMoments:
             self.maximum = x
 
     def extend(self, xs: Iterable[float]) -> "StreamingMoments":
+        """:meth:`add` every sample of ``xs``, in order, in one frame.
+
+        The loop *is* ``add`` — the same operations in the same order —
+        on locals, so the result is bit-equal to repeated ``add`` (the
+        tests hold the two against each other; neither calls the other).
+        """
+        count = self.count
+        mean = self.mean
+        m2 = self.m2
+        minimum = self.minimum
+        maximum = self.maximum
         for x in xs:
-            self.add(x)
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            if x < minimum:
+                minimum = x
+            if x > maximum:
+                maximum = x
+        self.count = count
+        self.mean = mean
+        self.m2 = m2
+        self.minimum = minimum
+        self.maximum = maximum
         return self
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
@@ -248,8 +271,23 @@ class FixedBinHistogram:
             self.bins[min(idx, len(self.bins) - 1)] += 1
 
     def extend(self, xs: Iterable[float]) -> "FixedBinHistogram":
+        """:meth:`add` every sample of ``xs`` in one frame (same
+        arithmetic and top-edge clamp; bit-equal by test)."""
+        lo = self.lo
+        hi = self.hi
+        span = hi - lo
+        bins = self.bins
+        n = len(bins)
+        last = n - 1
         for x in xs:
-            self.add(x)
+            if x < lo:
+                self.underflow += 1
+            elif x >= hi:
+                self.overflow += 1
+            else:
+                idx = int((x - lo) / span * n)
+                # float rounding at the top edge can yield len(bins)
+                bins[idx if idx < last else last] += 1
         return self
 
     def compatible(self, other: "FixedBinHistogram") -> bool:

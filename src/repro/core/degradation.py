@@ -55,6 +55,7 @@ class DegradationController:
         if len({s.stream_id for s in streams}) != len(streams):
             raise ValueError("duplicate stream ids")
         self.streams = sorted(streams, key=lambda s: (s.priority, s.stream_id))
+        self._specs: Dict[int, StreamSpec] = {s.stream_id: s for s in streams}
         self.history: List[Tuple[float, Allocation]] = []
 
     # ------------------------------------------------------------------
@@ -151,7 +152,4 @@ class DegradationController:
         )
 
     def spec(self, stream_id: int) -> StreamSpec:
-        for s in self.streams:
-            if s.stream_id == stream_id:
-                return s
-        raise KeyError(stream_id)
+        return self._specs[stream_id]

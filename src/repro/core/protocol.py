@@ -131,6 +131,8 @@ class MartpSender:
             if spec.fec:
                 tx.fec = FecEncoder(spec.fec_group)
             self._tx[spec.stream_id] = tx
+        # Backlogs drain in priority order; the stream set is fixed.
+        self._by_priority = sorted(self._tx.values(), key=lambda t: t.spec.priority)
         self.allocation: Allocation = self.degradation.allocate(self.budget_bps)
         self.allocation_trace: List[Tuple[float, Allocation]] = []
         self.rate_generators: Dict[int, bool] = {}
@@ -177,25 +179,22 @@ class MartpSender:
         tx = self._tx.get(stream_id)
         if tx is None:
             raise KeyError(f"unknown stream {stream_id}")
-        message = Message(
-            stream_id=stream_id,
-            seq=UNSEQUENCED,
-            size=size,
-            created_at=self.sim.now,
-            deadline=tx.spec.deadline,
-        )
-        return self._offer(tx, message)
+        # ``_offer`` stays a looked-up method: qlog hooks it per sender.
+        return self._offer(
+            tx, Message(stream_id, UNSEQUENCED, size, self.sim.now, tx.spec.deadline))
 
     # ------------------------------------------------------------------
     # Pacing and shedding
     # ------------------------------------------------------------------
     def _offer(self, tx: _StreamTx, message: Message) -> Optional[Message]:
         spec = tx.spec
-        if self.allocation.rate(spec.stream_id) <= 0 and spec.priority.may_discard:
+        priority = spec.priority
+        if (self.allocation.rates_bps.get(spec.stream_id, 0.0) <= 0
+                and priority.may_discard):
             tx.dropped += 1
             return None
         cost = message.size * 8
-        if spec.priority is Priority.HIGHEST:
+        if priority is Priority.HIGHEST:
             # Never discarded; "never delayed" means never shed behind
             # other traffic — but bursts are still paced against the
             # whole connection budget so a large reference frame cannot
@@ -212,7 +211,7 @@ class MartpSender:
             self._global_tokens -= cost
             self._dispatch(tx, message)
             return message
-        if spec.priority.may_delay:
+        if priority.may_delay:
             tx.backlog.append(message)
             return message
         # May not be delayed; may it be discarded?
@@ -234,50 +233,56 @@ class MartpSender:
                 self.controllers[name].on_feedback_timeout(now)
                 self.allocation = self.degradation.allocate(self.budget_bps, now)
         budget = self.budget_bps
+        tick = self.tick
         self._global_tokens = min(
-            self._global_tokens + budget * self.tick,
+            self._global_tokens + budget * tick,
             max(0.015 * budget, 24_000.0),
         )
+        rates = self.allocation.rates_bps
         for tx in self._tx.values():
-            rate = self.allocation.rate(tx.spec.stream_id)
-            tx.tokens = min(tx.tokens + rate * self.tick, rate * 0.25 + 1500 * 8)
+            rate = rates.get(tx.spec.stream_id, 0.0)
+            tx.tokens = min(tx.tokens + rate * tick, rate * 0.25 + 1500 * 8)
         # Rate-driven sources generate data at the allocated rate.
         for stream_id, active in self.rate_generators.items():
             if not active:
                 continue
             tx = self._tx[stream_id]
-            rate = self.allocation.rate(stream_id)
-            tx.gen_credit_bits += rate * self.tick
-            msg_bits = tx.spec.message_bytes * 8
-            while tx.gen_credit_bits >= msg_bits:
-                tx.gen_credit_bits -= msg_bits
-                self.submit(stream_id, tx.spec.message_bytes)
+            message_bytes = tx.spec.message_bytes
+            msg_bits = message_bytes * 8
+            credit = tx.gen_credit_bits + rates.get(stream_id, 0.0) * tick
+            while credit >= msg_bits:
+                credit -= msg_bits
+                self.submit(stream_id, message_bytes)
+            tx.gen_credit_bits = credit
         # Drain backlogs in priority order; HIGHEST streams draw on the
         # global bucket only, others need both buckets.
-        for tx in sorted(self._tx.values(), key=lambda t: t.spec.priority):
+        for tx in self._by_priority:
+            backlog = tx.backlog
+            if not backlog:
+                continue
             highest = tx.spec.priority is Priority.HIGHEST
-            while tx.backlog:
-                cost = tx.backlog[0].size * 8
+            # Critical data is never discarded, however stale.
+            discardable = tx.spec.traffic_class is not TrafficClass.CRITICAL
+            while backlog:
+                cost = backlog[0].size * 8
                 if self._global_tokens < cost:
                     break
                 if not highest and tx.tokens < cost:
                     break
-                message = tx.backlog.popleft()
-                if (message.expired(self.sim.now)
-                        and tx.spec.traffic_class is not TrafficClass.CRITICAL):
+                message = backlog.popleft()
+                if discardable and message.expired(now):
                     tx.dropped += 1
                     continue
                 self._global_tokens -= cost
                 if not highest:
                     tx.tokens -= cost
                 self._dispatch(tx, message)
-            # Expire stale backlog heads even without tokens — except
-            # for critical data, which is never discarded.
-            if tx.spec.traffic_class is not TrafficClass.CRITICAL:
-                while tx.backlog and tx.backlog[0].expired(self.sim.now):
-                    tx.backlog.popleft()
+            # Expire stale backlog heads even without tokens.
+            if discardable:
+                while backlog and backlog[0].expired(now):
+                    backlog.popleft()
                     tx.dropped += 1
-        self.sim.schedule(self.tick, self._tick_loop)
+        self.sim.schedule(tick, self._tick_loop)
 
     # ------------------------------------------------------------------
     # Wire
@@ -293,17 +298,20 @@ class MartpSender:
         if message.seq == UNSEQUENCED:
             message.seq = tx.next_seq
             tx.next_seq += 1
-        if tx.arq is not None and not message.is_retransmit and not message.fec_parity:
+        original = not message.is_retransmit and not message.fec_parity
+        if tx.arq is not None and original:
             tx.arq.store(message)
+        size = message.size
         for state in chosen:
-            self._util_bytes[state.name] += message.size
-            endpoint = self._endpoints[state.name]
+            name = state.name
+            self._util_bytes[name] += size
+            endpoint = self._endpoints[name]
             endpoint.socket.sendto(
                 endpoint.dst,
                 endpoint.dst_port,
-                message.size + MARTP_HEADER,
-                kind="martp-data",
-                flow=tx.flow,
+                size + MARTP_HEADER,
+                "martp-data",
+                tx.flow,
                 stream=message.stream_id,
                 seq=message.seq,
                 created=message.created_at,
@@ -311,11 +319,11 @@ class MartpSender:
                 parity=message.fec_parity,
                 retransmit=message.is_retransmit,
                 ts=self.sim.now,
-                path=state.name,
+                path=name,
             )
         tx.sent += 1
-        tx.bytes_sent += message.size
-        if tx.fec is not None and not message.is_retransmit and not message.fec_parity:
+        tx.bytes_sent += size
+        if tx.fec is not None and original:
             parity = tx.fec.push(message)
             if parity is not None:
                 self._dispatch(tx, parity)
@@ -458,68 +466,67 @@ class MartpReceiver:
                 rx.fec = FecDecoder(spec.fec_group)
             self._rx[spec.stream_id] = rx
         self._last_packet_by_path: Dict[str, Tuple[float, float, str, int]] = {}
-        self._window_expected = 0
-        self._window_received = 0
         self._feedback_event = None
 
     # ------------------------------------------------------------------
     def _on_packet(self, packet: Packet) -> None:
         if packet.kind != "martp-data":
             return
-        now = self.sim.now
-        stream_id = packet.payload["stream"]
-        rx = self._rx.get(stream_id)
+        payload = packet.payload
+        rx = self._rx.get(payload["stream"])
         if rx is None:
             return
-        path = packet.payload.get("path", "default")
-        self._last_packet_by_path[path] = (
-            packet.payload["ts"],
+        now = self.sim.now
+        self._last_packet_by_path[payload.get("path", "default")] = (
+            payload["ts"],
             now,
             packet.src,
             packet.src_port,
         )
-        if packet.payload.get("parity"):
+        if payload.get("parity"):
             if rx.fec is not None:
-                recovered = rx.fec.on_parity(-packet.payload["seq"] - 1)
+                recovered = rx.fec.on_parity(-payload["seq"] - 1)
                 rx.recovered += len(recovered)
-            self._bump_window(packet)
-            return
-
-        seq = packet.payload["seq"]
-        if seq in rx.received_seqs or seq < rx.prune_floor or seq <= rx.cum_ack:
-            # ``received_seqs`` is pruned below the NACK window to bound
-            # memory, so membership alone cannot reject a sufficiently
-            # stale duplicate — without the floor check, a duplicate
-            # older than the prune window would be re-counted as a fresh
-            # receipt and delivered to the application a second time
-            # (found by repro.check's degradation harness).
-            rx.duplicates += 1
-            return
-        rx.received_seqs.add(seq)
-        if seq > rx.highest + 1 and rx.spec.traffic_class.retransmits:
-            # A fresh gap on a retransmitting stream: send feedback
-            # almost immediately (the NACK equivalent of a dupack) so
-            # recovery fits inside tight deadlines instead of waiting a
-            # full feedback interval.
-            self._arm_feedback(0.002)
-        rx.highest = max(rx.highest, seq)
-        rx.received += 1
-        rx.bytes += packet.size
-        latency = now - packet.payload["created"]
-        rx.latencies.append(latency)
-        if latency <= packet.payload["msg_deadline"]:
-            rx.in_time += 1
-        if rx.fec is not None:
-            rx.fec.on_data(seq)
-        # Advance the cumulative ack over contiguous receipt.
-        while rx.cum_ack + 1 in rx.received_seqs:
-            rx.cum_ack += 1
-        self._deliver(rx, seq, latency)
-        self._bump_window(packet)
+        else:
+            seq = payload["seq"]
+            if seq in rx.received_seqs or seq < rx.prune_floor or seq <= rx.cum_ack:
+                # ``received_seqs`` is pruned below the NACK window to bound
+                # memory, so membership alone cannot reject a sufficiently
+                # stale duplicate — without the floor check, a duplicate
+                # older than the prune window would be re-counted as a fresh
+                # receipt and delivered to the application a second time
+                # (found by repro.check's degradation harness).
+                rx.duplicates += 1
+                return
+            rx.received_seqs.add(seq)
+            if seq > rx.highest + 1 and rx.spec.traffic_class.retransmits:
+                # A fresh gap on a retransmitting stream: send feedback
+                # almost immediately (the NACK equivalent of a dupack) so
+                # recovery fits inside tight deadlines instead of waiting a
+                # full feedback interval.
+                self._arm_feedback(0.002)
+            rx.highest = max(rx.highest, seq)
+            rx.received += 1
+            rx.bytes += packet.size
+            latency = now - payload["created"]
+            rx.latencies.append(latency)
+            if latency <= payload["msg_deadline"]:
+                rx.in_time += 1
+            if rx.fec is not None:
+                rx.fec.on_data(seq)
+            # Advance the cumulative ack over contiguous receipt.
+            while rx.cum_ack + 1 in rx.received_seqs:
+                rx.cum_ack += 1
+            if self.on_message is not None:
+                self._deliver(rx, seq, latency)
+        # Every packet but a duplicate keeps periodic feedback armed; the
+        # timer is almost always running already, so that is tested here
+        # and ``_arm_feedback`` entered only to arm it or pull it in.
+        event = self._feedback_event
+        if event is None or event.time > now + self.feedback_interval:
+            self._arm_feedback(self.feedback_interval)
 
     def _deliver(self, rx: _StreamRx, seq: int, latency: float) -> None:
-        if self.on_message is None:
-            return
         if rx.spec.traffic_class.ordered:
             rx.reorder[seq] = {"latency": latency}
             while rx.next_deliver in rx.reorder:
@@ -528,10 +535,6 @@ class MartpReceiver:
                 rx.next_deliver += 1
         else:
             self.on_message(rx.spec.stream_id, seq, latency)
-
-    def _bump_window(self, packet: Packet) -> None:
-        self._window_received += 1
-        self._arm_feedback(self.feedback_interval)
 
     def _arm_feedback(self, delay: float) -> None:
         """Schedule feedback after ``delay``, keeping the earliest."""
@@ -550,10 +553,14 @@ class MartpReceiver:
         expected = 0
         confirmed_lost = 0
         for stream_id, rx in self._rx.items():
+            # Everything at or below ``cum_ack`` has arrived, so the scan
+            # for holes starts above it.
+            received = rx.received_seqs
             missing = {
                 s
-                for s in range(max(0, rx.highest - NACK_WINDOW), rx.highest + 1)
-                if s not in rx.received_seqs
+                for s in range(
+                    max(0, rx.highest - NACK_WINDOW, rx.cum_ack + 1), rx.highest + 1)
+                if s not in received
             }
             streams_info[stream_id] = {
                 "cum_ack": rx.cum_ack,

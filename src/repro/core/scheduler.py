@@ -19,9 +19,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.core.traffic import Message, Priority, StreamSpec, TrafficClass
+
+
+_name = attrgetter("name")
+_srtt = attrgetter("srtt")
 
 
 class MultipathPolicy(enum.Enum):
@@ -36,7 +41,7 @@ class PathState:
 
     name: str                      # e.g. "wifi", "lte"
     srtt: float = 0.1
-    usable: bool = True
+    usable: bool = True            # flip with MultipathScheduler.set_usable
     is_metered: bool = False       # LTE-like: costs user money
     bytes_sent: int = 0
     weight: float = 1.0            # share for load balancing
@@ -55,19 +60,27 @@ class MultipathScheduler:
         self.policy = policy
         self.duplicate_loss_recovery = policy is MultipathPolicy.AGGREGATE
         self._rr_credit: Dict[str, float] = {}
+        self._refresh_candidates()
 
     # ------------------------------------------------------------------
-    def _unmetered(self) -> List[PathState]:
-        return [p for p in self.paths.values() if p.usable and not p.is_metered]
-
-    def _metered(self) -> List[PathState]:
-        return [p for p in self.paths.values() if p.usable and p.is_metered]
-
-    def _usable(self) -> List[PathState]:
-        return [p for p in self.paths.values() if p.usable]
-
     def set_usable(self, name: str, usable: bool) -> None:
+        """Flip a path up or down — the only writer of ``usable``."""
         self.paths[name].usable = usable
+        self._refresh_candidates()
+
+    def _refresh_candidates(self) -> None:
+        # The policy and ``is_metered`` never change and ``usable`` changes
+        # only in ``set_usable``, so the paths a message may take are
+        # worked out here, not once per message.
+        candidates = [p for p in self.paths.values() if p.usable]
+        if self.policy is not MultipathPolicy.AGGREGATE:
+            # WiFi first; metered paths only when no unmetered one is up.
+            # Under WIFI_ONLY_HANDOVER that fallback exists only to bridge
+            # handover gaps; the caller flips the WiFi path unusable
+            # during a gap and back after.
+            candidates = [p for p in candidates if not p.is_metered] or candidates
+        self._candidates: List[PathState] = candidates
+        self._by_name: List[PathState] = sorted(candidates, key=_name)
 
     def observe_rtt(self, name: str, rtt: float) -> None:
         self.paths[name].observe_rtt(rtt)
@@ -79,55 +92,43 @@ class MultipathScheduler:
         An empty list means the message cannot currently be sent (no
         usable path under the active policy).
         """
-        candidates = self._candidates()
+        candidates = self._candidates
         if not candidates:
             return []
-
-        latency_critical = spec.deadline <= 0.1 and spec.priority <= Priority.MEDIUM_NO_DISCARD
         if (
             self.duplicate_loss_recovery
             and spec.traffic_class is TrafficClass.LOSS_RECOVERY
             and len(candidates) > 1
         ):
             # Duplicate on the two best paths to avoid recovery RTTs.
-            ranked = sorted(candidates, key=lambda p: p.srtt)
-            chosen = ranked[:2]
-        elif latency_critical:
-            chosen = [min(candidates, key=lambda p: p.srtt)]
+            chosen = sorted(candidates, key=_srtt)[:2]
+        elif spec.deadline <= 0.1 and spec.priority <= Priority.MEDIUM_NO_DISCARD:
+            # Latency-critical: the lowest-RTT path.
+            chosen = [min(candidates, key=_srtt)]
         else:
-            chosen = [self._round_robin(candidates)]
+            # Smooth weighted round-robin (the nginx algorithm): every
+            # call credits each candidate its weight, picks the highest
+            # credit, then debits the picked path by the total weight.
+            # A lone candidate still makes the round trip: (c + w) - w is
+            # not c in the last ulp once a second path has been in play.
+            credits = self._rr_credit
+            total = 0.0
+            best: Optional[PathState] = None
+            best_credit = 0.0
+            for path in self._by_name:
+                weight = max(path.weight, 1e-9)
+                total += weight
+                credit = credits.get(path.name, 0.0) + weight
+                credits[path.name] = credit
+                if best is None or credit > best_credit:
+                    best = path
+                    best_credit = credit
+            credits[best.name] = best_credit - total
+            chosen = [best]
+        size = message.size
         for path in chosen:
-            path.bytes_sent += message.size
+            path.bytes_sent += size
         return chosen
-
-    def _candidates(self) -> List[PathState]:
-        if self.policy is MultipathPolicy.AGGREGATE:
-            return self._usable()
-        unmetered = self._unmetered()
-        if unmetered:
-            return unmetered
-        if self.policy in (MultipathPolicy.WIFI_PREFERRED, MultipathPolicy.WIFI_ONLY_HANDOVER):
-            # Fall back to metered paths.  Under WIFI_ONLY_HANDOVER this
-            # fallback exists only to bridge handover gaps; the caller
-            # flips the WiFi path unusable during a gap and back after.
-            return self._metered()
-        return []
-
-    def _round_robin(self, candidates: List[PathState]) -> PathState:
-        # Smooth weighted round-robin (the nginx algorithm): every call
-        # credits each candidate its weight, picks the highest credit,
-        # then debits the picked path by the total weight.
-        total = 0.0
-        best: Optional[PathState] = None
-        for path in sorted(candidates, key=lambda p: p.name):
-            weight = max(path.weight, 1e-9)
-            total += weight
-            credit = self._rr_credit.get(path.name, 0.0) + weight
-            self._rr_credit[path.name] = credit
-            if best is None or credit > self._rr_credit[best.name]:
-                best = path
-        self._rr_credit[best.name] -= total
-        return best
 
     # ------------------------------------------------------------------
     def metered_fraction(self) -> float:

@@ -282,6 +282,7 @@ class OffloadSession:
         self.scenario = scenario
         self.sim = scenario.sim
         self.streams = streams if streams is not None else mar_baseline_streams()
+        self._specs: Dict[int, StreamSpec] = {s.stream_id: s for s in self.streams}
         self.video = video if video is not None else self._video_for_streams()
         self.receiver = MartpReceiver(
             scenario.net[scenario.server], MARTP_PORT, self.streams
@@ -302,8 +303,8 @@ class OffloadSession:
         nominal rate — the source actually *offers* what the streams
         declare, so congestion experiments exercise real contention.
         """
-        ref_rate = next(s.nominal_rate_bps for s in self.streams if s.stream_id == 2)
-        inter_rate = next(s.nominal_rate_bps for s in self.streams if s.stream_id == 3)
+        ref_rate = self._specs[2].nominal_rate_bps
+        inter_rate = self._specs[3].nominal_rate_bps
         refs_per_s = fps / gop
         inters_per_s = fps * (gop - 1) / gop
         return VideoSource(
@@ -330,7 +331,7 @@ class OffloadSession:
         self.quality_timeline.append((self.sim.now, quality))
         if frame.is_reference:
             ref_quality = max(self.sender.allocation.quality.get(2, 1.0), 0.05)
-            spec = next(s for s in self.streams if s.stream_id == 2)
+            spec = self._specs[2]
             # An adaptive encoder also bounds the frame's *burst* size:
             # a frame whose transit time at the current budget exceeds
             # a third of its deadline can never arrive in time, so the
@@ -344,7 +345,7 @@ class OffloadSession:
 
     def _submit_sized(self, stream_id: int, total_bytes: int) -> None:
         """Submit a frame as MTU-sized messages."""
-        spec = next(s for s in self.streams if s.stream_id == stream_id)
+        spec = self._specs[stream_id]
         remaining = max(1, total_bytes)
         while remaining > 0:
             chunk = min(spec.message_bytes, remaining)

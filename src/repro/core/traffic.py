@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List
 
 
@@ -92,20 +93,55 @@ class StreamSpec:
             raise ValueError("min_rate_bps cannot exceed nominal_rate_bps")
 
 
-@dataclass
 class Message:
     """One application data unit submitted to MARTP."""
 
-    stream_id: int
-    seq: int
-    size: int
-    created_at: float
-    deadline: float
-    is_retransmit: bool = False
-    fec_parity: bool = False
+    # One is built per submitted message, so construction is a single
+    # hand-written frame and the fields are slot-backed (as
+    # :class:`~repro.simnet.packet.Packet`; ``dataclass(slots=True)``
+    # needs 3.10 and the package declares 3.9).
+    __slots__ = ("stream_id", "seq", "size", "created_at", "deadline",
+                 "is_retransmit", "fec_parity")
+
+    def __init__(
+        self,
+        stream_id: int,
+        seq: int,
+        size: int,
+        created_at: float,
+        deadline: float,
+        is_retransmit: bool = False,
+        fec_parity: bool = False,
+    ) -> None:
+        self.stream_id = stream_id
+        self.seq = seq
+        self.size = size
+        self.created_at = created_at
+        self.deadline = deadline
+        self.is_retransmit = is_retransmit
+        self.fec_parity = fec_parity
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _fields(self) == _fields(other)
+        return NotImplemented
+
+    # Field-wise equality on a mutable object: unhashable, as before.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(stream_id={self.stream_id!r}, seq={self.seq!r}, "
+            f"size={self.size!r}, created_at={self.created_at!r}, "
+            f"deadline={self.deadline!r}, is_retransmit={self.is_retransmit!r}, "
+            f"fec_parity={self.fec_parity!r})"
+        )
 
     def expired(self, now: float) -> bool:
         return now > self.created_at + self.deadline
+
+
+_fields = attrgetter(*Message.__slots__)
 
 
 def mar_baseline_streams(

@@ -237,5 +237,6 @@ def collect_martp(registry: MetricsRegistry, sender, receiver,
         registry.counter(f"{sprefix}.recovered").inc(rx.recovered)
         hist = registry.histogram(f"{sprefix}.latency", 0.0,
                                   LATENCY_HI, LATENCY_BINS)
-        for latency in rx.latencies:
-            hist.observe(latency)
+        # One walk per accumulator, not one ``observe`` per sample.
+        hist.bins.extend(rx.latencies)
+        hist.moments.extend(rx.latencies)

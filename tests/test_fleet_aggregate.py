@@ -103,6 +103,72 @@ class TestFixedBinHistogram:
             FixedBinHistogram(0.0, 1.0, 0)
 
 
+def _ulps(x, k):
+    """``x`` moved ``k`` representable floats up (``k`` < 0: down)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+#: Histogram shapes whose top edge rounds ``idx`` up to ``len(bins)`` for
+#: the float just under ``hi`` (the clamp's reason to exist) and shapes
+#: where it does not.
+HISTOGRAM_SHAPES = [(-1.0, 1.0, 64), (-3.0, 0.3, 7), (-1e6, 1e6, 50),
+                    (0.0, 2.0, 200), (0.1, 0.7, 3)]
+
+
+class TestExtendEqualsRepeatedAdd:
+    """``extend`` is its own loop (one frame per walk, not one per
+    sample); ``add`` stays the single-sample API.  Neither calls the
+    other, so their bit-equality is held here."""
+
+    @given(sample_lists, sample_lists)
+    @settings(max_examples=200)
+    def test_moments(self, start, xs):
+        added = StreamingMoments()
+        for x in start + xs:
+            added.add(x)
+        extended = StreamingMoments()
+        for x in start:                       # non-empty starting state
+            extended.add(x)
+        assert extended.extend(x for x in xs) is extended     # a generator
+        assert extended.to_dict() == added.to_dict()
+
+    def test_moments_of_nothing(self):
+        assert StreamingMoments().extend(iter(())).to_dict() == \
+            StreamingMoments().to_dict()
+
+    @given(st.sampled_from(HISTOGRAM_SHAPES), sample_lists,
+           st.lists(st.tuples(st.integers(0, 64), st.integers(-3, 3)),
+                    max_size=30))
+    @settings(max_examples=200)
+    def test_histogram(self, shape, start, near_edges):
+        lo, hi, n = shape
+        width = (hi - lo) / n
+        # In-range, underflow and overflow draws, then values within
+        # 3 ulp of bin edges (``hi`` itself and its neighbours included).
+        xs = [x * (hi - lo) / 1e6 for x in start]
+        xs += [_ulps(lo + min(i, n) * width, k) for i, k in near_edges]
+        xs += [hi, _ulps(hi, -1), _ulps(hi, 1), lo, _ulps(lo, -1)]
+        added = FixedBinHistogram(lo, hi, n)
+        for x in start + xs:
+            added.add(x)
+        extended = FixedBinHistogram(lo, hi, n)
+        for x in start:
+            extended.add(x)
+        assert extended.extend(x for x in xs) is extended
+        assert extended.to_dict() == added.to_dict()
+        assert extended.total == len(start) + len(xs)
+
+    @pytest.mark.parametrize("lo,hi,n", HISTOGRAM_SHAPES[:2])
+    def test_top_edge_clamps_into_the_last_bin(self, lo, hi, n):
+        x = _ulps(hi, -1)
+        assert int((x - lo) / (hi - lo) * n) == n       # the rounding case
+        h = FixedBinHistogram(lo, hi, n).extend([x])
+        assert h.bins[-1] == 1 and h.overflow == 0
+        assert FixedBinHistogram(lo, hi, n).extend([hi]).overflow == 1
+
+
 def _fill(agg, latencies, tag_count):
     agg.count("sessions", tag_count)
     agg.moment("latency").extend(latencies)

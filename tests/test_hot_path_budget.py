@@ -8,6 +8,23 @@ serialisation finish, then delivery up to the receiving socket) takes 20
 frames and 3 events.  See docs/PERF.md §1 for which calls on the path
 stay virtual and why.
 
+The MARTP budget prices what the protocol adds on top of that
+datagram, on one ``cell_offload`` shard (seed 11, 36 ms, 12 Mb/s, 2 s:
+1,119 messages delivered in 2,626 events): Python frames per delivered
+message while the session runs — ticks, feedback and the video source
+included — and while the shard is collected into its aggregate.
+
+    CPython          run      collect     (before: run / collect)
+    3.9, 3.10, 3.11  27.29    0.32        38.07 / 5.31
+    3.12, 3.13       26.36    0.32        36.13 / 5.31  (3.13: 36.08)
+
+Of the 27.3, 20 are the datagram and five the message (``submit``,
+``_offer``, ``Message``, ``_dispatch``, ``select``); the rest is
+amortised ticks, feedback rounds and allocation.  ``MARTP_RUN_BUDGET``
+(28) notices a sixth per-message frame; ``MARTP_COLLECT_BUDGET`` (1.0)
+notices a per-sample call in any one of the post-run walks.
+docs/PERF.md §1.
+
 The second pair of budgets prices one *cached fleet shard* on a
 4-point x 64-seed (256-shard) ``cell_offload`` campaign, by the same
 count (CPython 3.11 figures).  ``WARM_VERIFIED_BUDGET`` protects the
@@ -35,7 +52,7 @@ produced the same outcome bytes as the plain one):
   span.
 - the fleet telemetry bus on a serial 16-shard ``cell_offload``
   campaign: 48 frames per campaign and 14 per shard (17.0 per shard
-  all told, against ~6,800 to run one).
+  all told, against ~4,500 to run one).
 - the armed flight recorder on the same campaign: exactly one frame per
   fired event — the ``_fire`` the engine dispatches through while any
   hook is attached; the hook itself is the ring's C-level ``append`` —
@@ -43,6 +60,7 @@ produced the same outcome bytes as the plain one):
 """
 
 import gc
+import hashlib
 import sys
 
 from repro.fleet import Campaign, ResultCache, TelemetryCollector, run_campaign
@@ -55,6 +73,13 @@ from repro.transport.udp import UdpSocket
 DATAGRAMS = 1000
 FRAME_BUDGET = 21
 EVENTS_PER_DATAGRAM = 3   # sending callback, serialisation finish, delivery
+
+MARTP_RUN_BUDGET = 28
+MARTP_COLLECT_BUDGET = 1.0
+MARTP_MESSAGES = 1119
+MARTP_EVENTS = 2626
+MARTP_AGGREGATE_SHA256 = (
+    "3f47ecb8712c00ca371af6ea0d57365ad85ffc814e5d6f65313cb5eb18e15b66")
 
 WARM_SHARDS = 256
 WARM_VERIFIED_BUDGET = 12
@@ -127,6 +152,39 @@ def test_one_hop_datagram_stays_within_frame_and_event_budget():
         f"{per_datagram:.2f} Python frames per delivered datagram "
         f"(budget {FRAME_BUDGET}): a pass-through layer is back on the "
         f"socket -> link -> socket path")
+
+
+def test_martp_message_stays_within_frame_budget():
+    from repro.fleet.scenarios import (
+        build_offload_session,
+        collect_offload_aggregate,
+    )
+
+    params = {"rtt": 0.036, "up_bps": 12e6}
+    # First use of the scenario imports its modules.
+    warm_scenario, warm_session = build_offload_session(11, params)
+    collect_offload_aggregate(warm_scenario, warm_session, warm_session.run(0.1))
+
+    scenario, session = build_offload_session(11, params)
+    out = []
+    running = _python_calls(lambda: out.append(session.run(2.0)))
+    collecting = _python_calls(lambda: out.append(
+        collect_offload_aggregate(scenario, session, out[0])))
+
+    delivered = sum(rx.received for rx in session.receiver.stats().values())
+    assert delivered == MARTP_MESSAGES
+    assert scenario.sim.events_fired == MARTP_EVENTS
+    digest = hashlib.sha256(out[1].to_json().encode()).hexdigest()
+    assert digest == MARTP_AGGREGATE_SHA256
+    assert running / delivered <= MARTP_RUN_BUDGET, (
+        f"{running / delivered:.2f} Python frames per delivered MARTP "
+        f"message while running (budget {MARTP_RUN_BUDGET}): a per-message "
+        f"hop is back between submit and the socket, or between the "
+        f"socket and the receiver's counters")
+    assert collecting / delivered <= MARTP_COLLECT_BUDGET, (
+        f"{collecting / delivered:.2f} Python frames per delivered message "
+        f"while collecting (budget {MARTP_COLLECT_BUDGET}): a latency "
+        f"sample costs a call again")
 
 
 def test_cached_fleet_shard_stays_within_frame_budget(tmp_path):

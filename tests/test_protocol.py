@@ -1,8 +1,16 @@
 """Integration tests for the assembled MARTP protocol."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.protocol import MartpReceiver, MartpSender, PathEndpoint
+from repro.core.protocol import (
+    FEEDBACK_SIZE,
+    NACK_WINDOW,
+    MartpReceiver,
+    MartpSender,
+    PathEndpoint,
+)
 from repro.core.scheduler import MultipathPolicy, PathState
 from repro.core.traffic import Priority, StreamSpec, TrafficClass, mar_baseline_streams
 from repro.simnet.engine import Simulator
@@ -278,3 +286,138 @@ def test_stale_duplicate_below_prune_floor_not_redelivered():
     assert delivered == before                 # no second delivery
     assert rx.duplicates == 1
     assert rx.received == 600                  # not re-counted as fresh
+
+
+# ----------------------------------------------------------------------
+# Oracle: the NACK scan over the whole window
+# ----------------------------------------------------------------------
+class WholeWindowReceiver(MartpReceiver):
+    """``_send_feedback`` as it was when ``missing`` was scanned from the
+    bottom of the NACK window whatever ``cum_ack`` said — kept verbatim
+    as the reference for the scan that starts at ``cum_ack + 1``."""
+
+    def _send_feedback(self) -> None:
+        self._feedback_event = None
+        streams_info = {}
+        expected = 0
+        confirmed_lost = 0
+        for stream_id, rx in self._rx.items():
+            missing = {
+                s
+                for s in range(max(0, rx.highest - NACK_WINDOW), rx.highest + 1)
+                if s not in rx.received_seqs
+            }
+            streams_info[stream_id] = {
+                "cum_ack": rx.cum_ack,
+                "nacks": sorted(missing)[:32],
+                "received": rx.received,
+                "highest": rx.highest,
+            }
+            confirmed = (rx.prev_missing & missing) - rx.counted_lost
+            confirmed_lost += len(confirmed)
+            rx.counted_lost |= confirmed
+            rx.prev_missing = missing
+            floor = rx.highest - 2 * NACK_WINDOW
+            if floor > 0 and len(rx.counted_lost) > 4 * NACK_WINDOW:
+                rx.counted_lost = {s for s in rx.counted_lost if s >= floor}
+            expected += max(0, rx.highest - rx.fb_highest)
+            rx.fb_highest = rx.highest
+            rx.fb_received = rx.received
+            floor = rx.highest - 2 * NACK_WINDOW
+            if floor > 0 and len(rx.received_seqs) > 4 * NACK_WINDOW:
+                rx.received_seqs = {s for s in rx.received_seqs if s >= floor}
+                rx.prune_floor = max(rx.prune_floor, floor)
+        loss_fraction = min(1.0, confirmed_lost / expected) if expected > 0 else 0.0
+        for path, (ts, arrived, src, src_port) in list(self._last_packet_by_path.items()):
+            hold = self.sim.now - arrived
+            self.socket.sendto(
+                src,
+                src_port,
+                FEEDBACK_SIZE,
+                kind="martp-feedback",
+                streams=streams_info,
+                loss_fraction=loss_fraction,
+                echo_ts=ts,
+                hold=hold,
+                path=path,
+            )
+        self._last_packet_by_path.clear()
+
+
+#: One arrival-sequence step on stream 0 or 1: a run of fresh sequence
+#: numbers losing every k-th, a burst loss, a lost packet turning up
+#: late (reordering), a duplicate from up to 600 back (under any prune
+#: floor), or a feedback round.
+arrival_steps = st.one_of(
+    st.tuples(st.just("run"), st.integers(0, 1), st.integers(1, 300),
+              st.sampled_from([0, 2, 3, 7])),
+    st.tuples(st.just("jump"), st.integers(0, 1), st.integers(1, 400), st.just(0)),
+    st.tuples(st.just("late"), st.integers(0, 1), st.integers(0, 1000), st.just(0)),
+    st.tuples(st.just("dup"), st.integers(0, 1), st.integers(0, 600), st.just(0)),
+    st.tuples(st.just("feedback"), st.just(0), st.just(0), st.just(0)),
+)
+
+
+@given(st.lists(arrival_steps, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_nack_scan_from_cum_ack_matches_whole_window_scan(script):
+    from repro.simnet.packet import Packet
+
+    streams = [
+        simple_stream(stream_id=0, name="s0"),
+        simple_stream(stream_id=1, name="s1",
+                      traffic_class=TrafficClass.LOSS_RECOVERY),
+    ]
+    sim = Simulator(seed=1)
+    net = Network(sim)
+    net.add_host("server")
+    sent = {}
+    receivers = {}
+    for port, cls in ((7000, MartpReceiver), (7001, WholeWindowReceiver)):
+        receiver = receivers[cls] = cls(net["server"], port, streams)
+        sent[cls] = []
+        receiver.socket.sendto = (
+            lambda *args, _log=sent[cls], **payload: _log.append((args, payload)))
+
+    def arrive(stream, seq):
+        for receiver in receivers.values():
+            receiver._on_packet(Packet(
+                "client", "server", 528, 6000, receiver.socket.port,
+                "martp-data", "martp:s", {
+                    "stream": stream, "seq": seq, "created": 0.0,
+                    "msg_deadline": 0.2, "parity": False, "retransmit": False,
+                    "ts": 0.0, "path": "wifi",
+                }))
+
+    next_seq = [0, 0]
+    lost = [[], []]
+    for op, stream, n, every in script + [("feedback", 0, 0, 0)] * 2:
+        if op == "run":
+            for i in range(n):
+                seq = next_seq[stream]
+                next_seq[stream] += 1
+                if every and i % every == 0:
+                    lost[stream].append(seq)
+                else:
+                    arrive(stream, seq)
+        elif op == "jump":
+            lost[stream].extend(range(next_seq[stream], next_seq[stream] + n))
+            next_seq[stream] += n
+        elif op == "late" and lost[stream]:
+            arrive(stream, lost[stream].pop(n % len(lost[stream])))
+        elif op == "dup" and next_seq[stream]:
+            arrive(stream, max(0, next_seq[stream] - 1 - n))
+        elif op == "feedback":
+            for receiver in receivers.values():
+                receiver._send_feedback()
+            new, ref = (receivers[cls] for cls in (MartpReceiver, WholeWindowReceiver))
+            # nacks and loss_fraction as they went on the wire ...
+            assert sent[MartpReceiver] == sent[WholeWindowReceiver]
+            # ... and what the next round's loss confirmation starts from.
+            for stream_id in (0, 1):
+                a, b = new.stream_stats(stream_id), ref.stream_stats(stream_id)
+                assert a.prev_missing == b.prev_missing
+                assert a.counted_lost == b.counted_lost
+                assert a.received_seqs == b.received_seqs
+                assert (a.cum_ack, a.highest, a.prune_floor, a.duplicates) == \
+                    (b.cum_ack, b.highest, b.prune_floor, b.duplicates)

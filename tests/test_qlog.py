@@ -114,3 +114,49 @@ class TestInstrumentedSession:
         _, log = self.run_session(up_bps=2.5e6, duration=6.0)
         times = [e.time for e in log.events]
         assert times == sorted(times)
+
+
+class TestOfferHook:
+    """``instrument_sender`` hooks shedding by assigning ``sender._offer``
+    on the instance, so ``submit`` has to keep looking ``_offer`` up
+    there however flat the message path gets."""
+
+    def shedding_sender(self):
+        from repro.core.protocol import MartpReceiver, MartpSender
+        from repro.core.session import MARTP_PORT
+        from repro.core.traffic import Priority, StreamSpec, TrafficClass
+
+        # MEDIUM_NO_DELAY: whatever the buckets cannot take is discarded.
+        streams = [StreamSpec(
+            stream_id=0, name="s0", traffic_class=TrafficClass.FULL_BEST_EFFORT,
+            priority=Priority.MEDIUM_NO_DELAY, nominal_rate_bps=100_000,
+            message_bytes=500, deadline=0.2)]
+        scenario = ScenarioBuilder(seed=1).single_path(rtt=0.02, up_bps=10e6)
+        MartpReceiver(scenario.net[scenario.server], MARTP_PORT, streams)
+        sender = MartpSender(scenario.path_endpoints(), streams)
+        sender.controllers["wifi"].budget_bps = 100_000
+        sender.controllers["wifi"].max_bps = 100_000
+        sender.allocation = sender.degradation.allocate(100_000)
+        return scenario.sim, sender
+
+    def test_every_shed_submit_is_logged_once(self):
+        sim, sender = self.shedding_sender()
+        log = instrument_sender(sender)
+        sender.start()
+        sim.run(until=0.1)                      # ten ticks of tokens
+        results = [sender.submit(0, 500) for _ in range(100)]
+        shed = log.of("shedding", "message-shed")
+        assert len(shed) == results.count(None) == sender.stream_stats(0).dropped
+        assert 0 < len(shed) < 100
+        assert all(e.data == {"stream": "s0", "size": 500} for e in shed)
+
+    def test_rate_driven_submits_are_logged_too(self):
+        sim, sender = self.shedding_sender()
+        sender.allocation.rates_bps[0] = 0.0    # dropped by the allocator
+        log = instrument_sender(sender)
+        sender.start()
+        sender.attach_rate_driver(0)
+        sender.stream_stats(0).gen_credit_bits = 3 * 500 * 8
+        sim.run(until=0.005)                    # the first tick only
+        assert sender.stream_stats(0).dropped == 3
+        assert len(log.of("shedding", "message-shed")) == 3

@@ -97,3 +97,23 @@ class TestOffloadSession:
         session = OffloadSession(sc)
         report = session.run(5.0)
         assert len(report.video_quality_timeline) >= 100  # ~30/s over 5 s
+
+    @pytest.mark.parametrize("missing", [2, 3])
+    def test_stream_set_without_a_video_stream_is_a_key_error(self, missing):
+        # The video source looks its two streams up by id on every frame;
+        # a stream set without one used to leak a bare StopIteration out
+        # of the event handler, i.e. out of ``Simulator.run``.
+        from repro.core.traffic import mar_baseline_streams
+        from repro.mar.video import VideoSource
+
+        streams = [s for s in mar_baseline_streams() if s.stream_id != missing]
+        sc = ScenarioBuilder(seed=3).single_path(rtt=0.02)
+        with pytest.raises(KeyError) as no_default_video:
+            OffloadSession(sc, streams=streams)
+        assert no_default_video.value.args == (missing,)
+
+        video = VideoSource(fps=30.0, gop=15, ref_bytes=5000, inter_bytes=1000)
+        session = OffloadSession(sc, streams=streams, video=video)
+        with pytest.raises(KeyError) as in_run:
+            session.run(1.0)
+        assert in_run.value.args == (missing,)

@@ -62,6 +62,63 @@ class TestMessage:
         assert m.expired(1.6)
 
 
+    # Construction contract of the hand-written __slots__ class.
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Message(2, 7, 1200, 0.5, 0.075, True, False)
+        keyword = Message(stream_id=2, seq=7, size=1200, created_at=0.5,
+                          deadline=0.075, is_retransmit=True, fec_parity=False)
+        assert positional == keyword
+        assert (positional.stream_id, positional.seq, positional.size) == (2, 7, 1200)
+        assert (positional.created_at, positional.deadline) == (0.5, 0.075)
+        assert (positional.is_retransmit, positional.fec_parity) == (True, False)
+
+    def test_built_the_way_arq_and_fec_build_it(self):
+        # reliability.py: a retransmission copy and an XOR parity message.
+        retransmit = Message(stream_id=2, seq=4, size=900, created_at=1.0,
+                             deadline=0.075, is_retransmit=True)
+        parity = Message(stream_id=2, seq=-1, size=900, created_at=1.0,
+                         deadline=0.075, fec_parity=True)
+        assert (retransmit.is_retransmit, retransmit.fec_parity) == (True, False)
+        assert (parity.is_retransmit, parity.fec_parity) == (False, True)
+
+    def test_defaults(self):
+        m = Message(0, 0, 10, 0.0, 1.0)
+        assert (m.is_retransmit, m.fec_parity) == (False, False)
+
+    def test_equality_is_field_wise_and_unhashable(self):
+        a = Message(0, 1, 10, 0.0, 1.0)
+        assert a == Message(0, 1, 10, 0.0, 1.0)
+        for field, other in [("stream_id", 9), ("seq", 9), ("size", 9),
+                             ("created_at", 9.0), ("deadline", 9.0),
+                             ("is_retransmit", True), ("fec_parity", True)]:
+            b = Message(0, 1, 10, 0.0, 1.0)
+            setattr(b, field, other)
+            assert a != b
+        assert a != (0, 1, 10, 0.0, 1.0, False, False)
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_repr_names_every_field(self):
+        assert repr(Message(2, 7, 1200, 0.5, 0.075, fec_parity=True)) == (
+            "Message(stream_id=2, seq=7, size=1200, created_at=0.5, "
+            "deadline=0.075, is_retransmit=False, fec_parity=True)")
+
+    def test_no_ad_hoc_attributes(self):
+        m = Message(0, 0, 10, 0.0, 1.0)
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert not hasattr(m, "__dict__")
+
+    def test_deepcopy_and_pickle_round_trip(self):
+        # Checkpoints deepcopy backlogs; fleet workers pickle results.
+        import copy
+        import pickle
+
+        m = Message(2, 7, 1200, 0.5, 0.075, True, False)
+        for clone in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m and clone is not m
+
+
 class TestBaselineStreams:
     def test_four_streams_of_figure4(self):
         names = [s.name for s in MAR_BASELINE_STREAMS]
