@@ -1,7 +1,8 @@
 """MARTP — the AR-oriented transport protocol of Section VI.
 
-The paper proposes six properties for a MAR transport; each maps to a
-module here:
+The paper proposes six properties for a MAR transport; the first five
+map to modules here (the sixth, security/privacy of §VI-G, is not
+modelled):
 
 1. **Classful traffic** (VI-A) → :mod:`~repro.core.traffic`: three
    traffic classes (full best effort, best effort with loss recovery,
@@ -17,8 +18,6 @@ module here:
    selection with the three usage policies.
 5. **Distributed** (VI-E) → :mod:`~repro.core.session`: multi-server
    and D2D offloading sessions (Figure 5 scenarios).
-6. **Security/privacy** (VI-G) → :mod:`~repro.core.privacy`: payload
-   anonymization budget accounting (region blurring before D2D share).
 
 :mod:`~repro.core.protocol` assembles 1–4 into a working sender /
 receiver pair over UDP; :mod:`~repro.core.metrics` computes the QoS/QoE
@@ -49,7 +48,6 @@ from repro.core.resilience import (
     RttEstimator,
     ServiceMode,
 )
-from repro.core.privacy import PrivacyFilter, SensitiveRegion
 from repro.core.qlog import EventLog, instrument_sender
 
 __all__ = [
@@ -83,8 +81,6 @@ __all__ = [
     "ResilienceMetrics",
     "RttEstimator",
     "ServiceMode",
-    "PrivacyFilter",
-    "SensitiveRegion",
     "EventLog",
     "instrument_sender",
 ]

@@ -1,19 +1,13 @@
-"""File walking and rule driving (per-file and whole-program).
+"""File walking and rule driving.
 
 :func:`lint_source` is the single-module entry point (and the unit-test
-workhorse): parse, classify, run every applicable per-file rule, then
-run the whole-program rules against a one-module project so fixtures
-exercise SIM007–SIM010 too.  :func:`lint_paths` maps the per-file pass
-over files and directories — serially, or across ``usable_cpus()``
-fork workers with byte-identical output — and then runs the
-whole-program rules once against the full project model.
-
-Parallel design: workers run only the per-file rules and return plain
-:class:`Finding` values (cheap pickles); the driver parses everything
-once more for the project model, which measures *cheaper* than
-shipping pickled ASTs back (unpickling an AST costs more than parsing
-the source).  Findings are sorted at the end, so serial and parallel
-runs are byte-identical by construction.
+workhorse): parse, classify, run every applicable rule.
+:func:`lint_paths` maps the same pass over files and directories —
+serially, or across ``usable_cpus()`` fork workers.  Every rule sees
+one module at a time, so a worker parses each file once and returns
+plain :class:`Finding` values (cheap pickles); findings are sorted at
+the end, so serial and parallel runs are byte-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -26,12 +20,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.domains import Domain, classify
 from repro.lint.findings import Finding
-from repro.lint.rules import (
-    PROJECT_RULE_CODES,
-    RULES,
-    ProjectRule,
-    RuleContext,
-)
+from repro.lint.rules import RULES, RuleContext
 from repro.lint.suppress import Suppressions
 
 #: Rule code reserved for files the parser rejects.  Parse errors are
@@ -59,7 +48,7 @@ def _parse(source: str, path: str) -> Tuple[Optional[ast.Module],
 def _file_findings(tree: ast.Module, source: str, path: str,
                    domain: Domain,
                    selected: Sequence[str]) -> List[Finding]:
-    """Run the per-file rules over one parsed module."""
+    """Run the selected rules over one parsed module."""
     suppressions = Suppressions.from_source(source)
     for code in sorted(suppressions.mentioned - set(RULES)):
         warnings.warn(
@@ -70,33 +59,11 @@ def _file_findings(tree: ast.Module, source: str, path: str,
     findings: List[Finding] = []
     for code in selected:
         rule = RULES[code]
-        if isinstance(rule, ProjectRule) or not rule.applies(domain):
+        if not rule.applies(domain):
             continue
         for finding in rule.check(ctx):
             if not suppressions.is_suppressed(finding.rule, finding.line):
                 findings.append(finding)
-    return findings
-
-
-def _project_findings(entries: Sequence[Tuple[str, str, ast.Module]],
-                      selected: Sequence[str]) -> List[Finding]:
-    """Run the whole-program rules once over all parsed modules."""
-    codes = [c for c in selected if c in PROJECT_RULE_CODES]
-    if not codes or not entries:
-        return []
-    from repro.lint.project import Project
-
-    project = Project.build(entries)
-    findings: List[Finding] = []
-    for code in codes:
-        rule = RULES[code]
-        assert isinstance(rule, ProjectRule)
-        for finding in rule.check_project(project):
-            mod = project.modules_by_path.get(finding.path)
-            if mod is not None and mod.suppressions.is_suppressed(
-                    finding.rule, finding.line):
-                continue
-            findings.append(finding)
     return findings
 
 
@@ -107,9 +74,7 @@ def lint_source(source: str, path: str,
 
     ``path`` determines the domain (unless ``domain`` overrides it) and
     is recorded verbatim in findings.  ``rules`` restricts checking to
-    the given codes.  The whole-program rules run against a one-module
-    project, so single-file callers (tests, the CI seeded-violation
-    gate) still exercise SIM007–SIM010.
+    the given codes.
     """
     norm = pathlib.PurePath(path).as_posix()
     tree, error = _parse(source, norm)
@@ -120,7 +85,6 @@ def lint_source(source: str, path: str,
         domain = classify(norm)
     selected = sorted(rules) if rules is not None else sorted(RULES)
     findings = _file_findings(tree, source, norm, domain, selected)
-    findings.extend(_project_findings([(norm, source, tree)], selected))
     findings.sort()
     return findings
 
@@ -171,8 +135,8 @@ def _usable_cpus() -> int:
 
 
 def _lint_file_task(args: Tuple[str, str, Tuple[str, ...]]) -> List[Finding]:
-    """Worker task: per-file rules for one file (project pass is the
-    driver's job).  Module-level so it pickles under spawn too."""
+    """Lint one file: the worker task, and the serial loop's body.
+    Module-level so it pickles under spawn too."""
     file_path, rel, selected = args
     source = pathlib.Path(file_path).read_text(encoding="utf-8")
     tree, error = _parse(source, rel)
@@ -191,54 +155,31 @@ def lint_paths(paths: Sequence[str],
 
     Returns ``(findings, files_checked)``; findings are sorted by
     ``(path, line, col, rule)`` so output and baselines are stable.
-    ``jobs`` sets the per-file worker count (``None`` = auto: serial
-    below :data:`PARALLEL_THRESHOLD` files, ``usable_cpus()`` above;
-    ``1`` forces serial).  Serial and parallel runs produce identical
-    findings — the whole-program rules always run once, in the driver.
+    ``jobs`` sets the worker count (``None`` = auto: serial below
+    :data:`PARALLEL_THRESHOLD` files, ``usable_cpus()`` above; ``1``
+    forces serial).  Serial and parallel runs produce identical
+    findings.
     """
-    selected = sorted(rules) if rules is not None else sorted(RULES)
-    files = [(file_path, display_path(file_path, root))
+    selected = tuple(sorted(rules) if rules is not None else sorted(RULES))
+    tasks = [(str(file_path), display_path(file_path, root), selected)
              for file_path in iter_python_files(paths)]
     if jobs is None:
-        jobs = default_jobs(len(files))
-
+        jobs = default_jobs(len(tasks))
     findings: List[Finding] = []
-    entries: List[Tuple[str, str, ast.Module]] = []
-
-    if jobs > 1 and len(files) > 1:
-        findings.extend(_parallel_file_pass(files, selected, jobs))
-        # Driver-side parse for the project model (measured cheaper
-        # than round-tripping pickled ASTs from the workers).
-        for file_path, rel in files:
-            source = file_path.read_text(encoding="utf-8")
-            tree, _ = _parse(source, rel)
-            if tree is not None:
-                entries.append((rel, source, tree))
+    if jobs > 1 and len(tasks) > 1:
+        findings.extend(_parallel_file_pass(tasks, jobs))
     else:
-        for file_path, rel in files:
-            source = file_path.read_text(encoding="utf-8")
-            tree, error = _parse(source, rel)
-            if tree is None:
-                assert error is not None
-                findings.append(error)
-                continue
-            entries.append((rel, source, tree))
-            findings.extend(_file_findings(tree, source, rel,
-                                           classify(rel), selected))
-
-    findings.extend(_project_findings(entries, selected))
+        for task in tasks:
+            findings.extend(_lint_file_task(task))
     findings.sort()
-    return findings, len(files)
+    return findings, len(tasks)
 
 
-def _parallel_file_pass(files: Sequence[Tuple[pathlib.Path, str]],
-                        selected: Sequence[str],
+def _parallel_file_pass(tasks: Sequence[Tuple[str, str, Tuple[str, ...]]],
                         jobs: int) -> List[Finding]:
     import concurrent.futures
     import multiprocessing
 
-    tasks = [(str(file_path), rel, tuple(selected))
-             for file_path, rel in files]
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:

@@ -1,7 +1,7 @@
 """``--diff <ref>`` support: changed-line sets from ``git diff -U0``.
 
 Diff mode reports only findings whose line was added or modified
-relative to a git ref, so the whole-program rules can roll out across
+relative to a git ref, so a new or stricter rule can roll out across
 a large tree without a baseline-churn flag day: untouched legacy lines
 stay silent, anything you edit is held to the full rule set.  The
 tradeoff against baselines is documented in docs/LINT.md — in short, a

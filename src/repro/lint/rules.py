@@ -163,12 +163,15 @@ running first) shifts every later value and the trace diverges.  Bare
 entropy and differ on every run; ``random.SystemRandom`` is
 nondeterministic by design.  The engine's ``sim.child_rng(tag)``
 derives an independent stream as a pure function of ``(seed, tag)`` —
-use it, or accept an explicitly seeded RNG as a parameter.
+use it, or accept an explicitly seeded RNG as a parameter.  The module
+used as a value (``(rng or random).uniform(...)``, ``gen = random``) is
+the global stream too, waiting for the caller that passes no RNG.
 """
     example_bad = """
 import random
 delay = random.uniform(0.0, jitter)      # global stream
 rng = random.Random()                    # OS-entropy seed
+draw = (rng or random).uniform           # global stream as a fallback
 """
     example_good = """
 self._rng = sim.child_rng(f"link:{name}")
@@ -177,6 +180,7 @@ rng = random.Random(f"{seed}:{tag}")     # explicit seed: reproducible
 """
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
+        yield from self._module_as_value(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -212,6 +216,24 @@ rng = random.Random(f"{seed}:{tag}")     # explicit seed: reproducible
                         self, node,
                         f"{qual}() uses numpy's process-global RNG; use "
                         "numpy.random.default_rng(seed)")
+
+    def _module_as_value(self, ctx: RuleContext) -> Iterator[Finding]:
+        """``random`` / ``numpy.random`` as a value, not as an
+        attribute base: whoever draws from it draws the global stream."""
+        bases = {id(node.value) for node in ast.walk(ctx.tree)
+                 if isinstance(node, ast.Attribute)}
+        for node in ast.walk(ctx.tree):
+            if (not isinstance(node, (ast.Name, ast.Attribute))
+                    or id(node) in bases
+                    or not isinstance(node.ctx, ast.Load)):
+                continue
+            qual = qualified_name(node, ctx.imports)
+            if qual in ("random", "numpy.random"):
+                yield ctx.finding(
+                    self, node,
+                    f"the {qual} module used as a value is the "
+                    "process-global RNG; pass sim.child_rng(tag) or a "
+                    "seeded Random and use only that")
 
 
 # ----------------------------------------------------------------------
@@ -646,596 +668,6 @@ def run(self, hooks=None):
 
 
 # ----------------------------------------------------------------------
-# Whole-program rules (SIM007–SIM010)
-# ----------------------------------------------------------------------
-#
-# These run against the :class:`~repro.lint.project.Project` model
-# (one-parse symbol table + call graph over every linted file) instead
-# of a single module, so they can see interprocedural facts the
-# per-file rules cannot: who passes a seeded RNG to whom, which two
-# call sites can build the same tag string, what a fleet worker can
-# reach, and what ends up inside a checkpoint deepcopy.  Each rule
-# filters by *module* domain internally (the driver hands them the
-# whole project).
-
-
-class ProjectRule(Rule):
-    """Base for whole-program rules; implement :meth:`check_project`."""
-
-    #: Project rules see every module and decide domain relevance per
-    #: finding, so the per-file ``applies()`` gate always passes.
-    domains = (Domain.SIM, Domain.HARNESS)
-
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(self, mod, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            path=mod.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=self.code,
-            message=message,
-        )
-
-
-class Sim007RngProvenance(ProjectRule):
-    code = "SIM007"
-    title = ("seeded RNGs must stay seeded — no process-global fallback "
-             "in functions that receive a child_rng, no escape into "
-             "module-level storage")
-    rationale = """
-A function that *receives* a seeded RNG (a ``sim.child_rng(tag)``
-stream, tracked interprocedurally through assignments, call arguments,
-returns and ``self.attr`` stores) has already opted into the
-determinism contract — drawing from the process-global ``random``
-module in the same body, or constructing a fresh unseeded ``Random()``
-as a fallback (``rng = rng or random.Random()``), silently mixes a
-nondeterministic stream into a deterministic one.  The second failure
-mode is *escape*: binding a seeded RNG into module-level storage (a
-module global, a module-level dict, a class attribute at import time)
-turns a per-run stream into process state — under the fleet's warm
-fork workers, every shard the worker runs afterwards continues the
-same stream, so shard results depend on scheduling order.
-"""
-    example_bad = """
-def jitter(rng):                   # callers pass sim.child_rng(...)
-    return rng.random() + random.random()   # global fallback
-
-_RNG = random.Random(1234)         # module-level: shared across shards
-"""
-    example_good = """
-def jitter(rng):
-    return 2.0 * rng.random()      # only the injected stream
-
-class Link:
-    def __init__(self, sim, name):
-        self._rng = sim.child_rng(f"link:{name}")   # per-instance
-"""
-
-    def check_project(self, project) -> Iterator[Finding]:
-        from repro.lint.flow import TaintAnalysis
-
-        taint = TaintAnalysis(project)
-        for fn, node, pname, detail in taint.global_random_fallbacks():
-            mod = project.modules[fn.module]
-            if mod.domain is not Domain.SIM:
-                continue
-            yield self.project_finding(
-                mod, node,
-                f"{fn.name}() receives a seeded RNG (parameter {pname!r}) "
-                f"but also draws from {detail}; use only the injected "
-                "stream")
-        for mod, node, desc in taint.module_storage_escapes():
-            if mod.domain is not Domain.SIM:
-                continue
-            yield self.project_finding(mod, node, desc)
-
-
-class Sim008TagCollision(ProjectRule):
-    code = "SIM008"
-    title = ("child_rng tags must be collision-free — two call sites "
-             "that can build the same tag share one stream")
-    rationale = """
-``sim.child_rng(tag)`` derives the stream from ``(seed, tag)`` alone,
-so two call sites that can construct the *same* tag string get
-byte-identical random streams — every draw correlated, silently, with
-no crash.  This rule folds each tag expression into a pattern of
-literal characters and holes (f-strings, ``+``, ``%``-formatting,
-``str.format``, one level of local indirection; holes that are
-parameters fold to constants when every resolved call site passes
-one), then reports pairs of distinct call sites whose patterns can
-intersect.  Namespace your tags: a distinct literal prefix per
-subsystem (``"scale.cell.{id}"`` vs ``"scale.promote.{id}"``) is what
-keeps the patterns disjoint.  Fully-dynamic tags (a bare parameter)
-are never reported — the rule refuses to guess.
-"""
-    example_bad = """
-self.rx_rng = sim.child_rng(f"radio:{cell}")
-self.tx_rng = sim.child_rng(f"radio:{cell}")   # same (seed, tag)!
-"""
-    example_good = """
-self.rx_rng = sim.child_rng(f"radio.rx:{cell}")
-self.tx_rng = sim.child_rng(f"radio.tx:{cell}")
-"""
-
-    def check_project(self, project) -> Iterator[Finding]:
-        from repro.lint.flow import TagIndex
-
-        index = TagIndex(project)
-        for site_a, site_b in index.collisions():
-            mod = project.modules_by_path.get(site_b.path)
-            if mod is None:
-                continue
-            shown = sorted({p.render() for p in site_a.patterns
-                            if not p.is_pure_hole()})
-            yield Finding(
-                path=site_b.path, line=site_b.line, col=site_b.col,
-                rule=self.code,
-                message=(f"child_rng tag can collide with the call at "
-                         f"{site_a.path}:{site_a.line} (pattern "
-                         f"{' | '.join(shown)}); colliding tags share one "
-                         "RNG stream — add a distinct literal prefix"))
-
-
-class Sim009ForkSharedState(ProjectRule):
-    code = "SIM009"
-    title = ("no module-level mutable state mutated from sim code "
-             "reachable by fleet workers — warm fork workers leak it "
-             "across shards")
-    rationale = """
-The fleet's warm workers (PR7) run *many* shards per process: anything
-a shard writes into module-level storage — a module dict/list, a
-mutable class attribute — is still there when the next shard runs, so
-results depend on which shards a worker happened to execute first, and
-the serial/pool byte-identity gate breaks in ways the per-shard cache
-then *preserves*.  This rule walks the call graph from the fleet
-worker entry points (``run_shard``, ``_execute_batch``,
-``_worker_init``, registered scenario functions) and flags sim-domain
-code on those paths that mutates module-level containers or
-class-level attributes never rebound per instance.  Import-time
-initialization (module body) is exempt — each process imports once,
-deterministically.  When a project has no fleet entry points at all
-(a standalone file), every function is treated as reachable.
-"""
-    example_bad = """
-_CACHE = {}
-
-def lookup(sim, key):              # reachable from run_shard
-    if key not in _CACHE:
-        _CACHE[key] = expensive(sim, key)   # leaks across shards
-    return _CACHE[key]
-"""
-    example_good = """
-class Catalog:
-    def __init__(self):
-        self._cache = {}           # per-instance, dies with the shard
-
-    def lookup(self, sim, key): ...
-"""
-
-    #: Fleet worker entry points: the functions a pool worker executes.
-    WORKER_ENTRY_NAMES = frozenset({
-        "run_shard", "_run_shard_inline", "_execute_batch", "_worker_init",
-    })
-    SCENARIO_DECORATORS = frozenset({"register_scenario"})
-
-    _MUTATORS = frozenset({
-        "append", "extend", "insert", "add", "update", "setdefault",
-        "pop", "popitem", "remove", "discard", "clear", "appendleft",
-        "extendleft", "__setitem__",
-    })
-
-    def check_project(self, project) -> Iterator[Finding]:
-        roots = self._roots(project)
-        standalone = not roots
-        if standalone:
-            reachable = set(project.functions)
-        else:
-            reachable = project.reachable_from(roots, include_weak=True)
-        via = ("any caller (no fleet entry points in scope)" if standalone
-               else "a fleet worker entry point")
-        for qual in sorted(reachable):
-            fn = project.functions.get(qual)
-            if fn is None:
-                continue
-            mod = project.modules[fn.module]
-            if mod.domain is not Domain.SIM:
-                continue
-            yield from self._check_function(project, mod, fn, via)
-
-    def _roots(self, project) -> List[str]:
-        roots = []
-        for qual, fn in project.functions.items():
-            if fn.name in self.WORKER_ENTRY_NAMES:
-                roots.append(qual)
-            elif set(fn.decorators) & self.SCENARIO_DECORATORS:
-                roots.append(qual)
-        return sorted(roots)
-
-    def _check_function(self, project, mod, fn, via: str) -> Iterator[Finding]:
-        from repro.lint.flow import _assigned_names
-        from repro.lint.project import _walk_no_nested
-
-        local_names = _assigned_names(fn.node)
-        global_decls: Set[str] = set()
-        for node in _walk_no_nested(fn.node):
-            if isinstance(node, ast.Global):
-                global_decls.update(node.names)
-        for node in _walk_no_nested(fn.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    desc = self._store_target(project, mod, fn, target,
-                                              local_names, global_decls)
-                    if desc:
-                        yield self.project_finding(
-                            mod, node,
-                            f"{desc} is mutated here and reachable from "
-                            f"{via}; warm fork workers leak it across "
-                            "shards — keep state per-instance")
-            elif isinstance(node, ast.Call):
-                desc = self._mutating_call(project, mod, fn, node,
-                                           local_names, global_decls)
-                if desc:
-                    yield self.project_finding(
-                        mod, node,
-                        f"{desc} is mutated here and reachable from "
-                        f"{via}; warm fork workers leak it across shards "
-                        "— keep state per-instance")
-
-    def _store_target(self, project, mod, fn, target: ast.AST,
-                      local_names: Set[str],
-                      global_decls: Set[str]) -> Optional[str]:
-        if isinstance(target, ast.Name):
-            if target.id in global_decls:
-                gvar = mod.globals.get(target.id)
-                qual = gvar.qual if gvar else f"{mod.module}.{target.id}"
-                return f"module global {qual}"
-            return None
-        if isinstance(target, ast.Subscript):
-            return self._container_base(project, mod, fn, target.value,
-                                        local_names, global_decls,
-                                        "[...]")
-        return None
-
-    def _mutating_call(self, project, mod, fn, call: ast.Call,
-                       local_names: Set[str],
-                       global_decls: Set[str]) -> Optional[str]:
-        func = call.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in self._MUTATORS):
-            return None
-        return self._container_base(project, mod, fn, func.value,
-                                    local_names, global_decls,
-                                    f".{func.attr}(...)")
-
-    def _container_base(self, project, mod, fn, base: ast.AST,
-                        local_names: Set[str], global_decls: Set[str],
-                        op: str) -> Optional[str]:
-        if isinstance(base, ast.Name):
-            name = base.id
-            if name in fn.params:
-                return None
-            if name in local_names and name not in global_decls:
-                return None
-            gvar = project.global_for_name(mod, name)
-            if gvar is not None and gvar.mutable:
-                return f"module-level container {gvar.qual}{op}"
-            return None
-        if isinstance(base, ast.Attribute) and isinstance(base.value,
-                                                          ast.Name):
-            owner = base.value.id
-            attr = base.attr
-            if owner == "self":
-                cinfo = project.owning_class(fn)
-                if (cinfo is not None and attr in cinfo.class_attrs
-                        and cinfo.class_attrs[attr].mutable
-                        and attr not in cinfo.instance_attrs):
-                    return (f"class-level container "
-                            f"{cinfo.qual}.{attr}{op}")
-                return None
-            resolved = project.resolve_local(mod, (owner,))
-            cinfo = project.class_of(resolved) if resolved else None
-            if (cinfo is not None and attr in cinfo.class_attrs
-                    and cinfo.class_attrs[attr].mutable):
-                return f"class-level container {cinfo.qual}.{attr}{op}"
-        return None
-
-
-class Sim010CheckpointSafety(ProjectRule):
-    code = "SIM010"
-    title = ("no generators, open files, locks, or deepcopy-dropped "
-             "controller types on classes inside Checkpoint deepcopy "
-             "roots")
-    rationale = """
-``Checkpoint(sim, roots)`` snapshots with ``copy.deepcopy`` — so every
-field on every class reachable from the roots must survive a deepcopy
-*and mean the same thing afterwards*.  Three ways that fails:
-generators / ``iter(...)`` results and open OS resources (files,
-sockets, locks) either crash the deepcopy or alias live state into the
-snapshot; and a type that some reachable class's ``__deepcopy__``
-deliberately *drops* (PR6's ``ReplayController`` bug class) silently
-vanishes on restore — assign such a type anywhere *except* the field
-designed to drop it, and a restored run diverges from the recorded
-one.  The rule resolves checkpoint root classes from
-``*.checkpoint(...)`` / ``Checkpoint(...)`` call sites (through
-return types, including a name-based fallback for dynamic harness
-dispatch), closes over field types, and checks every field store.
-``itertools.count()`` is deliberately allowed: it deepcopies and
-pickles fine (the engine's own event sequencer uses one).
-"""
-    example_bad = """
-class Session:                      # reachable from checkpoint roots
-    def __init__(self, sim, frames):
-        self._pending = (f for f in frames)    # generator: deepcopy
-        self._log = open("session.log", "w")   # crashes or aliases
-"""
-    example_good = """
-class Session:
-    def __init__(self, sim, frames):
-        self._pending = list(frames)           # plain data snapshots
-        self._log_path = "session.log"         # reopen on demand
-"""
-
-    _RESOURCE_CALLS = {
-        "open": "an open file",
-        "io.open": "an open file",
-        "io.FileIO": "an open file",
-        "io.BufferedReader": "an open file",
-        "io.BufferedWriter": "an open file",
-        "io.TextIOWrapper": "an open file",
-        "socket.socket": "a live socket",
-        "socket.create_connection": "a live socket",
-        "tempfile.TemporaryFile": "an open temp file",
-        "tempfile.NamedTemporaryFile": "an open temp file",
-        "tempfile.SpooledTemporaryFile": "an open temp file",
-        "threading.Lock": "a lock",
-        "threading.RLock": "a lock",
-        "threading.Condition": "a lock",
-        "threading.Semaphore": "a lock",
-        "threading.BoundedSemaphore": "a lock",
-        "threading.Event": "a lock-backed event",
-        "multiprocessing.Lock": "a lock",
-        "multiprocessing.RLock": "a lock",
-    }
-
-    def check_project(self, project) -> Iterator[Finding]:
-        roots = self._root_classes(project)
-        if not roots:
-            return
-        closure = self._field_closure(project, roots)
-        dropped, excluded = self._deepcopy_exclusions(project, closure)
-        for cls_qual in sorted(closure):
-            cinfo = project.class_of(cls_qual)
-            if cinfo is None:
-                continue
-            mod = project.modules[cinfo.module]
-            for method in cinfo.methods.values():
-                yield from self._check_stores(
-                    project, mod, method, cinfo, dropped, excluded)
-        # Exterior stores: obj.field = Excluded(...) where obj's class
-        # is in the closure.
-        yield from self._check_exterior_stores(
-            project, closure, dropped, excluded)
-
-    # -- roots ---------------------------------------------------------
-    def _root_classes(self, project) -> Set[str]:
-        from repro.lint.project import _walk_no_nested
-
-        roots: Set[str] = set()
-        for fn in project.functions.values():
-            mod = project.modules[fn.module]
-            env = project._local_env(fn)
-            for node in _walk_no_nested(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                if self._is_checkpoint_call(project, mod, node):
-                    for arg in node.args:
-                        roots |= self._arg_classes(project, mod, fn, env,
-                                                   arg)
-        return roots
-
-    def _is_checkpoint_call(self, project, mod, call: ast.Call) -> bool:
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr == "checkpoint":
-            return True
-        if isinstance(func, ast.Name):
-            origin = mod.imports.get(func.id, "")
-            if origin.endswith(".Checkpoint") or func.id == "Checkpoint":
-                return True
-        return False
-
-    def _arg_classes(self, project, mod, fn, env, arg: ast.AST) -> Set[str]:
-        from repro.lint.project import _walk_no_nested
-
-        out: Set[str] = set()
-        if isinstance(arg, ast.Name):
-            out |= env.get(arg.id, set())
-            if not out:
-                # The local env only sees constructor/annotation types;
-                # trace the name to its assignment for the dynamic
-                # cases (world = harness.make_world(seed)).
-                for node in _walk_no_nested(fn.node):
-                    if (isinstance(node, ast.Assign)
-                            and any(isinstance(t, ast.Name)
-                                    and t.id == arg.id
-                                    for t in node.targets)
-                            and isinstance(node.value, ast.Call)):
-                        out |= self._arg_classes(project, mod, fn, env,
-                                                 node.value)
-        elif isinstance(arg, (ast.Tuple, ast.List)):
-            for elt in arg.elts:
-                out |= self._arg_classes(project, mod, fn, env, elt)
-        elif isinstance(arg, ast.Call):
-            out |= project._constructed_classes(mod, arg)
-            if not out:
-                # Dynamic dispatch (harness.make_world(...)): name-based
-                # fallback over every project method with that name.
-                func = arg.func
-                if isinstance(func, ast.Attribute):
-                    for mq in project._methods_by_name.get(func.attr, ()):
-                        out |= project._return_classes(mq)
-        elif isinstance(arg, ast.Attribute):
-            if (isinstance(arg.value, ast.Name) and arg.value.id == "self"
-                    and fn.class_qual):
-                cinfo = project.class_of(fn.class_qual)
-                if cinfo:
-                    out |= cinfo.attr_types.get(arg.attr, set())
-        return out
-
-    # -- closure & exclusions ------------------------------------------
-    def _field_closure(self, project, roots: Set[str]) -> Set[str]:
-        seen: Set[str] = set()
-        queue = sorted(roots)
-        while queue:
-            qual = queue.pop()
-            if qual in seen:
-                continue
-            seen.add(qual)
-            cinfo = project.class_of(qual)
-            if cinfo is None:
-                continue
-            for types in cinfo.attr_types.values():
-                for t in types:
-                    if t not in seen:
-                        queue.append(t)
-        return seen
-
-    def _deepcopy_exclusions(self, project, closure: Set[str]):
-        """``(dropped, excluded)``: fields a ``__deepcopy__`` never
-        carries over, and the types stored in those fields."""
-        from repro.lint.project import _walk_no_nested
-
-        dropped: Set[tuple] = set()       # (class qual, attr)
-        excluded: Dict[str, str] = {}     # type qual -> dropping "C.attr"
-        for qual in sorted(closure):
-            cinfo = project.class_of(qual)
-            if cinfo is None or "__deepcopy__" not in cinfo.methods:
-                continue
-            body = cinfo.methods["__deepcopy__"].node
-            mentioned: Set[str] = set()
-            for node in _walk_no_nested(body):
-                if isinstance(node, ast.Attribute):
-                    mentioned.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(
-                        node.value, str):
-                    mentioned.add(node.value)
-            for attr in sorted(set(cinfo.instance_attrs)
-                               | set(cinfo.attr_types)):
-                if attr not in mentioned:
-                    dropped.add((qual, attr))
-                    for t in cinfo.attr_types.get(attr, ()):
-                        excluded.setdefault(t, f"{cinfo.name}.{attr}")
-        return dropped, excluded
-
-    # -- field stores --------------------------------------------------
-    def _check_stores(self, project, mod, method, cinfo,
-                      dropped, excluded) -> Iterator[Finding]:
-        from repro.lint.project import _walk_no_nested
-
-        for node in _walk_no_nested(method.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    continue
-                yield from self._judge_store(
-                    project, mod, method, cinfo.qual, cinfo.name,
-                    target.attr, node, dropped, excluded)
-
-    def _check_exterior_stores(self, project, closure,
-                               dropped, excluded) -> Iterator[Finding]:
-        from repro.lint.project import _walk_no_nested
-
-        for qual in sorted(project.functions):
-            fn = project.functions[qual]
-            mod = project.modules[fn.module]
-            env = project._local_env(fn)
-            for node in _walk_no_nested(fn.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                for target in node.targets:
-                    if not isinstance(target, ast.Attribute):
-                        continue
-                    owners = self._owner_classes(project, fn, env,
-                                                 target.value)
-                    for owner in sorted(owners & closure):
-                        cinfo = project.class_of(owner)
-                        if cinfo is None or fn.class_qual == owner:
-                            continue
-                        yield from self._judge_store(
-                            project, mod, fn, owner, cinfo.name,
-                            target.attr, node, dropped, excluded)
-
-    def _owner_classes(self, project, fn, env, base: ast.AST) -> Set[str]:
-        if isinstance(base, ast.Name):
-            return set(env.get(base.id, set()))
-        if (isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)):
-            for owner in env.get(base.value.id, set()):
-                cinfo = project.class_of(owner)
-                if cinfo is not None:
-                    return set(cinfo.attr_types.get(base.attr, set()))
-        return set()
-
-    def _judge_store(self, project, mod, fn, cls_qual, cls_name, attr,
-                     node: ast.Assign, dropped,
-                     excluded) -> Iterator[Finding]:
-        if (cls_qual, attr) in dropped:
-            # Stores into the dropping field itself are the designed
-            # opt-out: __deepcopy__ intentionally does not carry it.
-            return
-        desc = self._unsafe_value(project, mod, fn, node.value, excluded)
-        if desc:
-            yield self.project_finding(
-                mod, node,
-                f"field {cls_name}.{attr} is reachable from a Checkpoint "
-                f"deepcopy root but holds {desc}; checkpoint/restore "
-                "will fail or silently diverge")
-
-    def _unsafe_value(self, project, mod, fn, value: ast.AST,
-                      excluded: Dict[str, str]) -> Optional[str]:
-        if isinstance(value, ast.GeneratorExp):
-            return "a generator expression (deepcopy cannot snapshot it)"
-        if not isinstance(value, ast.Call):
-            return None
-        func = value.func
-        if isinstance(func, ast.Name) and func.id == "iter":
-            return "a live iterator (iter(...))"
-        qual = qualified_name(func, mod.imports)
-        if qual is None and isinstance(func, ast.Name):
-            qual = func.id if func.id == "open" else None
-        if qual in self._RESOURCE_CALLS:
-            return self._RESOURCE_CALLS[qual]
-        # Calls to project generator functions.
-        env = project._local_env(fn)
-        for callee in project._resolve_call(fn, env, value) or ():
-            target = project.function_of(callee)
-            if target is not None and target.has_yield:
-                return (f"a generator (call to yield-function "
-                        f"{target.name}())")
-        # Deepcopy-excluded types.
-        chain = None
-        from repro.lint.project import attribute_chain
-        chain = attribute_chain(func)
-        if chain:
-            resolved = project.resolve_local(mod, chain)
-            if resolved in excluded:
-                dropper = excluded[resolved]
-                return (f"an instance of {resolved.rsplit('.', 1)[-1]}, "
-                        f"which {dropper}'s __deepcopy__ drops — it "
-                        "vanishes on restore")
-        return None
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 
@@ -1246,18 +678,9 @@ _RULE_CLASSES: List[Type[Rule]] = [
     Sim004UnorderedIteration,
     Sim005FloatTimeEquality,
     Sim006MutableDefault,
-    Sim007RngProvenance,
-    Sim008TagCollision,
-    Sim009ForkSharedState,
-    Sim010CheckpointSafety,
 ]
 
 RULES: Dict[str, Rule] = {cls.code: cls() for cls in _RULE_CLASSES}
-
-#: Codes of the whole-program rules (driven once per project, not per
-#: file).
-PROJECT_RULE_CODES = frozenset(
-    cls.code for cls in _RULE_CLASSES if issubclass(cls, ProjectRule))
 
 
 def all_rules() -> List[Rule]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.stats import percentile as sample_percentile
 from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
@@ -182,14 +183,9 @@ class SessionResult:
         return sum(self.link_rtts) / len(self.link_rtts) if self.link_rtts else float("inf")
 
     def percentile(self, q: float) -> float:
-        data = sorted(self.frame_latencies)
-        if not data:
+        if not self.frame_latencies:
             return float("inf")
-        pos = (q / 100.0) * (len(data) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(data) - 1)
-        frac = pos - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
+        return sample_percentile(self.frame_latencies, q)
 
     @property
     def deadline_hit_rate(self) -> float:

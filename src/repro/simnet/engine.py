@@ -199,6 +199,7 @@ class Simulator:
         self.now: float = 0.0
         self.seed = seed
         self.rng = random.Random(seed)
+        self._rng_tags: set = set()  # every tag child_rng has issued
         self._heap: list = []  # entries: (time, seq, Event)
         self._seq = itertools.count()
         self._running = False
@@ -526,6 +527,14 @@ class Simulator:
 
         Using per-subsystem RNGs keeps component randomness independent
         of the order in which other components draw.  The child stream
-        is a pure function of ``(seed, tag)``.
+        is a pure function of ``(seed, tag)``, so two components asking
+        one simulator for the same tag would draw the same numbers:
+        a repeated tag raises :class:`ValueError`.
         """
+        tags = self._rng_tags
+        if tag in tags:
+            raise ValueError(
+                f"child_rng tag {tag!r} already issued by this simulator: "
+                "two components would draw one stream")
+        tags.add(tag)
         return random.Random(f"{self.seed}:{tag}")

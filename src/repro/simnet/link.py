@@ -81,7 +81,13 @@ class Link:
         self.loss = loss
         self.queue = queue if queue is not None else DropTailQueue()
         self.name = name or f"{src.name}->{dst.name}"
-        self._rng = sim.child_rng(f"link:{self.name}")
+        # Parallel links share a name: the second and later ones get
+        # their own stream (the first keeps the plain tag).  A stand-in
+        # endpoint needs only ``add_interface``.
+        twins = sum(1 for link in getattr(src, "interfaces", ())
+                    if link.name == self.name)
+        self._rng = sim.child_rng(
+            f"link:{self.name}#{twins}" if twins else f"link:{self.name}")
         self._busy = False
         self._last_delivery = 0.0
         # Pre-bound callbacks: the hot path schedules these once per

@@ -75,16 +75,11 @@ class FlowStats:
 
     def delay_percentile(self, q: float, flow: Optional[str] = None) -> float:
         """q-th percentile (0-100) of one-way delay; 0.0 if no samples."""
-        data = sorted(self.delays(flow))
-        if not data:
-            return 0.0
-        if len(data) == 1:
-            return data[0]
-        pos = (q / 100.0) * (len(data) - 1)
-        lo = int(pos)
-        frac = pos - lo
-        hi = min(lo + 1, len(data) - 1)
-        return data[lo] * (1 - frac) + data[hi] * frac
+        # Imported here: repro.analysis imports this module.
+        from repro.analysis.stats import percentile
+
+        data = self.delays(flow)
+        return percentile(data, q) if data else 0.0
 
     def mean_delay(self, flow: Optional[str] = None) -> float:
         data = self.delays(flow)

@@ -5,7 +5,6 @@
   the measured numbers quoted in Section IV-A of the paper.
 - :mod:`~repro.wireless.wifi` — an 802.11 DCF airtime model exhibiting
   the performance-anomaly of Heusse et al. (Figure 2).
-- :mod:`~repro.wireless.lte` — a shared-cell LTE capacity model.
 - :mod:`~repro.wireless.d2d` — LTE-Direct / WiFi-Direct device-to-device
   links with range and mobility effects.
 - :mod:`~repro.wireless.mobility` / :mod:`~repro.wireless.handover` —
@@ -30,8 +29,6 @@ from repro.wireless.profiles import (
 )
 from repro.wireless.wifi import WifiCell, WifiStation, anomaly_throughput
 from repro.wireless.dcf import DcfChannel, DcfStation
-from repro.wireless.lte import LteCell
-from repro.wireless.slicing import Slice, SlicedCell
 from repro.wireless.d2d import D2DLink, d2d_energy_per_bit
 from repro.wireless.mobility import RandomWaypoint, Waypoint
 from repro.wireless.handover import CoverageMap, ConnectivityTrace
@@ -55,9 +52,6 @@ __all__ = [
     "anomaly_throughput",
     "DcfChannel",
     "DcfStation",
-    "LteCell",
-    "Slice",
-    "SlicedCell",
     "D2DLink",
     "d2d_energy_per_bit",
     "RandomWaypoint",

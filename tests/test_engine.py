@@ -146,8 +146,23 @@ def test_child_rng_independent_of_draw_order():
     sim2 = Simulator(seed=9)
     _ = sim2.child_rng("b").random()  # draw from another child first
     # Reusing tag "a" on a *fresh* Simulator is the point of this test.
-    a2 = sim2.child_rng("a").random()  # simlint: disable=SIM008
+    a2 = sim2.child_rng("a").random()
     assert a1 == a2
+
+
+def test_child_rng_rejects_a_repeated_tag():
+    sim = Simulator(seed=9)
+    sim.child_rng("link:a->b")
+    sim.child_rng("link:a->b#1")
+    with pytest.raises(ValueError, match="link:a->b"):
+        sim.child_rng("link:a->b")
+    # The issued tags travel with a checkpoint: the restored world
+    # refuses the repeat too, and the original is unaffected.
+    restored, _ = sim.checkpoint().restore()
+    with pytest.raises(ValueError):
+        restored.child_rng("link:a->b#1")
+    sim.child_rng("other")
+    restored.child_rng("other")
 
 
 def test_step_returns_false_when_empty():

@@ -120,13 +120,10 @@ def test_public_names_resolve_from_the_same_places():
     loaded = third_party_after("""
 from repro.vision import ArPipeline, StageCosts, make_scene
 from repro.vision.pipeline import StageCosts as same, estimate_stage_costs
-from repro.core import PrivacyFilter
 import repro.vision
 
 assert same is StageCosts and ArPipeline.__module__ == "repro.vision.pipeline"
 assert all(hasattr(repro.vision, name) for name in repro.vision.__all__)
 frame = make_scene(64, 48, seed=1)
-blurred = PrivacyFilter().apply(frame, [])
-assert PrivacyFilter.information_loss(frame, blurred.frame) == 0.0
 """)
     assert loaded == ["numpy", "scipy"]

@@ -218,3 +218,20 @@ class TestVariableRateLink:
                 sim, Collector(sim, "s"), Collector(sim, "d"),
                 mean_rate_bps=1e6, min_rate_bps=2e6, max_rate_bps=5e6,
             )
+
+
+def test_parallel_links_draw_distinct_loss_and_jitter_streams():
+    sim = Simulator(seed=4)
+    src = Collector(sim, "src")
+    first_dst, second_dst = Collector(sim, "dst"), Collector(sim, "dst")
+    first = Link(sim, src, first_dst, rate_bps=8e6, jitter=0.01, loss=0.3)
+    second = Link(sim, src, second_dst, rate_bps=8e6, jitter=0.01, loss=0.3)
+    assert first.name == second.name == "src->dst"
+    for link in (first, second):
+        for seq in range(40):
+            link.send(Packet(src="src", dst="dst", size=1000, dst_port=seq))
+    sim.run()
+    first_seen = [(t, p.dst_port) for t, p in first_dst.arrivals]
+    second_seen = [(t, p.dst_port) for t, p in second_dst.arrivals]
+    assert first_seen and second_seen
+    assert first_seen != second_seen

@@ -1,4 +1,4 @@
-"""Tests for the LTE cell model and D2D links."""
+"""Tests for D2D links: rate, traffic and energy."""
 
 import pytest
 
@@ -6,66 +6,7 @@ from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.simnet.packet import Packet
 from repro.wireless.d2d import D2DLink, OutOfRangeError, d2d_energy_per_bit, rate_at_distance
-from repro.wireless.lte import LteCell
 from repro.wireless.profiles import LTE, LTE_DIRECT, WIFI_DIRECT
-
-
-def lte_net():
-    sim = Simulator(seed=1)
-    net = Network(sim)
-    net.add_router("core")
-    for i in range(4):
-        net.add_host(f"ue{i}")
-    return sim, net
-
-
-class TestLteCell:
-    def test_single_ue_gets_full_capacity(self):
-        sim, net = lte_net()
-        cell = LteCell(net, "core", capacity_down_bps=100e6, capacity_up_bps=40e6)
-        links = cell.attach("ue0")
-        assert links["down"].rate_bps == 100e6
-        assert links["up"].rate_bps == 40e6
-
-    def test_capacity_shared_on_attach(self):
-        sim, net = lte_net()
-        cell = LteCell(net, "core", capacity_down_bps=100e6)
-        first = cell.attach("ue0")
-        cell.attach("ue1")
-        assert first["down"].rate_bps == pytest.approx(50e6)
-
-    def test_detach_rescales_up(self):
-        sim, net = lte_net()
-        cell = LteCell(net, "core", capacity_down_bps=100e6)
-        first = cell.attach("ue0")
-        cell.attach("ue1")
-        cell.detach("ue1")
-        assert first["down"].rate_bps == pytest.approx(100e6)
-
-    def test_reattach_idempotent(self):
-        sim, net = lte_net()
-        cell = LteCell(net, "core")
-        a = cell.attach("ue0")
-        b = cell.attach("ue0")
-        assert a is b
-        assert cell.attached == 1
-
-    def test_detach_unknown_is_noop(self):
-        sim, net = lte_net()
-        cell = LteCell(net, "core")
-        cell.detach("ghost")
-        assert cell.attached == 0
-
-    def test_traffic_flows_through_cell(self):
-        sim, net = lte_net()
-        cell = LteCell(net, "core")
-        cell.attach("ue0")
-        net.build_routes()
-        got = []
-        net["ue0"].default_handler = got.append
-        net["core"].send(Packet(src="core", dst="ue0", size=1000, dst_port=1))
-        sim.run(until=1.0)
-        assert len(got) == 1
 
 
 class TestD2DRate:

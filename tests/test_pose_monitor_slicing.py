@@ -1,4 +1,4 @@
-"""Tests for pose decomposition, network monitors, and 5G slicing."""
+"""Tests for pose decomposition and network monitors."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.vision.pose import (
     homography_from_pose,
     rotation_about,
 )
-from repro.wireless.slicing import Slice, SlicedCell
 
 
 class TestPose:
@@ -178,58 +177,3 @@ class TestMonitors:
         assert 7 <= util.count <= 8
         assert util.mean > 0.9
         assert registry.gauge("queue.uplink.bytes").moments.count == depth.count
-
-
-class TestSlicing:
-    def sliced_net(self, mar_guarantee=10e6):
-        sim = Simulator(seed=3)
-        net = Network(sim)
-        net.add_host("core")
-        net.add_host("ue")
-        cell = SlicedCell(
-            net, "core",
-            slices=[Slice("mar", guaranteed_bps=mar_guarantee),
-                    Slice("embb", guaranteed_bps=20e6)],
-            uplink_bps=50e6,
-        )
-        cell.attach("ue")
-        net.build_routes()
-        return sim, net, cell
-
-    def test_guarantees_must_fit(self):
-        sim = Simulator()
-        net = Network(sim)
-        net.add_host("core")
-        with pytest.raises(ValueError):
-            SlicedCell(net, "core",
-                       slices=[Slice("a", 40e6), Slice("b", 20e6)],
-                       uplink_bps=50e6)
-
-    def test_mar_slice_protected_from_embb_surge(self):
-        sim, net, cell = self.sliced_net()
-        mar_sink = PacketSink(net["core"], 80)
-        PacketSink(net["core"], 81)
-        CBRSource(net["ue"], "core", 80, rate_bps=8e6, packet_size=1000,
-                  flow="mar")
-        # eMBB offered at 3x the cell uplink.
-        CBRSource(net["ue"], "core", 81, rate_bps=150e6, packet_size=1400,
-                  flow="embb-bulk")
-        sim.run(until=8.0)
-        # The MAR slice's delay stays low despite the surge.
-        assert mar_sink.stats.mean_delay() < 0.02
-        expected = 8e6 * 8 / (1000 * 8)
-        assert mar_sink.stats.packets_total >= 0.98 * expected
-
-    def test_unreserved_capacity_reported(self):
-        _, _, cell = self.sliced_net(mar_guarantee=10e6)
-        assert cell.unreserved_bps == pytest.approx(20e6)
-
-    def test_slice_lookup(self):
-        _, _, cell = self.sliced_net()
-        assert cell.slice_for("mar").name == "mar"
-        assert cell.slice_for("random-flow") is None
-
-    def test_reattach_idempotent(self):
-        sim, net, cell = self.sliced_net()
-        first = cell.attach("ue")
-        assert cell.attach("ue") is first

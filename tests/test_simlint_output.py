@@ -24,7 +24,7 @@ from repro.lint.gitdiff import DiffError, changed_lines
 FINDINGS = [
     Finding(path="src/repro/simnet/a.py", line=3, col=5, rule="SIM001",
             message="draws from the process-global RNG"),
-    Finding(path="src/repro/scale/b.py", line=12, col=1, rule="SIM008",
+    Finding(path="src/repro/scale/b.py", line=12, col=1, rule="SIM003",
             message="tag can collide, 100%: no\nreally"),
 ]
 
@@ -42,7 +42,7 @@ def test_sarif_shape_is_valid_2_1_0():
     assert driver["name"] == "simlint"
     rule_ids = [r["id"] for r in driver["rules"]]
     assert rule_ids == sorted(rule_ids)
-    assert {"SIM001", "SIM008", "SIM010"} <= set(rule_ids)
+    assert {"SIM001", "SIM003", "SIM006"} <= set(rule_ids)
     for descriptor in driver["rules"]:
         assert descriptor["shortDescription"]["text"]
         assert descriptor["fullDescription"]["text"]

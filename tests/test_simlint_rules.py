@@ -46,6 +46,28 @@ def test_sim001_flags_numpy_global_and_unseeded_default_rng():
         "import numpy as np\nrng = np.random.default_rng()\n")
 
 
+def test_sim001_flags_the_module_as_a_fallback_value():
+    assert "SIM001" in codes(
+        "import random\n"
+        "def jitter(width, rng=None):\n"
+        "    return (rng or random).uniform(0.0, width)\n")
+    assert "SIM001" in codes(
+        "import random as _r\ndef source():\n    return _r\n")
+    assert "SIM001" in codes(
+        "import numpy as np\ndef pick(rng=None):\n"
+        "    return (rng or np.random).choice([1, 2])\n")
+
+
+def test_sim001_allows_the_module_as_an_attribute_base():
+    good = (
+        "import random\n"
+        "def make(seed, rng: random.Random = None):\n"
+        "    assert rng is None or isinstance(rng, random.Random)\n"
+        "    return random.Random(seed)\n"
+    )
+    assert "SIM001" not in codes(good)
+
+
 def test_sim001_allows_seeded_and_injected_rngs():
     good = (
         "import random\n"
