@@ -232,14 +232,6 @@ class Campaign:
                 return spec
         raise KeyError(f"no shard tagged {tag!r} in campaign {self.name!r}")
 
-    def shard_map(self) -> Dict[str, ShardSpec]:
-        """Tag -> spec for the whole campaign (one expansion, O(1) lookups).
-
-        This is what a persistent worker installs once at pool startup:
-        afterwards a shard task is just its tag, not a pickled spec.
-        """
-        return {spec.tag: spec for spec in self.shards()}
-
     @property
     def n_shards(self) -> int:
         n_points = 1
@@ -262,18 +254,6 @@ class Campaign:
         """Canonical spec JSON (sorted keys, no whitespace)."""
         return json.dumps(self.spec_dict(), sort_keys=True,
                           separators=(",", ":"))
-
-    @classmethod
-    def from_spec_dict(cls, d: dict) -> "Campaign":
-        """Rebuild a campaign from :meth:`spec_dict` output (worker install)."""
-        return cls(
-            name=str(d["name"]),
-            scenario=str(d["scenario"]),
-            seeds=int(d.get("seeds", 1)),
-            base_seed=int(d.get("base_seed", 0)),
-            grid={k: list(v) for k, v in d.get("grid", {}).items()},
-            params=dict(d.get("params", {})),
-        )
 
     def fingerprint(self) -> str:
         """Content hash of the spec + code-relevant versions (cache key).

@@ -50,6 +50,11 @@ import pathlib
 import time
 from typing import Any, Dict, List, Optional
 
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX
+    resource = None
+
 #: Bump when the campaign_telemetry.json document shape changes.
 TELEMETRY_SCHEMA = 1
 
@@ -63,12 +68,9 @@ _CANON = {"sort_keys": True, "separators": (",", ":")}
 
 def rss_kib() -> int:
     """This process's peak RSS in KiB (0 where unavailable)."""
-    try:
-        import resource
-
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    except Exception:  # pragma: no cover - non-POSIX fallback
+    if resource is None:  # pragma: no cover - non-POSIX
         return 0
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 class TelemetryCollector:

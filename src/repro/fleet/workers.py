@@ -1,85 +1,61 @@
-"""Sharded campaign execution: warm worker pool, batching, streaming merge.
+"""Sharded campaign execution: one scheduling loop over any executor.
 
-:func:`run_campaign` expands a :class:`Campaign` into shards and runs
-them either serially (``workers <= 1``) or on a persistent process
-pool.  The two modes are **aggregate-equivalent by construction**: both
-compute one :class:`Aggregate` per shard and fold the per-shard
-aggregates through an :class:`OrderedReducer`, which merges strictly in
-shard-index order no matter when results arrive — so the merged result,
-and any report rendered from it, is byte-identical regardless of worker
-count, batching, scheduling, or completion order.
+:func:`run_campaign` expands a :class:`Campaign` into shards, serves
+what it can from the cache, and drives the rest through one scheduling
+loop (:class:`_Scheduler`) over a :class:`concurrent.futures.Executor`:
+:class:`_InlineExecutor` runs batches synchronously in the driver
+(``workers <= 1``); a persistent warm :class:`ProcessPoolExecutor` runs
+them in parallel; and after a pool break with more than one shard in
+flight, the suspects re-enter the same loop as singleton batches on a
+single-worker pool, where a break names its culprit.  Shards run only
+in :func:`_execute_batch`, and every result comes back through the same
+collection, retry, deadline and quarantine code, so the worker count
+cannot change how a failure is handled.  Per-shard aggregates fold
+through an :class:`OrderedReducer` in shard-index order whatever order
+they arrive in, so the merged result — and any report rendered from
+it — is byte-identical at any width, batching or completion order.
 
-Why parallelism used to lose
-----------------------------
-The original pool dispatched one task per shard, re-pickled the
-scenario name + params + seed into every attempt, and paid worker
-startup per pool.  For campaigns of many ~10 ms shards the IPC and
-setup overhead exceeded the work and parallel runs came out *slower*
-than serial (0.82x at 2 and 4 workers, measured at PR 3).  Three
-coordinated changes fix that:
+- **Warm workers**: the pool initializer installs the shard specs and
+  the scenario function once; a task is then a tuple of
+  ``(tag, attempt, fault_mode)``.  The pool forks where the platform
+  can (workers inherit the imported stack; the driver is
+  single-threaded, so fork is safe), else spawns.
+- **Batches**: :func:`plan_batches` rides many small shards on one
+  task; each shard is still recorded, cached, retried and quarantined
+  on its own, and results merge as batches complete.
+- **Failures** (docs/FLEET.md §5): a shard that raises, or whose result
+  is not an aggregate, is charged an attempt and re-queued alone after
+  a decorrelated-jitter delay seeded from the campaign.  A dead worker
+  fails every batch in flight: one shard in flight is charged; more
+  are isolated uncharged.  A batch past its deadline (``shard_timeout``
+  x its length) is charged per shard and the pool's workers are killed;
+  the other batches in flight re-run uncharged.  A shard out of
+  attempts is **quarantined**: left out of the merge, listed in the
+  report, replayable from its tag (``python -m repro fleet --replay``).
 
-- **Persistent warm workers** — the pool is created once per campaign
-  with an initializer that installs the campaign spec (canonical JSON,
-  sent once), rebuilds the tag->spec map, and resolves the scenario
-  function.  Workers then receive only ``(tag, attempt, fault_mode)``
-  tuples.  The pool context prefers ``fork`` (workers inherit the
-  parent's imported simulation stack — the warmest start; the runner
-  is single-threaded so fork is safe), with ``spawn``/``forkserver``
-  selectable via ``mp_context``.
-- **Batched shard dispatch** — :func:`plan_batches` rides many small
-  shards on one worker task, auto-tuned so each worker sees
-  ``OVERSUBSCRIBE`` batches (load balance) with batches weighted by the
-  scenario's ``cost_hint`` (equal *cost*, not equal count).  Per-shard
-  results are still produced, recorded, cached, and replayable
-  individually.
-- **Streaming reducers** — a shard result on the wire is the compact
-  canonical aggregate JSON, and the runner merges results incrementally
-  as batches complete (:class:`OrderedReducer`): bounded memory, no
-  end-of-run merge barrier.
-
-Fault tolerance
----------------
-- A shard that raises is charged an attempt and re-queued (as a
-  singleton batch) up to ``max_attempts`` times, with a decorrelated-
-  jitter delay between attempts (:meth:`DecorrelatedBackoff.from_tag`
-  seeded from the campaign, so even the retry schedule is
-  reproducible).  A raising shard never takes down its batch: the
-  worker records the error per shard and keeps running the siblings.
-- A shard whose **worker process dies** (segfault, OOM kill, injected
-  ``os._exit``) breaks the pool: every in-flight future fails with
-  :class:`BrokenProcessPool`.  The runner rebuilds the pool and reruns
-  each in-flight shard alone in a single-worker pool — the culprit
-  keeps breaking (only) its private pool until its attempts are
-  exhausted and it is **quarantined**; innocent batch-mates succeed.
-- A batch that exceeds its deadline (``shard_timeout`` x batch length)
-  is charged an attempt per shard and re-queued as singletons; the
-  abandoned future is ignored if it ever completes.
-- Quarantined shards never fail the campaign: they are excluded from
-  the merge (the reducer skips their index) and listed in the report,
-  and each one is individually replayable from its tag
-  (``python -m repro fleet --replay TAG``) because shard seeds depend
-  only on ``(base_seed, tag)``.
-
-Fault injection (for tests and the CI ``fleet-smoke`` job) is a
-first-class input: :class:`FaultInjection` names shard tags that must
-misbehave, either by raising or by killing their worker process.  In
-serial mode a "kill" downgrades to a raise — the fallback must never
-take down the caller.
+:class:`FaultInjection` names shards that must raise or kill their
+worker; on the inline executor a kill raises, so a fault never takes
+the driver down.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.resilience import DecorrelatedBackoff
 from repro.fleet.aggregate import Aggregate, OrderedReducer
@@ -96,10 +72,6 @@ OVERSUBSCRIBE = 4
 #: Hard cap on shards per batch: bounds the blast radius of a mid-batch
 #: worker death and keeps batch timeouts/requeues reasonably granular.
 MAX_BATCH = 64
-
-#: Modules the forkserver preloads so post-break pool rebuilds fork from
-#: an interpreter that has already paid the scenario import cost.
-_PRELOAD_MODULES = ["repro.fleet.scenarios"]
 
 
 def usable_cpus() -> int:
@@ -157,7 +129,7 @@ class ShardOutcome:
     #: surrounding FleetResult for context.
     scenario: Optional[str] = None
     #: full error history, one entry per failed attempt (``error`` keeps
-    #: only the last); pooled real failures carry the worker traceback.
+    #: only the last); a shard that raised carries its traceback.
     errors: List[str] = field(default_factory=list)
     #: path of the flight-recorder artifact collected for a quarantined
     #: shard (None when no recorder ran or nothing matched the tag).
@@ -176,7 +148,7 @@ class FleetResult:
     cache_misses: int = 0
     elapsed: float = 0.0
     workers: int = 1
-    #: batches dispatched to the pool (0 for serial / fully cached runs)
+    #: batches dispatched to an executor (0 for fully cached runs)
     n_batches: int = 0
     #: peak number of out-of-order results the streaming reducer buffered
     max_buffered: int = 0
@@ -203,38 +175,50 @@ class FleetResult:
 
 
 # ----------------------------------------------------------------------
-# Worker-side: one-time spec install + batch execution
+# Executor side: installed shard state + batch execution
 # ----------------------------------------------------------------------
-#: Per-worker-process state installed once by :func:`_worker_init`.
+#: Per-process shard state: installed by :func:`_install`, once per pool
+#: worker (it is the pool initializer) or in the driver by
+#: :class:`_InlineExecutor`.  A task is then a ``(tag, attempt,
+#: fault_mode)`` tuple: specs and scenario are never shipped per attempt.
 _WORKER: dict = {}
 
 
-def _worker_init(spec_json: str, telemetry_epoch: Optional[float] = None,
-                 flight_dir: Optional[str] = None) -> None:
-    """Pool initializer: install the campaign spec in this worker.
+def _install(specs: Dict[str, ShardSpec], fn, epoch: Optional[float],
+             flight_dir, inline: bool) -> None:
+    """Install what :func:`_execute_batch` runs with in this process.
 
-    Runs once per worker process for the lifetime of the pool.  After
-    this, a shard task is a ``(tag, attempt, fault_mode)`` tuple — the
-    spec, the scenario import, and the tag->spec expansion are never
-    shipped or rebuilt per attempt.
-
-    ``telemetry_epoch`` is the driver's ``time.monotonic()`` reading at
-    collector creation; when set, batch execution stamps its telemetry
-    events with offsets from it (CLOCK_MONOTONIC is system-wide, so the
-    offsets line up across processes).  ``flight_dir`` turns on the
-    crash flight recorder: a process-wide engine trace hook plus a
-    spill file at every shard boundary.
+    ``epoch`` (the driver collector's ``time.monotonic()``; system-wide,
+    so offsets line up across processes) turns on telemetry events;
+    ``flight_dir`` arms the crash flight recorder.
     """
-    campaign = Campaign.from_spec_dict(json.loads(spec_json))
-    scenario = get_scenario(campaign.scenario)
-    _WORKER["specs"] = campaign.shard_map()
-    _WORKER["fn"] = scenario.fn
-    _WORKER["epoch"] = telemetry_epoch
     flight = None
     if flight_dir is not None:
         flight = FlightRecorder(flight_dir)
         flight.install()
-    _WORKER["flight"] = flight
+    _WORKER.update(specs=specs, fn=fn, epoch=epoch, flight=flight,
+                   inline=inline)
+
+
+class _InlineExecutor(Executor):
+    """Runs each submitted batch synchronously in the driver."""
+
+    def __init__(self, specs: Dict[str, ShardSpec], fn,
+                 epoch: Optional[float], flight_dir) -> None:
+        _install(specs, fn, epoch, flight_dir, inline=True)
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - delivered like a pool's
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False):
+        if _WORKER.get("flight") is not None:
+            _WORKER["flight"].uninstall()
+        _WORKER.clear()
 
 
 #: One shard task on the wire: (tag, attempt, injected fault mode).
@@ -247,19 +231,25 @@ _TaskResult = Tuple[str, str, str]
 _BatchResult = Tuple[List[_TaskResult], List[dict]]
 
 
-def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
-    """Run a batch of shard tasks in this (pre-warmed) worker.
+def _error_text(exc: BaseException) -> str:
+    """An attempt's error record: the exception and its traceback."""
+    return f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
-    Per-shard failures are *data*, not exceptions: a raising shard is
-    reported as ``("err", message)`` carrying the worker-side traceback,
-    and its batch-mates still run.  Only a process-killing fault (or a
-    genuine crash) loses the batch, which the runner repairs via
-    single-shard isolation.
+
+def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
+    """Run a batch of shard tasks with the installed shard state.
+
+    Per-shard failures are *data*, not exceptions: a raising shard —
+    an injected fault included — is reported as ``("err", message)``
+    carrying its traceback (and leaves a flight crash dump), and its
+    batch-mates still run.  Only a process-killing fault (or a genuine
+    crash) loses the batch, which the scheduler repairs by isolation.
     """
     specs: Dict[str, ShardSpec] = _WORKER["specs"]
     fn = _WORKER["fn"]
-    epoch = _WORKER.get("epoch")
-    flight: Optional[FlightRecorder] = _WORKER.get("flight")
+    epoch = _WORKER["epoch"]
+    flight: Optional[FlightRecorder] = _WORKER["flight"]
+    can_die = not _WORKER["inline"]
     pid = os.getpid()
     events: List[dict] = []
     b0 = time.monotonic() - epoch if epoch is not None else 0.0
@@ -269,23 +259,21 @@ def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
             # Spill *before* the kill check: a dying worker must leave
             # a flight artifact naming its victim shard behind.
             flight.begin_shard(tag, attempt)
-        if fault_mode == "kill":
-            os._exit(86)  # simulate a crashed/OOM-killed worker
-        if fault_mode:
-            out.append((tag, "err",
-                        f"ShardError: injected {fault_mode} fault in shard "
-                        f"{tag!r} (attempt {attempt})"))
-            continue
-        spec = specs[tag]
         t0 = time.monotonic() - epoch if epoch is not None else 0.0
         try:
+            if fault_mode == "kill" and can_die:
+                os._exit(86)  # simulate a crashed/OOM-killed worker
+            if fault_mode:
+                raise ShardError(f"injected {fault_mode} fault in shard "
+                                 f"{tag!r} (attempt {attempt})")
+            spec = specs[tag]
             out.append((tag, "ok", fn(spec.seed, spec.param_dict()).to_json()))
             ok = True
         except Exception as exc:  # noqa: BLE001 - reported per shard, retried
-            tb = traceback.format_exc()
+            error = _error_text(exc)
             if flight is not None:
-                flight.dump_crash(tag, attempt, tb)
-            out.append((tag, "err", f"{type(exc).__name__}: {exc}\n{tb}"))
+                flight.dump_crash(tag, attempt, error)
+            out.append((tag, "err", error))
             ok = False
         if epoch is not None:
             events.append({"ev": "shard", "pid": pid, "tag": tag,
@@ -296,16 +284,6 @@ def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
                        "t1": time.monotonic() - epoch, "n": len(tasks),
                        "rss_kib": rss_kib()})
     return out, events
-
-
-def _run_shard_inline(spec: ShardSpec, fn, attempt: int,
-                      faults: Optional[FaultInjection]) -> str:
-    """Serial fallback for one shard (kill downgrades to raise)."""
-    if faults is not None and faults.active(spec.tag, attempt):
-        raise ShardError(
-            f"injected {faults.mode} fault in shard {spec.tag!r} "
-            f"(attempt {attempt})")
-    return fn(spec.seed, spec.param_dict()).to_json()
 
 
 # ----------------------------------------------------------------------
@@ -390,34 +368,32 @@ def batch_cost_efficiency(batches: Sequence[Sequence["_ShardState"]],
     return (sum(costs) / len(costs)) / peak
 
 
-def _pool_context(method: Optional[str] = None):
-    """Pick the multiprocessing context for the warm pool.
+def _pool_context():
+    """``fork`` where the platform has it, otherwise ``spawn``.
 
-    Prefers ``fork`` — workers inherit the parent's already-imported
-    simulation stack, which is the warmest possible start (measured on
-    a 4-shard 2-worker campaign: ~20 ms, vs ~0.2 s for spawn/forkserver,
-    which re-import the stack per worker — standard library and repro
-    only, docs/PERF.md §3).  The runner is
-    single-threaded, so fork is safe here.  Where fork is unavailable
-    (Windows/macOS-spawn), falls back to ``spawn``; ``forkserver`` can
-    be requested explicitly and gets the scenario module preloaded so
-    post-break pool rebuilds fork from a warm server.
+    Fork workers inherit the parent's already-imported simulation
+    stack, the warmest possible start (a 4-shard 2-worker campaign:
+    ~20 ms, vs ~0.2 s for spawn, which re-imports the stack per worker —
+    docs/PERF.md §3).  The driver is single-threaded, so fork is safe.
     """
-    if method is None:
-        method = ("fork"
-                  if "fork" in multiprocessing.get_all_start_methods()
-                  else "spawn")
-    ctx = multiprocessing.get_context(method)
-    if method == "forkserver":
-        try:
-            ctx.set_forkserver_preload(_PRELOAD_MODULES)
-        except Exception:  # pragma: no cover - preload is best-effort
-            pass
-    return ctx
+    return multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn")
+
+
+def _close(executor: Executor, hung: bool) -> None:
+    """Shut ``executor`` down and join it.  ``hung``: a worker may still
+    run a shard nobody waits for, so kill the pool's workers (its own
+    pid -> process table) before the join."""
+    if hung:
+        for process in list((getattr(executor, "_processes", None)
+                             or {}).values()):
+            process.kill()
+    executor.shutdown(wait=True, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
-# Campaign runner
+# The scheduling loop
 # ----------------------------------------------------------------------
 @dataclass
 class _ShardState:
@@ -426,9 +402,165 @@ class _ShardState:
     errors: List[str] = field(default_factory=list)
 
 
+#: A queued batch: (monotonic time it may be dispatched at, its shards).
+_Queued = Tuple[float, List[_ShardState]]
 ProgressFn = Callable[[int, int, float], None]
 
 
+@dataclass
+class _Scheduler:
+    """Dispatch, collection, retry with backoff, deadlines, pool breaks
+    and quarantine for one campaign, over any executor."""
+
+    faults: Optional[FaultInjection]
+    max_attempts: int
+    shard_timeout: float
+    backoff: DecorrelatedBackoff
+    telemetry: Optional[TelemetryCollector]
+    record_ok: Callable[[_ShardState, Aggregate, str], None]
+    record_quarantine: Callable[[_ShardState], None]
+    dispatched: int = 0
+
+    def run(self, make_executor: Callable[[int], Executor], width: int,
+            depth: int, batches: Sequence[List[_ShardState]]) -> None:
+        """Drive ``batches`` on executors from ``make_executor(width)``,
+        ``depth`` at a time, until every shard is ok or quarantined."""
+        pending: Deque[_Queued] = deque((0.0, batch) for batch in batches)
+        in_flight: Dict[Future, Tuple[List[_ShardState], float]] = {}
+        executor = make_executor(width)
+        try:
+            while pending or in_flight:
+                lost = self._dispatch(executor, pending, in_flight, depth)
+                if not lost:
+                    wake = [deadline for _, deadline in in_flight.values()]
+                    if pending and len(in_flight) < depth:
+                        wake.append(pending[0][0])
+                    lost = self._collect(pending, in_flight, max(
+                        0.0, min(wake) - time.monotonic()))
+                now = time.monotonic()
+                expired = [future for future, (_, deadline)
+                           in in_flight.items() if now >= deadline]
+                if not (lost or expired):
+                    continue
+                if lost:
+                    # A dead worker fails every batch in flight, and the
+                    # executor cannot say which shard killed it.
+                    suspects = lost + [state for batch, _ in in_flight.values()
+                                       for state in batch]
+                    in_flight.clear()
+                    _close(executor, hung=True)
+                    self._event("pool_break", suspects=len(suspects))
+                    if len(suspects) == 1:
+                        culprit = suspects[0]
+                        self._fail(culprit, (
+                            f"BrokenProcessPool: worker died running shard "
+                            f"{culprit.spec.tag!r} (attempt "
+                            f"{culprit.attempts})"), pending)
+                    else:
+                        for state in suspects:
+                            state.attempts -= 1
+                        self.run(make_executor, 1, 1,
+                                 [[state] for state in suspects])
+                else:
+                    for future in expired:
+                        batch, _ = in_flight.pop(future)
+                        self._event("timeout", n=len(batch))
+                        for state in batch:
+                            self._fail(state, f"timeout after "
+                                       f"{self.shard_timeout * len(batch):.1f}s",
+                                       pending)
+                    for batch, _ in in_flight.values():
+                        for state in batch:
+                            state.attempts -= 1
+                        pending.appendleft((0.0, batch))
+                    in_flight.clear()
+                    _close(executor, hung=True)
+                executor = make_executor(width)
+        finally:
+            _close(executor, hung=bool(in_flight))
+
+    def _dispatch(self, executor: Executor, pending: Deque[_Queued],
+                  in_flight: dict, depth: int) -> List[_ShardState]:
+        """Submit ready batches until ``depth`` are in flight; returns
+        the shards of a batch refused by an already-broken pool."""
+        while (pending and len(in_flight) < depth
+               and pending[0][0] <= time.monotonic()):
+            _, batch = pending.popleft()
+            tasks = []
+            for state in batch:
+                tag, faults = state.spec.tag, self.faults
+                tasks.append((tag, state.attempts, faults.mode
+                              if faults is not None
+                              and faults.active(tag, state.attempts)
+                              else None))
+                state.attempts += 1
+            try:
+                future = executor.submit(_execute_batch, tuple(tasks))
+            except BrokenProcessPool:
+                return batch
+            self.dispatched += 1
+            self._event("dispatch", batch=self.dispatched, n=len(batch))
+            in_flight[future] = (
+                batch, time.monotonic() + self.shard_timeout * len(batch))
+        return []
+
+    def _collect(self, pending: Deque[_Queued], in_flight: dict,
+                 timeout: float) -> List[_ShardState]:
+        """Record every batch that finishes within ``timeout``; returns
+        the shards of batches lost to a dead worker."""
+        if not in_flight:
+            time.sleep(timeout)     # only a backed-off retry is left
+            return []
+        done, _ = wait(in_flight, timeout=timeout,
+                       return_when=FIRST_COMPLETED)
+        lost: List[_ShardState] = []
+        for future in done:
+            batch, _ = in_flight.pop(future)
+            try:
+                results, events = future.result()
+            except BrokenProcessPool:
+                lost.extend(batch)
+                continue
+            except Exception as exc:  # noqa: BLE001 - the batch came back unreadable
+                for state in batch:
+                    self._fail(state, _error_text(exc), pending)
+                continue
+            for state, (_tag, status, payload) in zip(batch, results):
+                if status == "ok":
+                    try:
+                        aggregate = Aggregate.from_json(payload)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        payload = _error_text(exc)   # malformed aggregate
+                    else:
+                        self.record_ok(state, aggregate, payload)
+                        continue
+                self._fail(state, payload, pending)
+            if self.telemetry is not None:
+                self.telemetry.absorb(events)
+                self._event("batch_done", n=len(results))
+        return lost
+
+    def _fail(self, state: _ShardState, error: str,
+              pending: Deque[_Queued]) -> None:
+        """Charge a failed attempt: quarantine the shard when it has none
+        left, else re-queue it alone after a backoff delay."""
+        state.errors.append(error)
+        if state.attempts >= self.max_attempts:
+            self.record_quarantine(state)
+            return
+        self._event("retry", tag=state.spec.tag, attempt=state.attempts,
+                    error=error.splitlines()[0])
+        pending.append((time.monotonic() + self.backoff.next(), [state]))
+
+    def _event(self, kind: str, **fields) -> None:
+        if self.telemetry is not None:
+            self.telemetry.record({"ev": kind, "t": self.telemetry.now(),
+                                   **fields})
+
+
+# ----------------------------------------------------------------------
+# Campaign runner
+# ----------------------------------------------------------------------
 def run_campaign(
     campaign: Campaign,
     *,
@@ -441,29 +573,26 @@ def run_campaign(
     faults: Optional[FaultInjection] = None,
     progress: Optional[ProgressFn] = None,
     batch_size: Optional[int] = None,
-    mp_context: Optional[str] = None,
     telemetry: Optional[TelemetryCollector] = None,
     flight_dir=None,
 ) -> FleetResult:
     """Run every shard of ``campaign`` and merge the results.
 
-    ``workers <= 1`` selects the serial in-process fallback; otherwise a
+    ``workers <= 1`` runs the shards in this process; otherwise on a
     persistent warm process pool of that size.  ``batch_size`` pins the
     shards-per-task batch (``None`` auto-tunes, ``1`` restores unbatched
-    dispatch); ``mp_context`` pins the multiprocessing start method.
-    ``cache`` (optional) is consulted before any execution and updated
-    after every successful shard; a run that ends with every shard ok
-    also records its merge there, and a re-run whose cache directory
-    still verifies against that record is served from it without
-    parsing a shard (:mod:`repro.fleet.cache`).
+    dispatch).  ``cache`` (optional) is consulted before any execution
+    and updated after every successful shard; a run that ends with every
+    shard ok also records its merge there, and a re-run whose cache
+    directory still verifies against that record is served from it
+    without parsing a shard (:mod:`repro.fleet.cache`).
 
     ``telemetry`` (optional :class:`TelemetryCollector`) turns on the
     wall-clock telemetry bus; the finalized document lands in
     ``FleetResult.telemetry``.  ``flight_dir`` (optional path) arms the
-    crash flight recorder in every worker (and in-process for serial
-    runs); quarantine records then carry the matching flight artifact
-    path.  Neither affects any aggregate byte — pinned by
-    ``tests/test_fleet_telemetry.py``.
+    crash flight recorder wherever shards run; quarantine records then
+    carry the matching flight artifact path.  Neither affects any
+    aggregate byte — pinned by ``tests/test_fleet_telemetry.py``.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -471,9 +600,6 @@ def run_campaign(
     scenario = get_scenario(campaign.scenario)
     t0 = time.monotonic()
     outcomes: Dict[int, ShardOutcome] = {}
-    backoff = DecorrelatedBackoff.from_tag(
-        campaign.base_seed, f"fleet-retry:{campaign.name}",
-        base=backoff_base, cap=backoff_cap)
 
     # -- cache pass ----------------------------------------------------
     cache_t0 = telemetry.now() if telemetry is not None else 0.0
@@ -514,12 +640,12 @@ def run_campaign(
                           "t1": telemetry.now(), "hits": cache_hits,
                           "misses": cache_misses})
 
-    def record_ok(spec: ShardSpec, attempts: int, agg_json: str) -> None:
-        agg = Aggregate.from_json(agg_json)
+    def record_ok(state: _ShardState, agg: Aggregate, agg_json: str) -> None:
+        spec = state.spec
         reducer.offer(spec.index, agg)
         outcomes[spec.index] = ShardOutcome(
-            tag=spec.tag, index=spec.index, status="ok", attempts=attempts,
-            scenario=campaign.scenario)
+            tag=spec.tag, index=spec.index, status="ok",
+            attempts=state.attempts, scenario=campaign.scenario)
         if telemetry is not None:
             telemetry.record({"ev": "merge", "t": telemetry.now(),
                               "tag": spec.tag, "buffered": reducer.pending})
@@ -548,27 +674,35 @@ def run_campaign(
         if progress is not None:
             progress(len(outcomes), len(shards), time.monotonic() - t0)
 
-    n_batches = 0
+    scheduler = _Scheduler(
+        faults, max_attempts, shard_timeout,
+        DecorrelatedBackoff.from_tag(
+            campaign.base_seed, f"fleet-retry:{campaign.name}",
+            base=backoff_base, cap=backoff_cap),
+        telemetry, record_ok, record_quarantine)
+    width = max(1, workers)
+    installed = ({spec.tag: spec for spec in todo}, scenario.fn,
+                 telemetry.epoch if telemetry is not None else None,
+                 flight_dir)
     start_method: Optional[str] = None
-    if workers <= 1:
-        flight = None
-        if flight_dir is not None:
-            flight = FlightRecorder(flight_dir)
-            flight.install()
-        try:
-            _run_serial(todo, scenario, faults, max_attempts, backoff,
-                        record_ok, record_quarantine,
-                        telemetry=telemetry, flight=flight)
-        finally:
-            if flight is not None:
-                flight.uninstall()
+    if width == 1:
+        depth = 1   # a batch runs inside submit: nothing to keep queued
+
+        def make_executor(_width: int) -> Executor:
+            return _InlineExecutor(*installed)
     else:
-        ctx = _pool_context(mp_context)
+        depth = 2 * width   # workers never idle while the driver collects
+        ctx = _pool_context()
         start_method = ctx.get_start_method()
-        n_batches = _run_pool(campaign, todo, scenario, faults, workers,
-                              batch_size, ctx, max_attempts, shard_timeout,
-                              backoff, record_ok, record_quarantine,
-                              telemetry=telemetry, flight_dir=flight_dir)
+
+        def make_executor(n: int) -> Executor:
+            return ProcessPoolExecutor(max_workers=n, mp_context=ctx,
+                                       initializer=_install,
+                                       initargs=(*installed, False))
+    if todo:
+        scheduler.run(make_executor, width, depth, plan_batches(
+            [_ShardState(spec) for spec in todo], width, batch_size,
+            scenario))
 
     if reducer is None:
         aggregate, per_point, max_buffered = (
@@ -586,8 +720,8 @@ def run_campaign(
         cache_hits=cache_hits,
         cache_misses=cache_misses,
         elapsed=time.monotonic() - t0,
-        workers=max(1, workers),
-        n_batches=n_batches,
+        workers=width,
+        n_batches=scheduler.dispatched,
         max_buffered=max_buffered,
         start_method=start_method,
         latency_key=scenario.latency_key,
@@ -606,252 +740,7 @@ def run_shard(campaign: Campaign, tag: str) -> Aggregate:
     fn = get_scenario(campaign.scenario).fn
     # Round-trip through canonical JSON exactly like pooled/cached
     # results, so a replay is byte-comparable with campaign output.
-    return Aggregate.from_json(
-        _run_shard_inline(spec, fn, attempt=0, faults=None))
-
-
-# ----------------------------------------------------------------------
-def _run_serial(todo, scenario, faults, max_attempts, backoff,
-                record_ok, record_quarantine, telemetry=None,
-                flight=None) -> None:
-    pid = os.getpid()
-    for spec in todo:
-        state = _ShardState(spec)
-        while state.attempts < max_attempts:
-            attempt = state.attempts
-            state.attempts += 1
-            if flight is not None:
-                flight.begin_shard(spec.tag, attempt)
-            t0 = telemetry.now() if telemetry is not None else 0.0
-            try:
-                record_ok(spec, state.attempts,
-                          _run_shard_inline(spec, scenario.fn, attempt, faults))
-                if telemetry is not None:
-                    telemetry.record({"ev": "shard", "pid": pid,
-                                      "tag": spec.tag, "attempt": attempt,
-                                      "t0": t0, "t1": telemetry.now(),
-                                      "ok": True})
-                break
-            except Exception as exc:  # noqa: BLE001 - any shard failure retries
-                tb = traceback.format_exc()
-                if flight is not None:
-                    flight.dump_crash(spec.tag, attempt, tb)
-                state.errors.append(f"{type(exc).__name__}: {exc}\n{tb}")
-                if telemetry is not None:
-                    telemetry.record({"ev": "shard", "pid": pid,
-                                      "tag": spec.tag, "attempt": attempt,
-                                      "t0": t0, "t1": telemetry.now(),
-                                      "ok": False})
-                if state.attempts < max_attempts:
-                    if telemetry is not None:
-                        telemetry.record({"ev": "retry", "t": telemetry.now(),
-                                          "tag": spec.tag,
-                                          "attempt": state.attempts,
-                                          "error": type(exc).__name__})
-                    time.sleep(backoff.next())
-        else:
-            record_quarantine(state)
-
-
-def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
-              max_attempts, shard_timeout, backoff,
-              record_ok, record_quarantine, telemetry=None,
-              flight_dir=None) -> int:
-    """Persistent-pool execution; returns the number of dispatched batches."""
-    spec_json = campaign.spec_json()
-    epoch = telemetry.epoch if telemetry is not None else None
-    flight_arg = str(flight_dir) if flight_dir is not None else None
-
-    def make_pool(n: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=n, mp_context=ctx,
-            initializer=_worker_init,
-            initargs=(spec_json, epoch, flight_arg))
-
-    pending: deque = deque(
-        plan_batches([_ShardState(spec) for spec in todo],
-                     workers, batch_size, scenario))
-    pool = make_pool(workers)
-    in_flight: Dict[object, Tuple[List[_ShardState], float]] = {}
-    abandoned = False
-    dispatched = 0
-    try:
-        while pending or in_flight:
-            pool_broken = False
-            # Keep the pool saturated but bounded: 2 queued per slot.
-            while pending and len(in_flight) < 2 * workers:
-                batch = pending.popleft()
-                tasks: List[_Task] = []
-                for state in batch:
-                    fault_mode = (faults.mode if faults is not None
-                                  and faults.active(state.spec.tag, state.attempts)
-                                  else None)
-                    tasks.append((state.spec.tag, state.attempts, fault_mode))
-                    state.attempts += 1
-                try:
-                    fut = pool.submit(_execute_batch, tuple(tasks))
-                except BrokenProcessPool:
-                    pool_broken = True
-                    for state in batch:
-                        state.errors.append("BrokenProcessPool: submit refused")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
-                    break
-                dispatched += 1
-                if telemetry is not None:
-                    telemetry.record({"ev": "dispatch", "t": telemetry.now(),
-                                      "batch": dispatched, "n": len(tasks)})
-                in_flight[fut] = (batch,
-                                  time.monotonic()
-                                  + shard_timeout * max(1, len(batch)))
-
-            done, _ = wait(list(in_flight), timeout=0.25,
-                           return_when=FIRST_COMPLETED)
-            casualties: List[_ShardState] = []
-            for fut in done:
-                batch, _deadline = in_flight.pop(fut)
-                try:
-                    results, worker_events = fut.result()
-                except BrokenProcessPool:
-                    pool_broken = True
-                    for state in batch:
-                        state.errors.append(
-                            f"BrokenProcessPool: worker died (shard "
-                            f"{state.spec.tag!r}, attempt {state.attempts})")
-                    casualties.extend(batch)
-                except Exception as exc:  # noqa: BLE001 - whole batch failed
-                    for state in batch:
-                        state.errors.append(f"{type(exc).__name__}: {exc}")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
-                else:
-                    by_tag = {state.spec.tag: state for state in batch}
-                    for tag, status, payload in results:
-                        state = by_tag.pop(tag)
-                        if status == "ok":
-                            record_ok(state.spec, state.attempts, payload)
-                        else:
-                            state.errors.append(payload)
-                            _requeue(state, pending, max_attempts,
-                                     record_quarantine, telemetry)
-                    for state in by_tag.values():  # pragma: no cover - defensive
-                        state.errors.append("shard missing from batch result")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
-                    if telemetry is not None:
-                        telemetry.absorb(worker_events)
-                        telemetry.record({"ev": "batch_done",
-                                          "t": telemetry.now(),
-                                          "n": len(results)})
-
-            if pool_broken:
-                # A dead worker poisons every in-flight future, and the
-                # executor API cannot say *which* shard killed it.  Rerun
-                # each suspect alone in a single-worker pool: innocents
-                # complete, the culprit breaks its private pool and is
-                # charged — repeatedly, until quarantined — without
-                # collateral.
-                suspects = casualties + [
-                    state for batch, _ in in_flight.values() for state in batch]
-                in_flight.clear()
-                pool.shutdown(wait=True, cancel_futures=True)
-                if telemetry is not None:
-                    telemetry.record({"ev": "pool_break", "t": telemetry.now(),
-                                      "suspects": len(suspects)})
-                time.sleep(backoff.next())
-                _isolate_suspects(suspects, faults, max_attempts,
-                                  shard_timeout, make_pool, pending,
-                                  record_ok, record_quarantine, telemetry)
-                pool = make_pool(workers)
-                continue
-
-            now = time.monotonic()
-            for fut, (batch, deadline) in list(in_flight.items()):
-                if now >= deadline:
-                    # Can't kill one worker through the executor API —
-                    # abandon the future (its late result, if any, is
-                    # ignored because the entry leaves in_flight) and
-                    # charge the attempt; members retry as singletons.
-                    del in_flight[fut]
-                    abandoned = True
-                    if telemetry is not None:
-                        telemetry.record({"ev": "timeout",
-                                          "t": telemetry.now(),
-                                          "n": len(batch)})
-                    for state in batch:
-                        state.errors.append(
-                            f"timeout after {shard_timeout * max(1, len(batch)):.1f}s")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
-    finally:
-        # wait= joins the workers so nothing races interpreter teardown;
-        # only skip the join when a timed-out batch was abandoned and a
-        # zombie worker may still be chewing on it.
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
-    return dispatched
-
-
-def _isolate_suspects(suspects, faults, max_attempts, shard_timeout,
-                      make_pool, pending: deque,
-                      record_ok, record_quarantine, telemetry=None) -> None:
-    """Identify which broken-pool casualty actually kills workers.
-
-    Each suspect gets one attempt in its own single-worker (warm) pool.
-    An innocent batch-mate completes and is recorded; the culprit
-    breaks (only) its private pool, is charged the attempt, and is
-    re-queued — or quarantined once its budget is spent.
-    """
-    for state in suspects:
-        if state.attempts >= max_attempts:
-            record_quarantine(state)
-            continue
-        fault_mode = (faults.mode if faults is not None
-                      and faults.active(state.spec.tag, state.attempts)
-                      else None)
-        task = (state.spec.tag, state.attempts, fault_mode)
-        state.attempts += 1
-        iso = make_pool(1)
-        try:
-            results, worker_events = iso.submit(
-                _execute_batch, (task,)).result(timeout=shard_timeout)
-            if telemetry is not None:
-                telemetry.absorb(worker_events)
-            tag, status, payload = results[0]
-            if status == "ok":
-                record_ok(state.spec, state.attempts, payload)
-            else:
-                state.errors.append(payload)
-                _requeue(state, pending, max_attempts, record_quarantine,
-                         telemetry)
-        except BrokenProcessPool:
-            state.errors.append(
-                f"BrokenProcessPool: worker died in isolation running shard "
-                f"{state.spec.tag!r} (attempt {state.attempts})")
-            _requeue(state, pending, max_attempts, record_quarantine,
-                     telemetry)
-        except Exception as exc:  # noqa: BLE001 - incl. TimeoutError
-            state.errors.append(
-                f"{type(exc).__name__}: {exc} "
-                f"[isolation of shard {state.spec.tag!r}, "
-                f"attempt {state.attempts}]")
-            _requeue(state, pending, max_attempts, record_quarantine,
-                     telemetry)
-        finally:
-            iso.shutdown(wait=True, cancel_futures=True)
-
-
-def _requeue(state: _ShardState, pending: deque, max_attempts: int,
-             record_quarantine, telemetry=None) -> None:
-    if state.attempts >= max_attempts:
-        record_quarantine(state)
-    else:
-        if telemetry is not None:
-            telemetry.record({
-                "ev": "retry", "t": telemetry.now(), "tag": state.spec.tag,
-                "attempt": state.attempts,
-                "error": (state.errors[-1].splitlines()[0]
-                          if state.errors else None)})
-        pending.append([state])   # retries run as singleton batches
+    return Aggregate.from_json(fn(spec.seed, spec.param_dict()).to_json())
 
 
 __all__ = [

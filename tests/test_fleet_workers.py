@@ -1,17 +1,27 @@
 """Fleet runner: serial/parallel equivalence, fault tolerance, cache."""
 
 import errno
+import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.report import fleet_report
+from repro.core.resilience import DecorrelatedBackoff
 from repro.fleet import (
+    Aggregate,
     Campaign,
     FaultInjection,
     ResultCache,
     get_scenario,
     plan_batches,
+    register_scenario,
     run_campaign,
     run_shard,
     usable_cpus,
@@ -26,6 +36,31 @@ def tiny_campaign(seeds=2, name="tiny"):
     return Campaign(name=name, scenario="table2_offload", seeds=seeds,
                     base_seed=3, grid={"rtt": [0.01, 0.05]},
                     params={"n_frames": 4})
+
+
+class _WireText:
+    """A shard result whose wire text is not an aggregate."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def to_json(self):
+        return self.text
+
+
+@register_scenario("fleet_test_probe")
+def fleet_test_probe(seed, params):
+    """Test probe: sleeps ``nap`` s; returns "[]" where ``n == bad``.
+
+    Registered at import, so forked pool workers inherit it.
+    """
+    time.sleep(params.get("nap", 0.0))
+    if params.get("n") is not None and params.get("n") == params.get("bad"):
+        return _WireText("[]")
+    agg = Aggregate()
+    agg.count("sessions")
+    agg.count("seed_mod", seed % 997)
+    return agg
 
 
 class TestDeterminism:
@@ -176,6 +211,129 @@ class TestFaultTolerance:
         assert all(o.attempts == 1 for t, o in by_tag.items() if t != tag)
         clean = run_campaign(c, workers=1)
         assert r.aggregate.to_json() == clean.aggregate.to_json()
+
+
+class TestFailureModes:
+    """One injected failure per row of docs/FLEET.md §5, each handled the
+    same way at every executor width."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_aggregate_quarantines_only_that_shard(self, workers):
+        c = Campaign(name="malformed", scenario="fleet_test_probe", seeds=1,
+                     base_seed=1, grid={"n": [0, 1, 2, 3, 4, 5]},
+                     params={"bad": 2})
+        shards = c.shards()
+        bad = shards[2].tag
+        r = run_campaign(c, workers=workers, batch_size=3, max_attempts=2,
+                         **FAST_BACKOFF)
+        assert r.quarantined == [bad]
+        outcome = next(o for o in r.outcomes if o.tag == bad)
+        assert "aggregate document is not a mapping" in outcome.error
+        assert all(o.attempts == 1 for o in r.outcomes if o.tag != bad)
+        fn = get_scenario(c.scenario).fn
+        good = {s.point_label: fn(s.seed, s.param_dict())
+                for s in shards if s.tag != bad}
+        assert r.aggregate.to_json() == Aggregate.merged(
+            good.values()).to_json()
+        for label, agg in good.items():
+            assert r.per_point[label].to_json() == agg.to_json()
+
+    def test_worker_death_charges_only_the_culprit(self):
+        """Batch-mates of a dead worker are refunded the broken attempt:
+        with one attempt each, only the culprit is quarantined."""
+        c = tiny_campaign(seeds=2)  # 4 shards
+        tag = c.shards()[1].tag
+        r = run_campaign(c, workers=2, batch_size=4, max_attempts=1,
+                         faults=FaultInjection(tags=(tag,), mode="kill"),
+                         **FAST_BACKOFF)
+        assert r.quarantined == [tag]
+        assert all(o.attempts == 1 for o in r.outcomes)
+        assert "BrokenProcessPool" in r.outcomes[1].error
+        clean = run_campaign(c, workers=1)
+        assert (r.aggregate.counts["sessions"]
+                == clean.aggregate.counts["sessions"] - 1)
+
+    def test_hung_shard_is_abandoned_at_its_deadline_in_isolation(self):
+        """A shard sleeping far past ``shard_timeout`` next to a worker
+        killer: isolation must not join the sleeping worker."""
+        c = Campaign(name="hang", scenario="fleet_test_probe", seeds=1,
+                     base_seed=1, grid={"nap": [0.0, 6.0]})
+        killer, sleeper = [s.tag for s in c.shards()]
+        t0 = time.monotonic()
+        r = run_campaign(c, workers=2, batch_size=2, shard_timeout=0.5,
+                         max_attempts=2,
+                         faults=FaultInjection(tags=(killer,), mode="kill"),
+                         **FAST_BACKOFF)
+        assert time.monotonic() - t0 < 4.0
+        assert r.quarantined == [killer, sleeper]
+        assert r.outcomes[0].error.startswith("BrokenProcessPool")
+        assert r.outcomes[1].errors == ["timeout after 0.5s"] * 2
+
+    def test_every_retry_backs_off_at_every_width(self, monkeypatch):
+        draws = []
+        draw = DecorrelatedBackoff.next
+
+        def counted(self):
+            draws.append(1)
+            return draw(self)
+
+        monkeypatch.setattr(DecorrelatedBackoff, "next", counted)
+        c = tiny_campaign()
+        tag = c.shards()[1].tag
+        per_width = {}
+        for workers in (1, 2):
+            draws.clear()
+            r = run_campaign(c, workers=workers, max_attempts=3,
+                             faults=FaultInjection(tags=(tag,), mode="raise"),
+                             **FAST_BACKOFF)
+            assert r.quarantined == [tag]
+            per_width[workers] = len(draws)
+        assert per_width == {1: 2, 2: 2}
+
+    def test_driver_sigkill_then_resume_equals_an_uninterrupted_run(
+            self, tmp_path):
+        spec = dict(name="resume", scenario="cell_offload", seeds=16,
+                    base_seed=5, grid={"rtt": [0.008, 0.036, 0.072, 0.120]},
+                    params={"duration": 1.0, "up_bps": 12e6})
+        c = Campaign(**spec)
+        shard_dir = ResultCache(tmp_path).campaign_dir(c)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        driver = subprocess.Popen(
+            [sys.executable, "-c", RESUMABLE_DRIVER, json.dumps(spec),
+             str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            deadline = time.monotonic() + 120
+            while len(list(shard_dir.glob("[0-9]*.json"))) < 4:
+                assert driver.poll() is None, "the driver exited on its own"
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            found = len(list(shard_dir.glob("[0-9]*.json")))
+            driver.send_signal(signal.SIGKILL)
+        finally:
+            driver.kill()
+            driver.wait()
+        assert driver.returncode == -signal.SIGKILL
+        assert not (shard_dir / MERGED_NAME).exists()
+
+        resumed = run_campaign(c, cache=ResultCache(tmp_path))
+        assert resumed.cache_hits >= found
+        assert resumed.cache_misses > 0
+        truth = run_campaign(c, cache=None)
+        assert resumed.aggregate.to_json() == truth.aggregate.to_json()
+        assert list(resumed.per_point) == list(truth.per_point)
+        for point in truth.per_point:
+            assert (resumed.per_point[point].to_json()
+                    == truth.per_point[point].to_json())
+        assert (shard_dir / MERGED_NAME).exists()
+
+
+RESUMABLE_DRIVER = """
+import json, sys
+from repro.fleet import Campaign, ResultCache, run_campaign
+run_campaign(Campaign(**json.loads(sys.argv[1])),
+             cache=ResultCache(sys.argv[2]))
+"""
 
 
 class TestBatchPlanning:
@@ -382,6 +540,30 @@ class TestCache:
         assert not (cache.campaign_dir(c) / MERGED_NAME).exists()
         assert (r.aggregate.to_json()
                 == run_campaign(c, workers=1).aggregate.to_json())
+
+    def test_failed_merged_write_leaves_the_per_shard_path(
+            self, tmp_path, monkeypatch):
+        write = ResultCache._atomic_write
+
+        def no_space_for_merged(path, text):
+            if path.name == MERGED_NAME:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write(path, text)
+
+        monkeypatch.setattr(ResultCache, "_atomic_write",
+                            staticmethod(no_space_for_merged))
+        c = tiny_campaign()
+        cache = ResultCache(tmp_path)
+        first = run_campaign(c, cache=cache)
+        assert first.completed == len(c.shards())
+        assert cache.write_errors == 1
+        merged = cache.campaign_dir(c) / MERGED_NAME
+        assert not merged.exists()
+        monkeypatch.undo()
+        again = run_campaign(c, cache=ResultCache(tmp_path))
+        assert again.cache_hits == len(c.shards())
+        assert merged.exists()          # only the per-shard path writes it
+        assert again.aggregate.to_json() == first.aggregate.to_json()
 
     def test_shard_file_holds_the_wire_text(self, tmp_path):
         c = tiny_campaign()
