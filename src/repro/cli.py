@@ -12,7 +12,7 @@ Usage (also via ``python -m repro``):
     python -m repro scale --budget metro # the 10^6-user tier
     python -m repro show T2              # print a saved benchmark report
     python -m repro show cell256         # fleet reports are found too
-    python -m repro lint src             # simlint determinism checks
+    python -m repro check                # bounded state-space explorer
     python -m repro selftest             # double-run trace-fingerprint diff
     python -m repro obs                  # traced run -> Perfetto/qlog artifacts
 
@@ -22,6 +22,11 @@ API; the full experiment suite lives in ``benchmarks/`` (run with
 under ``benchmarks/results/`` where ``show`` finds them.  ``fleet``
 runs a sharded multi-process campaign (see ``docs/FLEET.md``) and
 saves its report under ``benchmarks/results/fleet/``.
+
+This module and ``repro.fleet`` are the harness: the only code in
+``src/`` that reads a clock (progress lines, wall seconds, states/s).
+Everything they run is a pure function of ``(scenario, seed)``
+(docs/DETERMINISM.md).
 """
 
 from __future__ import annotations
@@ -33,9 +38,29 @@ import time
 from typing import Callable, Dict
 
 from repro.analysis.report import ascii_table, fleet_report, format_rate, format_time
+from repro.check.explorer import Budget
+from repro.check.harnesses import DEFAULT_HARNESSES, HARNESSES
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 FLEET_RESULTS_DIR = RESULTS_DIR / "fleet"
+
+#: Per-harness ``repro check`` budgets.  "small" is the CI gate: together
+#: the three default harnesses must clear 10^4 explored states in a
+#: couple of minutes.  "full" digs deeper for local soak runs.
+BUDGETS: Dict[str, Dict[str, Budget]] = {
+    "small": {
+        "breaker": Budget(max_states=4_500, max_depth=14, max_branch=48),
+        "degradation": Budget(max_states=6_000, max_depth=9, max_branch=32),
+        "mptcp": Budget(max_states=5_000, max_depth=8, max_branch=32),
+        "selfcheck": Budget(max_states=4_500, max_depth=14, max_branch=48),
+    },
+    "full": {
+        "breaker": Budget(max_states=20_000, max_depth=20, max_branch=64),
+        "degradation": Budget(max_states=25_000, max_depth=12, max_branch=48),
+        "mptcp": Budget(max_states=20_000, max_depth=10, max_branch=48),
+        "selfcheck": Budget(max_states=20_000, max_depth=20, max_branch=64),
+    },
+}
 
 
 # ----------------------------------------------------------------------
@@ -145,8 +170,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
         print("  (none — run `pytest benchmarks/ --benchmark-only` "
               "or `python -m repro fleet` first)")
     print("\ntooling:")
-    print("  lint         simlint determinism & simulation-safety checks "
-          "(docs/LINT.md)")
+    print("  check        bounded state-space explorer (docs/CHECKING.md)")
     print("  selftest     determinism smoke: double-run one shard, diff "
           "trace fingerprints")
     return 0
@@ -400,16 +424,96 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run as lint_run
-
-    return lint_run(args)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    from repro.check.cli import run as check_run
+    """Explore harness event orderings and fault placements
+    (docs/CHECKING.md).
 
-    return check_run(args)
+    Exits 0 when every harness explored clean — with ``--selfcheck``,
+    when the seeded violation was found and its normal-engine replay
+    reproduced it byte-identically; 1 on an invariant violation (its
+    counterexample, Perfetto trace and qlog are written to ``--out``) or
+    a failed self-check; 3 when fewer than ``--min-states`` states were
+    explored.  The states/s rate is the only clock read: the explorer's
+    budgets are counts.
+    """
+    import json
+
+    from repro.check import explore, replay_counterexample
+
+    out_dir = pathlib.Path(args.out) if args.out else RESULTS_DIR / "check"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.selfcheck:
+        names = ["selfcheck"]
+    elif args.harness == "all":
+        names = list(DEFAULT_HARNESSES)
+    else:
+        names = [args.harness]
+    total_states = 0
+    failed = False
+    summaries = []
+    print(f"repro check: budget={args.budget} seed={args.seed}")
+    for name in names:
+        harness = HARNESSES[name]()
+        t0 = time.perf_counter()
+        result = explore(harness, args.seed, BUDGETS[args.budget][name])
+        elapsed = time.perf_counter() - t0
+        total_states += result.states
+        rate = result.states / elapsed if elapsed > 0 else 0.0
+        print(f"  {result.harness:<12} "
+              f"{'FAIL' if result.violations else 'ok':<5} "
+              f"states={result.states:<6} "
+              f"unique={result.unique_states:<6} "
+              f"pruned={result.pruned_visited:<5} "
+              f"depth-hits={result.depth_limit_hits:<5} "
+              f"truncated={result.truncated_branches:<4} "
+              f"drained={result.finalized_leaves:<3} "
+              f"({rate:,.0f} states/s)")
+        replays = []
+        for index, cex in enumerate(result.violations):
+            for message in cex.violations:
+                print(f"      violation: {message}")
+            stem = f"counterexample-{result.harness}-{index}"
+            (out_dir / f"{stem}.json").write_text(cex.to_json() + "\n")
+            replay = replay_counterexample(cex, harness)
+            replays.append(replay)
+            (out_dir / f"{stem}.trace.json").write_text(json.dumps(
+                replay.chrome_trace(), indent=2, sort_keys=True) + "\n")
+            (out_dir / f"{stem}.qlog").write_text(replay.qlog() + "\n")
+        summaries.append({**result.to_dict(), "elapsed_s": elapsed,
+                          "replays_reproduced": [r.reproduced
+                                                 for r in replays]})
+        if name == "selfcheck":
+            if not result.violations:
+                print("  selfcheck FAILED: seeded violation was not found")
+                failed = True
+            elif not all(r.reproduced for r in replays):
+                print("  selfcheck FAILED: replay did not reproduce the "
+                      "violation byte-identically")
+                failed = True
+            else:
+                print(f"  selfcheck: counterexample found, replay "
+                      f"reproduced byte-identically "
+                      f"(digest {result.violations[0].digest[:16]}...), "
+                      f"obs trace valid -> {out_dir}")
+        elif result.violations:
+            failed = True
+            print(f"      counterexample(s) written to {out_dir} "
+                  f"(replay reproduced: "
+                  f"{all(r.reproduced for r in replays)})")
+
+    (out_dir / "summary.json").write_text(
+        json.dumps({"budget": args.budget, "seed": args.seed,
+                    "total_states": total_states,
+                    "harnesses": summaries}, indent=2, sort_keys=True) + "\n")
+    print(f"  total: {total_states} states explored "
+          f"-> {out_dir / 'summary.json'}")
+    if failed:
+        return 1
+    if args.min_states and total_states < args.min_states:
+        print(f"repro check: coverage regression — {total_states} states "
+              f"< --min-states {args.min_states}")
+        return 3
+    return 0
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
@@ -479,14 +583,14 @@ def cmd_obs(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Determinism smoke: run one shard twice, diff trace fingerprints.
 
-    This is the check behind simlint's claim that "a clean tree is
-    reproducible": the campaign shard exercises the engine, links,
-    transports and aggregation end to end, and the two runs must hash
-    to the same canonical JSON.  The fingerprint also covers the
-    observability layer: each run re-traces an instrumented offload
-    scenario and hashes its Chrome-trace export plus metrics registry,
-    so a wall-clock leak into spans or counters fails here too.  CI
-    runs it next to the lint gate.
+    The campaign shard exercises the engine, links, transports and
+    aggregation end to end, and the two runs must hash to the same
+    canonical JSON.  The fingerprint also covers the observability
+    layer: each run re-traces an instrumented offload scenario and
+    hashes its Chrome-trace export plus metrics registry, so a
+    wall-clock leak into spans or counters fails here too.  CI checks
+    the printed fingerprint on every interpreter; the guards of
+    docs/DETERMINISM.md check the rest of what runs.
     """
     import hashlib
 
@@ -598,11 +702,6 @@ def main(argv=None) -> int:
     scale.add_argument("--quiet", action="store_true",
                        help="suppress the progress/ETA line")
     scale.set_defaults(func=cmd_scale)
-    lint = sub.add_parser(
-        "lint", help="simlint: determinism & simulation-safety checks")
-    from repro.lint.cli import configure_parser as _configure_lint
-    _configure_lint(lint)
-    lint.set_defaults(func=cmd_lint)
     obs = sub.add_parser(
         "obs", help="run an instrumented scenario; export Perfetto trace, "
                     "qlog lines and metrics")
@@ -624,8 +723,26 @@ def main(argv=None) -> int:
         "check", help="bounded state-space explorer: enumerate event "
                       "orderings and fault placements, assert protocol "
                       "invariants, export replayable counterexamples")
-    from repro.check.cli import configure_parser as _configure_check
-    _configure_check(check)
+    check.add_argument("--harness", default="all",
+                       choices=["all", *sorted(HARNESSES)],
+                       help="harness to explore (default: all three checked "
+                            "harnesses; 'selfcheck' is the seeded-violation "
+                            "pipeline test)")
+    check.add_argument("--budget", default="small", choices=sorted(BUDGETS),
+                       help="exploration budget preset (default: small — "
+                            "the CI gate)")
+    check.add_argument("--seed", type=int, default=0,
+                       help="base seed for harness worlds (default: 0)")
+    check.add_argument("--out", default=None,
+                       help="artifact directory (default: "
+                            "benchmarks/results/check/)")
+    check.add_argument("--min-states", type=int, default=0,
+                       help="fail (exit 3) when fewer total states were "
+                            "explored")
+    check.add_argument("--selfcheck", action="store_true",
+                       help="run the seeded-violation harness and verify the "
+                            "full find -> export -> replay -> obs-trace "
+                            "pipeline")
     check.set_defaults(func=cmd_check)
     selftest = sub.add_parser(
         "selftest", help="determinism smoke: run one shard twice and "

@@ -76,8 +76,6 @@ class FlightRecorder:
         #: ``(time, seq, fn)`` rows are extracted only at spill time.
         self.hook = self.ring.append
         self.worker_id = worker_id if worker_id is not None else os.getpid()
-        self.current_tag: Optional[str] = None
-        self.current_attempt: Optional[int] = None
         self.shards_seen = 0
         self.crash_dumps: List[str] = []
         self._names: Dict[object, str] = {}
@@ -107,22 +105,19 @@ class FlightRecorder:
         flight recorder, it answers "what were this process's last N
         events", whichever shard fired them.
         """
-        self.current_tag = tag
-        self.current_attempt = attempt
         self.shards_seen += 1
-        self._spill()
+        _write(self.out_dir / f"worker-{self.worker_id}.json",
+               json.dumps(self._doc(tag, attempt, "spill"), **_CANON) + "\n")
 
-    def dump_crash(self, tag: str, attempt: int, error: str) -> pathlib.Path:
-        """Write a crash dump for a shard that raised; returns its path."""
+    def dump_crash(self, tag: str, attempt: int, error: str) -> None:
+        """Write a crash dump for a shard that raised."""
         path = self.out_dir / (
             f"flight-{len(self.crash_dumps):03d}-{_safe_stem(tag)}"
             f"-a{attempt}.json")
-        doc = self._doc(tag, attempt)
-        doc["kind"] = "crash"
+        doc = self._doc(tag, attempt, "crash")
         doc["error"] = error
-        path.write_text(json.dumps(doc, **_CANON) + "\n")
-        self.crash_dumps.append(str(path))
-        return path
+        if _write(path, json.dumps(doc, **_CANON) + "\n"):
+            self.crash_dumps.append(str(path))
 
     # ------------------------------------------------------------------
     def _events(self) -> List[dict]:
@@ -136,9 +131,10 @@ class FlightRecorder:
             out.append({"t": event.time, "seq": event.seq, "fn": name})
         return out
 
-    def _doc(self, tag: Optional[str], attempt: Optional[int]) -> dict:
+    def _doc(self, tag: str, attempt: int, kind: str) -> dict:
         return {
             "schema": FLIGHT_SCHEMA,
+            "kind": kind,
             "worker": self.worker_id,
             "pid": os.getpid(),
             "tag": tag,
@@ -147,13 +143,21 @@ class FlightRecorder:
             "ring": self._events(),
         }
 
-    def _spill(self) -> None:
-        doc = self._doc(self.current_tag, self.current_attempt)
-        doc["kind"] = "spill"
-        path = self.out_dir / f"worker-{self.worker_id}.json"
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(doc, **_CANON) + "\n")
+
+def _write(path: pathlib.Path, text: str) -> bool:
+    """Replace ``path`` with ``text`` atomically; False when the write
+    failed (``OSError``: ``ENOSPC``, a read-only directory).
+
+    An observer must not fail the shard it watches, so the artifact is
+    dropped; :func:`flight_summary` shows it missing.
+    """
+    tmp = path.with_suffix(f".tmp{os.getpid()}")
+    try:
+        tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -199,8 +203,8 @@ def collect_flight_dump(flight_dir, tag: str) -> Optional[pathlib.Path]:
     if best is None:
         return None
     promoted = root / f"quarantine-{_safe_stem(tag)}.json"
-    if best != promoted:
-        promoted.write_text(best.read_text())
+    if best != promoted and not _write(promoted, best.read_text()):
+        return best
     return promoted
 
 

@@ -24,8 +24,9 @@ deterministic artifact instead of five ad-hoc mechanisms:
   ``python -m repro obs``.
 
 Everything draws time from ``sim.now`` — traces and metrics are a pure
-function of ``(scenario, seed)`` and pass simlint like any other
-sim-domain code.  See ``docs/OBSERVABILITY.md``.
+function of ``(scenario, seed)``, and the observed scenarios run under
+the wall-clock and global-random guards of ``docs/DETERMINISM.md``.
+See ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.export import (

@@ -2,10 +2,9 @@
 
 import json
 
-from repro.check import cli as check_cli
 from repro.check.explorer import Budget
 from repro.check.harnesses import BreakerHarness
-from repro.cli import main
+from repro.cli import BUDGETS, HARNESSES, main
 
 
 def test_breaker_run_exits_zero_and_writes_summary(tmp_path, capsys):
@@ -60,8 +59,8 @@ class _AlwaysBroken(BreakerHarness):
 
 
 def test_violation_exits_one_with_artifacts(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(check_cli.HARNESSES, "brokenharness", _AlwaysBroken)
-    monkeypatch.setitem(check_cli.BUDGETS["small"], "brokenharness",
+    monkeypatch.setitem(HARNESSES, "brokenharness", _AlwaysBroken)
+    monkeypatch.setitem(BUDGETS["small"], "brokenharness",
                         Budget(max_states=50, max_depth=4))
     rc = main(["check", "--harness", "brokenharness", "--out", str(tmp_path)])
     assert rc == 1

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import pytest
 
 from repro.cli import DEMOS, main
 
@@ -107,80 +108,20 @@ def test_fleet_expect_quarantine_fails_on_clean_run(tmp_path, monkeypatch,
 
 
 # ----------------------------------------------------------------------
-# lint verb (simlint)
-# ----------------------------------------------------------------------
-def test_lint_clean_file_exits_zero(tmp_path, capsys):
-    good = tmp_path / "src" / "repro" / "simnet" / "mod.py"
-    good.parent.mkdir(parents=True)
-    good.write_text("def f(sim):\n    return sim.now\n")
-    assert main(["lint", str(good)]) == 0
-    assert capsys.readouterr().out == ""
-
-
-def test_lint_violation_exits_nonzero_with_location(tmp_path, capsys):
-    bad = tmp_path / "src" / "repro" / "simnet" / "mod.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import time\nt = time.time()\n")
-    assert main(["lint", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "SIM002" in out and "mod.py:2" in out
-
-
-def test_lint_json_format(tmp_path, capsys):
-    import json
-
-    bad = tmp_path / "src" / "repro" / "core" / "mod.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import random\nx = random.random()\n")
-    assert main(["lint", str(bad), "--format=json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["files_checked"] == 1
-    assert payload["findings"][0]["rule"] == "SIM001"
-
-
-def test_lint_baseline_flow(tmp_path, capsys):
-    bad = tmp_path / "src" / "repro" / "core" / "mod.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import random\nx = random.random()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(bad), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-    # A fresh violation is not masked by the baseline.
-    bad.write_text("import random\nx = random.random()\ny = random.choice([1])\n")
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 1
-
-
-def test_lint_explain_and_list_rules(capsys):
-    assert main(["lint", "--explain", "SIM001"]) == 0
-    out = capsys.readouterr().out
-    assert "child_rng" in out and "Bad:" in out
-    assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for code in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006"):
-        assert code in out
-
-
-def test_lint_unknown_rule_is_usage_error(capsys):
-    assert main(["lint", "--explain", "SIM999"]) == 2
-    assert main(["lint", "--select", "NOPE", "src"]) == 2
-
-
-def test_lint_shipped_tree_is_clean():
-    import pathlib
-
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    assert main(["lint", str(src)]) == 0
-
-
-# ----------------------------------------------------------------------
 # selftest verb (determinism smoke)
 # ----------------------------------------------------------------------
 def test_selftest_determinism_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "byte-identical" in out
-    assert out.count("fingerprint") == 2
+    assert out.count("fingerprint e7eb45643dd04191") == 2
+
+
+def test_the_lint_verb_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["lint", "src"])
+    assert exit_.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_selftest_unknown_campaign(capsys):

@@ -238,6 +238,44 @@ class TestFailureModes:
         for label, agg in good.items():
             assert r.per_point[label].to_json() == agg.to_json()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flight_write_error_does_not_fail_the_shard(
+            self, tmp_path, monkeypatch, workers):
+        """ENOSPC on the flight directory: the recorder drops its spills
+        and crash dumps, and no shard is charged for them."""
+        flight_dir = tmp_path / "flight"
+        full = ["worker-", "flight-", "quarantine-"]    # files with no space
+        write_text = Path.write_text
+
+        def no_space(path, *args, **kwargs):
+            if flight_dir in path.parents and path.name.startswith(tuple(full)):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", no_space)
+        c = tiny_campaign()
+        r = run_campaign(c, workers=workers, flight_dir=flight_dir)
+        assert [o.status for o in r.outcomes] == ["ok"] * len(c.shards())
+        assert all(o.attempts == 1 for o in r.outcomes)
+        assert (r.aggregate.to_json()
+                == run_campaign(c, workers=1).aggregate.to_json())
+        # A raising shard's crash dump is dropped too; its batch-mates
+        # still run once.
+        bad = c.shards()[1].tag
+        r = run_campaign(c, workers=workers, flight_dir=flight_dir,
+                         batch_size=4, max_attempts=1,
+                         faults=FaultInjection(tags=(bad,)), **FAST_BACKOFF)
+        assert r.quarantined == [bad]
+        assert all(o.attempts == 1 for o in r.outcomes)
+        assert not list(flight_dir.iterdir())
+        # Only the driver's quarantine copy fails: the record keeps the
+        # crash dump itself.
+        full[:] = ["quarantine-"]
+        r = run_campaign(c, workers=workers, flight_dir=flight_dir,
+                         batch_size=4, max_attempts=1,
+                         faults=FaultInjection(tags=(bad,)), **FAST_BACKOFF)
+        assert Path(r.outcomes[1].flight).name.startswith("flight-")
+
     def test_worker_death_charges_only_the_culprit(self):
         """Batch-mates of a dead worker are refunded the broken attempt:
         with one attempt each, only the culprit is quarantined."""

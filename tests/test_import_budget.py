@@ -40,7 +40,7 @@ def third_party_after(code: str) -> list:
 SIMULATION_PATH = [
     "repro", "repro.simnet", "repro.transport", "repro.core", "repro.mar",
     "repro.wireless", "repro.edge", "repro.obs", "repro.analysis",
-    "repro.fleet", "repro.scale", "repro.check", "repro.lint", "repro.cli",
+    "repro.fleet", "repro.scale", "repro.check", "repro.cli",
     "repro.vision.costs",
 ]
 
