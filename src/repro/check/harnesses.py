@@ -625,7 +625,7 @@ class MptcpHandoverHarness(Harness):
         subflow_state = tuple(
             (s.state, s.snd_una, s.snd_nxt, s.app_bytes,
              round(s.cwnd, 3), s.bytes_in_flight,
-             round(s.srtt, 6) if s.srtt is not None else None)
+             round(s.rtt.srtt, 6) if s.rtt.srtt is not None else None)
             for s in sender.subflows
         )
         return (

@@ -4,9 +4,9 @@ Section VI-B asks that an MAR application "function with degraded
 performance even if no network connectivity is available".  The
 building blocks here turn that guideline into mechanism:
 
-- :class:`RttEstimator` — Jacobson/Karels smoothed RTT + variance, the
-  basis for *RTT-adaptive* liveness timeouts (a 6 ms edge path and a
-  90 ms cloud path must not share a fixed timer);
+- :class:`RttEstimator` (from :mod:`repro.transport.base`) — smoothed
+  RTT + variance, the basis for *RTT-adaptive* liveness timeouts (a 6 ms
+  edge path and a 90 ms cloud path must not share a fixed timer);
 - :class:`HeartbeatMonitor` — periodic pings against one server with a
   healthy → suspect → failed miss counter; once failed it keeps
   probing on a decorrelated-jitter backoff schedule so a restarted
@@ -35,40 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import ResilienceReport
 from repro.simnet.engine import Event, Simulator
-
-
-class RttEstimator:
-    """Smoothed RTT and variance (RFC 6298 constants).
-
-    ``timeout()`` returns ``srtt + 4·rttvar`` clamped to
-    ``[floor, cap]`` — the retransmission/liveness timer.  Before any
-    sample the timer sits at ``initial``.
-    """
-
-    def __init__(self, initial: float = 0.2, floor: float = 0.02,
-                 cap: float = 2.0) -> None:
-        self.initial = initial
-        self.floor = floor
-        self.cap = cap
-        self.srtt: Optional[float] = None
-        self.rttvar: float = 0.0
-        self.samples = 0
-
-    def sample(self, rtt: float) -> None:
-        if rtt < 0:
-            return
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.samples += 1
-
-    def timeout(self) -> float:
-        if self.srtt is None:
-            return self.initial
-        return min(self.cap, max(self.floor, self.srtt + 4 * self.rttvar))
+from repro.transport.base import RttEstimator
 
 
 class DecorrelatedBackoff:

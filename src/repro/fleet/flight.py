@@ -1,6 +1,6 @@
 """Crash flight recorder: a bounded ring of recent engine events.
 
-When a fleet worker dies (segfault, OOM kill, injected ``os._exit``)
+When a fleet worker dies (segfault, OOM kill, injected ``SIGKILL``)
 the driver learns only that the pool broke — the shard's last moments
 are gone.  A :class:`FlightRecorder` keeps them: it installs itself as
 the process-wide :data:`repro.simnet.engine.default_trace_hook`, so

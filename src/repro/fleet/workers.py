@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 import time
 import traceback
 from collections import deque
@@ -262,7 +263,8 @@ def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
         t0 = time.monotonic() - epoch if epoch is not None else 0.0
         try:
             if fault_mode == "kill" and can_die:
-                os._exit(86)  # simulate a crashed/OOM-killed worker
+                # A signal death, as the OOM killer deals it: no cleanup runs.
+                os.kill(os.getpid(), signal.SIGKILL)
             if fault_mode:
                 raise ShardError(f"injected {fault_mode} fault in shard "
                                  f"{tag!r} (attempt {attempt})")

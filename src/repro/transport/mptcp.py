@@ -33,6 +33,7 @@ such.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -41,39 +42,38 @@ from repro.transport.tcp import TcpConnection, TcpListener
 
 
 class _IntervalSet:
-    """Sorted disjoint half-open byte intervals with overlap accounting."""
+    """Sorted disjoint half-open byte intervals with overlap accounting:
+    span ``i`` is ``[_starts[i], _ends[i])``, found by bisection."""
 
     def __init__(self) -> None:
-        self._spans: List[List[int]] = []    # sorted, disjoint [start, end)
+        self._starts: List[int] = []
+        self._ends: List[int] = []
         self.total = 0                       # bytes covered
 
     def add(self, start: int, end: int) -> int:
         """Insert ``[start, end)``; return the number of NEW bytes covered."""
         if end <= start:
             return 0
-        spans = self._spans
-        # Find insertion window by linear scan from a bisected start; the
-        # sets here stay small (merged contiguous transfer prefixes).
-        lo = 0
-        while lo < len(spans) and spans[lo][1] < start:
-            lo += 1
-        hi = lo
-        new_start, new_end = start, end
+        starts, ends = self._starts, self._ends
+        # Spans lo..hi-1 overlap or touch [start, end); they merge into it.
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end, lo)
         overlap = 0
-        while hi < len(spans) and spans[hi][0] <= end:
-            overlap += min(spans[hi][1], end) - max(spans[hi][0], start)
-            new_start = min(new_start, spans[hi][0])
-            new_end = max(new_end, spans[hi][1])
-            hi += 1
-        spans[lo:hi] = [[new_start, new_end]]
+        for i in range(lo, hi):
+            overlap += min(ends[i], end) - max(starts[i], start)
+        new_start, new_end = start, end
+        if lo < hi:
+            new_start, new_end = min(start, starts[lo]), max(end, ends[hi - 1])
+        starts[lo:hi] = [new_start]
+        ends[lo:hi] = [new_end]
         fresh = (end - start) - overlap
         self.total += fresh
         return fresh
 
     def contiguous_from_zero(self) -> int:
         """Length of the delivered prefix starting at DSN 0."""
-        if self._spans and self._spans[0][0] == 0:
-            return self._spans[0][1]
+        if self._starts and self._starts[0] == 0:
+            return self._ends[0]
         return 0
 
 
@@ -192,7 +192,7 @@ class MptcpSender:
             # would pin bytes to one subflow regardless of how path
             # capacities actually evolve.
             def srtt_of(pair):
-                return pair[1].srtt if pair[1].srtt is not None else 0.05
+                return pair[1].rtt.srtt if pair[1].rtt.srtt is not None else 0.05
             candidates = [
                 (i, s) for i, s in sorted(usable, key=srtt_of)
                 if s.bytes_in_flight < s.cwnd

@@ -13,17 +13,19 @@ here — are:
   packet-number gaps and a probe timeout.
 
 Packets carry (packet_number, stream_id, stream_offset, length); ACK
-frames carry the largest received number plus a compact gap list, close
-to the real wire image but unserialized.
+frames carry the largest received number, the lowest one they cover and
+the gaps between (at most 64), close to the real wire image but
+unserialized.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.simnet.node import Host
 from repro.simnet.packet import IP_UDP_HEADER, Packet
-from repro.transport.base import SocketBase
+from repro.transport.base import Reassembly, RttEstimator, SocketBase
 
 QUIC_HEADER = 20
 MAX_DATAGRAM = 1200
@@ -36,33 +38,14 @@ class QuicStream:
 
     def __init__(self, stream_id: int) -> None:
         self.stream_id = stream_id
-        self.next_offset = 0
-        self.segments: Dict[int, int] = {}   # offset -> length
+        self.segments = Reassembly()
         self.delivered = 0
 
     def on_segment(self, offset: int, length: int) -> int:
         """Buffer a segment; returns bytes newly delivered in order."""
-        if offset + length <= self.next_offset:
+        if offset + length <= self.segments.next:
             return 0
-        self.segments[offset] = max(self.segments.get(offset, 0), length)
-        newly = 0
-        progressed = True
-        while progressed:
-            progressed = False
-            for off in sorted(self.segments):
-                seg_len = self.segments[off]
-                if off <= self.next_offset < off + seg_len or off == self.next_offset:
-                    advance = off + seg_len - self.next_offset
-                    if advance > 0:
-                        self.next_offset += advance
-                        newly += advance
-                    del self.segments[off]
-                    progressed = True
-                    break
-                if off + seg_len <= self.next_offset:
-                    del self.segments[off]
-                    progressed = True
-                    break
+        newly = sum(self.segments.add(offset, length))
         self.delivered += newly
         return newly
 
@@ -95,13 +78,14 @@ class QuicConnection(SocketBase):
         # --- sender state ---
         self._next_pn = 0
         self._stream_offsets: Dict[int, int] = {}
-        self._pending: List[Tuple[int, int, int]] = []  # (stream, offset, len)
+        self._pending: Deque[Tuple[int, int, int]] = deque()  # (stream, offset, len)
+        #: pn -> (stream, offset, len, sent_at, retransmitted), in pn order
+        #: (pns only grow and none is re-inserted): the first is the oldest.
         self._inflight: Dict[int, Tuple[int, int, int, float, bool]] = {}
+        self.bytes_in_flight = 0
         self.cwnd = 10 * MAX_DATAGRAM
         self.ssthresh = 1 << 30
-        self.srtt: Optional[float] = None
-        self.rttvar = 0.0
-        self._largest_acked = -1
+        self.rtt = RttEstimator()
         self._pto_event = None
         self.retransmits = 0
         self.packets_sent = 0
@@ -142,10 +126,6 @@ class QuicConnection(SocketBase):
             nbytes -= chunk
         self._flush()
 
-    @property
-    def bytes_in_flight(self) -> int:
-        return sum(length for _, _, length, _, _ in self._inflight.values())
-
     # ------------------------------------------------------------------
     # Sending machinery
     # ------------------------------------------------------------------
@@ -153,7 +133,7 @@ class QuicConnection(SocketBase):
         if not self.established:
             return
         while self._pending and self.bytes_in_flight < self.cwnd:
-            stream_id, offset, length = self._pending.pop(0)
+            stream_id, offset, length = self._pending.popleft()
             self._send_segment(stream_id, offset, length, retransmit=False)
         self._arm_pto()
 
@@ -162,6 +142,7 @@ class QuicConnection(SocketBase):
         pn = self._next_pn
         self._next_pn += 1
         self._inflight[pn] = (stream_id, offset, length, self.sim.now, retransmit)
+        self.bytes_in_flight += length
         if retransmit:
             self.retransmits += 1
         self.packets_sent += 1
@@ -175,7 +156,7 @@ class QuicConnection(SocketBase):
 
     def _arm_pto(self) -> None:
         if self._inflight:
-            pto = max(PTO_MIN, (self.srtt or 0.1) * 2 + 4 * self.rttvar)
+            pto = max(PTO_MIN, (self.rtt.srtt or 0.1) * 2 + 4 * self.rtt.rttvar)
             if self._pto_event is not None:
                 # Re-arm in place: no cancelled entry left in the heap.
                 self._pto_event = self.sim.reschedule(self._pto_event, pto)
@@ -190,8 +171,7 @@ class QuicConnection(SocketBase):
         self._pto_event = None
         if not self._inflight:
             return
-        oldest = min(self._inflight)
-        stream_id, offset, length, _, _ = self._inflight.pop(oldest)
+        stream_id, offset, length = self._forget(next(iter(self._inflight)))
         self.ssthresh = max(self.cwnd // 2, 2 * MAX_DATAGRAM)
         self.cwnd = 2 * MAX_DATAGRAM
         self._send_segment(stream_id, offset, length, retransmit=True)
@@ -234,50 +214,53 @@ class QuicConnection(SocketBase):
             self.sim.schedule(0.005, self._send_ack, packet.src, packet.src_port)
 
     def _send_ack(self, peer: str, peer_port: int) -> None:
+        """ACK ``[first, largest]`` minus the gaps listed: the 64 highest,
+        with ``first`` above any gap left out, so none reads as received."""
         self._ack_pending = False
-        floor = max(0, self._largest_rx - 256)
-        missing = [
-            pn for pn in range(floor, self._largest_rx + 1)
-            if pn not in self._received_pns
-        ]
+        first = max(0, self._largest_rx - 256)
+        missing = [pn for pn in range(first, self._largest_rx + 1)
+                   if pn not in self._received_pns]
+        if len(missing) > 64:
+            first = missing[-65] + 1
+            missing = missing[-64:]
         packet = self._packet(peer, peer_port, ACK_SIZE, kind="quic-ack",
-                              largest=self._largest_rx, missing=missing[:64])
+                              largest=self._largest_rx, first=first, missing=missing)
         self.host.send(packet)
 
     # ------------------------------------------------------------------
+    def _forget(self, pn: int) -> Tuple[int, int, int]:
+        """Drop ``pn`` from flight; return its (stream, offset, len)."""
+        stream_id, offset, length, _, _ = self._inflight.pop(pn)
+        self.bytes_in_flight -= length
+        return stream_id, offset, length
+
     def _on_ack(self, packet: Packet) -> None:
         largest = packet.payload["largest"]
+        first = packet.payload["first"]
         missing = set(packet.payload["missing"])
+        # RTT from the largest pn only, when this ACK is its first (RFC
+        # 9002 §5.1): an older pn acknowledged late would add its wait.
+        sent = self._inflight.get(largest)
+        if sent is not None and not sent[4]:
+            self.rtt.sample(self.sim.now - sent[3])
         acked_bytes = 0
-        for pn in [p for p in self._inflight if p <= largest and p not in missing]:
-            stream_id, offset, length, sent_at, retransmitted = self._inflight.pop(pn)
-            acked_bytes += length
-            if not retransmitted:
-                self._sample_rtt(self.sim.now - sent_at)
+        for pn in [p for p in self._inflight if first <= p <= largest and p not in missing]:
+            acked_bytes += self._forget(pn)[2]
         if acked_bytes:
             if self.cwnd < self.ssthresh:
                 self.cwnd += acked_bytes                      # slow start
             else:
                 self.cwnd += MAX_DATAGRAM * acked_bytes // self.cwnd
-        # Fast retransmit: packets 3+ below the largest ack still missing.
-        for pn in sorted(self._inflight):
-            if pn <= largest - 3 and pn in missing | set(self._inflight):
-                if pn in missing or pn < largest - 3:
-                    stream_id, offset, length, _, _ = self._inflight.pop(pn)
-                    self.ssthresh = max(self.cwnd // 2, 2 * MAX_DATAGRAM)
-                    self.cwnd = self.ssthresh
-                    self._send_segment(stream_id, offset, length, retransmit=True)
-                    break
-        self._largest_acked = max(self._largest_acked, largest)
+        # Fast retransmit: nothing left in flight up to the largest was
+        # acknowledged, so the oldest is lost once it is 3+ below it.
+        if self._inflight:
+            oldest = next(iter(self._inflight))
+            if oldest <= largest - 3:
+                stream_id, offset, length = self._forget(oldest)
+                self.ssthresh = max(self.cwnd // 2, 2 * MAX_DATAGRAM)
+                self.cwnd = self.ssthresh
+                self._send_segment(stream_id, offset, length, retransmit=True)
         self._flush()
-
-    def _sample_rtt(self, sample: float) -> None:
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample / 2
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample
 
     # ------------------------------------------------------------------
     def stream_delivered(self, stream_id: int) -> int:

@@ -21,12 +21,13 @@ experiments exercise zero-window behaviour.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.engine import Event
 from repro.simnet.node import Host
 from repro.simnet.packet import IP_TCP_HEADER, Packet
-from repro.transport.base import SocketBase
+from repro.transport.base import Reassembly, RttEstimator, SocketBase
 
 MSS = 1460
 ACK_SIZE = IP_TCP_HEADER
@@ -88,15 +89,14 @@ class TcpConnection(SocketBase):
         self.dup_acks = 0
         self.recover = 0
         self._send_times: Dict[int, Tuple[float, bool]] = {}  # seq -> (t, retransmitted)
+        self._sent_seqs: List[int] = []  # heap of the _send_times keys
         self._rto_event: Optional[Event] = None
-        self.srtt: Optional[float] = None
-        self.rttvar = 0.0
+        self.rtt = RttEstimator()
         self.rto = 1.0
         self._backoff = 1
 
         # --- receiver state ---
-        self.rcv_nxt = 0
-        self._ooo: Dict[int, int] = {}  # seq -> length
+        self._rcv = Reassembly()    # ``_rcv.next`` is RCV.NXT
         self._ack_pending = 0
         self._ack_event: Optional[Event] = None
 
@@ -179,7 +179,10 @@ class TcpConnection(SocketBase):
             seq=seq,
             len=length,
         )
-        self._send_times[seq] = (self.sim.now, retransmit or seq in self._send_times)
+        resent = seq in self._send_times
+        if not resent:
+            heapq.heappush(self._sent_seqs, seq)
+        self._send_times[seq] = (self.sim.now, retransmit or resent)
         if retransmit:
             self.retransmits += 1
         self.host.send(packet)
@@ -234,16 +237,6 @@ class TcpConnection(SocketBase):
         self._backoff = min(self._backoff * 2, 64)
         self._try_send()
 
-    def _update_rtt(self, sample: float) -> None:
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample / 2
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample
-        self.rto = max(self.min_rto, self.srtt + 4 * self.rttvar)
-        self._backoff = 1
-
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
@@ -271,10 +264,12 @@ class TcpConnection(SocketBase):
             self.state = ESTABLISHED  # implicit accept on passive side
         seq = packet.payload["seq"]
         length = packet.payload["len"]
-        in_order = seq == self.rcv_nxt
-        if seq >= self.rcv_nxt:
-            self._ooo[seq] = max(self._ooo.get(seq, 0), length)
-            self._drain_in_order()
+        in_order = seq == self._rcv.next
+        if seq >= self._rcv.next:
+            for advance in self._rcv.add(seq, length):
+                self.bytes_delivered += advance
+                if self.on_data is not None:
+                    self.on_data(advance)
         if in_order and self.delayed_ack:
             self._ack_pending += 1
             if self._ack_pending >= 2:
@@ -286,34 +281,13 @@ class TcpConnection(SocketBase):
             # sender sees dupacks quickly.
             self._emit_ack()
 
-    def _drain_in_order(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for seq in sorted(self._ooo):
-                length = self._ooo[seq]
-                if seq <= self.rcv_nxt < seq + length or seq == self.rcv_nxt:
-                    advance = seq + length - self.rcv_nxt
-                    if advance > 0:
-                        self.rcv_nxt = seq + length
-                        self.bytes_delivered += advance
-                        if self.on_data is not None:
-                            self.on_data(advance)
-                    del self._ooo[seq]
-                    progressed = True
-                    break
-                if seq + length <= self.rcv_nxt:
-                    del self._ooo[seq]
-                    progressed = True
-                    break
-
     def _emit_ack(self) -> None:
         if self._ack_event is not None:
             self._ack_event.cancel()
             self._ack_event = None
         self._ack_pending = 0
         packet = self._packet(
-            self.dst, self.dst_port, ACK_SIZE, kind="tcp-ack", flow=self.flow, ack=self.rcv_nxt
+            self.dst, self.dst_port, ACK_SIZE, kind="tcp-ack", flow=self.flow, ack=self._rcv.next
         )
         self.host.send(packet)
 
@@ -332,11 +306,15 @@ class TcpConnection(SocketBase):
     def _on_new_ack(self, ack: int) -> None:
         acked = ack - self.snd_una
         # RTT sample per Karn: only for never-retransmitted segments.
-        sent = self._send_times.pop(self.snd_una, None)
+        sent = self._send_times.get(self.snd_una)
         if sent is not None and not sent[1]:
-            self._update_rtt(self.sim.now - sent[0])
-        for seq in [s for s in self._send_times if s < ack]:
-            del self._send_times[seq]
+            self.rtt.sample(self.sim.now - sent[0])
+            self.rto = max(self.min_rto, self.rtt.srtt + 4 * self.rtt.rttvar)
+            self._backoff = 1
+        # No seq below snd_una is sent again: the acked ones top the heap.
+        sent_seqs = self._sent_seqs
+        while sent_seqs and sent_seqs[0] < ack:
+            del self._send_times[heapq.heappop(sent_seqs)]
         self.snd_una = ack
         if self.snd_nxt < ack:
             self.snd_nxt = ack

@@ -57,6 +57,18 @@ produced the same outcome bytes as the plain one):
   fired event — the ``_fire`` the engine dispatches through while any
   hook is attached; the hook itself is the ring's C-level ``append`` —
   plus 38.9 per shard to spill the ring at the shard boundary.
+
+The transport kernel (``repro.transport.base.Reassembly`` and MPTCP's
+``_IntervalSet``) is priced in *comparisons* per delivered segment:
+its cost was a ``sorted`` or a linear scan, both C code that no frame
+count sees.  Offsets are a counting ``int`` subclass instead.  Growing
+a reassembly hole (or a set of disjoint intervals) 16-fold must at most
+double the count, which is logarithmic; the copies the kernel replaced
+were linear (CPython 3.11 figures):
+
+    hole / spans          64      1,024    (before: 64 / 1,024)
+    QuicStream            10.75   18.52    97.0 / 1,537.0
+    _IntervalSet.add      5.12    9.01     32.5 / 512.5
 """
 
 import gc
@@ -68,6 +80,8 @@ from repro.fleet.cache import MERGED_NAME
 from repro.simnet import engine
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
+from repro.transport import QuicStream
+from repro.transport.mptcp import _IntervalSet
 from repro.transport.udp import UdpSocket
 
 DATAGRAMS = 1000
@@ -93,6 +107,9 @@ FLEET_OBS_SHARDS = 16
 TELEMETRY_SHARD_BUDGET = 17.5
 FLIGHT_EVENT_BUDGET = 1
 FLIGHT_SPILL_BUDGET = 40
+
+REASSEMBLY_CMP_BUDGET = 20
+INTERVAL_CMP_BUDGET = 10
 
 
 def _python_calls(fn) -> int:
@@ -313,3 +330,74 @@ def test_fleet_telemetry_and_flight_recorder_stay_within_frame_budget(
         f"Python frames per event, {spill:.1f} per shard beyond the one "
         f"``_fire`` frame (budget {FLIGHT_SPILL_BUDGET}): the hook is no "
         f"longer the ring's C-level append, or the spill grew")
+
+
+class _Counted(int):
+    """An ``int`` that counts its ordering comparisons."""
+
+    calls = 0
+
+    def __lt__(self, other):
+        _Counted.calls += 1
+        return int.__lt__(self, other)
+
+    def __le__(self, other):
+        _Counted.calls += 1
+        return int.__le__(self, other)
+
+    def __gt__(self, other):
+        _Counted.calls += 1
+        return int.__gt__(self, other)
+
+    def __ge__(self, other):
+        _Counted.calls += 1
+        return int.__ge__(self, other)
+
+
+def _comparisons_per_segment(feed, segments: int) -> float:
+    _Counted.calls = 0
+    feed()
+    return _Counted.calls / segments
+
+
+def test_reassembly_comparisons_grow_logarithmically_with_the_hole():
+    def per_segment(hole):
+        stream = QuicStream(1)
+
+        def feed():
+            # The hole's far side arrives first, in reverse, then its head.
+            for i in range(hole, -1, -1):
+                stream.on_segment(_Counted(i * 1200), _Counted(1200))
+
+        count = _comparisons_per_segment(feed, hole + 1)
+        assert stream.delivered == (hole + 1) * 1200
+        return count
+
+    small, large = per_segment(64), per_segment(1024)
+    assert large <= REASSEMBLY_CMP_BUDGET, (
+        f"{large:.2f} comparisons per delivered segment behind a 1,024-"
+        f"segment hole (budget {REASSEMBLY_CMP_BUDGET})")
+    assert large <= 2 * small, (
+        f"{small:.2f} -> {large:.2f} comparisons per segment as the hole "
+        f"grows 16-fold: reassembly is no longer logarithmic")
+
+
+def test_interval_set_comparisons_grow_logarithmically_with_the_spans():
+    def per_add(spans):
+        delivered = _IntervalSet()
+
+        def feed():
+            for i in range(spans):
+                delivered.add(_Counted(200 * i), _Counted(200 * i + 100))
+
+        count = _comparisons_per_segment(feed, spans)
+        assert delivered.total == 100 * spans
+        return count
+
+    small, large = per_add(64), per_add(1024)
+    assert large <= INTERVAL_CMP_BUDGET, (
+        f"{large:.2f} comparisons per add over 1,024 disjoint spans "
+        f"(budget {INTERVAL_CMP_BUDGET})")
+    assert large <= 2 * small, (
+        f"{small:.2f} -> {large:.2f} comparisons per add as the spans grow "
+        f"16-fold: the interval set is scanning again")

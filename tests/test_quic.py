@@ -97,7 +97,7 @@ def test_rtt_estimated():
     client.connect(resumed=True)
     client.send_stream(1, 100_000)
     sim.run(until=5.0)
-    assert client.srtt == pytest.approx(0.04, abs=0.02)
+    assert client.rtt.srtt == pytest.approx(0.04, abs=0.02)
 
 
 def test_in_order_within_stream():
@@ -111,6 +111,46 @@ def test_in_order_within_stream():
         client.send_stream(7, 1200)
     sim.run(until=20.0)
     assert server.stream_delivered(7) == 50 * 1200
+
+
+def _sender_owns(client, stream_id, offset):
+    """True if ``offset`` of the stream is still in flight or pending."""
+    chunks = list(client._pending) + [v[:3] for v in client._inflight.values()]
+    return any(s == stream_id and o <= offset < o + n for s, o, n in chunks)
+
+
+def test_heavy_loss_never_orphans_stream_bytes():
+    """An ACK whose gap list is truncated must not acknowledge the gaps
+    it leaves out: each undelivered byte stays owned by the sender."""
+    sim, net, client, server = make_pair(loss=0.2, seed=2)
+    client.connect(resumed=True)
+    client.send_stream(1, 2_000_000)
+    for t in range(1, 121):
+        sim.run(until=float(t))
+        point = server.stream_delivered(1)
+        assert point == 2_000_000 or _sender_owns(client, 1, point), (
+            f"t={t}s: stream byte {point} is neither delivered, in flight "
+            f"nor pending")
+    assert server.stream_delivered(1) == 2_000_000
+
+
+def test_rtt_sample_excludes_the_probe_timeout_wait():
+    """Only a newly acknowledged largest pn gives an RTT sample: a packet
+    acknowledged late, after a probe timeout, would add the wait."""
+    sim, net, client, server = make_pair(loss=0.2, seed=3)
+    client.connect(resumed=True)
+    client.send_stream(1, 2_000_000)
+    sim.run(until=30.0)
+    assert client.rtt.srtt < 0.05   # 20 ms path; 2.74 s with every pn sampled
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_two_megabytes_survive_twenty_percent_loss(seed):
+    sim, net, client, server = make_pair(loss=0.2, seed=seed)
+    client.connect(resumed=True)
+    client.send_stream(1, 2_000_000)
+    sim.run(until=120.0)
+    assert server.stream_delivered(1) == 2_000_000
 
 
 def test_send_validates():

@@ -62,7 +62,7 @@ def test_rtt_estimate_close_to_path_rtt():
                          queue_down=DropTailQueue(10_000))
     client, _ = transfer(sim, net, 100_000)
     # Base RTT is 40 ms prop + serialization + delayed ACK effects.
-    assert 0.04 <= client.srtt < 0.15
+    assert 0.04 <= client.rtt.srtt < 0.15
 
 
 def test_cwnd_grows_during_slow_start():
