@@ -253,10 +253,11 @@ def fleet_telemetry_table(doc: dict) -> str:
     run = doc.get("run", {})
     shards = doc.get("shards", {})
     cache = doc.get("cache", {})
+    campaign = doc.get("campaign", {})
     elapsed = float(run.get("elapsed_s", 0.0))
     lines = [
-        f"Telemetry — campaign {doc.get('campaign', {}).get('name', '?')!r} "
-        f"({doc.get('campaign', {}).get('scenario', '?')})",
+        f"Telemetry — campaign {campaign.get('name', '?')!r} "
+        f"({campaign.get('scenario', '?')})",
         f"elapsed: {format_time(elapsed)} · workers: {run.get('workers', 1)} "
         f"({run.get('start_method') or 'serial'}) · "
         f"batches: {run.get('batches', 0)} · "
@@ -267,11 +268,8 @@ def fleet_telemetry_table(doc: dict) -> str:
         f"timeouts {shards.get('timeouts', 0)} · "
         f"pool breaks {shards.get('pool_breaks', 0)} · "
         f"cache {cache.get('hits', 0)}/{cache.get('hits', 0) + cache.get('misses', 0)} hit",
+        f"shard cost hints: {campaign.get('cost_total', 0.0)} total",
     ]
-    meta = doc.get("meta", {})
-    if meta:
-        lines.append("meta: " + " · ".join(
-            f"{k}={v}" for k, v in sorted(meta.items())))
     flight = doc.get("flight")
     if flight:
         lines.append(

@@ -8,8 +8,7 @@ Usage (also via ``python -m repro``):
     python -m repro demo table2
     python -m repro fleet                # run the default (256-shard) campaign
     python -m repro fleet smoke -w 2     # a named campaign on 2 workers
-    python -m repro scale                # hybrid-fidelity city campaign
-    python -m repro scale --budget metro # the 10^6-user tier
+    python -m repro fleet city_coverage-metro  # the 10^6-user city tier
     python -m repro show T2              # print a saved benchmark report
     python -m repro show cell256         # fleet reports are found too
     python -m repro check                # bounded state-space explorer
@@ -20,8 +19,11 @@ The demos are self-contained, seconds-long simulations over the public
 API; the full experiment suite lives in ``benchmarks/`` (run with
 ``pytest benchmarks/ --benchmark-only``) and saves its rendered reports
 under ``benchmarks/results/`` where ``show`` finds them.  ``fleet``
-runs a sharded multi-process campaign (see ``docs/FLEET.md``) and
-saves its report under ``benchmarks/results/fleet/``.
+runs a sharded multi-process campaign (see ``docs/FLEET.md``; the
+``city_coverage-*`` and ``cell_contention`` campaigns are the city
+scale of ``docs/SCALE.md``), saves its report under
+``benchmarks/results/fleet/`` and ends its stderr summary with the
+merged aggregate's fingerprint, so two runs compare with one grep.
 
 This module and ``repro.fleet`` are the harness: the only code in
 ``src/`` that reads a clock (progress lines, wall seconds, states/s).
@@ -32,6 +34,7 @@ Everything they run is a pure function of ``(scenario, seed)``
 from __future__ import annotations
 
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -157,7 +160,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
         print(f"  {name:<12} {fn.__doc__.strip().splitlines()[0]}")
     print("\nfleet campaigns (python -m repro fleet <name>):")
     for name, c in demo_campaigns().items():
-        print(f"  {name:<12} {c.n_shards} shards of {c.scenario}")
+        print(f"  {name:<20} {c.n_shards} shards of {c.scenario}")
     print("\nsaved experiment reports (python -m repro show <id>):")
     saved = sorted(RESULTS_DIR.glob("*.txt")) if RESULTS_DIR.is_dir() else []
     saved += sorted(FLEET_RESULTS_DIR.glob("*.txt")) \
@@ -314,8 +317,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
               f"{result.cache_misses} misses "
               f"({result.cache_hits / max(1, len(result.outcomes)):.0%} "
               f"hit rate){failed}", file=sys.stderr)
+    fingerprint = hashlib.sha256(
+        result.aggregate.to_json().encode("utf-8")).hexdigest()
     print(f"[fleet] {workers} worker(s), {time.monotonic() - t0:.1f}s wall, "
-          f"report saved to {out}", file=sys.stderr)
+          f"fingerprint {fingerprint[:16]}, report saved to {out}",
+          file=sys.stderr)
     if args.expect_quarantine and not result.quarantined:
         print("[fleet] ERROR: expected the quarantine path to fire, "
               "but no shard was quarantined", file=sys.stderr)
@@ -339,89 +345,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"[fleet] flight recorder: {len(dumps)} quarantine dump(s) "
               f"verified (non-empty ring) under {flight_dir}", file=sys.stderr)
     return status
-
-
-def cmd_scale(args: argparse.Namespace) -> int:
-    """Run a hybrid-fidelity city campaign (see docs/SCALE.md).
-
-    ``city_coverage`` fans a whole metro area out as city → cell →
-    cohort fleet shards at a named ``--budget`` tier; each shard runs
-    its cell's fluid background population plus one event-level
-    foreground session under that background's pressure.
-    ``cell_contention`` sweeps one cell across offered-load factors.
-    ``--double-run`` executes the campaign twice and compares merged
-    aggregate fingerprints — the CI scale-smoke determinism gate.
-    """
-    import hashlib
-
-    from repro.fleet import (ResultCache, TelemetryCollector, run_campaign,
-                             usable_cpus)
-    from repro.scale.shards import (CITY_BUDGETS, campaign_telemetry_meta,
-                                    cell_contention_campaign,
-                                    city_coverage_campaign, city_users)
-
-    if args.campaign == "city_coverage":
-        campaign = city_coverage_campaign(args.budget,
-                                          city_seed=args.city_seed)
-    elif args.campaign == "cell_contention":
-        campaign = cell_contention_campaign()
-    else:
-        print(f"unknown scale campaign {args.campaign!r}; "
-              f"try: city_coverage, cell_contention", file=sys.stderr)
-        return 2
-
-    workers = args.workers if args.workers is not None \
-        else max(1, usable_cpus())
-    runs = 2 if args.double_run else 1
-    digests = []
-    result = None
-    t0 = time.monotonic()
-    for attempt in range(1, runs + 1):
-        # The double-run gate must recompute, so caching is only
-        # enabled for plain single runs.
-        cache = ResultCache() if not (args.no_cache or args.double_run) \
-            else None
-        telemetry = TelemetryCollector() if args.telemetry else None
-        if telemetry is not None:
-            telemetry.meta.update(campaign_telemetry_meta(campaign))
-        result = run_campaign(
-            campaign, workers=workers, cache=cache,
-            progress=None if args.quiet else _fleet_progress,
-            telemetry=telemetry)
-        digest = hashlib.sha256(
-            result.aggregate.to_json().encode("utf-8")).hexdigest()
-        digests.append(digest)
-        if args.double_run:
-            print(f"[scale] run {attempt}: fingerprint {digest[:16]}",
-                  file=sys.stderr)
-    wall = time.monotonic() - t0
-
-    text = fleet_report(result)
-    FLEET_RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    out = FLEET_RESULTS_DIR / f"{campaign.name}.txt"
-    out.write_text(text + "\n")
-    print(text)
-    if args.telemetry:
-        status = _emit_telemetry(result, FLEET_RESULTS_DIR, args.quiet)
-        if status:
-            return status
-
-    users = city_users(result.aggregate)
-    budget_note = f" budget={args.budget} ({CITY_BUDGETS[args.budget].n_cells} cells)" \
-        if args.campaign == "city_coverage" else ""
-    print(f"[scale] {users} background users simulated{budget_note}, "
-          f"{workers} worker(s), {wall:.1f}s wall "
-          f"({users * runs / max(wall, 1e-9):,.0f} users/s), "
-          f"report saved to {out}", file=sys.stderr)
-    if args.double_run:
-        if digests[0] != digests[1]:
-            print("[scale] FAIL: identical campaign produced different "
-                  "aggregate fingerprints — determinism is broken",
-                  file=sys.stderr)
-            return 1
-        print("[scale] OK: byte-identical aggregates across two runs",
-              file=sys.stderr)
-    return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -580,29 +503,22 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(_args: argparse.Namespace) -> int:
     """Determinism smoke: run one shard twice, diff trace fingerprints.
 
-    The campaign shard exercises the engine, links, transports and
-    aggregation end to end, and the two runs must hash to the same
-    canonical JSON.  The fingerprint also covers the observability
-    layer: each run re-traces an instrumented offload scenario and
-    hashes its Chrome-trace export plus metrics registry, so a
-    wall-clock leak into spans or counters fails here too.  CI checks
+    The first shard of the ``smoke`` campaign exercises the engine,
+    links, transports and aggregation end to end, and the two runs must
+    hash to the same canonical JSON.  The fingerprint also covers the
+    observability layer: each run re-traces an instrumented offload
+    scenario and hashes its Chrome-trace export plus metrics registry,
+    so a wall-clock leak into spans or counters fails here too.  CI checks
     the printed fingerprint on every interpreter; the guards of
     docs/DETERMINISM.md check the rest of what runs.
     """
-    import hashlib
-
     from repro.fleet import demo_campaigns, run_shard
     from repro.obs import chrome_trace_json, run_obs_scenario
 
-    campaigns = demo_campaigns()
-    campaign = campaigns.get(args.campaign)
-    if campaign is None:
-        print(f"unknown campaign {args.campaign!r}; "
-              f"try: {', '.join(campaigns)}", file=sys.stderr)
-        return 2
+    campaign = demo_campaigns()["smoke"]
     shard = campaign.shards()[0]
     digests = []
     for attempt in (1, 2):
@@ -675,33 +591,6 @@ def main(argv=None) -> int:
     fleet.add_argument("--quiet", action="store_true",
                        help="suppress the progress/ETA line")
     fleet.set_defaults(func=cmd_fleet)
-    scale = sub.add_parser(
-        "scale", help="run a hybrid-fidelity city campaign "
-                      "(fluid background + event-level foreground)")
-    scale.add_argument("campaign", nargs="?", default="city_coverage",
-                       help="city_coverage (default) or cell_contention")
-    scale.add_argument("--budget", default="small",
-                       choices=("smoke", "small", "metro"),
-                       help="city size tier for city_coverage "
-                            "(default: small, the >=1e5-user CI tier)")
-    scale.add_argument("--city-seed", type=int, default=7,
-                       help="seed the city layout derives from "
-                            "(default: 7)")
-    scale.add_argument("-w", "--workers", type=int, default=None,
-                       help="worker processes (default: usable CPUs; "
-                            "1 = serial fallback)")
-    scale.add_argument("--double-run", action="store_true",
-                       help="run twice and require byte-identical "
-                            "aggregate fingerprints (CI determinism gate)")
-    scale.add_argument("--no-cache", action="store_true",
-                       help="skip the on-disk result cache")
-    scale.add_argument("--telemetry", action="store_true",
-                       help="collect wall-clock runtime telemetry "
-                            "(campaign_telemetry.json + worker timeline "
-                            "trace + report table)")
-    scale.add_argument("--quiet", action="store_true",
-                       help="suppress the progress/ETA line")
-    scale.set_defaults(func=cmd_scale)
     obs = sub.add_parser(
         "obs", help="run an instrumented scenario; export Perfetto trace, "
                     "qlog lines and metrics")
@@ -747,9 +636,6 @@ def main(argv=None) -> int:
     selftest = sub.add_parser(
         "selftest", help="determinism smoke: run one shard twice and "
                          "diff trace fingerprints")
-    selftest.add_argument("campaign", nargs="?", default="smoke",
-                          help="campaign whose first shard to double-run "
-                               "(default: smoke)")
     selftest.set_defaults(func=cmd_selftest)
     args = parser.parse_args(argv)
     try:

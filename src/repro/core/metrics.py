@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, TYPE_CHECKING
 
-from repro.analysis.stats import percentile as _stats_percentile
+from repro.analysis.stats import percentile
 from repro.core.traffic import Priority, TrafficClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,14 +64,6 @@ class ClassReport:
         return min(1.0, ratio)
 
 
-# The single canonical linear-interpolation percentile lives in
-# analysis.stats; this module used to carry a near-identical copy that
-# differed in its interpolation form (convex combination vs.
-# a + frac*(b-a)) and could disagree in the last ulp.  Keep the name as
-# a deprecated alias so existing call sites and tests stay valid.
-_percentile = _stats_percentile
-
-
 def class_report(sender: "MartpSender", receiver: "MartpReceiver",
                  stream_id: int, duration: float = 0.0) -> ClassReport:
     """Join sender and receiver accounting for one stream."""
@@ -91,7 +83,7 @@ def class_report(sender: "MartpSender", receiver: "MartpReceiver",
         in_time=rx.in_time,
         recovered=rx.recovered,
         mean_latency=sum(rx.latencies) / len(rx.latencies) if rx.latencies else float("nan"),
-        p95_latency=_percentile(rx.latencies, 95.0),
+        p95_latency=percentile(rx.latencies, 95.0),
         nominal_rate_bps=tx.spec.nominal_rate_bps,
         achieved_rate_bps=achieved,
     )

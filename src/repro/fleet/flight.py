@@ -68,7 +68,12 @@ class FlightRecorder:
     def __init__(self, out_dir, capacity: int = RING_CAPACITY,
                  worker_id: Optional[int] = None) -> None:
         self.out_dir = pathlib.Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            # Like a failed write: every artifact is dropped, no shard
+            # fails (the directory's parent is a file, or read-only).
+            pass
         self.ring: deque = deque(maxlen=capacity)
         #: the engine hook — the ring's own C-level ``append``, stored
         #: so :meth:`uninstall` can identity-check what it installed.
@@ -76,6 +81,9 @@ class FlightRecorder:
         #: ``(time, seq, fn)`` rows are extracted only at spill time.
         self.hook = self.ring.append
         self.worker_id = worker_id if worker_id is not None else os.getpid()
+        #: the spill path never changes, so it is built once, as ``str``:
+        #: ``pathlib`` joins were most of a spill's Python frames
+        self._spill = os.path.join(out_dir, f"worker-{self.worker_id}.json")
         self.shards_seen = 0
         self.crash_dumps: List[str] = []
         self._names: Dict[object, str] = {}
@@ -106,7 +114,7 @@ class FlightRecorder:
         events", whichever shard fired them.
         """
         self.shards_seen += 1
-        _write(self.out_dir / f"worker-{self.worker_id}.json",
+        _write(self._spill,
                json.dumps(self._doc(tag, attempt, "spill"), **_CANON) + "\n")
 
     def dump_crash(self, tag: str, attempt: int, error: str) -> None:
@@ -144,16 +152,17 @@ class FlightRecorder:
         }
 
 
-def _write(path: pathlib.Path, text: str) -> bool:
+def _write(path, text: str) -> bool:
     """Replace ``path`` with ``text`` atomically; False when the write
     failed (``OSError``: ``ENOSPC``, a read-only directory).
 
     An observer must not fail the shard it watches, so the artifact is
     dropped; :func:`flight_summary` shows it missing.
     """
-    tmp = path.with_suffix(f".tmp{os.getpid()}")
+    tmp = f"{path}.tmp{os.getpid()}"
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.write(text)
         os.replace(tmp, path)
     except OSError:
         return False

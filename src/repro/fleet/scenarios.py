@@ -190,39 +190,43 @@ def run_table2_offload(seed: int, params: Dict[str, object]) -> Aggregate:
 # Demo campaigns (the `python -m repro fleet` catalog)
 # ----------------------------------------------------------------------
 def demo_campaigns() -> Dict[str, Campaign]:
-    """Named, ready-to-run campaign specs for the CLI."""
-    from repro.scale.shards import demo_scale_campaigns
+    """Named, ready-to-run campaign specs for the CLI, keyed by name."""
+    from repro.scale.shards import (CITY_BUDGETS, cell_contention_campaign,
+                                    city_coverage_campaign)
 
-    catalog = demo_scale_campaigns()
-    catalog.update({
+    catalog = [
+        # The E4 city study at each budget tier, and one cell swept
+        # through contention (docs/SCALE.md).
+        *(city_coverage_campaign(budget) for budget in CITY_BUDGETS),
+        cell_contention_campaign(),
         # 4 RTT points × 8 seeds = 32 shards; small frame count → fast.
-        "smoke": Campaign(
+        Campaign(
             name="smoke", scenario="table2_offload", seeds=8, base_seed=2,
             grid={"rtt": [0.008, 0.036, 0.072, 0.120]},
             params={"n_frames": 10},
         ),
         # The Table II sweep with statistical weight: 4 × 16 = 64 shards.
-        "table2": Campaign(
+        Campaign(
             name="table2", scenario="table2_offload", seeds=16, base_seed=2,
             grid={"rtt": [0.008, 0.036, 0.072, 0.120]},
             params={"n_frames": 30},
         ),
         # Figure 2 as a saturation table: slow-station count sweep,
         # 4 points × 16 seeds = 64 shards.
-        "anomaly": Campaign(
+        Campaign(
             name="anomaly", scenario="wifi_anomaly_cell", seeds=16, base_seed=21,
             grid={"n_slow": [0, 1, 2, 4]},
             params={"n_fast": 4, "duration": 2.0},
         ),
         # The 256-shard population demo: a cell of MAR users across the
         # four Table II access profiles, 64 user-sessions per profile.
-        "cell256": Campaign(
+        Campaign(
             name="cell256", scenario="cell_offload", seeds=64, base_seed=7,
             grid={"rtt": [0.008, 0.036, 0.072, 0.120]},
             params={"duration": 1.0, "up_bps": 12e6},
         ),
-    })
-    return catalog
+    ]
+    return {c.name: c for c in catalog}
 
 
 __all__ = [

@@ -56,7 +56,7 @@ except ImportError:  # pragma: no cover - non-POSIX
     resource = None
 
 #: Bump when the campaign_telemetry.json document shape changes.
-TELEMETRY_SCHEMA = 1
+TELEMETRY_SCHEMA = 2
 
 #: Retained-event cap: bounds document size on huge campaigns.  Summary
 #: sections are computed from *all* events; only the raw ``events`` list
@@ -87,7 +87,6 @@ class TelemetryCollector:
         self.event_cap = event_cap
         self.events: List[dict] = []
         self.dropped = 0
-        self.meta: Dict[str, Any] = {}
 
     def now(self) -> float:
         """Seconds since this collector's epoch (the shared time base)."""
@@ -165,6 +164,7 @@ class TelemetryCollector:
                 "fingerprint16": campaign.fingerprint()[:16],
                 "spec": campaign.spec_dict(),
                 "shards": len(result.outcomes),
+                "cost_total": round(sum(costs.values()), 6),
             },
             "run": {
                 "driver_pid": os.getpid(),
@@ -183,7 +183,6 @@ class TelemetryCollector:
             },
             "workers": dict(sorted(workers.items())),
             "slowest": slowest,
-            "meta": dict(sorted(self.meta.items())),
             "events": self.events,
             "events_dropped": self.dropped,
         }

@@ -29,7 +29,6 @@ from repro.scale.shards import (
     city_cell_spec,
     city_coverage_campaign,
     city_users,
-    demo_scale_campaigns,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "city_cell_spec",
     "city_coverage_campaign",
     "city_users",
-    "demo_scale_campaigns",
     "plan_promotions",
     "profile_by_name",
     "promote_user",

@@ -34,12 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.fleet.aggregate import Aggregate
-from repro.fleet.campaign import (
-    Campaign,
-    get_scenario,
-    register_scenario,
-    shard_seed,
-)
+from repro.fleet.campaign import Campaign, register_scenario, shard_seed
 
 from repro.scale.coupling import (
     PromotionPolicy,
@@ -267,12 +262,11 @@ def run_cell_contention(seed: int, params: Dict[str, object]) -> Aggregate:
 # Campaign builders
 # ----------------------------------------------------------------------
 def city_coverage_campaign(budget: str = "small", city_seed: int = 7,
-                           base_seed: int = 101,
-                           name: str = "") -> Campaign:
+                           base_seed: int = 101) -> Campaign:
     """The metro-scale E4 coverage study at a named budget tier."""
     b = CITY_BUDGETS[budget]
     return Campaign(
-        name=name or f"city_coverage-{budget}",
+        name=f"city_coverage-{budget}",
         scenario="city_coverage",
         seeds=1,
         base_seed=base_seed,
@@ -294,55 +288,9 @@ def cell_contention_campaign(seeds: int = 8, base_seed: int = 29) -> Campaign:
     )
 
 
-def demo_scale_campaigns() -> Dict[str, Campaign]:
-    """Named city campaigns for the CLI catalogs."""
-    return {
-        "city_coverage": city_coverage_campaign("small",
-                                                name="city_coverage"),
-        "cell_contention": cell_contention_campaign(),
-    }
-
-
 def city_users(result_aggregate: Aggregate) -> int:
     """Distinct background users a finished city campaign simulated."""
     return int(result_aggregate.counts.get("scale.users", 0))
-
-
-def campaign_telemetry_meta(campaign: Campaign) -> Dict[str, object]:
-    """Deterministic scale-layer context for a campaign's telemetry doc.
-
-    Everything here is derived from the campaign spec alone (budget
-    tier, cell/cohort counts, summed cost hints) — no clocks, no run
-    state — so the telemetry header can explain *what* scale a run was
-    at without touching the determinism boundary.  Campaigns outside
-    the scale layer get the generic shard/cost summary only.
-    """
-    scenario = get_scenario(campaign.scenario)
-    shards = campaign.shards()
-    meta: Dict[str, object] = {
-        "layer": "scale" if campaign.scenario in (
-            "city_coverage", "cell_contention") else "fleet",
-        "shards": len(shards),
-        "cost_total": round(sum(
-            scenario.shard_cost(s.param_dict()) for s in shards), 6),
-    }
-    if campaign.scenario == "city_coverage":
-        budget, city_seed, _, _ = _city_params(shards[0].param_dict())
-        tier = str(campaign.params.get("budget", "small"))
-        meta.update({
-            "budget": tier,
-            "city_seed": city_seed,
-            "n_cells": budget.n_cells,
-            "cohort": budget.cohort,
-            "fluid_steps": budget.fluid_steps,
-        })
-    elif campaign.scenario == "cell_contention":
-        meta.update({
-            "loads": [s.param_dict()["load"] for s in shards
-                      if s.seed == shards[0].seed],
-            "seeds": campaign.seeds,
-        })
-    return meta
 
 
 __all__ = [
@@ -352,12 +300,10 @@ __all__ = [
     "CELL_PROFILE_MIX",
     "CITY_BUDGETS",
     "CityBudget",
-    "campaign_telemetry_meta",
     "cell_contention_campaign",
     "city_cell_spec",
     "city_coverage_campaign",
     "city_users",
-    "demo_scale_campaigns",
     "run_cell_contention",
     "run_city_coverage",
 ]

@@ -190,25 +190,3 @@ class TestTimeseriesBinsShardSummaries:
         b = StreamingMoments().extend([2.0])
         timeseries_bins([(0.0, a), (0.5, b)], 1.0)
         assert a.count == 1 and b.count == 1
-
-
-class TestPercentileDedupe:
-    """core.metrics._percentile is now the analysis.stats implementation."""
-
-    def test_same_object(self):
-        from repro.core.metrics import _percentile
-
-        assert _percentile is percentile
-
-    def test_bit_identical_outputs(self):
-        from repro.core.metrics import _percentile
-
-        cases = [
-            ([0.0, 10.0], 50.0),
-            ([1.0, 2.0, 3.0, 4.0], 95.0),
-            ([0.25] * 7, 37.5),          # constant data: exact, no drift
-            (sorted([3.7, 1.2, 9.9, 0.4, 5.5]), 99.0),
-        ]
-        for data, q in cases:
-            assert _percentile(list(data), q) == percentile(list(data), q)
-        assert math.isnan(_percentile([], 50.0))

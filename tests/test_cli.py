@@ -118,12 +118,9 @@ def test_selftest_determinism_passes(capsys):
 
 
 def test_the_lint_verb_is_gone(capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(["lint", "src"])
-    assert exit_.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
-
-
-def test_selftest_unknown_campaign(capsys):
-    assert main(["selftest", "nope"]) == 2
-    assert "unknown campaign" in capsys.readouterr().err
+    # ``scale`` went too: its campaigns are ``fleet`` campaigns.
+    for argv in (["lint", "src"], ["scale"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from repro.fleet import (
     shard_seed,
 )
 from repro.fleet.campaign import SCHEMA_VERSION, stable_hash
+from repro.scale import CITY_BUDGETS
 
 
 def small_campaign(**kw):
@@ -118,7 +119,12 @@ class TestRegistry:
         for name, c in demo_campaigns().items():
             assert c.name == name
             get_scenario(c.scenario)  # registered
-            assert c.n_shards >= 32
+            if c.scenario == "city_coverage":
+                # one shard per (cell, cohort member) of its budget tier
+                budget = CITY_BUDGETS[c.params["budget"]]
+                assert c.n_shards == budget.n_cells * budget.cohort
+            else:
+                assert c.n_shards >= 32
 
 
 class TestReplay:

@@ -16,6 +16,8 @@ from repro.fleet import (
     Campaign,
     FaultInjection,
     TelemetryCollector,
+    demo_campaigns,
+    get_scenario,
     run_campaign,
     worker_timeline_json,
     write_campaign_telemetry,
@@ -29,7 +31,7 @@ from repro.fleet.flight import (
 )
 from repro.fleet.telemetry import TELEMETRY_SCHEMA
 from repro.obs import validate_chrome_trace
-from repro.scale.shards import campaign_telemetry_meta, cell_contention_campaign
+from repro.scale.shards import cell_contention_campaign
 
 FAST_BACKOFF = dict(backoff_base=0.002, backoff_cap=0.02)
 
@@ -135,11 +137,15 @@ class TestTelemetryDocument:
         assert len(collector.events) == 2
         assert collector.dropped == 3
 
-    def test_scale_meta_is_deterministic_spec_context(self):
-        meta = campaign_telemetry_meta(cell_contention_campaign(seeds=1))
-        assert meta["layer"] == "scale"
-        assert meta["shards"] == 4
-        assert meta["cost_total"] > 0
+    def test_cost_total_sums_the_shard_cost_hints(self):
+        catalog = demo_campaigns()
+        for name, cost_total in (("smoke", 320.0), ("cell_contention", 46.08)):
+            c = catalog[name]
+            doc = run_campaign(c, workers=1,
+                               telemetry=TelemetryCollector()).telemetry
+            scenario = get_scenario(c.scenario)
+            assert doc["campaign"]["cost_total"] == cost_total == round(sum(
+                scenario.shard_cost(s.param_dict()) for s in c.shards()), 6)
 
     def test_written_document_is_canonical_json(self, doc, tmp_path):
         path = write_campaign_telemetry(

@@ -26,6 +26,7 @@ from repro.fleet import (
     run_shard,
     usable_cpus,
 )
+from repro.fleet import flight as flight_recorder
 from repro.fleet.cache import MERGED_NAME
 from repro.fleet.workers import MAX_BATCH, OVERSUBSCRIBE, _ShardState
 
@@ -241,19 +242,27 @@ class TestFailureModes:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_flight_write_error_does_not_fail_the_shard(
             self, tmp_path, monkeypatch, workers):
-        """ENOSPC on the flight directory: the recorder drops its spills
-        and crash dumps, and no shard is charged for them."""
+        """ENOSPC on the flight directory, or a flight directory that
+        cannot be created: the recorder drops its spills and crash
+        dumps, and no shard is charged for them."""
+        c = tiny_campaign()
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        r = run_campaign(c, workers=workers, flight_dir=blocker / "flight")
+        assert [o.status for o in r.outcomes] == ["ok"] * len(c.shards())
+        assert all(o.attempts == 1 for o in r.outcomes)
+
         flight_dir = tmp_path / "flight"
         full = ["worker-", "flight-", "quarantine-"]    # files with no space
-        write_text = Path.write_text
 
-        def no_space(path, *args, **kwargs):
+        def no_space(file, *args, **kwargs):
+            path = Path(file)
             if flight_dir in path.parents and path.name.startswith(tuple(full)):
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return write_text(path, *args, **kwargs)
+            return open(file, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", no_space)
-        c = tiny_campaign()
+        monkeypatch.setattr(flight_recorder, "open", no_space,
+                            raising=False)
         r = run_campaign(c, workers=workers, flight_dir=flight_dir)
         assert [o.status for o in r.outcomes] == ["ok"] * len(c.shards())
         assert all(o.attempts == 1 for o in r.outcomes)

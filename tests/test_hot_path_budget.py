@@ -56,7 +56,8 @@ produced the same outcome bytes as the plain one):
 - the armed flight recorder on the same campaign: exactly one frame per
   fired event — the ``_fire`` the engine dispatches through while any
   hook is attached; the hook itself is the ring's C-level ``append`` —
-  plus 38.9 per shard to spill the ring at the shard boundary.
+  plus 17.2 per shard to spill the ring at the shard boundary (17.3 on
+  3.12, 38.9 and 55.1 while the spill built ``pathlib`` paths per shard).
 
 The transport kernel (``repro.transport.base.Reassembly`` and MPTCP's
 ``_IntervalSet``) is priced in *comparisons* per delivered segment:
