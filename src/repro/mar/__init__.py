@@ -7,7 +7,6 @@
 - :mod:`~repro.mar.video` — bandwidth estimates of Section III-B (raw
   retina rate, uncompressed 4K, compressed ladder) and a GOP-structured
   video source.
-- :mod:`~repro.mar.sensors` — companion sensor streams.
 - :mod:`~repro.mar.compute` — the execution-delay equations P_local,
   P_local+externalDB and P_offloading.
 - :mod:`~repro.mar.offload` — offloading strategies (local, full
@@ -27,7 +26,6 @@ from repro.mar.video import (
     camera_fov_rate_bps,
     uncompressed_bitrate,
 )
-from repro.mar.sensors import SensorStream, STANDARD_SENSOR_SUITE, suite_bitrate_bps
 from repro.mar.compute import (
     ExecutionBudget,
     local_delay,
@@ -49,8 +47,6 @@ from repro.mar.offload import (
 )
 from repro.mar.cache import ObjectCache
 from repro.mar.energy import EnergyModel, battery_life_hours
-from repro.mar.decision import DecisionEngine, StrategyForecast
-from repro.mar.adaptive import AdaptiveExecutor, AdaptiveTrackingOffload
 from repro.mar.dataplan import DataPlan, TYPICAL_PLANS, cheapest_plan, monthly_cost_of_usage, session_metered_bytes
 from repro.mar.prefetch import GridWorld, MarkovPredictor, PrefetchingCache
 
@@ -70,9 +66,6 @@ __all__ = [
     "camera_fov_rate_bps",
     "uncompressed_bitrate",
     "compressed_bitrate",
-    "SensorStream",
-    "STANDARD_SENSOR_SUITE",
-    "suite_bitrate_bps",
     "ExecutionBudget",
     "local_delay",
     "local_with_db_delay",
@@ -91,10 +84,6 @@ __all__ = [
     "ObjectCache",
     "EnergyModel",
     "battery_life_hours",
-    "DecisionEngine",
-    "StrategyForecast",
-    "AdaptiveExecutor",
-    "AdaptiveTrackingOffload",
     "DataPlan",
     "TYPICAL_PLANS",
     "cheapest_plan",

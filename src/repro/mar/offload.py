@@ -42,8 +42,8 @@ from repro.transport.udp import UdpSocket
 #: Fragment payload size for frame/feature uploads.
 FRAGMENT_BYTES = 1200
 
-#: Fraction of p(a) that is feature extraction (detect + describe) —
-#: calibrated from the ArPipeline stage breakdown.
+#: Fraction of p(a) that is feature extraction (detect + describe).  An
+#: assumed constant, not a calibration: nothing measures it.
 EXTRACTION_FRACTION = 0.45
 
 #: Fraction of p(a) a tracking-only frame costs (Glimpse's cheap path).

@@ -2,26 +2,22 @@
 
 Benchmarks mostly measure end-to-end observables; when a result needs
 explaining ("where did the latency come from?"), these monitors sample
-the inside of the network on a fixed tick:
+the inside of the network on a fixed tick into a
+:class:`~repro.obs.registry.MetricsRegistry`, putting queue depth and
+link utilization on the same mergeable export path as every other
+metric:
 
-- :class:`QueueMonitor` — samples a queue's depth (packets and bytes),
-  yielding occupancy time series and peak/mean statistics — the direct
-  view of bufferbloat.
-- :class:`LinkMonitor` — samples a link's cumulative counters into
-  per-interval throughput and utilization series.
+- :class:`QueueMonitor` — a queue's depth in packets (histogram) and
+  bytes (gauge) — the direct view of bufferbloat.
+- :class:`LinkMonitor` — a link's per-interval utilization (histogram)
+  and throughput (gauge), from its cumulative counters.
 
-Both monitors are bounded: pass ``horizon`` to stop ticking at a known
-scenario end, or call :meth:`stop` — without one of these a monitor
-would keep the event heap non-empty forever, so ``sim.run()`` with no
-``until`` would never drain.  Samples can additionally feed a
-:class:`~repro.obs.registry.MetricsRegistry` (``registry=``), putting
-queue depth and link utilization on the same mergeable export path as
-every other metric.
+Both monitors stop ticking at ``horizon``, a known scenario end:
+without it a monitor would keep the event heap non-empty forever, so
+``sim.run()`` with no ``until`` would never drain.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional, Tuple
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
@@ -31,132 +27,63 @@ from repro.simnet.queues import QueueDiscipline
 class QueueMonitor:
     """Samples a queue's occupancy every ``interval`` seconds.
 
-    Parameters
-    ----------
-    horizon:
-        If given, the last tick at or before this sim time is the final
-        one — the monitor then stops rescheduling and lets the heap
-        drain.
-    registry:
-        Optional metrics registry; each tick also feeds
-        ``queue.<name>.packets`` (histogram) and ``queue.<name>.bytes``
-        (gauge).
-    name:
-        Instrument-name component when ``registry`` is used.
+    Each tick feeds ``queue.<name>.packets`` (histogram) and
+    ``queue.<name>.bytes`` (gauge) of ``registry``; the last tick at or
+    before sim time ``horizon`` is the final one — the monitor then
+    stops rescheduling and lets the heap drain.
     """
 
-    def __init__(self, sim: Simulator, queue: QueueDiscipline,
-                 interval: float = 0.05, horizon: Optional[float] = None,
-                 registry=None, name: str = "queue") -> None:
+    def __init__(self, sim: Simulator, queue: QueueDiscipline, *,
+                 horizon: float, registry, interval: float = 0.05,
+                 name: str = "queue") -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.queue = queue
         self.interval = interval
         self.horizon = horizon
-        self.name = name
-        self.samples: List[Tuple[float, int, int]] = []   # (t, pkts, bytes)
-        self._stopped = False
-        self._hist = None
-        self._gauge = None
-        if registry is not None:
-            self._hist = registry.histogram(f"queue.{name}.packets",
-                                            0.0, 256.0, 256)
-            self._gauge = registry.gauge(f"queue.{name}.bytes")
+        self._hist = registry.histogram(f"queue.{name}.packets",
+                                        0.0, 256.0, 256)
+        self._gauge = registry.gauge(f"queue.{name}.bytes")
         sim.schedule(0.0, self._tick)
 
-    def stop(self) -> None:
-        """Stop sampling; the pending tick becomes a no-op."""
-        self._stopped = True
-
     def _tick(self) -> None:
-        if self._stopped:
-            return
-        pkts = len(self.queue)
-        nbytes = self.queue.backlog_bytes
-        self.samples.append((self.sim.now, pkts, nbytes))
-        if self._hist is not None:
-            self._hist.observe(float(pkts))
-            self._gauge.set(float(nbytes))
-        if self.horizon is not None and self.sim.now + self.interval > self.horizon:
+        self._hist.observe(float(len(self.queue)))
+        self._gauge.set(float(self.queue.backlog_bytes))
+        if self.sim.now + self.interval > self.horizon:
             return
         self.sim.schedule(self.interval, self._tick)
-
-    # ------------------------------------------------------------------
-    def peak_packets(self) -> int:
-        return max((p for _, p, _ in self.samples), default=0)
-
-    def mean_packets(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(p for _, p, _ in self.samples) / len(self.samples)
-
-    def mean_queuing_delay(self, drain_rate_bps: float) -> float:
-        """Average queueing delay implied by occupancy at a drain rate."""
-        if not self.samples or drain_rate_bps <= 0:
-            return 0.0
-        mean_bytes = sum(b for _, _, b in self.samples) / len(self.samples)
-        return mean_bytes * 8 / drain_rate_bps
-
-    def occupancy_series(self) -> List[Tuple[float, int]]:
-        return [(t, p) for t, p, _ in self.samples]
 
 
 class LinkMonitor:
     """Derives per-interval throughput/utilization from a link's counters.
 
-    Accepts the same ``horizon``/``registry`` bounds as
-    :class:`QueueMonitor`; registry ticks feed
-    ``link.<name>.utilization`` (histogram) and
-    ``link.<name>.throughput_bps`` (gauge).
+    Takes the same ``horizon``/``registry`` bounds as
+    :class:`QueueMonitor`; ticks feed ``link.<name>.utilization``
+    (histogram) and ``link.<name>.throughput_bps`` (gauge).
     """
 
-    def __init__(self, sim: Simulator, link: Link, interval: float = 0.5,
-                 horizon: Optional[float] = None, registry=None) -> None:
+    def __init__(self, sim: Simulator, link: Link, *, horizon: float,
+                 registry, interval: float = 0.5) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.link = link
         self.interval = interval
         self.horizon = horizon
-        self.samples: List[Tuple[float, float, float]] = []  # (t, bps, util)
         self._last_bytes = link.bytes_sent
-        self._stopped = False
-        self._hist = None
-        self._gauge = None
-        if registry is not None:
-            self._hist = registry.histogram(f"link.{link.name}.utilization",
-                                            0.0, 1.0, 100)
-            self._gauge = registry.gauge(f"link.{link.name}.throughput_bps")
+        self._hist = registry.histogram(f"link.{link.name}.utilization",
+                                        0.0, 1.0, 100)
+        self._gauge = registry.gauge(f"link.{link.name}.throughput_bps")
         sim.schedule(interval, self._tick)
 
-    def stop(self) -> None:
-        """Stop sampling; the pending tick becomes a no-op."""
-        self._stopped = True
-
     def _tick(self) -> None:
-        if self._stopped:
-            return
         delta = self.link.bytes_sent - self._last_bytes
         self._last_bytes = self.link.bytes_sent
         bps = delta * 8 / self.interval
         utilization = min(1.0, bps / self.link.rate_bps) if self.link.rate_bps else 0.0
-        self.samples.append((self.sim.now, bps, utilization))
-        if self._hist is not None:
-            self._hist.observe(utilization)
-            self._gauge.set(bps)
-        if self.horizon is not None and self.sim.now + self.interval > self.horizon:
+        self._hist.observe(utilization)
+        self._gauge.set(bps)
+        if self.sim.now + self.interval > self.horizon:
             return
         self.sim.schedule(self.interval, self._tick)
-
-    # ------------------------------------------------------------------
-    def mean_utilization(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(u for _, _, u in self.samples) / len(self.samples)
-
-    def peak_throughput_bps(self) -> float:
-        return max((bps for _, bps, _ in self.samples), default=0.0)
-
-    def throughput_series(self) -> List[Tuple[float, float]]:
-        return [(t, bps) for t, bps, _ in self.samples]

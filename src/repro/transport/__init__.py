@@ -5,11 +5,6 @@
   start, congestion avoidance, fast retransmit/recovery, RTO and
   delayed ACKs; the baseline the paper's Figures 3 and 4 compare
   against.
-- :class:`~repro.transport.dccp.DccpSocket` — unreliable datagrams with
-  TCP-friendly rate control, the closest existing protocol the paper
-  surveys (Section V-B3).
-- :class:`~repro.transport.rtp.RtpStream` — RTP-like timestamped media
-  framing with a playout jitter buffer (Section V-A2).
 - :class:`~repro.transport.mptcp.MptcpSender` — multipath TCP with
   subflow scheduling and handover reinjection (Section V-B1).
 - :class:`~repro.transport.quic.QuicConnection` — QUIC-like streams
@@ -17,28 +12,20 @@
   (Section V-B2).
 - :class:`~repro.transport.rsvp.ReservationTable` — RSVP-style per-flow
   guaranteed rates with admission control (Section V-A1).
-- :class:`~repro.transport.mpegts.TsMux` — MPEG-TS-style multiplexing
-  with interleaved FEC (Section V-A3).
 """
 
 from repro.transport.base import SocketBase
 from repro.transport.udp import UdpSocket
 from repro.transport.tcp import TcpConnection, TcpListener
-from repro.transport.dccp import DccpSocket
-from repro.transport.rtp import RtpStream, RtpReceiver
 from repro.transport.mptcp import MptcpReceiver, MptcpSender
 from repro.transport.quic import QuicConnection, QuicStream
 from repro.transport.rsvp import AdmissionError, ReservationTable, ReservedQueue
-from repro.transport.mpegts import TsDemux, TsMux, TsPacket
 
 __all__ = [
     "SocketBase",
     "UdpSocket",
     "TcpConnection",
     "TcpListener",
-    "DccpSocket",
-    "RtpStream",
-    "RtpReceiver",
     "MptcpSender",
     "MptcpReceiver",
     "QuicConnection",
@@ -46,7 +33,4 @@ __all__ = [
     "ReservationTable",
     "ReservedQueue",
     "AdmissionError",
-    "TsMux",
-    "TsDemux",
-    "TsPacket",
 ]

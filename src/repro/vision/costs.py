@@ -3,29 +3,25 @@
 Cycle constants, the per-stage :class:`StageCosts` breakdown (in
 *megacycles*) and :func:`estimate_stage_costs` — float arithmetic only,
 so code that needs the *price* of recognition (the frame observer's
-server-span annotations, capacity planning) does not load the array
-code that performs it.  :mod:`repro.vision.pipeline` applies the same
-constants to measured quantities and re-exports every name here.
+server-span annotations) loads no array code.
 
-Cycle constants are calibrated to the common wisdom that full
-feature-based recognition of a 320x240 frame costs on the order of
-hundreds of milliseconds on a mobile-class core (the reason offloading
-exists at all) and a few milliseconds of tracking (the reason Glimpse
-works).
+The cycle constants are assumed, not measured: they encode the common
+wisdom that full feature-based recognition of a 320x240 frame costs on
+the order of hundreds of milliseconds on a mobile-class core (the
+reason offloading exists at all).  Nothing in the repository calibrates
+them against a running pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List
+from typing import Dict
 
 # Cycle-cost constants (cycles per unit of work).
 CYCLES_PER_PIXEL_DETECT = 450.0       # gradients + 3 gaussian filters + NMS
 CYCLES_PER_KEYPOINT_DESCRIBE = 25_000.0
 CYCLES_PER_MATCH_PAIR = 48.0          # 32-byte XOR + popcount + bookkeeping
 CYCLES_PER_RANSAC_ITER = 9_000.0      # 4-point DLT + error for all pairs
-CYCLES_PER_TRACKED_POINT = 60_000.0   # SSD search window
-CYCLES_PER_PIXEL_ENCODE = 35.0        # software video encode (uplink prep)
 CYCLES_PER_PIXEL_RENDER = 18.0        # overlay composition
 
 
@@ -37,23 +33,11 @@ class StageCosts:
     describe: float = 0.0
     match: float = 0.0
     ransac: float = 0.0
-    track: float = 0.0
-    encode: float = 0.0
     render: float = 0.0
 
     @property
     def total(self) -> float:
         return sum(getattr(self, f.name) for f in fields(self))
-
-    def __add__(self, other: "StageCosts") -> "StageCosts":
-        return StageCosts(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
-
-    def split(self, local_stages: List[str]) -> Dict[str, float]:
-        """Partition into local vs remote megacycles by stage name."""
-        local = sum(getattr(self, name) for name in local_stages)
-        return {"local": local, "remote": self.total - local}
 
     def as_dict(self) -> Dict[str, float]:
         """Stage-name → megacycles, in declaration order."""
@@ -80,12 +64,10 @@ def estimate_stage_costs(n_pixels: int, n_keypoints: int = 300,
                          ransac_iters: int = 400) -> StageCosts:
     """Analytic per-stage cost of full recognition, without running it.
 
-    Applies the module's cycle constants to nominal workload sizes —
-    the same arithmetic :meth:`~repro.vision.pipeline.ArPipeline.
-    process_frame` performs on measured quantities, usable where no
-    pixels exist (observability annotations, capacity planning).
-    Combine with :meth:`StageCosts.scaled_to` to fit the stage *shape*
-    to a known total p(a).
+    Applies the module's cycle constants to nominal workload sizes,
+    usable where no pixels exist (observability annotations).  Combine
+    with :meth:`StageCosts.scaled_to` to fit the stage *shape* to a
+    known total p(a).
     """
     return StageCosts(
         detect=n_pixels * CYCLES_PER_PIXEL_DETECT / 1e6,

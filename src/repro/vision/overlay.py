@@ -28,7 +28,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.vision.pose import default_intrinsics, homography_from_pose, rotation_about
-from repro.vision.synthetic import apply_homography
 
 #: Default virtual object: a 20 cm square "card" centred on the
 #: reference plane (plane coordinates are metres; the camera sits
@@ -36,6 +35,14 @@ from repro.vision.synthetic import apply_homography
 DEFAULT_ANCHOR = np.array(
     [[-0.1, -0.1], [0.1, -0.1], [0.1, 0.1], [-0.1, 0.1]]
 )
+
+
+def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Map ``(N, 2)`` xy points through a 3x3 homography."""
+    points = np.asarray(points, dtype=np.float64)
+    ones = np.ones((points.shape[0], 1))
+    homo = np.hstack([points, ones]) @ h.T
+    return homo[:, :2] / homo[:, 2:3]
 
 
 @dataclass

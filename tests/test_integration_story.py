@@ -1,9 +1,9 @@
 """Flagship integration tests: the paper's full narrative through the
 public API, each test crossing several packages.
 
-These are the "does the system hang together" tests: vision feeding
-offloading, offloading feeding the protocol, the protocol feeding QoE,
-QoE feeding economics — the way a downstream user would actually
+These are the "does the system hang together" tests: access profiles
+feeding the protocol, the protocol feeding QoE and battery life, edge
+placement feeding sessions — the way a downstream user would actually
 compose the library.
 """
 
@@ -19,59 +19,14 @@ from repro.edge import (
 from repro.mar import (
     APP_ARCHETYPES,
     CLOUD,
-    SMART_GLASSES,
     SMARTPHONE,
-    AdaptiveTrackingOffload,
-    DecisionEngine,
     FullOffload,
-    LocalOnly,
     OffloadExecutor,
     battery_life_hours,
 )
-from repro.mar.compute import ExecutionBudget, feasible_locally, offloading_delay
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
-from repro.vision import ArPipeline, make_scene, random_homography, warp_image
-from repro.wireless.profiles import LTE, WIFI_HOME
-
-
-class TestVisionToOffloadChain:
-    """Camera frames → pipeline costs → offloading over a real path."""
-
-    def test_measured_vision_costs_drive_the_offload_decision(self):
-        scene = make_scene(240, 320, seed=21)
-        pipeline = ArPipeline(scene)
-        frame = warp_image(scene, random_homography(seed=1))
-        result = pipeline.process_frame(frame)
-        assert result.recognized
-
-        # Glasses cannot run the measured workload in a 50 ms budget...
-        measured_mc = result.costs.total
-        glasses_time = SMART_GLASSES.execution_time(measured_mc)
-        assert glasses_time > 0.050
-        # ...but the cloud can, and the network math says offload wins.
-        budget = ExecutionBudget(20e6, 50e6, latency=0.010)
-        remote = offloading_delay(SMART_GLASSES, CLOUD,
-                                  APP_ARCHETYPES["orientation"], budget)
-        assert remote < glasses_time
-
-    def test_adaptive_triggers_reduce_network_load_on_calm_scenes(self):
-        scene = make_scene(240, 320, seed=22)
-        adaptive = AdaptiveTrackingOffload(ArPipeline(scene))
-        frame = scene
-        uploads = 0
-        app = APP_ARCHETYPES["orientation"]
-        for i in range(12):
-            frame = warp_image(scene, random_homography(
-                seed=i, max_translation=1.5, max_rotation=0.004))
-            adaptive.observe_frame(frame)
-            if adaptive.plan_frame(app, i).needs_network:
-                uploads += 1
-        static_uploads = sum(
-            1 for i in range(12)
-            if FullOffload().plan_frame(app, i).needs_network
-        )
-        assert uploads < static_uploads / 2
+from repro.wireless.profiles import LTE
 
 
 class TestNetworkToQoEChain:
@@ -147,21 +102,3 @@ class TestEdgeToSessionChain:
         sim.run(until=5.0)
         assert group.incomplete() == 0
         assert group.mean_lag() < 0.01
-
-
-class TestDecisionToPlanChain:
-    """Live estimates → engine → the equations agree with the pick."""
-
-    def test_engine_choice_is_consistent_with_the_equations(self):
-        engine = DecisionEngine(SMART_GLASSES, APP_ARCHETYPES["orientation"])
-        for _ in range(20):
-            engine.observe_rtt(0.012)
-            engine.observe_uplink(WIFI_HOME.up_mean)
-        chosen = engine.decide()
-        ExecutionBudget(WIFI_HOME.up_mean, WIFI_HOME.up_mean * 3,
-                        latency=0.006)
-        # Whatever the engine picked, it must not be dominated: local is
-        # infeasible here and the chosen forecast meets the deadline.
-        assert not feasible_locally(SMART_GLASSES, APP_ARCHETYPES["orientation"])
-        assert not isinstance(chosen, LocalOnly)
-        assert engine.forecast(chosen).meets_deadline

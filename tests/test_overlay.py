@@ -9,10 +9,19 @@ from repro.vision.overlay import (
     DEFAULT_ANCHOR,
     PanningCamera,
     acceptable_latency,
+    apply_homography,
     misalignment_profile,
     misalignment_px,
 )
-from repro.vision.synthetic import apply_homography
+
+
+def test_apply_homography_maps_points():
+    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.allclose(apply_homography(np.eye(3), pts), pts)
+    shift = np.array([[1, 0, 5], [0, 1, -3], [0, 0, 1]], dtype=float)
+    assert np.allclose(apply_homography(shift, pts), pts + [5.0, -3.0])
+    # Projective division: scaling H leaves the mapping unchanged.
+    assert np.allclose(apply_homography(2.0 * shift, pts), pts + [5.0, -3.0])
 
 
 class TestPanningCamera:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import CBRSource, PacketSink
 from repro.simnet.monitor import LinkMonitor, QueueMonitor
@@ -102,67 +103,72 @@ class TestMonitors:
         return sim, link
 
     def test_queue_monitor_sees_buildup(self):
+        registry = MetricsRegistry()
         sim, link = self.loaded_link()
-        monitor = QueueMonitor(sim, link.queue, interval=0.05)
+        QueueMonitor(sim, link.queue, interval=0.05, horizon=3.0,
+                     registry=registry, name="q")
         sim.run(until=3.0)
-        assert monitor.peak_packets() > 50          # 2x overload builds queue
-        assert monitor.mean_packets() > 10
-        assert monitor.mean_queuing_delay(2e6) > 0.05
+        depth = registry.histogram("queue.q.packets")
+        assert depth.moments.maximum > 50     # 2x overload builds queue
+        assert depth.mean > 10
+        # Mean backlog drained at the 2 Mb/s link rate: the queuing delay.
+        backlog = registry.gauge("queue.q.bytes").moments
+        assert backlog.mean * 8 / 2e6 > 0.05
 
     def test_queue_monitor_idle_link(self):
+        registry = MetricsRegistry()
         sim = Simulator(seed=2)
         net = Network(sim)
         net.add_host("a")
         net.add_host("b")
         link = net.add_link("a", "b", 1e6)
-        monitor = QueueMonitor(sim, link.queue, interval=0.1)
+        QueueMonitor(sim, link.queue, interval=0.1, horizon=1.0,
+                     registry=registry, name="q")
         sim.run(until=1.0)
-        assert monitor.peak_packets() == 0
-        assert monitor.mean_queuing_delay(1e6) == 0.0
+        assert registry.histogram("queue.q.packets").moments.maximum == 0.0
+        assert registry.gauge("queue.q.bytes").moments.maximum == 0.0
 
     def test_link_monitor_utilization_saturated(self):
+        registry = MetricsRegistry()
         sim, link = self.loaded_link()
-        monitor = LinkMonitor(sim, link, interval=0.25)
+        LinkMonitor(sim, link, interval=0.25, horizon=4.0, registry=registry)
         sim.run(until=4.0)
-        assert monitor.mean_utilization() > 0.9
-        assert monitor.peak_throughput_bps() == pytest.approx(2e6, rel=0.1)
+        assert registry.histogram(f"link.{link.name}.utilization").mean > 0.9
+        peak = registry.gauge(f"link.{link.name}.throughput_bps").moments.maximum
+        assert peak == pytest.approx(2e6, rel=0.1)
 
     def test_link_monitor_partial_load(self):
+        registry = MetricsRegistry()
         sim, link = self.loaded_link(rate=10e6, offered=2e6)
-        monitor = LinkMonitor(sim, link, interval=0.25)
+        LinkMonitor(sim, link, interval=0.25, horizon=4.0, registry=registry)
         sim.run(until=4.0)
-        assert 0.1 < monitor.mean_utilization() < 0.35
+        assert 0.1 < registry.histogram(f"link.{link.name}.utilization").mean < 0.35
 
     def test_interval_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            QueueMonitor(sim, DropTailQueue(), interval=0.0)
-
-    def test_stop_halts_sampling(self):
-        sim, link = self.loaded_link()
-        monitor = QueueMonitor(sim, link.queue, interval=0.05)
-        sim.run(until=1.0)
-        n = len(monitor.samples)
-        monitor.stop()
-        sim.run(until=2.0)
-        assert len(monitor.samples) == n
+            QueueMonitor(sim, DropTailQueue(), interval=0.0, horizon=1.0,
+                         registry=MetricsRegistry())
 
     def test_horizon_bounds_monitor_and_drains_heap(self):
-        """With a horizon the monitor stops rescheduling itself, so a
-        bare ``sim.run()`` (no ``until``) terminates."""
-        sim, link = self.loaded_link()
-        qmon = QueueMonitor(sim, link.queue, interval=0.05, horizon=1.0)
-        lmon = LinkMonitor(sim, link, interval=0.25, horizon=1.0)
-        sim.run(until=3.0)
-        assert all(t <= 1.0 for t, _, _ in qmon.samples)
-        assert all(t <= 1.0 for t, _, _ in lmon.samples)
+        """With a horizon the monitor stops rescheduling itself, so once
+        the traffic stops a bare ``sim.run()`` (no ``until``) terminates."""
+        registry = MetricsRegistry()
+        sim = Simulator(seed=1)
+        net = Network(sim)
+        net.add_host("a")
+        net.add_host("b")
+        link = net.add_link("a", "b", 1e6)
+        QueueMonitor(sim, link.queue, interval=0.05, horizon=1.0,
+                     registry=registry, name="q")
+        LinkMonitor(sim, link, interval=0.25, horizon=1.0, registry=registry)
+        sim.run()
+        assert sim.now <= 1.0
         # ~1.0/interval ticks; float accumulation may shave the last one.
-        assert 19 <= len(qmon.samples) <= 21
-        assert 3 <= len(lmon.samples) <= 4
+        assert 19 <= registry.histogram("queue.q.packets").count <= 21
+        assert 3 <= registry.histogram(f"link.{link.name}.utilization").count <= 4
 
     def test_monitors_feed_registry(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         sim, link = self.loaded_link()
         QueueMonitor(sim, link.queue, interval=0.05, horizon=2.0,

@@ -1,8 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import math
-
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import percentile, summarize
@@ -15,8 +12,6 @@ from repro.mar.cache import ObjectCache
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import Packet
 from repro.simnet.queues import DropTailQueue, FQCoDelQueue
-from repro.vision.homography import estimate_homography, reprojection_error
-from repro.vision.synthetic import apply_homography
 
 # ----------------------------------------------------------------------
 # Engine
@@ -196,39 +191,6 @@ def test_cache_never_exceeds_capacity(requests, capacity):
         cache.request(key, size)
         assert cache.used_bytes <= capacity
     assert cache.hits + cache.misses == len(requests)
-
-
-# ----------------------------------------------------------------------
-# Homography
-# ----------------------------------------------------------------------
-
-
-@st.composite
-def nice_homographies(draw):
-    angle = draw(st.floats(min_value=-0.3, max_value=0.3))
-    scale = draw(st.floats(min_value=0.8, max_value=1.2))
-    tx = draw(st.floats(min_value=-30, max_value=30))
-    ty = draw(st.floats(min_value=-30, max_value=30))
-    return np.array(
-        [
-            [scale * math.cos(angle), -scale * math.sin(angle), tx],
-            [scale * math.sin(angle), scale * math.cos(angle), ty],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-
-
-@given(nice_homographies())
-@settings(max_examples=30)
-def test_homography_recovered_from_perfect_correspondences(h_true):
-    src = np.array(
-        [[20.0, 20.0], [300.0, 30.0], [40.0, 220.0], [280.0, 200.0],
-         [160.0, 120.0], [100.0, 60.0]]
-    )
-    dst = apply_homography(h_true, src)
-    h_est = estimate_homography(src, dst)
-    errs = reprojection_error(h_est, src, dst)
-    assert errs.max() < 1e-6
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.core.traffic import Priority, StreamSpec, TrafficClass
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.simnet.queues import DropTailQueue
-from repro.transport.mpegts import TsDemux, TsMux
 from repro.transport.rsvp import ReservedQueue
 from repro.simnet.packet import Packet
 from repro.transport.tcp import TcpConnection, TcpListener
@@ -103,32 +102,3 @@ def test_reserved_queue_conservation(items):
         t += 0.01
     assert dequeued == len(q) + dequeued  # queue fully drained
     assert dequeued + q.drops == len(items)
-
-
-@given(
-    rows=st.integers(min_value=2, max_value=6),
-    cols=st.integers(min_value=2, max_value=6),
-    seed=st.integers(min_value=0, max_value=1000),
-    loss_count=st.integers(min_value=0, max_value=8),
-)
-@settings(max_examples=40)
-def test_mpegts_recovered_only_if_actually_lost(rows, cols, seed, loss_count):
-    """FEC never 'recovers' packets that arrived, and every recovery is
-    a genuinely lost data packet."""
-    import random as _random
-    mux = TsMux(rows=rows, cols=cols)
-    from repro.transport.mpegts import TS_PAYLOAD_BYTES
-    mux.push(1, rows * cols * TS_PAYLOAD_BYTES * 2)
-    mux.flush()
-    packets = mux.take()
-    rng = _random.Random(seed)
-    lost = set(rng.sample([p.index for p in packets],
-                          min(loss_count, len(packets))))
-    demux = TsDemux(rows=rows, cols=cols)
-    for packet in packets:
-        if packet.index not in lost:
-            demux.on_packet(packet)
-    assert demux.recovered.isdisjoint(demux.received)
-    assert demux.recovered <= lost
-    total = len(packets)
-    assert 0.0 <= demux.effective_loss(total) <= len(lost) / total + 1e-9

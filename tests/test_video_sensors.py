@@ -1,8 +1,7 @@
-"""Tests for the bandwidth estimates of Section III-B and sensor suites."""
+"""Tests for the bandwidth estimates of Section III-B and the video source."""
 
 import pytest
 
-from repro.mar.sensors import STANDARD_SENSOR_SUITE, SensorStream, suite_bitrate_bps
 from repro.mar.video import (
     VideoSource,
     camera_fov_rate_bps,
@@ -78,24 +77,3 @@ class TestVideoSource:
     def test_gop_validation(self):
         with pytest.raises(ValueError):
             VideoSource(gop=0)
-
-
-class TestSensors:
-    def test_suite_contains_imu_and_gps(self):
-        assert "imu" in STANDARD_SENSOR_SUITE
-        assert "gps" in STANDARD_SENSOR_SUITE
-
-    def test_stream_bitrate(self):
-        imu = STANDARD_SENSOR_SUITE["imu"]
-        assert imu.bitrate_bps == pytest.approx(100 * 36 * 8)
-
-    def test_suite_bitrate_small_relative_to_video(self):
-        total = suite_bitrate_bps()
-        assert total < 100_000  # sensors are thin flows
-
-    def test_sample_generation(self):
-        s = SensorStream("x", rate_hz=10.0, sample_bytes=8)
-        samples = list(s.samples(1.0))
-        assert len(samples) == 10
-        assert samples[1][0] == pytest.approx(0.1)
-        assert all(size == 8 for _, size in samples)
