@@ -16,6 +16,12 @@ sim domain, so both the fleet aggregation layer
 observability metrics registry (:mod:`repro.obs.registry`) share one
 canonical implementation and shard registries stay byte-identically
 merge-compatible.
+
+:func:`mean`, :func:`stddev` and :func:`jain_index` sum with
+``math.fsum``, which is correctly rounded on every CPython (the builtin
+``sum()`` of floats is compensated only from 3.12 on).  Every float
+aggregate in :mod:`repro` goes through them or ``math.fsum``;
+``tests/test_determinism_guards.py`` enforces it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Iterable, List, Sequence, Tuple
 def mean(data: Iterable[float]) -> float:
     """Arithmetic mean; NaN for empty input."""
     data = data if isinstance(data, Sequence) else list(data)
-    return sum(data) / len(data) if data else float("nan")
+    return math.fsum(data) / len(data) if data else float("nan")
 
 
 def stddev(data: Iterable[float]) -> float:
@@ -39,7 +45,7 @@ def stddev(data: Iterable[float]) -> float:
     if n < 2:
         return 0.0
     mu = mean(data)
-    return math.sqrt(sum((x - mu) ** 2 for x in data) / (n - 1))
+    return math.sqrt(math.fsum((x - mu) ** 2 for x in data) / (n - 1))
 
 
 def percentile(data: Iterable[float], q: float) -> float:
@@ -370,8 +376,8 @@ def jain_index(allocations: Iterable[float]) -> float:
         else list(allocations)
     if not allocations:
         return float("nan")
-    total = sum(allocations)
-    squares = sum(x * x for x in allocations)
+    total = math.fsum(allocations)
+    squares = math.fsum(x * x for x in allocations)
     if squares == 0:
         return 1.0
     return total * total / (len(allocations) * squares)

@@ -24,6 +24,7 @@ unaltered at all cost".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -45,7 +46,7 @@ class Allocation:
 
     @property
     def total_bps(self) -> float:
-        return sum(self.rates_bps.values())
+        return math.fsum(self.rates_bps.values())
 
 
 class DegradationController:
@@ -107,7 +108,7 @@ class DegradationController:
                     for s in active
                     if s.nominal_rate_bps - rates[s.stream_id] > 1e-9
                 }
-                total_want = sum(wants.values())
+                total_want = math.fsum(wants.values())
                 if total_want <= 0:
                     break
                 pool = min(remaining, total_want)
@@ -147,7 +148,7 @@ class DegradationController:
     def guaranteed_floor_bps(self) -> float:
         """Sum of floors of non-discardable streams — the budget's hard
         minimum for a sane configuration."""
-        return sum(
+        return math.fsum(
             s.min_rate_bps for s in self.streams if not s.priority.may_discard
         )
 

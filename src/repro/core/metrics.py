@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, TYPE_CHECKING
 
-from repro.analysis.stats import percentile
+from repro.analysis.stats import mean, percentile
 from repro.core.traffic import Priority, TrafficClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,7 +82,7 @@ def class_report(sender: "MartpSender", receiver: "MartpReceiver",
         received=rx.received,
         in_time=rx.in_time,
         recovered=rx.recovered,
-        mean_latency=sum(rx.latencies) / len(rx.latencies) if rx.latencies else float("nan"),
+        mean_latency=mean(rx.latencies),
         p95_latency=percentile(rx.latencies, 95.0),
         nominal_rate_bps=tx.spec.nominal_rate_bps,
         achieved_rate_bps=achieved,
@@ -109,7 +109,7 @@ class QoeReport:
     @property
     def mean_video_quality(self) -> float:
         tl = self.video_quality_timeline
-        return sum(tl) / len(tl) if tl else 1.0
+        return mean(tl) if tl else 1.0
 
 
 @dataclass
@@ -137,14 +137,12 @@ class ResilienceReport:
     @property
     def mean_detection_time(self) -> float:
         """Mean delay from last good contact to failure declaration."""
-        d = self.detection_delays
-        return sum(d) / len(d) if d else float("nan")
+        return mean(self.detection_delays)
 
     @property
     def mttr(self) -> float:
         """Mean time from failure declaration to restored offloading."""
-        r = self.recovery_times
-        return sum(r) / len(r) if r else float("nan")
+        return mean(self.recovery_times)
 
     @property
     def availability(self) -> float:

@@ -27,6 +27,7 @@ Packets carry ~32 bytes of MARTP header (accounted in ``size``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -398,7 +399,7 @@ class MartpSender:
         ]
         if not usable:
             return min(c.min_bps for c in self.controllers.values())
-        return sum(usable)
+        return math.fsum(usable)
 
     @property
     def congestion_events(self) -> int:

@@ -9,6 +9,7 @@ starves the most constrained users.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -57,7 +58,7 @@ class AssignmentResult:
 
     def mean_latency(self) -> float:
         vals = [l for u, l in self.latencies.items() if self.mapping[u] is not None]
-        return sum(vals) / len(vals) if vals else float("inf")
+        return math.fsum(vals) / len(vals) if vals else float("inf")
 
     def max_load_fraction(self, topology: CityTopology) -> float:
         fractions = []

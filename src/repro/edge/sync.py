@@ -14,6 +14,7 @@ user RTT) against "more sync" (higher replication cost and staleness).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -101,7 +102,7 @@ class SyncGroup:
 
     def mean_lag(self) -> float:
         lags = self.consistency_lags()
-        return sum(lags) / len(lags) if lags else float("inf")
+        return math.fsum(lags) / len(lags) if lags else float("inf")
 
     def incomplete(self) -> int:
         return sum(1 for r in self.updates.values() if r.completed_at is None)

@@ -45,10 +45,11 @@ Python-frame budget in ``tests/test_hot_path_budget.py``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 try:
     import resource
@@ -164,7 +165,7 @@ class TelemetryCollector:
                 "fingerprint16": campaign.fingerprint()[:16],
                 "spec": campaign.spec_dict(),
                 "shards": len(result.outcomes),
-                "cost_total": round(sum(costs.values()), 6),
+                "cost_total": round(math.fsum(costs.values()), 6),
             },
             "run": {
                 "driver_pid": os.getpid(),

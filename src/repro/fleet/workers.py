@@ -58,6 +58,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.stats import mean
 from repro.core.resilience import DecorrelatedBackoff
 from repro.fleet.aggregate import Aggregate, OrderedReducer
 from repro.fleet.cache import ResultCache
@@ -318,7 +319,7 @@ def plan_batches(states: Sequence["_ShardState"], workers: int,
     batches: List[List["_ShardState"]] = []
     if scenario is not None and scenario.cost_hint is not None:
         costs = [scenario.shard_cost(s.spec.param_dict()) for s in states]
-        target = sum(costs) / n_batches
+        target = math.fsum(costs) / n_batches
         cur: List["_ShardState"] = []
         acc = 0.0
         for state, cost in zip(states, costs):
@@ -360,14 +361,15 @@ def batch_cost_efficiency(batches: Sequence[Sequence["_ShardState"]],
     if not batches:
         return 1.0
     if scenario is not None and scenario.cost_hint is not None:
-        costs = [sum(scenario.shard_cost(s.spec.param_dict()) for s in batch)
+        costs = [math.fsum(scenario.shard_cost(s.spec.param_dict())
+                           for s in batch)
                  for batch in batches]
     else:
         costs = [float(len(batch)) for batch in batches]
     peak = max(costs)
     if peak <= 0:
         return 1.0
-    return (sum(costs) / len(costs)) / peak
+    return mean(costs) / peak
 
 
 def _pool_context():

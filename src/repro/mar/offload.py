@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.stats import percentile as sample_percentile
+from repro.analysis.stats import mean, percentile as sample_percentile
 from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
@@ -171,16 +171,16 @@ class SessionResult:
     @property
     def mean_latency(self) -> float:
         lat = self.frame_latencies
-        return sum(lat) / len(lat) if lat else float("inf")
+        return mean(lat) if lat else float("inf")
 
     @property
     def mean_offloaded_latency(self) -> float:
         lat = self.offloaded_latencies
-        return sum(lat) / len(lat) if lat else float("inf")
+        return mean(lat) if lat else float("inf")
 
     @property
     def mean_link_rtt(self) -> float:
-        return sum(self.link_rtts) / len(self.link_rtts) if self.link_rtts else float("inf")
+        return mean(self.link_rtts) if self.link_rtts else float("inf")
 
     def percentile(self, q: float) -> float:
         if not self.frame_latencies:

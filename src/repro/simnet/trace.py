@@ -8,6 +8,7 @@ events for debugging and fine-grained assertions in tests.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -83,7 +84,7 @@ class FlowStats:
 
     def mean_delay(self, flow: Optional[str] = None) -> float:
         data = self.delays(flow)
-        return sum(data) / len(data) if data else 0.0
+        return math.fsum(data) / len(data) if data else 0.0
 
     def jitter(self, flow: Optional[str] = None) -> float:
         """Mean absolute delta between consecutive delay samples (RFC 3550 flavour)."""
@@ -91,7 +92,7 @@ class FlowStats:
         if len(data) < 2:
             return 0.0
         deltas = [abs(b - a) for a, b in zip(data, data[1:])]
-        return sum(deltas) / len(deltas)
+        return math.fsum(deltas) / len(deltas)
 
     def flows_seen(self) -> List[str]:
         return sorted({s.flow for s in self.samples})

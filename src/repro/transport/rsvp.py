@@ -19,6 +19,7 @@ needs plus a minimal signaling layer:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
@@ -76,7 +77,7 @@ class ReservedQueue(QueueDiscipline):
             self._best_effort.extend(reservation.queue)
 
     def reserved_rate_bps(self) -> float:
-        return sum(r.rate_bps for r in self._reservations.values())
+        return math.fsum(r.rate_bps for r in self._reservations.values())
 
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, now: float) -> bool:

@@ -14,6 +14,7 @@ them against a running pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict
 
@@ -37,7 +38,7 @@ class StageCosts:
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, f.name) for f in fields(self))
+        return math.fsum(getattr(self, f.name) for f in fields(self))
 
     def as_dict(self) -> Dict[str, float]:
         """Stage-name → megacycles, in declaration order."""

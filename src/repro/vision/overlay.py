@@ -27,6 +27,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.stats import mean
 from repro.vision.pose import default_intrinsics, homography_from_pose, rotation_about
 
 #: Default virtual object: a 20 cm square "card" centred on the
@@ -122,7 +123,7 @@ def misalignment_profile(
             for t in times
         ]
         errors.sort()
-        mean_error = sum(errors) / len(errors)
+        mean_error = mean(errors)
         p95 = errors[min(len(errors) - 1, int(0.95 * (len(errors) - 1)))]
         out.append((latency, mean_error, p95))
     return out

@@ -21,6 +21,7 @@ anomaly emerges here too, now with collision losses on top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -133,4 +134,4 @@ class DcfChannel:
         return self.total_collisions / attempts if attempts else 0.0
 
     def aggregate_throughput_bps(self, t0: float, t1: float) -> float:
-        return sum(s.throughput_bps(t0, t1) for s in self.stations.values())
+        return math.fsum(s.throughput_bps(t0, t1) for s in self.stations.values())

@@ -16,6 +16,7 @@ validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -44,7 +45,7 @@ def anomaly_throughput(phy_rates_bps: List[float], payload: int = FRAME_PAYLOAD)
     ``payload / sum_i airtime_i`` — the Heusse et al. result.  Returns
     bits/s per station (all equal).
     """
-    total_airtime = sum(frame_airtime(r, payload) for r in phy_rates_bps)
+    total_airtime = math.fsum(frame_airtime(r, payload) for r in phy_rates_bps)
     per_station = payload * 8 / total_airtime
     return [per_station for _ in phy_rates_bps]
 
@@ -126,4 +127,4 @@ class WifiCell:
 
     # ------------------------------------------------------------------
     def aggregate_throughput_bps(self, t0: float, t1: float) -> float:
-        return sum(s.throughput_bps(t0, t1) for s in self.stations.values())
+        return math.fsum(s.throughput_bps(t0, t1) for s in self.stations.values())

@@ -5,12 +5,16 @@ import math
 import pytest
 
 from repro.analysis.report import Figure, ascii_table, format_rate, format_time
-from repro.analysis.stats import mean, percentile, stddev, summarize, timeseries_bins
+from repro.analysis.stats import (jain_index, mean, percentile, stddev, summarize,
+                                  timeseries_bins)
 
 
 class TestStats:
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
+        # Correctly rounded on every interpreter: a plain sum() below
+        # CPython 3.12 loses the 1.0 and returns 0.0.
+        assert mean([1e16, 1.0, -1e16]) == 1 / 3
 
     def test_mean_empty_nan(self):
         assert math.isnan(mean([]))
@@ -20,6 +24,18 @@ class TestStats:
 
     def test_stddev_sample(self):
         assert stddev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == pytest.approx(2.138, abs=0.01)
+        # Squared deviations 1, 1 and four of 2**-52: a plain sum()
+        # below CPython 3.12 rounds each small one away.
+        e = 2.0 ** -26
+        assert stddev([1.0, -1.0, e, -e, e, -e]) == math.sqrt((2 + 2.0 ** -50) / 5)
+
+    def test_jain_index(self):
+        assert jain_index([3.0, 3.0, 3.0]) == 1.0
+        assert jain_index([1.0, 0.0, 0.0, 0.0]) == 0.25
+        assert math.isnan(jain_index([]))
+        # The total is 1 + 2**-52 exactly; a plain sum() below CPython
+        # 3.12 drops both small shares.
+        assert jain_index([1.0, 2.0 ** -53, 2.0 ** -53]) == (1 + 2.0 ** -52) ** 2 / 3
 
     def test_percentile_interpolates(self):
         data = [0.0, 10.0]

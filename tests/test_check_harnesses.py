@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.check.choices import ScriptController
 from repro.check.explorer import Budget, explore
 from repro.check.harnesses import (

@@ -4,9 +4,10 @@ Every registered fleet scenario runs one small shard (the shards of
 ``test_import_budget.SHARDS``) under these guards:
 
 - no module-level ``random.*`` function is called while a scenario
-  runs (:func:`global_random_raises`), and no ``time`` clock is read
-  (:func:`wall_clock_raises`); the observed scenarios and the bounded
-  explorer run under both guards too;
+  runs (:func:`global_random_raises`), no ``time`` clock is read
+  (:func:`wall_clock_raises`), and no builtin ``sum()`` returns a float
+  (:func:`float_sum_raises`); the observed scenarios and the bounded
+  explorer run under all three guards too;
 - the shards run forward, reversed, then forward again in one fresh
   interpreter under ``PYTHONHASHSEED=0``, and reversed in another under
   ``PYTHONHASHSEED=1``, give byte-equal aggregates whose digest is
@@ -27,9 +28,11 @@ this file (docs/DETERMINISM.md).
 import ast
 import contextlib
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -48,11 +51,8 @@ from test_import_budget import SHARDS, SRC
 SEED = 3
 
 #: sha256 of the five shard aggregates in ``sorted(SHARDS)`` order: one
-#: value under every ``PYTHONHASHSEED``.  CPython 3.12 made ``sum()`` of
-#: floats compensated (Neumaier), which moves ``mean_video_quality`` by
-#: one ulp in two shards, so there is one value per summation.
-SHARDS_DIGEST = ("f1f4950ec53c1082" if sys.version_info >= (3, 12)
-                 else "b22410f6ac9131d9")
+#: value under every ``PYTHONHASHSEED``.
+SHARDS_DIGEST = "f1f4950ec53c1082"
 
 #: The ``time`` functions that read a clock.
 WALL_CLOCKS = [name + suffix for name in ("time", "monotonic", "perf_counter",
@@ -109,6 +109,42 @@ def wall_clock_raises():
     return refused(time, WALL_CLOCKS, "simulated time is sim.now")
 
 
+def load_repro():
+    """Import every ``repro`` module: the guards cover only loaded ones."""
+    for module in pkgutil.walk_packages([str(Path(SRC) / "repro")], "repro."):
+        if module.name != "repro.__main__":     # it runs the CLI
+            importlib.import_module(module.name)
+
+
+@contextlib.contextmanager
+def float_sum_raises():
+    """Make the builtin ``sum()`` raise in every loaded ``repro`` module
+    when it returns a float.
+
+    CPython 3.12 made ``sum()`` of floats compensated, so such a sum
+    prints different digits on different interpreters; ``math.fsum``
+    (behind ``repro.analysis.stats``) is correctly rounded on all of
+    them.  Integer sums pass.
+    """
+    def checked(*args, **kwargs):
+        total = sum(*args, **kwargs)
+        if isinstance(total, float):
+            raise AssertionError("sum() of floats called while a scenario "
+                                 "runs; use repro.analysis.stats or "
+                                 "math.fsum")
+        return total
+
+    holders = [held for name, held in sorted(sys.modules.items())
+               if name.split(".")[0] == "repro" and "sum" not in vars(held)]
+    try:
+        for holder in holders:
+            holder.sum = checked
+        yield
+    finally:
+        for holder in holders:
+            del holder.sum
+
+
 def run_shards(names):
     return {name: get_scenario(name).fn(SEED, dict(SHARDS[name])).to_json()
             for name in names}
@@ -143,8 +179,21 @@ def test_the_wall_clock_guard_fires_and_lifts(monkeypatch):
     assert time.monotonic is clock and link.monotonic is clock
 
 
+def test_the_float_sum_guard_fires_and_lifts():
+    from repro.simnet import trace
+
+    with float_sum_raises():
+        for call in (lambda: trace.sum([0.5, 0.25]),
+                     lambda: trace.sum([1, 2], 0.0)):
+            with pytest.raises(AssertionError, match="math.fsum"):
+                call()
+        assert trace.sum([1, 2, 3]) == 6        # integer sums pass
+    assert "sum" not in vars(trace)
+
+
 def test_observed_and_explored_runs_read_no_clock():
-    with global_random_raises(), wall_clock_raises():
+    load_repro()
+    with global_random_raises(), wall_clock_raises(), float_sum_raises():
         for name in sorted(OBS_SCENARIOS):
             run_obs_scenario(name, seed=SEED, frames=5)
         for name in DEFAULT_HARNESSES:
@@ -153,9 +202,11 @@ def test_observed_and_explored_runs_read_no_clock():
 
 RUN_ORDERS = """
 import json, sys
-from test_determinism_guards import (global_random_raises, run_shards,
+from test_determinism_guards import (float_sum_raises, global_random_raises,
+                                     load_repro, run_shards,
                                      wall_clock_raises)
-with global_random_raises(), wall_clock_raises():
+load_repro()
+with global_random_raises(), wall_clock_raises(), float_sum_raises():
     print(json.dumps([run_shards(order) for order in json.loads(sys.argv[1])]))
 """
 

@@ -1,7 +1,6 @@
 """Hierarchical city shard campaigns, run through `python -m repro fleet`."""
 
 import hashlib
-import sys
 
 import pytest
 
@@ -17,20 +16,12 @@ from repro.scale.shards import (
 
 
 #: sha256 of the merged ``city_coverage_campaign("smoke")`` aggregate.
-#: CPython 3.12 made ``sum()`` of floats compensated (Neumaier), which
-#: moves the city aggregates, so there is one value per summation.
-SMOKE_FINGERPRINT = (
-    "6ebe3fd8b0e1634846ede3660e5de0ecbb447b81ddd44d190e3cafb91bb0caaf"
-    if sys.version_info >= (3, 12) else
-    "c2f6bfb3272e491a67290f661262db6bb0a063af7bb6d6ea7322474d8b844107")
+SMOKE_FINGERPRINT = "6ebe3fd8b0e1634846ede3660e5de0ecbb447b81ddd44d190e3cafb91bb0caaf"
 
 #: The same for the ``small`` tier (128 shards), the one the CI
 #: ``scale-smoke`` job runs on the pool and inline, and the population
 #: it must reach.
-SMALL_FINGERPRINT = (
-    "a78e584d1e1bf2faaefef1b91256f1e4abb9b59599efdb48bdbbaab0a5b7f1d0"
-    if sys.version_info >= (3, 12) else
-    "2b81a4607c795b3efca444f0e21c0c026e5e3b45f6335e1e8a9d23b7cd82e61a")
+SMALL_FINGERPRINT = "a78e584d1e1bf2faaefef1b91256f1e4abb9b59599efdb48bdbbaab0a5b7f1d0"
 SMALL_MIN_USERS = 100_000
 
 
