@@ -50,9 +50,9 @@ from repro.simnet.engine import Simulator
 from repro.wireless.profiles import (
     MAR_MAX_RTT,
     MAR_MIN_UPLINK_BPS,
+    MIN_LOAD_SHARE,
     AccessProfile,
     all_profiles,
-    load_factors,
 )
 
 #: AR(1) relaxation of the log-load perturbation per fluid step: the
@@ -199,33 +199,42 @@ class CellTimeline:
     def summarise(self) -> CellSummary:
         """Everything the aggregates need from the samples, in one walk.
 
-        Each sample costs one :func:`load_factors` call.  The readiness
-        predicate multiplies the profile's mean uplink and RTT by the
-        same factors ``AccessProfile.under_load`` would — the §III-B
-        thresholds applied to the cell *under its instantaneous load* —
-        without building the loaded profile.
+        ``n`` and ``ρ`` go through the moments' and histogram's
+        ``extend``; one loop then applies :func:`load_factors`' law
+        inline — the per-user uplink share and the readiness predicate,
+        which multiplies the profile's mean uplink and RTT by the same
+        factors ``AccessProfile.under_load`` would: the §III-B
+        thresholds applied to the cell *under its instantaneous load*,
+        without building the loaded profile or the factors.
         """
         profile = profile_by_name(self.spec.profile)
         up_mean = profile.up_mean
         rtt = profile.rtt
+        samples = self.samples
+        rhos = [rho for _t, _n, rho in samples]
         out = CellSummary()
-        add_users = out.active_users.add
-        add_rho = out.utilization.add
-        add_up = out.per_user_up_bps.add
-        add_bin = out.utilization_bins.add
-        for _t, n, rho in self.samples:
-            f = load_factors(rho)
-            up = up_mean * f.share
-            add_users(n)
-            add_rho(rho)
+        out.active_users.extend([n for _t, n, _rho in samples])
+        out.utilization.extend(rhos)
+        out.utilization_bins.extend(rhos)
+        ups = []
+        add_up = ups.append
+        contended = overloaded = ready = 0
+        for rho in rhos:
+            r = rho if rho > 0.0 else 0.0
+            share = max(1.0 - r, MIN_LOAD_SHARE)
+            up = up_mean * share
             add_up(up)
-            add_bin(rho)
             if rho > CONTENTION_RHO:
-                out.contended += 1
+                contended += 1
             if rho > 1.0:
-                out.overloaded += 1
-            if up >= MAR_MIN_UPLINK_BPS and rtt * f.delay_factor <= MAR_MAX_RTT:
-                out.mar_ready += 1
+                overloaded += 1
+            if (up >= MAR_MIN_UPLINK_BPS
+                    and rtt * (1.0 + min(r, 1.0) / share) <= MAR_MAX_RTT):
+                ready += 1
+        out.per_user_up_bps.extend(ups)
+        out.contended = contended
+        out.overloaded = overloaded
+        out.mar_ready = ready
         return out
 
     def mar_ready_fraction(self) -> float:
@@ -234,14 +243,17 @@ class CellTimeline:
 
 
 class CellProcess:
-    """The fluid load process of one cell, stepped on a host simulator.
+    """The fluid load process of one cell, on a host simulator's clock.
 
-    Attach to a :class:`Simulator` and ``sim.run(until=horizon)``; the
-    process schedules itself every ``spec.dt``, reads time from
-    ``sim.now``, and draws its load shocks from
-    ``sim.child_rng(f"scale.cell.{cell_id}")`` — the determinism
-    contract for sim-domain code (ROADMAP), which also makes a cell's
-    trajectory independent of how many other cells share the simulator.
+    The process schedules no event: it steps its ODE every ``spec.dt``
+    from the simulator's ``now`` at construction, lazily, whenever
+    :attr:`timeline` or :attr:`active_users` is read — up to and
+    including ``sim.now``, the steps a self-rescheduling timer would
+    have fired by then.  :func:`run_cell` steps eagerly to its horizon.
+    Load shocks come from ``sim.child_rng(f"scale.cell.{cell_id}")`` —
+    the determinism contract for sim-domain code (ROADMAP), which also
+    makes a cell's trajectory independent of how many other cells share
+    the simulator.
     """
 
     def __init__(self, sim: Simulator, spec: CellSpec) -> None:
@@ -250,35 +262,81 @@ class CellProcess:
         self._rng = sim.child_rng(f"scale.cell.{spec.cell_id}")
         self._n = float(spec.initial_users)
         self._x = 0.0                # OU log-load perturbation
-        self.timeline = CellTimeline(spec=spec, samples=[])
-        sim.schedule(0.0, self._step)
+        self._timeline = CellTimeline(spec=spec, samples=[])
+        # The engine's ``now + delay`` for a first step at delay 0.
+        self._next_t = sim.now + 0.0
+
+    @property
+    def timeline(self) -> CellTimeline:
+        self._advance(self.sim.now)
+        return self._timeline
+
+    @timeline.setter
+    def timeline(self, timeline: CellTimeline) -> None:
+        """Replace the trajectory; the process never steps again."""
+        self._timeline = timeline
+        self._next_t = math.inf
 
     @property
     def active_users(self) -> float:
+        self._advance(self.sim.now)
         return self._n
 
-    def _step(self) -> None:
-        spec = self.spec
-        t = self.sim.now
-        lam = spec.arrival_rate * (
-            1.0 + spec.diurnal_amplitude
-            * math.sin(2.0 * math.pi * (t + spec.diurnal_phase)
-                       / spec.diurnal_period))
-        self._x = (1.0 - OU_BETA) * self._x + self._rng.gauss(0.0, spec.burstiness)
-        lam_eff = max(lam, 0.0) * math.exp(self._x)
-        self._n += spec.dt * (lam_eff - self._n / spec.mean_holding)
-        if self._n < 0.0:
-            self._n = 0.0
-        rho = (self._n * spec.demand_up_bps) / spec.capacity_up_bps
+    def _advance(self, until: float) -> None:
+        """Take every fluid step due at or before ``until``.
 
-        tl = self.timeline
-        tl.samples.append((t, self._n, rho))
-        tl.arrivals += lam_eff * spec.dt
-        tl.user_seconds += self._n * spec.dt
-        excess = self._n - spec.capacity_users
-        if excess > 0.0:
-            tl.blocked_user_seconds += excess * spec.dt
-        self.sim.schedule(spec.dt, self._step)
+        Step ``k`` runs at ``t_k = t_{k-1} + dt`` — the float the
+        engine's ``now + delay`` would have scheduled it at — with the
+        same operations in the same order as one step per event, on
+        locals.
+        """
+        t = self._next_t
+        if t > until:
+            return
+        spec = self.spec
+        dt = spec.dt
+        arrival_rate = spec.arrival_rate
+        amplitude = spec.diurnal_amplitude
+        phase = spec.diurnal_phase
+        period = spec.diurnal_period
+        burstiness = spec.burstiness
+        holding = spec.mean_holding
+        demand = spec.demand_up_bps
+        capacity = spec.capacity_up_bps
+        capacity_users = spec.capacity_users
+        keep = 1.0 - OU_BETA
+        two_pi = 2.0 * math.pi
+        sin = math.sin
+        exp = math.exp
+        gauss = self._rng.gauss
+        tl = self._timeline
+        append = tl.samples.append
+        arrivals = tl.arrivals
+        user_seconds = tl.user_seconds
+        blocked = tl.blocked_user_seconds
+        n = self._n
+        x = self._x
+        while t <= until:
+            lam = arrival_rate * (
+                1.0 + amplitude * sin(two_pi * (t + phase) / period))
+            x = keep * x + gauss(0.0, burstiness)
+            lam_eff = max(lam, 0.0) * exp(x)
+            n += dt * (lam_eff - n / holding)
+            if n < 0.0:
+                n = 0.0
+            append((t, n, (n * demand) / capacity))
+            arrivals += lam_eff * dt
+            user_seconds += n * dt
+            excess = n - capacity_users
+            if excess > 0.0:
+                blocked += excess * dt
+            t = t + dt
+        self._n = n
+        self._x = x
+        self._next_t = t
+        tl.arrivals = arrivals
+        tl.user_seconds = user_seconds
+        tl.blocked_user_seconds = blocked
 
     # ------------------------------------------------------------------
     # Aggregation: the obs metrics-registry feed + fleet lift
@@ -347,7 +405,9 @@ def run_cell(spec: CellSpec, seed: int, duration: float,
     if sim is None:
         sim = Simulator(seed=seed)
     process = CellProcess(sim, spec)
-    sim.run(until=sim.now + duration)
+    until = sim.now + duration
+    process._advance(until)
+    sim.run(until=until)
     return process
 
 

@@ -134,13 +134,13 @@ def _city_params(params: Dict[str, object]) -> Tuple[CityBudget, int, int, int]:
 
 #: Relative shard costs, in units of one simulated second of event-level
 #: foreground session.  Measured on the small budget (2-core container,
-#: docs/SCALE.md §6): a session-second ≈ 6 ms of host time, one fluid
-#: step ≈ 2.8 µs, summarising one sample ≈ 2.8 µs, one promoted
-#: frame-loop session ≈ 1.1 ms — so ≈ 5e-4 per step or per summarised
-#: sample and ≈ 0.2 per promotion.  The step hint is about twice the
-#: measured ratio and stays there: ``plan_batches`` only uses the ratio
-#: *between* shards, and moving a hint would re-batch every city
-#: campaign for no gain.
+#: docs/SCALE.md §6): a session-second ≈ 8 ms of host time, one fluid
+#: step ≈ 2.0 µs, summarising one sample ≈ 1.7 µs, one promoted
+#: frame-loop session ≈ 1.5 ms — so ≈ 2.5e-4 per step, ≈ 2e-4 per
+#: summarised sample and ≈ 0.2 per promotion.  The step hint is about
+#: four times the measured ratio and stays there: ``plan_batches`` only
+#: uses the ratio *between* shards, and moving a hint would re-batch
+#: every city campaign for no gain.
 _FLUID_STEP_COST = 1e-3
 _PROMOTION_COST = 0.2
 

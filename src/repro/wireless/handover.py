@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.wireless.mobility import Waypoint
 
@@ -104,9 +104,19 @@ class CoverageMap:
     ) -> None:
         self.width = width
         self.height = height
-        self.aps: List[AccessPoint] = list(aps) if aps is not None else []
+        #: Fixed at construction: the grid index of best_ap is built from it.
+        self.aps: Tuple[AccessPoint, ...] = tuple(aps) if aps is not None else ()
         self.cellular_coverage = cellular_coverage
         self.seed = seed
+        # The grid index of best_ap: square buckets strictly wider than
+        # every footprint (and at least 1 m, so zero-radius APs still
+        # give a finite grid), each holding (list position, AP) pairs.
+        reach = max((ap.radius for ap in self.aps), default=0.0)
+        self._side = math.nextafter(max(reach, 1.0), math.inf)
+        self._buckets: Dict[Tuple[int, int], List[Tuple[int, AccessPoint]]] = {}
+        for i, ap in enumerate(self.aps):
+            key = (math.floor(ap.x / self._side), math.floor(ap.y / self._side))
+            self._buckets.setdefault(key, []).append((i, ap))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -148,8 +158,31 @@ class CoverageMap:
         return rng.random() < self.cellular_coverage
 
     def best_ap(self, p: Waypoint) -> Optional[AccessPoint]:
-        """Nearest covering AP, preferring open ones."""
-        covering = [ap for ap in self.aps if ap.covers(p)]
+        """Nearest covering AP, preferring open ones.
+
+        Only the buckets meeting ``[p - side, p + side]`` on both axes
+        are tested — 3×3 of them, bar float rounding.  They hold every
+        AP that covers ``p``: ``covers`` admits an AP only if each axis
+        distance rounds to less than ``side``, so the AP lies within
+        ``side`` of ``p`` exactly, and rounding ``p ± side`` and the
+        division by ``side`` are monotone.  Candidates are tested in
+        list order, so the stable sort breaks ties as a full scan would.
+        """
+        side = self._side
+        buckets = self._buckets
+        floor = math.floor
+        gx0 = floor((p.x - side) / side)
+        gx1 = floor((p.x + side) / side)
+        gy0 = floor((p.y - side) / side)
+        gy1 = floor((p.y + side) / side)
+        near: List[Tuple[int, AccessPoint]] = []
+        for gx in range(gx0, gx1 + 1):
+            for gy in range(gy0, gy1 + 1):
+                bucket = buckets.get((gx, gy))
+                if bucket:
+                    near += bucket
+        near.sort()
+        covering = [ap for _i, ap in near if ap.covers(p)]
         if not covering:
             return None
         covering.sort(key=lambda ap: (not ap.open, math.hypot(p.x - ap.x, p.y - ap.y)))

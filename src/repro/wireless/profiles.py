@@ -98,7 +98,7 @@ def load_factors(utilization: float) -> LoadFactors:
     """
     rho = max(0.0, float(utilization))
     share = max(1.0 - rho, MIN_LOAD_SHARE)
-    delay_factor = 1.0 + min(rho, 1.0) / max(1.0 - rho, MIN_LOAD_SHARE)
+    delay_factor = 1.0 + min(rho, 1.0) / share
     extra_loss = min(max(rho - 1.0, 0.0) / max(rho, 1.0), MAX_OVERLOAD_LOSS)
     return LoadFactors(share=share, delay_factor=delay_factor,
                        extra_loss=extra_loss)

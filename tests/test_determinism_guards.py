@@ -16,8 +16,10 @@ Every registered fleet scenario runs one small shard (the shards of
   interpreter's difference), and no set order, ``hash()`` or ``id()``
   reaches a result;
 - a checkpoint taken halfway through a scenario's first
-  :meth:`Simulator.run` call, restored and run to the same horizon,
-  fires the same events as the uninterrupted run.
+  :meth:`Simulator.run` call that fires events, restored and run to the
+  same horizon, fires the same events as the uninterrupted run; a fluid
+  cell, which fires none, checkpointed part-way through its timeline
+  ends with the uninterrupted run's samples.
 
 One more guard is always on: :meth:`Simulator.child_rng` refuses a
 tag its simulator has already issued (``tests/test_engine.py``).  What
@@ -246,26 +248,30 @@ def signature(event):
 
 def first_run_events(name, monkeypatch, on_event):
     """Run one shard of ``name``; ``on_event(sim, until, index, event)``
-    sees every event fired by its first :meth:`Simulator.run` call."""
+    sees every event fired by its first :meth:`Simulator.run` call that
+    fires any.  A call that fires none (the city shards' fluid cells
+    schedule no event) sees nothing, so it is passed over."""
     real_run = Simulator.run
     first = []
 
     def run(sim, until=None, max_events=None):
         if first:
             return real_run(sim, until, max_events)
-        first.append(sim)
         count = itertools.count()
         previous = sim.trace_hook
         sim.trace_hook = lambda event: on_event(sim, until, next(count), event)
         try:
-            return real_run(sim, until, max_events)
+            fired = real_run(sim, until, max_events)
         finally:
             sim.trace_hook = previous
+        if fired:
+            first.append(sim)
+        return fired
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulator, "run", run)
         get_scenario(name).fn(SEED, dict(SHARDS[name]))
-    assert first, f"{name} never called Simulator.run"
+    assert first, f"{name} never fired an event in Simulator.run"
 
 
 @pytest.mark.parametrize("name", sorted(SHARDS))
@@ -293,6 +299,33 @@ def test_checkpoint_mid_run_replays_the_rest(name, monkeypatch):
     event.fn(*event.args, **(event.kwargs or {}))
     sim.run(taken["until"])
     assert tail == reference[middle:]
+
+
+def test_checkpoint_mid_timeline_replays_the_rest_of_a_fluid_cell():
+    """The fluid cell steps on reads of its timeline, not on events, so
+    the test above never sees it: a cell checkpointed part-way through
+    its timeline, restored and stepped to the horizon, must end with the
+    samples and integrals of an uninterrupted run."""
+    from repro.scale.population import CellProcess, CellSpec, run_cell
+
+    spec = CellSpec(cell_id=4, profile="LTE", initial_users=120.0,
+                    arrival_rate=6.0, mean_holding=30.0,
+                    demand_up_bps=2e5, capacity_up_bps=4 * 7.94e6)
+    whole = run_cell(spec, SEED, 60.0).timeline
+    assert whole.blocked_user_seconds > 0.0
+
+    sim = Simulator(seed=SEED)
+    process = CellProcess(sim, spec)
+    sim.run(until=25.0)
+    assert 0 < len(process.timeline.samples) < len(whole.samples)
+    sim, process = sim.checkpoint(process).restore()
+    sim.run(until=60.0)
+    resumed = process.timeline
+    assert resumed.samples == whole.samples
+    assert ((resumed.arrivals, resumed.user_seconds,
+             resumed.blocked_user_seconds)
+            == (whole.arrivals, whole.user_seconds,
+                whole.blocked_user_seconds))
 
 
 # ----------------------------------------------------------------------

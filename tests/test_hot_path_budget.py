@@ -59,6 +59,16 @@ produced the same outcome bytes as the plain one):
   plus 17.2 per shard to spill the ring at the shard boundary (17.3 on
   3.12, 38.9 and 55.1 while the spill built ``pathlib`` paths per shard).
 
+The fluid tier (``repro.scale.population``) is priced per fluid
+sample, on one ``small``-budget city cell (city seed 1, cell 3: 601
+samples): ``run_cell`` fires no engine event, and stepping plus
+``aggregate()`` take 1.19 Python frames per sample (1.18 on 3.12 and
+3.13; 11.17 while every step was an engine event and every sample a
+``load_factors`` call).  One of them is ``random.Random.gauss``, which
+is Python code; the rest is the summary's fixed cost.
+``FLUID_SAMPLE_BUDGET`` (1.25) notices a per-step event or a
+per-sample call in the summary walk.  docs/SCALE.md §6.
+
 The transport kernel (``repro.transport.base.Reassembly`` and MPTCP's
 ``_IntervalSet``) is priced in *comparisons* per delivered segment:
 its cost was a ``sorted`` or a linear scan, both C code that no frame
@@ -108,6 +118,9 @@ FLEET_OBS_SHARDS = 16
 TELEMETRY_SHARD_BUDGET = 17.5
 FLIGHT_EVENT_BUDGET = 1
 FLIGHT_SPILL_BUDGET = 40
+
+FLUID_SAMPLES = 601
+FLUID_SAMPLE_BUDGET = 1.25
 
 REASSEMBLY_CMP_BUDGET = 20
 INTERVAL_CMP_BUDGET = 10
@@ -331,6 +344,32 @@ def test_fleet_telemetry_and_flight_recorder_stay_within_frame_budget(
         f"Python frames per event, {spill:.1f} per shard beyond the one "
         f"``_fire`` frame (budget {FLIGHT_SPILL_BUDGET}): the hook is no "
         f"longer the ring's C-level append, or the spill grew")
+
+
+def test_fluid_cell_fires_no_event_and_stays_within_frame_budget():
+    from repro.scale import CITY_BUDGETS, city_cell_spec, run_cell
+
+    budget = CITY_BUDGETS["small"]
+    spec = city_cell_spec(1, 3, budget)
+    # First use of the aggregate imports its modules.
+    run_cell(spec, 1, budget.fluid_duration).aggregate()
+
+    out = []
+    stepping = _python_calls(lambda: out.append(
+        run_cell(spec, 5, budget.fluid_duration)))
+    process = out[0]
+    summarising = _python_calls(lambda: out.append(process.aggregate()))
+
+    samples = len(process.timeline.samples)
+    assert samples == FLUID_SAMPLES
+    assert process.sim.events_fired == 0, (
+        "the fluid cell fires engine events again: it should step in "
+        "CellProcess._advance, not on a timer")
+    per_sample = (stepping + summarising) / samples
+    assert per_sample <= FLUID_SAMPLE_BUDGET, (
+        f"{per_sample:.2f} Python frames per fluid sample to step and "
+        f"summarise a cell (budget {FLUID_SAMPLE_BUDGET}): a per-step "
+        f"event or a per-sample call is back")
 
 
 class _Counted(int):

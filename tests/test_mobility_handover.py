@@ -1,6 +1,10 @@
 """Tests for mobility and the coverage/handover model (Section IV-A4)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.wireless.handover import AccessPoint, ConnectivityTrace, CoverageMap
 from repro.wireless.mobility import RandomWaypoint, Waypoint
@@ -113,3 +117,66 @@ class TestCoverageMap:
         trace = ConnectivityTrace()
         assert trace.wifi_usable_fraction == 0.0
         assert trace.handover_count() == 0
+
+
+def scan_best_ap(aps, p):
+    """``best_ap`` as a scan of every AP: the grid index's oracle."""
+    covering = [ap for ap in aps if ap.covers(p)]
+    if not covering:
+        return None
+    covering.sort(key=lambda ap: (not ap.open,
+                                  math.hypot(p.x - ap.x, p.y - ap.y)))
+    return covering[0]
+
+
+coords = st.floats(-400.0, 400.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def maps_and_points(draw):
+    """A drawn map (APs share a few sites, so some are co-located and
+    tie on the sort key) and points on and off the footprint edges."""
+    sites = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=5))
+    aps = [AccessPoint(f"ap{i}", *draw(st.sampled_from(sites)),
+                       radius=draw(st.one_of(st.just(0.0),
+                                             st.floats(0.0, 250.0))),
+                       open=draw(st.booleans()))
+           for i in range(draw(st.integers(0, 24)))]
+    points = [Waypoint(0.0, x, y)
+              for x, y in draw(st.lists(st.tuples(coords, coords),
+                                        max_size=8))]
+    for ap in aps:
+        r = ap.radius
+        points += [Waypoint(0.0, ap.x, ap.y),
+                   Waypoint(0.0, ap.x + r, ap.y), Waypoint(0.0, ap.x - r, ap.y),
+                   Waypoint(0.0, ap.x, ap.y + r), Waypoint(0.0, ap.x, ap.y - r),
+                   Waypoint(0.0, ap.x + r * 0.6, ap.y - r * 0.8)]
+    # Midpoints are equidistant from two APs in different buckets.
+    points += [Waypoint(0.0, (a.x + b.x) / 2, (a.y + b.y) / 2)
+               for a, b in zip(aps, aps[1:])]
+    return CoverageMap(100, 100, aps), points
+
+
+class TestBestApIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=maps_and_points())
+    def test_index_picks_what_a_full_scan_picks(self, drawn):
+        cm, points = drawn
+        for p in points:
+            assert cm.best_ap(p) is scan_best_ap(cm.aps, p)
+
+    def test_tie_across_buckets_goes_to_the_earlier_ap(self):
+        east = AccessPoint("east", 60.0, 0.0, radius=100.0)
+        west = AccessPoint("west", -60.0, 0.0, radius=100.0)
+        cm = CoverageMap(100, 100, [east, west])
+        assert cm.best_ap(Waypoint(0.0, 0.0, 0.0)) is east
+
+    def test_empty_map(self):
+        cm = CoverageMap(100, 100, [])
+        assert cm.best_ap(Waypoint(0.0, 50.0, 50.0)) is None
+
+    def test_urban_walk_matches_the_scan(self):
+        cm = CoverageMap.urban(seed=3)
+        walk = RandomWaypoint(seed=3).trajectory(600, tick=1.0)
+        assert [cm.best_ap(p) for p in walk] == [
+            scan_best_ap(cm.aps, p) for p in walk]

@@ -306,11 +306,13 @@ class TestSinglePassMatchesThreePass:
         p = profile_by_name(profile)
         # ρ at which the loaded uplink / RTT sits on its §III-B limit
         # (only inside (0, 1) for profiles that meet it unloaded), the
-        # share floor, and the contended / overloaded / histogram edges.
+        # share floor (where ``share``'s max switches), 1.0 (where the
+        # delay's min(ρ, 1) saturates), and the contended / overloaded /
+        # histogram edges; ρ ≤ 0, -0.0 included, clamps to exactly 0.
         edges = [1.0 - MAR_MIN_UPLINK_BPS / p.up_mean,
                  1.0 - p.rtt / MAR_MAX_RTT,
                  1.0 - MIN_LOAD_SHARE, CONTENTION_RHO, 1.0, UTILIZATION_HI]
-        rhos = [0.0, 2.5, 40.0]
+        rhos = [-0.0, -5e-324, -1e-12, 0.0, 2.5, 40.0]
         for edge in edges:
             if edge > 0.0:
                 rhos += ulp_neighbourhood(edge)
