@@ -114,26 +114,16 @@ def demo_anomaly() -> str:
 def demo_table2() -> str:
     """The four CloudRidAR offloading scenarios of Table II."""
     from repro.mar.application import APP_ARCHETYPES
-    from repro.mar.devices import CLOUD, SMARTPHONE
-    from repro.mar.offload import FeatureOffload, OffloadExecutor
+    from repro.mar.offload import OffloadExecutor
     from repro.simnet.engine import Simulator
-    from repro.simnet.network import Network
 
     rows = []
     for name, rtt in (("local server / WiFi", 0.008),
                       ("cloud server / WiFi", 0.036),
                       ("university / WiFi", 0.072),
                       ("cloud server / LTE", 0.120)):
-        sim = Simulator(seed=11)
-        net = Network(sim)
-        net.add_host("client")
-        net.add_host("server")
-        net.add_duplex("server", "client", 80e6, 40e6, delay=rtt / 2)
-        net.build_routes()
-        executor = OffloadExecutor(net, "client", "server",
-                                   APP_ARCHETYPES["orientation"],
-                                   FeatureOffload(), SMARTPHONE,
-                                   server_device=CLOUD)
+        executor = OffloadExecutor.for_table2(
+            Simulator(seed=11), rtt, APP_ARCHETYPES["orientation"])
         result = executor.run(n_frames=100)
         rows.append([name, format_time(rtt), format_time(result.mean_link_rtt),
                      format_time(result.mean_offloaded_latency)])

@@ -48,7 +48,6 @@ from repro.core.resilience import (
     RttEstimator,
     ServiceMode,
 )
-from repro.core.qlog import EventLog, instrument_sender
 
 __all__ = [
     "TrafficClass",
@@ -81,6 +80,4 @@ __all__ = [
     "ResilienceMetrics",
     "RttEstimator",
     "ServiceMode",
-    "EventLog",
-    "instrument_sender",
 ]

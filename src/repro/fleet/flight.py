@@ -28,6 +28,10 @@ The recorder is harness code (wall-clock-free regardless — rings hold
 sim time): it observes fired events and never mutates simulator state,
 so enabling it cannot change any result byte.  That is pinned by the
 byte-identity tests in ``tests/test_fleet_telemetry.py``.
+
+Both artifacts are canonical JSON in the one setting of
+:mod:`repro.obs.export`, imported where a document is written: a fleet
+that records nothing never loads the obs package.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ FLIGHT_SCHEMA = 1
 #: Default ring capacity: enough to see a shard's last few frames
 #: without the spill write becoming measurable next to the shard.
 RING_CAPACITY = 256
-
-_CANON = {"sort_keys": True, "separators": (",", ":")}
 
 
 def handler_name(fn: Callable) -> str:
@@ -113,12 +115,16 @@ class FlightRecorder:
         flight recorder, it answers "what were this process's last N
         events", whichever shard fired them.
         """
+        from repro.obs.export import _CANON
+
         self.shards_seen += 1
         _write(self._spill,
                json.dumps(self._doc(tag, attempt, "spill"), **_CANON) + "\n")
 
     def dump_crash(self, tag: str, attempt: int, error: str) -> None:
         """Write a crash dump for a shard that raised."""
+        from repro.obs.export import _CANON
+
         path = self.out_dir / (
             f"flight-{len(self.crash_dumps):03d}-{_safe_stem(tag)}"
             f"-a{attempt}.json")

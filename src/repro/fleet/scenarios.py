@@ -156,23 +156,15 @@ def run_wifi_anomaly_cell(seed: int, params: Dict[str, object]) -> Aggregate:
 def run_table2_offload(seed: int, params: Dict[str, object]) -> Aggregate:
     """CloudRidAR feature-offload loop against a parameterized RTT."""
     from repro.mar.application import APP_ARCHETYPES
-    from repro.mar.devices import CLOUD, SMARTPHONE
-    from repro.mar.offload import FeatureOffload, OffloadExecutor
+    from repro.mar.offload import OffloadExecutor
     from repro.simnet.engine import Simulator
-    from repro.simnet.network import Network
 
     rtt = float(params.get("rtt", 0.036))
     n_frames = int(params.get("n_frames", 30))
     app = str(params.get("app", "orientation"))
 
-    sim = Simulator(seed=seed)
-    net = Network(sim)
-    net.add_host("client")
-    net.add_host("server")
-    net.add_duplex("server", "client", 80e6, 40e6, delay=rtt / 2)
-    net.build_routes()
-    executor = OffloadExecutor(net, "client", "server", APP_ARCHETYPES[app],
-                               FeatureOffload(), SMARTPHONE, server_device=CLOUD)
+    executor = OffloadExecutor.for_table2(Simulator(seed=seed), rtt,
+                                          APP_ARCHETYPES[app])
     result = executor.run(n_frames=n_frames)
 
     agg = Aggregate()

@@ -34,7 +34,10 @@ trace-event timeline — one process per worker pid, one ``"X"`` slice
 per shard — validated by the same
 :func:`repro.obs.export.validate_chrome_trace` the obs exporters use
 (fleet → obs is the permitted import direction; see
-``repro.fleet.aggregate``).
+``repro.fleet.aggregate``).  The timeline's events and every document's
+canonical JSON come from the trace-event builders of
+:mod:`repro.obs.export`, imported where an artifact is rendered, so a
+campaign run without telemetry never loads the obs package.
 
 None of this participates in the determinism boundary: telemetry is
 collected beside the result path, and enabling it changes no aggregate
@@ -63,8 +66,6 @@ TELEMETRY_SCHEMA = 2
 #: sections are computed from *all* events; only the raw ``events`` list
 #: is truncated, and ``events_dropped`` says by how much.
 EVENT_CAP = 20000
-
-_CANON = {"sort_keys": True, "separators": (",", ":")}
 
 
 def rss_kib() -> int:
@@ -198,10 +199,6 @@ class TelemetryCollector:
 # ----------------------------------------------------------------------
 # Chrome trace-event export of worker timelines
 # ----------------------------------------------------------------------
-def _us(t: float) -> int:
-    return int(round(t * 1e6))
-
-
 def worker_timeline_events(doc: dict) -> List[dict]:
     """``traceEvents`` for a finalized telemetry document.
 
@@ -211,51 +208,31 @@ def worker_timeline_events(doc: dict) -> List[dict]:
     (cache pass, dispatch, retries, quarantines) are instant events on
     the driver track.
     """
+    from repro.obs.export import _us, complete_event, metadata_event
+
     driver_pid = int(doc.get("run", {}).get("driver_pid", 0))
-    events: List[dict] = [{
-        "args": {"name": "fleet driver"}, "cat": "__metadata",
-        "name": "process_name", "ph": "M", "pid": driver_pid, "tid": 0,
-        "ts": 0,
-    }]
+    events = [metadata_event("process_name", driver_pid, 0, "fleet driver")]
     for pid_str in sorted(doc.get("workers", {})):
         pid = int(pid_str)
         if pid == driver_pid:
             continue
-        events.append({
-            "args": {"name": f"worker {pid}"}, "cat": "__metadata",
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "ts": 0,
-        })
+        events.append(metadata_event("process_name", pid, 0, f"worker {pid}"))
     for e in doc.get("events", []):
         kind = e.get("ev")
         pid = int(e.get("pid", driver_pid))
+        t0, t1 = e.get("t0", 0.0), e.get("t1", 0.0)
         if kind == "shard":
-            ts = _us(e.get("t0", 0.0))
-            events.append({
-                "args": {"attempt": e.get("attempt", 0),
-                         "ok": bool(e.get("ok"))},
-                "cat": "shard", "dur": max(0, _us(e.get("t1", 0.0)) - ts),
-                "name": e.get("tag", "?"), "ph": "X", "pid": pid,
-                "tid": 0, "ts": max(0, ts),
-            })
+            events.append(complete_event(
+                e.get("tag", "?"), "shard", pid, 0, t0, t1,
+                {"attempt": e.get("attempt", 0), "ok": bool(e.get("ok"))}))
         elif kind == "batch":
-            ts = _us(e.get("t0", 0.0))
-            events.append({
-                "args": {"shards": e.get("n", 0),
-                         "rss_kib": e.get("rss_kib", 0)},
-                "cat": "batch", "dur": max(0, _us(e.get("t1", 0.0)) - ts),
-                "name": f"batch[{e.get('n', 0)}]", "ph": "X", "pid": pid,
-                "tid": 1, "ts": max(0, ts),
-            })
+            events.append(complete_event(
+                f"batch[{e.get('n', 0)}]", "batch", pid, 1, t0, t1,
+                {"shards": e.get("n", 0), "rss_kib": e.get("rss_kib", 0)}))
         elif kind == "cache_pass":
-            ts = _us(e.get("t0", 0.0))
-            events.append({
-                "args": {"hits": e.get("hits", 0),
-                         "misses": e.get("misses", 0)},
-                "cat": "driver", "dur": max(0, _us(e.get("t1", 0.0)) - ts),
-                "name": "cache_pass", "ph": "X", "pid": driver_pid,
-                "tid": 0, "ts": max(0, ts),
-            })
+            events.append(complete_event(
+                "cache_pass", "driver", driver_pid, 0, t0, t1,
+                {"hits": e.get("hits", 0), "misses": e.get("misses", 0)}))
         else:
             args = {k: v for k, v in sorted(e.items())
                     if k not in ("ev", "t", "pid")}
@@ -269,13 +246,15 @@ def worker_timeline_events(doc: dict) -> List[dict]:
 
 def worker_timeline_json(doc: dict) -> str:
     """Canonical Chrome-trace JSON of the worker timelines."""
-    return json.dumps(
-        {"displayTimeUnit": "ms", "traceEvents": worker_timeline_events(doc)},
-        **_CANON)
+    from repro.obs.export import trace_document_json
+
+    return trace_document_json(worker_timeline_events(doc))
 
 
 def write_campaign_telemetry(path, doc: dict) -> pathlib.Path:
     """Write the canonical ``campaign_telemetry.json`` document."""
+    from repro.obs.export import _CANON
+
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, **_CANON) + "\n")

@@ -306,6 +306,24 @@ class OffloadExecutor:
 
     # ------------------------------------------------------------------
     @classmethod
+    def for_table2(cls, sim, rtt: float,
+                   app: MarApplication) -> "OffloadExecutor":
+        """The CloudRidAR set-up of Table II at round-trip time ``rtt``.
+
+        A client and a server joined by one duplex (80 Mb/s down,
+        40 Mb/s up, ``rtt / 2`` each way); a smartphone runs ``app``
+        with feature offload to a cloud server.  ``sim`` is a fresh
+        simulator.
+        """
+        net = Network(sim)
+        net.add_host("client")
+        net.add_host("server")
+        net.add_duplex("server", "client", 80e6, 40e6, delay=rtt / 2)
+        net.build_routes()
+        return cls(net, "client", "server", app, FeatureOffload(),
+                   SMARTPHONE, server_device=CLOUD)
+
+    @classmethod
     def for_cell(
         cls,
         sim,

@@ -1,25 +1,28 @@
-"""Unified observability: span tracing, metrics, standard exporters.
+"""Unified observability: span tracing, event logs, metrics, exporters.
 
 The paper's argument is a latency *decomposition* — where do the
 milliseconds of a MAR frame go (capture, uplink, server CV, downlink,
 render)?  ``repro.obs`` makes that decomposition a first-class,
-deterministic artifact instead of five ad-hoc mechanisms:
+deterministic artifact, and is the one home of the sim-clock records,
+their instruments and their serializers:
 
 - :mod:`repro.obs.spans` — a sim-clock-driven :class:`Tracer` with
   nested :class:`Span` objects and the :class:`FrameTrace` convention
   (one trace id per AR frame, threaded client → network → server →
-  back), queryable as ``trace.breakdown()``.
+  back), queryable as ``trace.breakdown()``; and the bounded
+  :class:`EventLog` of MARTP protocol events.
 - :mod:`repro.obs.registry` — typed Counter/Gauge/Histogram instruments
   in a per-``Simulator`` :class:`MetricsRegistry` whose histograms and
   gauges reuse the mergeable :mod:`repro.analysis.stats` primitives, so
-  fleet shards can merge registries byte-identically.
+  fleet shards fold their registries into aggregates byte-identically.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
-  Perfetto / ``chrome://tracing``), qlog-style JSON lines unified with
-  :mod:`repro.core.qlog` categories, and plain-dict snapshots for
-  :mod:`repro.analysis.report`.
+  Perfetto / ``chrome://tracing``; the same builders render the fleet's
+  worker timelines), the only qlog serializer, and plain-dict snapshots
+  for :mod:`repro.analysis.report`.
 - :mod:`repro.obs.instrument` — hooks that attach the tracer to the
-  offload frame pipeline and collect link/queue/MARTP counters into a
-  registry without touching any hot path when disabled.
+  offload frame pipeline and an event log to a MARTP sender, periodic
+  queue/link samplers, and collectors that snapshot link/queue/MARTP
+  counters into a registry without touching any hot path when disabled.
 - :mod:`repro.obs.runner` — ready-made observed scenarios behind
   ``python -m repro obs``.
 
@@ -39,24 +42,30 @@ from repro.obs.export import (
 )
 from repro.obs.instrument import (
     FrameObserver,
+    LinkMonitor,
+    QueueMonitor,
     attach_frame_observer,
     collect_links,
     collect_martp,
+    instrument_sender,
     path_costs,
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.runner import OBS_SCENARIOS, ObsRun, run_obs_scenario
-from repro.obs.spans import FrameTrace, Span, Tracer
+from repro.obs.spans import EventLog, FrameTrace, Span, Tracer
 
 __all__ = [
     "Counter",
+    "EventLog",
     "FrameObserver",
     "FrameTrace",
     "Gauge",
     "Histogram",
+    "LinkMonitor",
     "MetricsRegistry",
     "OBS_SCENARIOS",
     "ObsRun",
+    "QueueMonitor",
     "Span",
     "Tracer",
     "attach_frame_observer",
@@ -64,6 +73,7 @@ __all__ = [
     "chrome_trace_json",
     "collect_links",
     "collect_martp",
+    "instrument_sender",
     "path_costs",
     "qlog_lines",
     "run_obs_scenario",

@@ -7,11 +7,19 @@ Three consumers, three formats, one deterministic source of truth:
   events), loadable in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing``.  Each frame's ``trace_id`` becomes the ``tid``,
   so concurrently in-flight frames render as separate named tracks.
-- :func:`qlog_lines` — JSON lines in the :mod:`repro.core.qlog` event
-  schema (``time``/``category``/``name``/``data``, sorted keys), so
-  span completions, MARTP protocol events and a metrics snapshot
-  interleave into one chronological stream.
+- :func:`qlog_lines` — JSON lines in the qlog event schema
+  (``time``/``category``/``name``/``data``, sorted keys), so span
+  completions, the MARTP protocol events of an
+  :class:`~repro.obs.spans.EventLog` and a metrics snapshot interleave
+  into one chronological stream.
 - :func:`snapshot` — a plain dict for :mod:`repro.analysis.report`.
+
+The trace-event builders (:func:`metadata_event`,
+:func:`complete_event`, :func:`trace_document_json`) also render the
+fleet's wall-clock worker timelines
+(:func:`repro.fleet.telemetry.worker_timeline_json`), and ``_CANON`` is
+the one canonical-JSON setting, shared with the fleet's telemetry and
+flight-recorder documents.
 
 Timestamps in the Chrome export are integer microseconds.  Durations
 are differences of *rounded endpoints*, not rounded differences: for
@@ -29,37 +37,58 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import Tracer
+from repro.obs.spans import EventLog, Tracer
 
 _CANON = {"sort_keys": True, "separators": (",", ":")}
 
 
 def _us(t: float) -> int:
-    """Sim seconds → integer microseconds (the Chrome trace unit)."""
+    """Seconds → integer microseconds (the Chrome trace unit)."""
     return int(round(t * 1e6))
 
 
 # ----------------------------------------------------------------------
 # Chrome trace-event format
 # ----------------------------------------------------------------------
+def metadata_event(kind: str, pid: int, tid: int, label: str) -> dict:
+    """A ``"M"`` event naming a track: ``kind`` is ``"process_name"``
+    or ``"thread_name"``."""
+    return {"args": {"name": label}, "cat": "__metadata", "name": kind,
+            "ph": "M", "pid": pid, "tid": tid, "ts": 0}
+
+
+def complete_event(name: str, cat: str, pid: int, tid: int, t0: float,
+                   t1: float, args: dict) -> dict:
+    """An ``"X"`` slice from ``t0`` to ``t1`` seconds.
+
+    The duration is the difference of the *rounded* endpoints, so
+    contiguous slices telescope; both are clamped at 0, which a
+    sim-clock span (``0 <= t0 <= t1``) never needs.
+    """
+    ts = _us(t0)
+    return {"args": args, "cat": cat, "dur": max(0, _us(t1) - ts),
+            "name": name, "ph": "X", "pid": pid, "tid": tid,
+            "ts": max(0, ts)}
+
+
+def trace_document_json(events: List[dict]) -> str:
+    """The canonical Chrome-trace document around ``events``."""
+    return json.dumps({"displayTimeUnit": "ms", "traceEvents": events},
+                      **_CANON)
+
+
 def chrome_trace_events(tracer: Tracer, pid: int = 1,
                         process_name: str = "repro") -> List[dict]:
     """Build the ``traceEvents`` list (metadata + complete events)."""
-    events: List[dict] = [{
-        "args": {"name": process_name}, "cat": "__metadata",
-        "name": "process_name", "ph": "M", "pid": pid, "tid": 0, "ts": 0,
-    }]
+    events = [metadata_event("process_name", pid, 0, process_name)]
     named_tids = set()
     for span in tracer.spans:
         if span.parent_id is None and span.trace_id not in named_tids:
             named_tids.add(span.trace_id)
             label = f"frame {span.attrs['frame']}" if "frame" in span.attrs \
                 else f"trace {span.trace_id}"
-            events.append({
-                "args": {"name": label}, "cat": "__metadata",
-                "name": "thread_name", "ph": "M", "pid": pid,
-                "tid": span.trace_id, "ts": 0,
-            })
+            events.append(metadata_event("thread_name", pid,
+                                         span.trace_id, label))
     for span in tracer.spans:
         if not span.finished:
             continue
@@ -67,22 +96,16 @@ def chrome_trace_events(tracer: Tracer, pid: int = 1,
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
-        events.append({
-            "args": args, "cat": span.cat, "dur": _us(span.end) - _us(span.start),
-            "name": span.name, "ph": "X", "pid": pid, "tid": span.trace_id,
-            "ts": _us(span.start),
-        })
+        events.append(complete_event(span.name, span.cat, pid,
+                                     span.trace_id, span.start, span.end,
+                                     args))
     return events
 
 
 def chrome_trace_json(tracer: Tracer, pid: int = 1,
                       process_name: str = "repro") -> str:
     """Canonical Chrome-trace JSON (Perfetto-loadable), byte-stable."""
-    doc = {
-        "displayTimeUnit": "ms",
-        "traceEvents": chrome_trace_events(tracer, pid, process_name),
-    }
-    return json.dumps(doc, **_CANON)
+    return trace_document_json(chrome_trace_events(tracer, pid, process_name))
 
 
 def validate_chrome_trace(doc: Any) -> List[str]:
@@ -156,15 +179,17 @@ def reconcile_frame_spans(tracer: Tracer, tolerance_us: int = 1) -> List[str]:
 # ----------------------------------------------------------------------
 # qlog-style JSON lines
 # ----------------------------------------------------------------------
-def qlog_lines(tracer: Optional[Tracer] = None, log=None,
+def qlog_lines(tracer: Optional[Tracer] = None,
+               log: Optional[EventLog] = None,
                registry: Optional[MetricsRegistry] = None) -> str:
     """One chronological qlog-schema stream from all three sources.
 
     Span completions become ``category="frame"`` records at their end
-    time, a :class:`~repro.core.qlog.EventLog`'s protocol events keep
-    their categories, and a registry contributes one final
-    ``category="metric"`` snapshot record.  Records sort stably by
-    time, so the merged stream is deterministic.
+    time, an :class:`~repro.obs.spans.EventLog`'s protocol records keep
+    their categories and end with its ``meta``/``log-summary`` trailer,
+    and a registry contributes one final ``category="metric"`` snapshot
+    record.  Records sort stably by time, so the merged stream is
+    deterministic.  This is the only qlog serializer.
     """
     records: List[dict] = []
     if tracer is not None:
@@ -180,13 +205,10 @@ def qlog_lines(tracer: Optional[Tracer] = None, log=None,
                             "name": span.name, "data": data})
     last_time = max((r["time"] for r in records), default=0.0)
     if log is not None:
-        for event in log.events:
-            records.append({"time": event.time, "category": event.category,
-                            "name": event.name, "data": event.data})
-            last_time = max(last_time, event.time)
-        summary = log.summary()
+        records.extend(log.events)
+        last_time = max([last_time, *(e["time"] for e in log.events)])
         records.append({"time": last_time, "category": "meta",
-                        "name": "log-summary", "data": summary})
+                        "name": "log-summary", "data": log.summary()})
     if registry is not None:
         records.append({"time": last_time, "category": "metric",
                         "name": "registry-snapshot",

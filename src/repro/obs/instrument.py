@@ -1,12 +1,19 @@
-"""Hooks that wire the tracer and registry into existing subsystems.
+"""Hooks that wire the tracer, event log and registry into subsystems.
 
-Two integration styles, chosen per subsystem by cost:
+Three integration styles, chosen per subsystem by cost:
 
 - **Frame pipeline** (hot, per-event): :class:`FrameObserver` plugs
   into the ``obs`` attachment points of
   :class:`~repro.mar.offload.OffloadExecutor` — every hook site is
   guarded by ``if self.obs is not None``, so the disabled path costs
-  one attribute test and allocates nothing.
+  one attribute test and allocates nothing.  :func:`instrument_sender`
+  wraps a MARTP sender's public seams (controller callbacks,
+  allocation rounds, dispatch) to fill an
+  :class:`~repro.obs.spans.EventLog`, without modifying protocol code.
+- **Periodic samplers** (one engine event per tick):
+  :class:`QueueMonitor` and :class:`LinkMonitor` read a queue's depth
+  or a link's counters every ``interval`` seconds into the registry,
+  the direct view of bufferbloat and utilization inside a run.
 - **Link / queue / MARTP counters** (cold, end-of-run): the
   ``collect_*`` helpers snapshot already-maintained counters into a
   :class:`~repro.obs.registry.MetricsRegistry` after the run, adding
@@ -30,12 +37,16 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import (
     PROPAGATION_ATTR,
     SERIALIZATION_ATTR,
+    EventLog,
     FrameTrace,
     Tracer,
     breakdown,
 )
+from repro.simnet.engine import Simulator
+from repro.simnet.link import Link
 from repro.simnet.network import Network
 from repro.simnet.packet import IP_UDP_HEADER
+from repro.simnet.queues import QueueDiscipline
 from repro.vision.costs import estimate_stage_costs
 
 #: Histogram ranges (fixed, so registries always merge-compatible).
@@ -191,6 +202,147 @@ def attach_frame_observer(executor: OffloadExecutor, tracer: Tracer,
     executor.obs = observer
     executor.server.obs = observer
     return observer
+
+
+def instrument_sender(sender, log: Optional[EventLog] = None) -> EventLog:
+    """Wrap a :class:`~repro.core.protocol.MartpSender` with event logging.
+
+    Records: every congestion decrease (with reason proxied by budget
+    delta), every allocation round (budget + dropped streams), sender
+    sheds, and ARQ retransmissions.  Returns the log.
+    """
+    log = log if log is not None else EventLog()
+    sim = sender.sim
+
+    # Congestion: wrap each controller's _decrease; only a call that
+    # lowered the budget is logged.
+    for name, controller in sender.controllers.items():
+        original_decrease = controller._decrease
+
+        def logged_decrease(now, reason, _orig=original_decrease,
+                            _ctl=controller, _path=name):
+            before = _ctl.budget_bps
+            _orig(now, reason)
+            if _ctl.budget_bps < before:
+                log.emit(now, "congestion", "budget-decrease",
+                         path=_path, reason=reason,
+                         before=before, after=_ctl.budget_bps)
+
+        controller._decrease = logged_decrease
+
+    original_allocate = sender.degradation.allocate
+
+    def logged_allocate(budget_bps, now=0.0):
+        allocation = original_allocate(budget_bps, now)
+        log.emit(now, "allocation", "round",
+                 budget=budget_bps, dropped=list(allocation.dropped),
+                 overcommitted=allocation.overcommitted)
+        return allocation
+
+    sender.degradation.allocate = logged_allocate
+
+    original_offer = sender._offer
+
+    def logged_offer(tx, message):
+        before = tx.dropped
+        result = original_offer(tx, message)
+        if tx.dropped > before:
+            log.emit(sim.now, "shedding", "message-shed",
+                     stream=tx.spec.name, size=message.size)
+        return result
+
+    sender._offer = logged_offer
+
+    for stream_id, tx in sender._tx.items():
+        if tx.arq is None:
+            continue
+        original_nack = tx.arq.nack
+
+        def logged_nack(seqs, now, rtt, _orig=original_nack, _tx=tx):
+            out = _orig(seqs, now, rtt)
+            for message in out:
+                log.emit(now, "recovery", "retransmit",
+                         stream=_tx.spec.name, seq=message.seq)
+            return out
+
+        tx.arq.nack = logged_nack
+
+    return log
+
+
+# ----------------------------------------------------------------------
+# Periodic samplers
+# ----------------------------------------------------------------------
+class _Sampler:
+    """Calls ``_sample`` every ``interval`` seconds of sim time.
+
+    The first tick fires ``first`` seconds after construction; the last
+    tick at or before sim time ``horizon`` is the final one — the
+    sampler then stops rescheduling and lets the heap drain (without a
+    horizon ``sim.run()`` with no ``until`` would never return).
+    """
+
+    def __init__(self, sim: Simulator, interval: float, horizon: float,
+                 first: float) -> None:
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        self.sim = sim
+        self.interval = interval
+        self.horizon = horizon
+        sim.schedule(first, self._tick)
+
+    def _tick(self) -> None:
+        self._sample()
+        if self.sim.now + self.interval > self.horizon:
+            return
+        self.sim.schedule(self.interval, self._tick)
+
+
+class QueueMonitor(_Sampler):
+    """A queue's occupancy, from t = 0 every ``interval`` seconds.
+
+    Each tick feeds ``queue.<name>.packets`` (histogram) and
+    ``queue.<name>.bytes`` (gauge) of ``registry``.
+    """
+
+    def __init__(self, sim: Simulator, queue: QueueDiscipline, *,
+                 horizon: float, registry: MetricsRegistry,
+                 interval: float = 0.05, name: str = "queue") -> None:
+        super().__init__(sim, interval, horizon, first=0.0)
+        self.queue = queue
+        self._hist = registry.histogram(f"queue.{name}.packets",
+                                        0.0, 256.0, 256)
+        self._gauge = registry.gauge(f"queue.{name}.bytes")
+
+    def _sample(self) -> None:
+        self._hist.observe(float(len(self.queue)))
+        self._gauge.set(float(self.queue.backlog_bytes))
+
+
+class LinkMonitor(_Sampler):
+    """A link's per-interval utilization, from its cumulative counters.
+
+    The first tick is one ``interval`` in; ticks feed
+    ``link.<name>.utilization`` (histogram) and
+    ``link.<name>.throughput_bps`` (gauge) of ``registry``.
+    """
+
+    def __init__(self, sim: Simulator, link: Link, *, horizon: float,
+                 registry: MetricsRegistry, interval: float = 0.5) -> None:
+        super().__init__(sim, interval, horizon, first=interval)
+        self.link = link
+        self._last_bytes = link.bytes_sent
+        self._hist = registry.histogram(f"link.{link.name}.utilization",
+                                        0.0, 1.0, 100)
+        self._gauge = registry.gauge(f"link.{link.name}.throughput_bps")
+
+    def _sample(self) -> None:
+        delta = self.link.bytes_sent - self._last_bytes
+        self._last_bytes = self.link.bytes_sent
+        bps = delta * 8 / self.interval
+        utilization = min(1.0, bps / self.link.rate_bps) if self.link.rate_bps else 0.0
+        self._hist.observe(utilization)
+        self._gauge.set(bps)
 
 
 # ----------------------------------------------------------------------

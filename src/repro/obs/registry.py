@@ -5,24 +5,25 @@ No process-wide state: a :class:`MetricsRegistry` belongs to one run
 share instruments and two runs of the same ``(scenario, seed)`` build
 identical registries.
 
-Three instrument types, all mergeable:
+Three instrument types, on the mergeable primitives of
+:mod:`repro.analysis.stats`:
 
-- :class:`Counter` — monotone integer; merges by addition (exact).
+- :class:`Counter` — monotone integer.
 - :class:`Gauge` — a sampled value; keeps the last write for in-run
   inspection and a :class:`~repro.analysis.stats.StreamingMoments`
   accumulator of every write.  Only the moments serialize — "last
-  written" is meaningless across merged shards — so merging stays
-  order-independent.
+  written" is meaningless across merged shards.
 - :class:`Histogram` — a fixed-bin
-  :class:`~repro.analysis.stats.FixedBinHistogram` (bins merge by
-  elementwise addition, exact) plus moments for mean/min/max.
+  :class:`~repro.analysis.stats.FixedBinHistogram` plus moments for
+  mean/min/max.
 
 Serialization (:meth:`MetricsRegistry.to_json`) is canonical — sorted
 keys, no whitespace — the same discipline as
-:meth:`repro.fleet.aggregate.Aggregate.to_json`, and
-:func:`repro.fleet.aggregate.aggregate_from_registry` lifts a registry
-into a fleet aggregate so campaign shards fold their metrics into the
-campaign report byte-identically.
+:meth:`repro.fleet.aggregate.Aggregate.to_json`.  A registry is never
+merged as a registry: :func:`repro.fleet.aggregate.aggregate_from_registry`
+lifts it into a fleet aggregate (counters add exactly, bins add
+elementwise, moments merge), so campaign shards fold their metrics into
+the campaign report byte-identically.
 """
 
 from __future__ import annotations
@@ -145,31 +146,6 @@ class MetricsRegistry:
             h = self.histograms[name] = Histogram(name, lo, hi, n_bins)
         return h
 
-    # -- merge ---------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` in: counters add, gauges/histograms merge.
-
-        Counter and histogram-bin merging is exact integer addition, so
-        any merge order yields identical values; gauge/histogram moments
-        use the Chan-Golub-LeVeque float merge (order-independent up to
-        rounding — compare with
-        :func:`repro.fleet.aggregate.approx_equal_moments`).
-        """
-        for name, c in other.counters.items():
-            self.counter(name).inc(c.value)
-        for name, g in other.gauges.items():
-            mine = self.gauge(name)
-            mine.moments.merge(g.moments)
-            mine.value = g.value
-        for name, h in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram(
-                    name, h.bins.lo, h.bins.hi, len(h.bins.bins))
-            mine.bins.merge(h.bins)
-            mine.moments.merge(h.moments)
-        return self
-
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -180,44 +156,12 @@ class MetricsRegistry:
                            for k, h in sorted(self.histograms.items())},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsRegistry":
-        reg = cls()
-        for name, v in d.get("counters", {}).items():
-            reg.counter(name).inc(int(v))
-        for name, m in d.get("gauges", {}).items():
-            g = reg.gauge(name)
-            g.moments = StreamingMoments.from_dict(m)
-            g.value = g.moments.maximum if g.moments.count else 0.0
-        for name, hv in d.get("histograms", {}).items():
-            bins = FixedBinHistogram.from_dict(hv["bins"])
-            h = reg.histogram(name, bins.lo, bins.hi, len(bins.bins))
-            h.bins = bins
-            h.moments = StreamingMoments.from_dict(hv["moments"])
-        return reg
-
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace — byte-stable."""
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        return cls.from_dict(json.loads(text))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MetricsRegistry) \
-            and self.to_dict() == other.to_dict()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MetricsRegistry counters={len(self.counters)} "
                 f"gauges={len(self.gauges)} hists={len(self.histograms)}>")
 
-
-def merge_registries(parts) -> MetricsRegistry:
-    """Merge an iterable of (possibly ``None``) registries in order."""
-    out = MetricsRegistry()
-    for part in parts:
-        if part is not None:
-            out.merge(part)
-    return out

@@ -13,7 +13,7 @@ clock, no global RNG — an :class:`ObsRun` is a pure function of
   with local/uplink/server/downlink/render stages whose durations sum
   exactly to the frame's end-to-end latency.
 - ``martp_session`` — a full MARTP streaming session (sender, receiver,
-  congestion control, degradation); exercises the qlog unification and
+  congestion control, degradation); exercises the protocol event log and
   the protocol/link metrics collectors rather than frame spans.
 """
 
@@ -21,16 +21,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.core.qlog import EventLog, instrument_sender
 from repro.obs.instrument import (
     LATENCY_BINS,
     LATENCY_HI,
+    LinkMonitor,
+    QueueMonitor,
     attach_frame_observer,
     collect_links,
     collect_martp,
+    instrument_sender,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import Tracer
+from repro.obs.spans import EventLog, Tracer
 
 
 class ObsRun:
@@ -54,32 +56,23 @@ class ObsRun:
 def _run_cell_offload(seed: int, frames: int) -> ObsRun:
     """One MAR cell user: feature offload over cloud WiFi, fully traced."""
     from repro.mar.application import APP_ARCHETYPES
-    from repro.mar.devices import CLOUD, SMARTPHONE
-    from repro.mar.offload import FeatureOffload, OffloadExecutor
+    from repro.mar.offload import OffloadExecutor
     from repro.simnet.engine import Simulator
-    from repro.simnet.monitor import LinkMonitor, QueueMonitor
-    from repro.simnet.network import Network
 
     app = APP_ARCHETYPES["orientation"]
     duration = frames * app.frame_budget + 2.0
 
     sim = Simulator(seed=seed)
-    net = Network(sim)
-    net.add_host("client")
-    net.add_host("server")
-    duplex = net.add_duplex("server", "client", 80e6, 40e6, delay=0.018)
-    net.build_routes()
-    executor = OffloadExecutor(net, "client", "server", app,
-                               FeatureOffload(), SMARTPHONE,
-                               server_device=CLOUD)
+    executor = OffloadExecutor.for_table2(sim, 0.036, app)
+    net = executor.net
 
     tracer = Tracer(sim)
     registry = MetricsRegistry()
     observer = attach_frame_observer(executor, tracer)
-    # duplex.up carries client→server traffic: the MAR uplink.
-    QueueMonitor(sim, duplex.up.queue, interval=0.02,
+    uplink = net.path_links("client", "server")[0]
+    QueueMonitor(sim, uplink.queue, interval=0.02,
                  horizon=duration, registry=registry, name="uplink")
-    LinkMonitor(sim, duplex.up, interval=0.1,
+    LinkMonitor(sim, uplink, interval=0.1,
                 horizon=duration, registry=registry)
 
     result = executor.run(n_frames=frames)

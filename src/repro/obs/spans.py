@@ -16,11 +16,14 @@ so the children's summed durations telescope exactly to the frame's
 end-to-end latency.  :meth:`FrameTrace.breakdown` additionally splits
 network stages into serialization / propagation / queueing using the
 per-stage link-cost attributes the instrumentation attaches.
+
+The other sim-clock record is the protocol event: an :class:`EventLog`
+holds timestamped MARTP decisions (congestion, allocation, shedding,
+recovery) as qlog records, bounded and with a drop count.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from repro.simnet.engine import Simulator
@@ -61,18 +64,6 @@ class Span:
     def set(self, **attrs: Any) -> "Span":
         self.attrs.update(attrs)
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cat": self.cat,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(sorted(self.attrs.items())),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = f"{self.duration * 1e3:.3f}ms" if self.finished else "open"
@@ -139,20 +130,7 @@ class Tracer:
             span.end = self.sim.now
         return span
 
-    @contextmanager
-    def span(self, name: str, cat: str = "frame",
-             parent: Optional[Span] = None, **attrs: Any):
-        """Context-manager convenience for code that runs inline."""
-        s = self.start_span(name, cat, parent, **attrs)
-        try:
-            yield s
-        finally:
-            self.finish(s)
-
     # ------------------------------------------------------------------
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
     def frame_roots(self) -> List[Span]:
         """Finished per-frame root spans, in start order."""
         return [s for s in self.spans
@@ -256,3 +234,70 @@ def breakdown(root: Span) -> Dict[str, Any]:
             path["compute"] += dur
     return {"total": root.duration, "stages": stages,
             "critical_path": path}
+
+
+# ----------------------------------------------------------------------
+# Protocol events
+# ----------------------------------------------------------------------
+#: The categories an :class:`EventLog` accepts.
+CATEGORIES = (
+    "congestion",      # budget changes, congestion events
+    "allocation",      # degradation rounds
+    "shedding",        # messages dropped at the sender
+    "recovery",        # ARQ retransmissions / abandonments
+    "path",            # multipath usability / RTT changes
+    "frame",           # per-frame span completions (repro.obs tracing)
+    "metric",          # registry snapshots (repro.obs exporters)
+    "meta",            # about the log itself (summaries, drop counts)
+)
+
+
+class EventLog:
+    """A bounded, append-only log of timestamped protocol events.
+
+    Each event is kept as the qlog record it exports as —
+    ``{"time", "category", "name", "data"}`` — and
+    :func:`repro.obs.export.qlog_lines` interleaves the records with
+    span completions.  Past ``max_events`` an event is counted in
+    ``dropped`` instead of kept; :meth:`summary` (the export's
+    ``meta``/``log-summary`` trailer) surfaces that, so a truncated log
+    is visibly truncated.  :func:`repro.obs.instrument.instrument_sender`
+    fills one from a MARTP sender.
+    """
+
+    __slots__ = ("max_events", "events", "dropped")
+
+    def __init__(self, max_events: int = 100_000) -> None:
+        self.max_events = max_events
+        self.events: List[Dict[str, Any]] = []
+        self.dropped = 0
+
+    def emit(self, time: float, category: str, name: str, **data: Any) -> None:
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown category {category!r}")
+        if len(self.events) >= self.max_events:
+            self.dropped += 1
+            return
+        self.events.append({"time": time, "category": category,
+                            "name": name, "data": data})
+
+    def summary(self) -> Dict[str, Any]:
+        """Totals an operator needs before trusting the log.
+
+        ``dropped > 0`` means the stream is *incomplete* — events past
+        ``max_events`` were discarded — which silent exports would
+        otherwise hide.
+        """
+        by_category: Dict[str, int] = {}
+        for event in self.events:
+            category = event["category"]
+            by_category[category] = by_category.get(category, 0) + 1
+        return {
+            "events": len(self.events),
+            "dropped": self.dropped,
+            "complete": self.dropped == 0,
+            "by_category": dict(sorted(by_category.items())),
+        }
+
+    def __len__(self) -> int:
+        return len(self.events)

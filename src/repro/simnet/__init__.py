@@ -17,7 +17,6 @@ from repro.simnet.network import Network
 from repro.simnet.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.simnet.flows import BulkSource, CBRSource, OnOffSource, PacketSink, PoissonSource
 from repro.simnet.trace import FlowStats, PacketTracer
-from repro.simnet.monitor import LinkMonitor, QueueMonitor
 
 __all__ = [
     "Event",
@@ -46,6 +45,4 @@ __all__ = [
     "PacketSink",
     "FlowStats",
     "PacketTracer",
-    "LinkMonitor",
-    "QueueMonitor",
 ]

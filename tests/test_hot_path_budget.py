@@ -257,8 +257,8 @@ def _mar_session(armed: bool):
     from repro.mar.application import APP_ARCHETYPES
     from repro.mar.devices import CLOUD, SMARTPHONE
     from repro.mar.offload import FullOffload, OffloadExecutor
-    from repro.obs import MetricsRegistry, Tracer, attach_frame_observer
-    from repro.simnet.monitor import LinkMonitor, QueueMonitor
+    from repro.obs import (LinkMonitor, MetricsRegistry, QueueMonitor, Tracer,
+                           attach_frame_observer)
 
     app = APP_ARCHETYPES["gaming"]
     scenario = ScenarioBuilder(seed=11).single_path(

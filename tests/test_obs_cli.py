@@ -1,10 +1,14 @@
 """Tests for the `repro obs` CLI verb and its artifact determinism."""
 
 import json
+import pathlib
+
+import pytest
 
 from repro.cli import main
 
 ARTIFACTS = ("trace.json", "qlog.jsonl", "metrics.json")
+COMMITTED = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "obs"
 
 
 def run_obs(tmp_path, sub, *extra):
@@ -32,6 +36,17 @@ def test_obs_double_run_byte_identical(tmp_path):
     _, first = run_obs(tmp_path, "a")
     _, second = run_obs(tmp_path, "b")
     assert first == second
+
+
+@pytest.mark.parametrize("scenario", ["cell_offload", "martp_session"])
+def test_default_exports_equal_the_committed_artifacts(tmp_path, scenario):
+    """Seed 11 at the default 60 frames writes the committed files byte
+    for byte, on every supported CPython (the float reductions are
+    correctly rounded, docs/DETERMINISM.md)."""
+    assert main(["obs", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    for name in ARTIFACTS:
+        stem = f"{scenario}-seed11.{name}"
+        assert (tmp_path / stem).read_bytes() == (COMMITTED / stem).read_bytes(), stem
 
 
 def test_obs_martp_scenario(tmp_path, capsys):

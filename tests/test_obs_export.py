@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from repro.core.qlog import EventLog
 from repro.obs import (
+    EventLog,
     chrome_trace_json,
     qlog_lines,
     reconcile_frame_spans,

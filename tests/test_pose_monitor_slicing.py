@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import LinkMonitor, MetricsRegistry, QueueMonitor
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import CBRSource, PacketSink
-from repro.simnet.monitor import LinkMonitor, QueueMonitor
 from repro.simnet.network import Network
 from repro.simnet.queues import DropTailQueue
 from repro.vision.pose import (

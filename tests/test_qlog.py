@@ -1,11 +1,18 @@
-"""Tests for MARTP structured event logging."""
+"""Tests for MARTP structured event logging and its qlog export."""
 
 import json
 
 import pytest
 
-from repro.core.qlog import EventLog, instrument_sender
 from repro.core.session import OffloadSession, ScenarioBuilder
+from repro.obs import EventLog, instrument_sender, qlog_lines
+
+
+def of(log, category=None, name=None):
+    """The records of ``log`` in ``category`` and/or called ``name``."""
+    return [e for e in log.events
+            if (category is None or e["category"] == category)
+            and (name is None or e["name"] == name)]
 
 
 class TestEventLog:
@@ -14,14 +21,8 @@ class TestEventLog:
         log.emit(1.0, "congestion", "budget-decrease", path="wifi")
         log.emit(2.0, "allocation", "round", budget=1e6)
         assert len(log) == 2
-        assert len(log.of("congestion")) == 1
-        assert log.of(name="round")[0].data["budget"] == 1e6
-
-    def test_between(self):
-        log = EventLog()
-        for t in (0.5, 1.5, 2.5):
-            log.emit(t, "path", "tick")
-        assert len(log.between(1.0, 2.0)) == 1
+        assert len(of(log, "congestion")) == 1
+        assert of(log, name="round")[0]["data"]["budget"] == 1e6
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):
@@ -37,8 +38,9 @@ class TestEventLog:
     def test_jsonl_round_trip(self):
         log = EventLog()
         log.emit(1.0, "recovery", "retransmit", stream="ref", seq=7)
-        lines = log.to_jsonl().splitlines()
+        lines = qlog_lines(log=log).splitlines()
         parsed = json.loads(lines[0])
+        assert parsed == log.events[0]
         assert parsed["data"]["seq"] == 7
         assert parsed["category"] == "recovery"
 
@@ -65,7 +67,7 @@ class TestEventLog:
         log = EventLog(max_events=2)
         for t in (0.5, 1.5, 2.5):
             log.emit(t, "path", "tick")
-        lines = log.to_json_lines().splitlines()
+        lines = qlog_lines(log=log).splitlines()
         assert len(lines) == 3          # two events + trailer
         trailer = json.loads(lines[-1])
         assert trailer["category"] == "meta"
@@ -75,7 +77,7 @@ class TestEventLog:
         assert trailer["time"] == 1.5   # last kept event's time
 
     def test_json_lines_empty_log_still_has_trailer(self):
-        trailer = json.loads(EventLog().to_json_lines())
+        trailer = json.loads(qlog_lines(log=EventLog()))
         assert trailer["name"] == "log-summary"
         assert trailer["data"]["events"] == 0
 
@@ -91,28 +93,28 @@ class TestInstrumentedSession:
 
     def test_congested_session_logs_decreases_and_allocations(self):
         session, log = self.run_session(up_bps=2.5e6)
-        assert len(log.of("congestion", "budget-decrease")) > 0
-        assert len(log.of("allocation", "round")) > 10
+        assert len(of(log, "congestion", "budget-decrease")) > 0
+        assert len(of(log, "allocation", "round")) > 10
         # Every decrease event carries a real reduction.
-        for event in log.of("congestion"):
-            assert event.data["after"] < event.data["before"]
+        for event in of(log, "congestion"):
+            assert event["data"]["after"] < event["data"]["before"]
 
     def test_lossy_session_logs_retransmissions(self):
         session, log = self.run_session(up_bps=20e6, loss=0.04)
-        retransmits = log.of("recovery", "retransmit")
+        retransmits = of(log, "recovery", "retransmit")
         assert retransmits
         # Only the retransmitting classes appear (never interframes or
         # sensor data, which are full best effort).
-        streams = {e.data["stream"] for e in retransmits}
+        streams = {e["data"]["stream"] for e in retransmits}
         assert streams <= {"video-reference-frames", "connection-metadata"}
 
     def test_clean_fat_session_logs_no_congestion(self):
         session, log = self.run_session(up_bps=40e6, duration=6.0)
-        assert log.of("congestion", "budget-decrease") == []
+        assert of(log, "congestion", "budget-decrease") == []
 
     def test_events_time_ordered(self):
         _, log = self.run_session(up_bps=2.5e6, duration=6.0)
-        times = [e.time for e in log.events]
+        times = [e["time"] for e in log.events]
         assert times == sorted(times)
 
 
@@ -145,10 +147,10 @@ class TestOfferHook:
         sender.start()
         sim.run(until=0.1)                      # ten ticks of tokens
         results = [sender.submit(0, 500) for _ in range(100)]
-        shed = log.of("shedding", "message-shed")
+        shed = of(log, "shedding", "message-shed")
         assert len(shed) == results.count(None) == sender.stream_stats(0).dropped
         assert 0 < len(shed) < 100
-        assert all(e.data == {"stream": "s0", "size": 500} for e in shed)
+        assert all(e["data"] == {"stream": "s0", "size": 500} for e in shed)
 
     def test_rate_driven_submits_are_logged_too(self):
         sim, sender = self.shedding_sender()
@@ -159,4 +161,4 @@ class TestOfferHook:
         sender.stream_stats(0).gen_credit_bits = 3 * 500 * 8
         sim.run(until=0.005)                    # the first tick only
         assert sender.stream_stats(0).dropped == 3
-        assert len(log.of("shedding", "message-shed")) == 3
+        assert len(of(log, "shedding", "message-shed")) == 3
