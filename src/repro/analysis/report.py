@@ -13,7 +13,6 @@ from repro.analysis.stats import mean
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import ResilienceReport
-    from repro.simnet.link import Link
 
 
 def format_rate(bps: float) -> str:
@@ -76,41 +75,6 @@ def resilience_table(reports: Sequence[Tuple[str, "ResilienceReport"]],
     return ascii_table(
         ["session", "detection", "MTTR", "avail", "offl", "degr",
          "drop", "degr-frac", "failovers", "trips"],
-        rows,
-        title=title,
-    )
-
-
-def link_table(links: Sequence["Link"], elapsed: float,
-               title: str = "Link statistics") -> str:
-    """Per-link accounting table.
-
-    Keeps the two drop populations separate: *queue drops* happen before
-    serialization (the packet never consumed airtime) while *wire loss*
-    happens after (its bytes count in ``bytes_sent`` and ``bytes_lost``).
-    Goodput is computed from ``bytes_delivered`` — never from
-    ``bytes_sent - bytes_delivered``, which conflates lost and
-    in-flight bytes.
-    """
-    rows = []
-    for link in links:
-        goodput = (link.bytes_delivered * 8 / elapsed) if elapsed > 0 else 0.0
-        wire_total = link.packets_delivered + link.packets_lost
-        loss_frac = link.packets_lost / wire_total if wire_total else 0.0
-        rows.append([
-            link.name,
-            format_rate(link.rate_bps),
-            format_rate(goodput),
-            str(link.packets_delivered),
-            str(link.packets_lost),
-            format_rate(link.bytes_lost * 8 / elapsed) if elapsed > 0 else "0 b/s",
-            f"{loss_frac:.2%}",
-            str(link.queue_drops),
-            f"{link.utilization(elapsed):.1%}",
-        ])
-    return ascii_table(
-        ["link", "rate", "goodput", "pkts ok", "wire lost", "lost rate",
-         "wire loss%", "queue drops", "util"],
         rows,
         title=title,
     )

@@ -530,6 +530,22 @@ def cmd_selftest(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_options(verb: str) -> argparse.ArgumentParser:
+    """The ``--seed``/``--out`` parent of the verbs that write artifacts.
+
+    Built once per verb: a parent's actions are shared by every parser
+    built from it, so one verb's ``set_defaults(seed=...)`` would also
+    rewrite the default another verb sees.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--seed", type=int,
+                        help="base simulation seed (default: %(default)s)")
+    parent.add_argument("--out", default=None,
+                        help="output directory (default: "
+                             f"benchmarks/results/{verb}/)")
+    return parent
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -582,26 +598,23 @@ def main(argv=None) -> int:
                        help="suppress the progress/ETA line")
     fleet.set_defaults(func=cmd_fleet)
     obs = sub.add_parser(
-        "obs", help="run an instrumented scenario; export Perfetto trace, "
-                    "qlog lines and metrics")
+        "obs", parents=[_run_options("obs")],
+        help="run an instrumented scenario; export Perfetto trace, "
+             "qlog lines and metrics")
     obs.add_argument("--scenario", default="cell_offload",
                      help="obs scenario name (default: cell_offload; "
                           "also: martp_session)")
-    obs.add_argument("--seed", type=int, default=11,
-                     help="simulation seed (default: 11)")
     obs.add_argument("--frames", type=int, default=60,
                      help="frames to trace (default: 60)")
-    obs.add_argument("--out", default=None,
-                     help="output directory (default: "
-                          "benchmarks/results/obs/)")
     obs.add_argument("--check", action="store_true",
                      help="validate trace schema + stage-sum reconciliation; "
                           "exit non-zero on problems")
-    obs.set_defaults(func=cmd_obs)
+    obs.set_defaults(func=cmd_obs, seed=11)
     check = sub.add_parser(
-        "check", help="bounded state-space explorer: enumerate event "
-                      "orderings and fault placements, assert protocol "
-                      "invariants, export replayable counterexamples")
+        "check", parents=[_run_options("check")],
+        help="bounded state-space explorer: enumerate event orderings and "
+             "fault placements, assert protocol invariants, export "
+             "replayable counterexamples")
     check.add_argument("--harness", default="all",
                        choices=["all", *sorted(HARNESSES)],
                        help="harness to explore (default: all three checked "
@@ -610,11 +623,6 @@ def main(argv=None) -> int:
     check.add_argument("--budget", default="small", choices=sorted(BUDGETS),
                        help="exploration budget preset (default: small — "
                             "the CI gate)")
-    check.add_argument("--seed", type=int, default=0,
-                       help="base seed for harness worlds (default: 0)")
-    check.add_argument("--out", default=None,
-                       help="artifact directory (default: "
-                            "benchmarks/results/check/)")
     check.add_argument("--min-states", type=int, default=0,
                        help="fail (exit 3) when fewer total states were "
                             "explored")
@@ -622,7 +630,7 @@ def main(argv=None) -> int:
                        help="run the seeded-violation harness and verify the "
                             "full find -> export -> replay -> obs-trace "
                             "pipeline")
-    check.set_defaults(func=cmd_check)
+    check.set_defaults(func=cmd_check, seed=0)
     selftest = sub.add_parser(
         "selftest", help="determinism smoke: run one shard twice and "
                          "diff trace fingerprints")

@@ -44,10 +44,6 @@ class Allocation:
     def rate(self, stream_id: int) -> float:
         return self.rates_bps.get(stream_id, 0.0)
 
-    @property
-    def total_bps(self) -> float:
-        return math.fsum(self.rates_bps.values())
-
 
 class DegradationController:
     """Allocates a rate budget across prioritized streams."""

@@ -157,15 +157,6 @@ class ResilienceReport:
         done = self.frames_offloaded + self.frames_degraded
         return self.frames_degraded / done if done else 0.0
 
-    @property
-    def drop_fraction(self) -> float:
-        return self.frames_dropped / self.frames_total if self.frames_total else 0.0
-
-    @property
-    def served_every_frame(self) -> bool:
-        """Graceful degradation's bottom line: nothing was dropped."""
-        return self.frames_dropped == 0 and self.frames_total > 0
-
 
 def mos_score(report: QoeReport, deadline_weight: float = 3.0) -> float:
     """A 1–5 mean-opinion-score-like aggregate.

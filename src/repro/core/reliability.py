@@ -161,9 +161,6 @@ class FecEncoder:
             return 0.0
         return self.parity_bytes / self.data_bytes
 
-    def group_of(self, seq: int) -> int:
-        return seq // self.group_size
-
 
 class FecDecoder:
     """Receiver-side XOR recovery: one missing message per group.

@@ -7,8 +7,7 @@ its offloading deadline ``P_offloading(...) < δa``.
 - :mod:`~repro.edge.topology` — city topologies: users, candidate
   sites, and the latency matrix between them.
 - :mod:`~repro.edge.placement` — solvers: greedy set cover, local
-  search, LP relaxation + randomized rounding, and exact enumeration
-  for small instances.
+  search, and LP relaxation + randomized rounding.
 - :mod:`~repro.edge.assignment` — user→datacenter assignment with
   capacity limits.
 """
@@ -20,9 +19,8 @@ from repro.edge.placement import (
     solve_greedy,
     solve_local_search,
     solve_lp_rounding,
-    solve_exact,
 )
-from repro.edge.assignment import assign_users, failover_order, AssignmentResult
+from repro.edge.assignment import assign_users, AssignmentResult
 from repro.edge.sync import SyncGroup, UpdateRecord
 
 __all__ = [
@@ -34,9 +32,7 @@ __all__ = [
     "solve_greedy",
     "solve_local_search",
     "solve_lp_rounding",
-    "solve_exact",
     "assign_users",
-    "failover_order",
     "AssignmentResult",
     "SyncGroup",
     "UpdateRecord",

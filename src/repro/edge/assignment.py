@@ -60,14 +60,6 @@ class AssignmentResult:
         vals = [l for u, l in self.latencies.items() if self.mapping[u] is not None]
         return math.fsum(vals) / len(vals) if vals else float("inf")
 
-    def max_load_fraction(self, topology: CityTopology) -> float:
-        fractions = []
-        for si, load in self.load.items():
-            cap = topology.sites[si].capacity
-            if cap not in (0, float("inf")):
-                fractions.append(load / cap)
-        return max(fractions) if fractions else 0.0
-
 
 def assign_users(topology: CityTopology, opened: Set[int]) -> AssignmentResult:
     """Assign every user to an opened site within budget and capacity."""
@@ -98,40 +90,3 @@ def assign_users(topology: CityTopology, opened: Set[int]) -> AssignmentResult:
         load[best] += user.demand
     return AssignmentResult(mapping=mapping, latencies=latencies, load=load)
 
-
-def failover_order(
-    topology: CityTopology,
-    opened: Set[int],
-    user_index: int,
-    assignment: Optional[AssignmentResult] = None,
-    k: Optional[int] = None,
-) -> List[int]:
-    """Ranked failover candidates for one user, best first.
-
-    When the user's assigned site crashes, the session should walk down
-    this list (Section VI-B's degraded-but-alive guideline applied to
-    Section VI-E's placement).  Ranking: opened sites other than the
-    primary, with spare capacity for the user's demand (given the
-    current ``assignment`` load), within-budget sites before
-    over-budget ones, then by latency.  Over-budget sites still appear
-    — offloading past the deadline is degraded service, but beats
-    falling back to device-only compute for most workloads.  ``k``
-    truncates the list.
-    """
-    matrix = topology.latency_matrix()
-    user = topology.users[user_index]
-    primary = assignment.mapping.get(user_index) if assignment is not None else None
-    candidates = []
-    for si in opened:
-        if si == primary:
-            continue
-        if assignment is not None:
-            cap = topology.sites[si].capacity
-            spare = cap - assignment.load.get(si, 0.0)
-            if spare < user.demand:
-                continue
-        latency = float(matrix[user_index, si])
-        candidates.append((latency > user.latency_budget, latency, si))
-    candidates.sort()
-    order = [si for _, _, si in candidates]
-    return order if k is None else order[:k]

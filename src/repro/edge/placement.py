@@ -1,7 +1,7 @@
 """Solvers for the minimum-datacenter placement problem (Section VI-F).
 
 The problem is a set-cover instance: site ``c`` covers user ``u`` when
-the user's deadline-derived latency budget admits that site.  Four
+the user's deadline-derived latency budget admits that site.  Three
 solvers with different optimality/cost trade-offs:
 
 - :func:`solve_greedy` — classic ln(n)-approximate greedy set cover;
@@ -9,9 +9,7 @@ solvers with different optimality/cost trade-offs:
   search;
 - :func:`solve_lp_rounding` — LP relaxation (scipy ``linprog``) with
   iterated randomized rounding; the LP optimum also provides a lower
-  bound for benchmark comparisons;
-- :func:`solve_exact` — branch-free enumeration for small instances
-  (ground truth in tests).
+  bound for benchmark comparisons.
 """
 
 from __future__ import annotations
@@ -170,15 +168,3 @@ def solve_lp_rounding(
                                lower_bound=float(res.fun))
     return PlacementResult(best, "lp-rounding", feasible=True, lower_bound=float(res.fun))
 
-
-def solve_exact(problem: PlacementProblem, max_sites: int = 18) -> PlacementResult:
-    """Exhaustive search over subsets, smallest first (tests only)."""
-    if problem.n_sites > max_sites:
-        raise ValueError(f"exact solver limited to {max_sites} sites")
-    all_sites = range(problem.n_sites)
-    for k in range(1, problem.n_sites + 1):
-        for combo in itertools.combinations(all_sites, k):
-            if problem.is_cover(set(combo)):
-                return PlacementResult(set(combo), "exact", feasible=True,
-                                       lower_bound=float(k))
-    return PlacementResult(set(), "exact", feasible=False)

@@ -24,8 +24,8 @@ class UserSite:
     """One mobile user (or user cluster) with an application deadline.
 
     ``latency_budget`` is the maximum one-way network latency this
-    user's application tolerates (derived from δa minus compute/transfer
-    time; see :func:`repro.mar.compute.max_latency_for_deadline`).
+    user's application tolerates (δa minus compute and transfer time:
+    :func:`repro.mar.compute.offloading_delay` solved for the latency).
     ``demand`` is the compute demand in arbitrary capacity units.
     """
 

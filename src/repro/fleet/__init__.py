@@ -23,7 +23,6 @@ from repro.fleet.campaign import (
     ShardSpec,
     get_scenario,
     register_scenario,
-    scenario_names,
     shard_seed,
 )
 from repro.fleet.cache import ResultCache
@@ -72,7 +71,6 @@ __all__ = [
     "register_scenario",
     "run_campaign",
     "run_shard",
-    "scenario_names",
     "shard_seed",
     "usable_cpus",
     "worker_timeline_events",

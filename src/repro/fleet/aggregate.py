@@ -34,8 +34,7 @@ cache format stable.
 from __future__ import annotations
 
 import json
-import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import FixedBinHistogram, StreamingMoments
 
@@ -88,14 +87,6 @@ class Aggregate:
                 mine.merge(h)
         return self
 
-    @classmethod
-    def merged(cls, parts: Iterable["Aggregate"]) -> "Aggregate":
-        out = cls()
-        for part in parts:
-            if part is not None:
-                out.merge(part)
-        return out
-
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -142,19 +133,6 @@ class Aggregate:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Aggregate counts={len(self.counts)} "
                 f"moments={len(self.moments)} hists={len(self.histograms)}>")
-
-
-def approx_equal_moments(a: StreamingMoments, b: StreamingMoments,
-                         rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """Merge-vs-onepass equality: exact on count/min/max, tolerant on
-    the float accumulators (merging reassociates the sums)."""
-    if a.count != b.count:
-        return False
-    if a.count == 0:
-        return True
-    return (a.minimum == b.minimum and a.maximum == b.maximum
-            and math.isclose(a.mean, b.mean, rel_tol=rel, abs_tol=abs_tol)
-            and math.isclose(a.m2, b.m2, rel_tol=rel, abs_tol=max(abs_tol, rel * a.count)))
 
 
 class OrderedReducer:
@@ -211,11 +189,6 @@ class OrderedReducer:
             self._next += 1
 
     @property
-    def merged_through(self) -> int:
-        """Number of leading indices already folded into the totals."""
-        return self._next
-
-    @property
     def pending(self) -> int:
         """Results buffered while an earlier index is outstanding."""
         return len(self._buffer)
@@ -229,15 +202,6 @@ class OrderedReducer:
                 f"reducer finished with unmerged shard indices {missing[:5]}"
                 f"{'…' if len(missing) > 5 else ''}")
         return self.aggregate
-
-
-def merge_all(parts: Iterable[Optional[Aggregate]]) -> Aggregate:
-    """Merge an iterable of (possibly None) aggregates in order."""
-    out = Aggregate()
-    for part in parts:
-        if part is not None:
-            out.merge(part)
-    return out
 
 
 def aggregate_from_registry(registry, prefix: str = "obs") -> Aggregate:
@@ -272,6 +236,4 @@ __all__: List[str] = [
     "Aggregate",
     "OrderedReducer",
     "aggregate_from_registry",
-    "approx_equal_moments",
-    "merge_all",
 ]

@@ -250,10 +250,5 @@ class ResultCache:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 __all__ = ["DEFAULT_CACHE_ROOT", "MERGED_NAME", "MergedEntry", "ResultCache"]

@@ -130,11 +130,6 @@ def get_scenario(name: str) -> ScenarioDef:
         ) from None
 
 
-def scenario_names() -> List[str]:
-    import repro.fleet.scenarios  # noqa: F401
-    return sorted(_SCENARIOS)
-
-
 # ----------------------------------------------------------------------
 # Shards
 # ----------------------------------------------------------------------
@@ -287,7 +282,6 @@ __all__ = [
     "ShardSpec",
     "get_scenario",
     "register_scenario",
-    "scenario_names",
     "shard_seed",
     "stable_hash",
 ]

@@ -58,7 +58,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.stats import mean
 from repro.core.resilience import DecorrelatedBackoff
 from repro.fleet.aggregate import Aggregate, OrderedReducer
 from repro.fleet.cache import ResultCache
@@ -340,36 +339,6 @@ def plan_batches(states: Sequence["_ShardState"], workers: int,
         for i in range(0, len(batch), MAX_BATCH):
             capped.append(batch[i:i + MAX_BATCH])
     return capped
-
-
-def batch_cost_efficiency(batches: Sequence[Sequence["_ShardState"]],
-                          scenario: Optional[ScenarioDef] = None) -> float:
-    """Load-balance efficiency of a batch plan, in (0, 1].
-
-    Parallel wall time is governed by the *heaviest* batch, so the
-    useful figure is mean batch cost over peak batch cost: 1.0 means
-    perfectly level batches, 0.5 means the heaviest batch carries twice
-    the average and half the fleet idles while it drains.  Costs come
-    from the scenario's ``cost_hint`` (shard count when there is none)
-    — the same weights :func:`plan_batches` planned with, so this
-    audits the planner's own objective.  Hierarchical shard lists
-    (repro.scale's city → cell → cohort grids, where member-0 shards
-    carry extra fluid-aggregation and promotion cost) are the case that
-    keeps this honest: the planner must stay ≥0.6 on them (pinned by
-    ``tests/test_fleet_workers.py``).
-    """
-    if not batches:
-        return 1.0
-    if scenario is not None and scenario.cost_hint is not None:
-        costs = [math.fsum(scenario.shard_cost(s.spec.param_dict())
-                           for s in batch)
-                 for batch in batches]
-    else:
-        costs = [float(len(batch)) for batch in batches]
-    peak = max(costs)
-    if peak <= 0:
-        return 1.0
-    return mean(costs) / peak
 
 
 def _pool_context():
@@ -754,7 +723,6 @@ __all__ = [
     "OVERSUBSCRIBE",
     "ShardError",
     "ShardOutcome",
-    "batch_cost_efficiency",
     "plan_batches",
     "run_campaign",
     "run_shard",

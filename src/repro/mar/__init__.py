@@ -32,7 +32,6 @@ from repro.mar.compute import (
     local_with_db_delay,
     offloading_delay,
     feasible_locally,
-    offloading_wins,
 )
 from repro.mar.offload import (
     OffloadStrategy,
@@ -46,8 +45,8 @@ from repro.mar.offload import (
     SessionResult,
 )
 from repro.mar.cache import ObjectCache
-from repro.mar.energy import EnergyModel, battery_life_hours
-from repro.mar.dataplan import DataPlan, TYPICAL_PLANS, cheapest_plan, monthly_cost_of_usage, session_metered_bytes
+from repro.mar.energy import EnergyModel
+from repro.mar.dataplan import DataPlan, TYPICAL_PLANS, cheapest_plan, monthly_cost_of_usage
 from repro.mar.prefetch import GridWorld, MarkovPredictor, PrefetchingCache
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "local_with_db_delay",
     "offloading_delay",
     "feasible_locally",
-    "offloading_wins",
     "OffloadStrategy",
     "FramePlan",
     "LocalOnly",
@@ -83,12 +81,10 @@ __all__ = [
     "SessionResult",
     "ObjectCache",
     "EnergyModel",
-    "battery_life_hours",
     "DataPlan",
     "TYPICAL_PLANS",
     "cheapest_plan",
     "monthly_cost_of_usage",
-    "session_metered_bytes",
     "GridWorld",
     "MarkovPredictor",
     "PrefetchingCache",

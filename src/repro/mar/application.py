@@ -51,17 +51,8 @@ class MarApplication:
         return self.frame_upload_bytes * 8 * self.fps + self.sensor_rate_bps
 
     @property
-    def feature_uplink_bps(self) -> float:
-        """Offered uplink load under feature offloading (CloudRidAR)."""
-        return self.feature_upload_bytes * 8 * self.fps + self.sensor_rate_bps
-
-    @property
     def downlink_bps(self) -> float:
         return self.result_bytes * 8 * self.fps
-
-    def required_local_rate(self) -> float:
-        """Min device cycles/s for in-time local execution (from Eq. 1)."""
-        return self.megacycles_per_frame * 1e6 / self.deadline
 
 
 #: The four usage classes of Figure 1.

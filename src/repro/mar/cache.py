@@ -36,10 +36,6 @@ class ObjectCache:
         return key in self._entries
 
     @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
@@ -72,7 +68,3 @@ class ObjectCache:
             self._used -= evicted
         self._entries[key] = size_bytes
         self._used += size_bytes
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0

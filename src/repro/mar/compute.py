@@ -135,28 +135,3 @@ def offloading_delay(
             + app.object_bytes * 8 / budget.bandwidth_down_bps
         )
     return local_part + remote_part + network + data_penalty
-
-
-def offloading_wins(
-    device: Device,
-    cloud: Device,
-    app: MarApplication,
-    budget: ExecutionBudget,
-    **kwargs,
-) -> bool:
-    """Does offloading beat pure local execution for this configuration?"""
-    return offloading_delay(device, cloud, app, budget, **kwargs) < local_delay(device, app)
-
-
-def max_latency_for_deadline(
-    device: Device,
-    cloud: Device,
-    app: MarApplication,
-    bandwidth_up_bps: float,
-    bandwidth_down_bps: float,
-    **kwargs,
-) -> float:
-    """Largest one-way l_mc keeping P_offloading under δa (may be ≤ 0)."""
-    zero = ExecutionBudget(bandwidth_up_bps, bandwidth_down_bps, latency=0.0)
-    fixed = offloading_delay(device, cloud, app, zero, **kwargs)
-    return (app.deadline - fixed) / 2.0

@@ -38,14 +38,6 @@ class DataPlan:
         excess = metered_bytes - self.quota_bytes
         return self.monthly_fee + excess / 1e9 * self.overage_per_gb
 
-    def marginal_cost_per_gb(self, metered_bytes: float) -> float:
-        """Price of the *next* gigabyte at the given usage level."""
-        if self.throttles:
-            return 0.0
-        if metered_bytes < self.quota_bytes:
-            return 0.0
-        return self.overage_per_gb
-
     def quota_fraction(self, metered_bytes: float) -> float:
         return metered_bytes / self.quota_bytes if self.quota_bytes else float("inf")
 
@@ -61,15 +53,6 @@ TYPICAL_PLANS: Dict[str, DataPlan] = {
     "throttled": DataPlan("throttled", monthly_fee=25.0, quota_bytes=5e9,
                           throttles=True),
 }
-
-
-def session_metered_bytes(uplink_bps: float, downlink_bps: float,
-                          duration_s: float, metered_fraction: float) -> float:
-    """Bytes billed against the plan for one session."""
-    if not 0.0 <= metered_fraction <= 1.0:
-        raise ValueError("metered_fraction must be in [0, 1]")
-    total = (uplink_bps + downlink_bps) / 8 * duration_s
-    return total * metered_fraction
 
 
 def monthly_cost_of_usage(plan: DataPlan, metered_bytes_per_day: float,

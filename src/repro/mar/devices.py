@@ -47,9 +47,6 @@ class Device:
         """Seconds to execute ``megacycles`` of work on this device."""
         return megacycles * 1e6 / self.compute_cycles_per_s
 
-    def storage_bytes_max(self) -> float:
-        return self.storage_gb[1] * 1e9
-
 
 SMART_GLASSES = Device(
     name="smart glasses",

@@ -13,9 +13,7 @@ the *relative* comparisons the benchmarks make.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-from repro.mar.devices import Device
+from typing import Dict
 
 #: Joules per megacycle of CPU work on a mobile-class core.
 JOULES_PER_MEGACYCLE = 0.0008
@@ -62,23 +60,3 @@ class EnergyModel:
     def total(self, duration: float) -> float:
         """Total joules including baseline draw over ``duration`` seconds."""
         return self.compute_joules + self.radio_joules + BASELINE_WATTS * duration
-
-
-def battery_life_hours(
-    device: Device,
-    avg_megacycles_per_s: float,
-    avg_tx_bytes_per_s: float,
-    avg_rx_bytes_per_s: float,
-    radio: str = "wifi",
-    bursts_per_s: float = 0.5,
-) -> Optional[float]:
-    """Projected battery life under a steady workload; None for mains power."""
-    if device.battery_joules is None:
-        return None
-    watts = (
-        BASELINE_WATTS
-        + avg_megacycles_per_s * JOULES_PER_MEGACYCLE
-        + (avg_tx_bytes_per_s + avg_rx_bytes_per_s) * RADIO_JOULES_PER_BYTE[radio]
-        + bursts_per_s * RADIO_TAIL_JOULES[radio]
-    )
-    return device.battery_joules / watts / 3600.0

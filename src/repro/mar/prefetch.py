@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mar.cache import ObjectCache
 from repro.wireless.mobility import Waypoint
@@ -68,11 +68,6 @@ class MarkovPredictor:
         if self._last is not None and cell != self._last:
             self._transitions[self._last][cell] += 1
         self._last = cell
-
-    def train(self, cells: Iterable[Cell]) -> None:
-        for cell in cells:
-            self.observe(cell)
-        self._last = None
 
     def predict(self, cell: Cell, k: int = 2) -> List[Cell]:
         """The k most likely next cells (may be empty for unseen cells)."""

@@ -105,11 +105,6 @@ class VideoSource:
         self.ref_bytes = ref_bytes
         self.inter_bytes = inter_bytes
 
-    @property
-    def bitrate_bps(self) -> float:
-        per_gop = self.ref_bytes + (self.gop - 1) * self.inter_bytes
-        return per_gop * 8 * self.fps / self.gop
-
     def frame(self, index: int) -> VideoFrame:
         is_ref = index % self.gop == 0
         return VideoFrame(
@@ -124,15 +119,3 @@ class VideoSource:
         n = int(duration * self.fps)
         for i in range(n):
             yield self.frame(i)
-
-    def scale_quality(self, factor: float) -> "VideoSource":
-        """A degraded copy: frame sizes scaled by ``factor`` (graceful
-        degradation's 'lower the video quality' knob)."""
-        if not 0 < factor <= 1:
-            raise ValueError("factor must be in (0, 1]")
-        return VideoSource(
-            fps=self.fps,
-            gop=self.gop,
-            ref_bytes=max(1, int(self.ref_bytes * factor)),
-            inter_bytes=max(1, int(self.inter_bytes * factor)),
-        )

@@ -9,8 +9,8 @@ their instruments and their serializers:
 - :mod:`repro.obs.spans` — a sim-clock-driven :class:`Tracer` with
   nested :class:`Span` objects and the :class:`FrameTrace` convention
   (one trace id per AR frame, threaded client → network → server →
-  back), queryable as ``trace.breakdown()``; and the bounded
-  :class:`EventLog` of MARTP protocol events.
+  back), decomposed by the module-level ``breakdown(root)``; and the
+  bounded :class:`EventLog` of MARTP protocol events.
 - :mod:`repro.obs.registry` — typed Counter/Gauge/Histogram instruments
   in a per-``Simulator`` :class:`MetricsRegistry` whose histograms and
   gauges reuse the mergeable :mod:`repro.analysis.stats` primitives, so

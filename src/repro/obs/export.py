@@ -17,8 +17,9 @@ Three consumers, three formats, one deterministic source of truth:
 The trace-event builders (:func:`metadata_event`,
 :func:`complete_event`, :func:`trace_document_json`) also render the
 fleet's wall-clock worker timelines
-(:func:`repro.fleet.telemetry.worker_timeline_json`), and ``_CANON`` is
-the one canonical-JSON setting, shared with the fleet's telemetry and
+(:func:`repro.fleet.telemetry.worker_timeline_json`), and the
+canonical-JSON setting ``_CANON`` (defined in
+:mod:`repro.obs.registry`) is shared with the fleet's telemetry and
 flight-recorder documents.
 
 Timestamps in the Chrome export are integer microseconds.  Durations
@@ -36,10 +37,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import _CANON, MetricsRegistry
 from repro.obs.spans import EventLog, Tracer
-
-_CANON = {"sort_keys": True, "separators": (",", ":")}
 
 
 def _us(t: float) -> int:

@@ -105,14 +105,9 @@ class FrameObserver:
         # Per-frame hooks must stay a few µs: payload sizes and compute
         # budgets repeat every frame, so the analytic wire costs (a
         # shortest-path walk) and the vision stage split are memoized.
-        # Both assume a static topology; call invalidate_cache() after
-        # a reroute.
+        # Both assume a static topology.
         self._path_cache: Dict[Tuple[str, str, int], Tuple[float, float]] = {}
         self._server_attr_cache: Dict[float, dict] = {}
-
-    def invalidate_cache(self) -> None:
-        """Drop memoized path costs (after a topology/route change)."""
-        self._path_cache.clear()
 
     def _path_costs(self, src: str, dst: str, nbytes: int) -> Tuple[float, float]:
         key = (src, dst, nbytes)

@@ -33,6 +33,11 @@ from typing import Dict
 
 from repro.analysis.stats import FixedBinHistogram, StreamingMoments
 
+#: The one canonical-JSON setting of :mod:`repro.obs` (sorted keys, no
+#: whitespace); the exporters and the fleet's telemetry and flight
+#: documents use it too.
+_CANON = {"sort_keys": True, "separators": (",", ":")}
+
 
 class Counter:
     """A monotone integer counter."""
@@ -158,8 +163,7 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace — byte-stable."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return json.dumps(self.to_dict(), **_CANON)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MetricsRegistry counters={len(self.counters)} "

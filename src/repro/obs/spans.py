@@ -193,15 +193,6 @@ class FrameTrace:
         self.root.set(outcome=outcome, **attrs)
         return self.tracer.finish(self.root)
 
-    @property
-    def finished(self) -> bool:
-        return self.root.finished
-
-    # ------------------------------------------------------------------
-    def breakdown(self) -> Dict[str, Any]:
-        """Per-stage durations and the critical-path decomposition."""
-        return breakdown(self.root)
-
 
 def breakdown(root: Span) -> Dict[str, Any]:
     """Decompose a frame root span into stages and critical-path buckets.

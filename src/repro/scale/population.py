@@ -185,17 +185,6 @@ class CellTimeline:
                 out.append((ts, r))
         return out
 
-    def mean_utilization(self, t0: float, t1: float) -> float:
-        """Time-weighted mean ρ over [t0, t1)."""
-        if t1 <= t0:
-            return self.utilization_at(t0)
-        pts = self.window(t0, t1)
-        total = 0.0
-        for i, (ts, rho) in enumerate(pts):
-            t_next = pts[i + 1][0] if i + 1 < len(pts) else t1
-            total += rho * (t_next - ts)
-        return total / (t1 - t0)
-
     def summarise(self) -> CellSummary:
         """Everything the aggregates need from the samples, in one walk.
 

@@ -15,8 +15,8 @@ from repro.simnet.replay import TraceReplayLink, commute_trace
 from repro.simnet.node import Host, Node, Router
 from repro.simnet.network import Network
 from repro.simnet.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.simnet.flows import BulkSource, CBRSource, OnOffSource, PacketSink, PoissonSource
-from repro.simnet.trace import FlowStats, PacketTracer
+from repro.simnet.flows import CBRSource, PacketSink
+from repro.simnet.trace import FlowStats
 
 __all__ = [
     "Event",
@@ -39,10 +39,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "CBRSource",
-    "PoissonSource",
-    "OnOffSource",
-    "BulkSource",
     "PacketSink",
     "FlowStats",
-    "PacketTracer",
 ]

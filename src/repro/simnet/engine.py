@@ -31,10 +31,9 @@ run, is bit-identical to the naive implementation.
 frame) and reads one slot, ``_observed``, per event to decide.
 Assigning ``trace_hook`` points that slot at the bound
 :meth:`Simulator._fire`, the single definition of observed dispatch
-that :meth:`~Simulator.step` and :meth:`~Simulator.fire_event` also
-use.  Handlers always see a current ``now`` / ``events_fired`` /
-``pending``, and an observer attached while event *n* fires sees event
-*n + 1*.
+that :meth:`~Simulator.fire_event` also uses.  Handlers always see a
+current ``now`` / ``events_fired`` / ``pending``, and an observer
+attached while event *n* fires sees event *n + 1*.
 
 Clock semantics of :meth:`Simulator.run` (all three exit paths):
 
@@ -370,15 +369,6 @@ class Simulator:
         else:
             fn(*event.args, **kw)
 
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False when none remain."""
-        entry = self._next_entry()
-        if entry is None:
-            return False
-        heapq.heappop(self._heap)
-        self._fire(entry[2])
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the heap drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the number of events fired
@@ -454,7 +444,7 @@ class Simulator:
     def pending_ties(self) -> List[Event]:
         """All live events sharing the earliest deadline.
 
-        These are exactly the firing candidates of the next :meth:`step`:
+        These are exactly the candidates for the next event to fire:
         the engine always picks the lowest sequence number, but any
         permutation of same-timestamp events is a legal execution of the
         modelled system — the bounded explorer enumerates them via
@@ -510,17 +500,6 @@ class Simulator:
     def heap_size(self) -> int:
         """Raw heap length, including lazily-cancelled entries."""
         return len(self._heap)
-
-    @property
-    def cancelled_in_heap(self) -> int:
-        """Cancelled entries awaiting pop or compaction."""
-        return self._cancelled
-
-    @property
-    def next_event_time(self) -> Optional[float]:
-        """Deadline of the next live event, or None when drained."""
-        entry = self._next_entry()
-        return entry[0] if entry is not None else None
 
     def child_rng(self, tag: str) -> random.Random:
         """Derive a named, reproducible RNG for a subsystem.

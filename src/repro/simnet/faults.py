@@ -5,11 +5,11 @@ function with degraded performance even if no network connectivity is
 available" — needs failures to be first-class inputs, not ad-hoc
 ``link.loss`` pokes inside tests.  This module provides:
 
-- :class:`FaultEvent` — one timed fault (link blackout, loss burst,
-  bandwidth crush, delay spike / reorder window, server crash/restart,
-  handover stall) with explicit targets and severity;
-- :class:`FaultPlan` — an ordered collection of events with builder
-  classmethods for the common fault shapes;
+- :class:`FaultEvent` — one timed fault with explicit targets and
+  severity (loss, rate factor, extra delay and jitter); the two shapes
+  the scenarios use, link blackout and server crash/restart, have
+  builder classmethods;
+- :class:`FaultPlan` — an ordered collection of events;
 - :class:`FaultInjector` — schedules a plan on the :class:`Simulator`,
   applies each event when it starts and restores the *complete* prior
   state when it expires.
@@ -156,47 +156,12 @@ class FaultEvent:
                    links=cls._link_names(links), loss=BLACKOUT_LOSS)
 
     @classmethod
-    def loss_burst(cls, start: float, duration: Optional[float],
-                   links: Iterable[LinkRef], loss: float = 0.3) -> "FaultEvent":
-        """A window of elevated random loss (interference, cell edge)."""
-        return cls(kind="loss-burst", start=start, duration=duration,
-                   links=cls._link_names(links), loss=loss)
-
-    @classmethod
-    def bandwidth_crush(cls, start: float, duration: Optional[float],
-                        links: Iterable[LinkRef],
-                        factor: float = 0.1) -> "FaultEvent":
-        """Throughput collapses to ``factor`` of nominal (congested cell)."""
-        return cls(kind="bandwidth-crush", start=start, duration=duration,
-                   links=cls._link_names(links), rate_factor=factor)
-
-    @classmethod
-    def delay_spike(cls, start: float, duration: Optional[float],
-                    links: Iterable[LinkRef], extra_delay: float = 0.2,
-                    extra_jitter: float = 0.0) -> "FaultEvent":
-        """Added latency, optionally with a jitter/reorder window
-        (bufferbloat episode, cross-layer retransmission storm)."""
-        return cls(kind="delay-spike", start=start, duration=duration,
-                   links=cls._link_names(links), extra_delay=extra_delay,
-                   extra_jitter=extra_jitter)
-
-    @classmethod
     def server_crash(cls, start: float, duration: Optional[float],
                      nodes: Iterable[NodeRef]) -> "FaultEvent":
         """Edge-server churn: the node drops every delivered packet until
         restart (``duration`` elapses) — or forever when ``None``."""
         return cls(kind="server-crash", start=start, duration=duration,
                    nodes=cls._node_names(nodes))
-
-    @classmethod
-    def handover_stall(cls, start: float, duration: float,
-                       links: Iterable[LinkRef],
-                       residual_delay: float = 0.05) -> "FaultEvent":
-        """A hard handover: the radio goes silent for ``duration`` and
-        traffic that survives rides a briefly inflated path."""
-        return cls(kind="handover-stall", start=start, duration=duration,
-                   links=cls._link_names(links), loss=BLACKOUT_LOSS,
-                   extra_delay=residual_delay)
 
 
 @dataclass
@@ -286,29 +251,9 @@ class FaultPlan:
                  links: Iterable[LinkRef]) -> "FaultPlan":
         return self.add(FaultEvent.blackout(start, duration, links))
 
-    def loss_burst(self, start: float, duration: Optional[float],
-                   links: Iterable[LinkRef], loss: float = 0.3) -> "FaultPlan":
-        return self.add(FaultEvent.loss_burst(start, duration, links, loss))
-
-    def bandwidth_crush(self, start: float, duration: Optional[float],
-                        links: Iterable[LinkRef], factor: float = 0.1) -> "FaultPlan":
-        return self.add(FaultEvent.bandwidth_crush(start, duration, links, factor))
-
-    def delay_spike(self, start: float, duration: Optional[float],
-                    links: Iterable[LinkRef], extra_delay: float = 0.2,
-                    extra_jitter: float = 0.0) -> "FaultPlan":
-        return self.add(FaultEvent.delay_spike(start, duration, links,
-                                               extra_delay, extra_jitter))
-
     def server_crash(self, start: float, duration: Optional[float],
                      nodes: Iterable[NodeRef]) -> "FaultPlan":
         return self.add(FaultEvent.server_crash(start, duration, nodes))
-
-    def handover_stall(self, start: float, duration: float,
-                       links: Iterable[LinkRef],
-                       residual_delay: float = 0.05) -> "FaultPlan":
-        return self.add(FaultEvent.handover_stall(start, duration, links,
-                                                  residual_delay))
 
 
 @dataclass(frozen=True)
@@ -349,8 +294,8 @@ class FaultInjector:
     server early.
 
     The injector also keeps a ``timeline`` of ``(time, event, phase)``
-    records (phase is ``"start"`` or ``"end"``) so resilience metrics
-    can measure detection delay against ground truth.
+    records (phase is ``"start"`` or ``"end"``): the ground truth a
+    replay or a determinism check compares against.
     """
 
     def __init__(self, net: Network) -> None:
@@ -360,7 +305,6 @@ class FaultInjector:
         self._snapshots: Dict[str, _LinkSnapshot] = {}
         self._active_on_link: Dict[str, List[FaultEvent]] = {}
         self._crash_refcount: Dict[str, int] = {}
-        self._active: List[FaultEvent] = []
         self.timeline: List[Tuple[float, FaultEvent, str]] = []
         self.activated = 0
         self.expired = 0
@@ -406,7 +350,6 @@ class FaultInjector:
             self._crash_refcount[node.name] = self._crash_refcount.get(node.name, 0) + 1
             node.down = True
         self.activated += 1
-        self._active.append(event)
         self.timeline.append((self.sim.now, event, "start"))
         if event.duration is not None:
             self.sim.schedule(event.duration, self._expire, event)
@@ -431,8 +374,6 @@ class FaultInjector:
             else:
                 self._crash_refcount[node.name] = count
         self.expired += 1
-        if event in self._active:
-            self._active.remove(event)
         self.timeline.append((self.sim.now, event, "end"))
 
     def _recompose(self, link: Link) -> None:
@@ -450,23 +391,3 @@ class FaultInjector:
         link.rate_bps = max(rate, 1.0)
         link.delay = delay
         link.jitter = jitter
-
-    # ------------------------------------------------------------------
-    # Introspection helpers for tests and metrics.
-    # ------------------------------------------------------------------
-    def active_faults(self) -> List[FaultEvent]:
-        """Events currently applied, in activation order."""
-        return list(self._active)
-
-    def outage_windows(self) -> List[Tuple[float, Optional[float]]]:
-        """(start, end) ground-truth windows of every injected event;
-        ``end`` is None for unexpired/permanent faults."""
-        starts: Dict[int, float] = {}
-        windows: List[Tuple[float, Optional[float]]] = []
-        for t, e, phase in self.timeline:
-            if phase == "start":
-                starts[id(e)] = t
-            else:
-                windows.append((starts.pop(id(e)), t))
-        windows.extend((t, None) for t in starts.values())
-        return sorted(windows)

@@ -1,9 +1,9 @@
 """Application-level traffic generators and sinks.
 
 These run directly over the packet layer (no transport) and are used to
-load links in benchmarks: constant-bit-rate streams (sensor data),
-Poisson streams (web-like cross traffic), on/off bursts, and a greedy
-bulk source that keeps a target backlog of packets in flight.
+load links in benchmarks: a constant-bit-rate stream (sensor data, cross
+traffic, a UDP flow that does not back off) and a sink that records
+per-flow statistics.
 """
 
 from __future__ import annotations
@@ -47,155 +47,43 @@ class PacketSink:
             self.host.send(reply)
 
 
-class _SourceBase:
-    """Shared machinery for timed sources."""
+class CBRSource:
+    """Constant-bit-rate source: one packet every ``size*8/rate`` seconds."""
 
     def __init__(
         self,
         host: Host,
         dst: str,
         dst_port: int,
+        rate_bps: float,
         packet_size: int = 1200,
         src_port: int = 0,
         start: float = 0.0,
         stop: Optional[float] = None,
         flow: str = "",
     ) -> None:
+        if rate_bps <= 0:
+            raise ValueError("rate_bps must be positive")
+        self.rate_bps = rate_bps
         self.host = host
         self.sim = host.sim
         self.dst = dst
         self.dst_port = dst_port
         self.src_port = src_port
         self.packet_size = packet_size
-        self.start = start
         self.stop = stop
         self.flow = flow
-        self.packets_sent = 0
-        self.bytes_sent = 0
         self.sim.schedule_at(max(start, self.sim.now), self._tick)
 
-    def _emit(self, size: Optional[int] = None) -> None:
-        packet = Packet(
+    def _tick(self) -> None:
+        if self.stop is not None and self.sim.now >= self.stop:
+            return
+        self.host.send(Packet(
             src=self.host.name,
             dst=self.dst,
-            size=size or self.packet_size,
+            size=self.packet_size,
             src_port=self.src_port,
             dst_port=self.dst_port,
-            flow=self.flow or "",
-        )
-        self.host.send(packet)
-        self.packets_sent += 1
-        self.bytes_sent += packet.size
-
-    def _active(self) -> bool:
-        return self.stop is None or self.sim.now < self.stop
-
-    def _tick(self) -> None:
-        raise NotImplementedError
-
-
-class CBRSource(_SourceBase):
-    """Constant-bit-rate source: one packet every ``size*8/rate`` seconds."""
-
-    def __init__(self, host: Host, dst: str, dst_port: int, rate_bps: float, **kwargs) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
-        self.rate_bps = rate_bps
-        super().__init__(host, dst, dst_port, **kwargs)
-
-    @property
-    def interval(self) -> float:
-        return (self.packet_size * 8) / self.rate_bps
-
-    def _tick(self) -> None:
-        if not self._active():
-            return
-        self._emit()
-        self.sim.schedule(self.interval, self._tick)
-
-
-class PoissonSource(_SourceBase):
-    """Poisson packet arrivals at ``rate_pps`` packets per second."""
-
-    def __init__(self, host: Host, dst: str, dst_port: int, rate_pps: float, **kwargs) -> None:
-        if rate_pps <= 0:
-            raise ValueError("rate_pps must be positive")
-        self.rate_pps = rate_pps
-        super().__init__(host, dst, dst_port, **kwargs)
-        self._rng = self.sim.child_rng(f"poisson:{host.name}:{dst}:{dst_port}")
-
-    def _tick(self) -> None:
-        if not self._active():
-            return
-        self._emit()
-        self.sim.schedule(self._rng.expovariate(self.rate_pps), self._tick)
-
-
-class OnOffSource(_SourceBase):
-    """Exponential on/off bursts; transmits at ``peak_rate_bps`` while on."""
-
-    def __init__(
-        self,
-        host: Host,
-        dst: str,
-        dst_port: int,
-        peak_rate_bps: float,
-        mean_on: float = 1.0,
-        mean_off: float = 1.0,
-        **kwargs,
-    ) -> None:
-        self.peak_rate_bps = peak_rate_bps
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self._on_until = 0.0
-        super().__init__(host, dst, dst_port, **kwargs)
-        self._rng = self.sim.child_rng(f"onoff:{host.name}:{dst}:{dst_port}")
-
-    def _tick(self) -> None:
-        if not self._active():
-            return
-        if self.sim.now >= self._on_until:
-            # Burst finished: sleep an off period, then start a new burst.
-            off = self._rng.expovariate(1.0 / self.mean_off)
-            self._on_until = self.sim.now + off + self._rng.expovariate(1.0 / self.mean_on)
-            self.sim.schedule(off, self._tick)
-            return
-        self._emit()
-        self.sim.schedule((self.packet_size * 8) / self.peak_rate_bps, self._tick)
-
-
-class BulkSource(_SourceBase):
-    """Greedy source that keeps ``window`` packets in flight.
-
-    A crude stand-in for a bulk transfer when full TCP dynamics are not
-    needed: the sink must echo (``PacketSink(echo_port=...)``) and each
-    echo releases the next packet.
-    """
-
-    def __init__(self, host: Host, dst: str, dst_port: int, window: int = 10,
-                 total_packets: Optional[int] = None, **kwargs) -> None:
-        self.window = window
-        self.total_packets = total_packets
-        self.acked = 0
-        super().__init__(host, dst, dst_port, **kwargs)
-        if self.src_port:
-            host.bind(self.src_port, self)
-
-    def _tick(self) -> None:
-        for _ in range(self.window):
-            if self._done_sending():
-                break
-            self._emit()
-
-    def _done_sending(self) -> bool:
-        return self.total_packets is not None and self.packets_sent >= self.total_packets
-
-    def on_packet(self, packet: Packet) -> None:
-        """Echo receipt: slide the window by one."""
-        self.acked += 1
-        if not self._done_sending() and self._active():
-            self._emit()
-
-    @property
-    def complete(self) -> bool:
-        return self.total_packets is not None and self.acked >= self.total_packets
+            flow=self.flow,
+        ))
+        self.sim.schedule((self.packet_size * 8) / self.rate_bps, self._tick)

@@ -254,8 +254,3 @@ class DuplexLink:
             sim, a, b, rate_down_bps, delay, jitter, loss, queue_down, name=f"{base}:down"
         )
         self.up = Link(sim, b, a, rate_up_bps, delay, jitter, loss, queue_up, name=f"{base}:up")
-
-    @property
-    def asymmetry_ratio(self) -> float:
-        """Down:up rate ratio (>1 means download-favoured)."""
-        return self.down.rate_bps / self.up.rate_bps

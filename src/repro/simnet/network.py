@@ -183,7 +183,3 @@ class Network:
         for link in self.path_links(a, b) + self.path_links(b, a):
             total += link.delay + (packet_size * 8) / link.rate_bps
         return total
-
-    def bottleneck_rate(self, a: str, b: str) -> float:
-        """Minimum link rate along the ``a``→``b`` path, in bits/s."""
-        return min(link.rate_bps for link in self.path_links(a, b))

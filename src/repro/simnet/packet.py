@@ -104,27 +104,6 @@ class Packet:
         """Seconds since the packet was created."""
         return now - self.created_at
 
-    def copy(self, **overrides: Any) -> "Packet":
-        """Duplicate the packet (fresh uid), optionally overriding fields.
-
-        Used by multipath duplication and FEC; the payload mapping is
-        shallow-copied so header edits on the clone do not leak back.
-        """
-        fields: Dict[str, Any] = dict(
-            src=self.src,
-            dst=self.dst,
-            size=self.size,
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            kind=self.kind,
-            flow=self.flow,
-            payload=dict(self.payload),
-            created_at=self.created_at,
-            ecn=self.ecn,
-        )
-        fields.update(overrides)
-        return Packet(**fields)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Packet #{self.uid} {self.kind} {self.src}:{self.src_port}->"
@@ -134,8 +113,3 @@ class Packet:
 
 _fields = attrgetter(*Packet.__slots__)
 
-
-def reset_packet_ids() -> None:
-    """Restart the global packet id counter (test isolation helper)."""
-    global _packet_ids
-    _packet_ids = itertools.count(1)

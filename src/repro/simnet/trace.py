@@ -1,9 +1,8 @@
-"""Measurement helpers: per-flow statistics and packet tracing.
+"""Measurement helpers: per-flow statistics.
 
 :class:`FlowStats` accumulates receive-side samples (one per packet) and
 derives the quantities the paper's figures plot: throughput over time,
-one-way delay percentiles, jitter.  :class:`PacketTracer` records raw
-events for debugging and fine-grained assertions in tests.
+one-way delay percentiles, jitter.
 """
 
 from __future__ import annotations
@@ -93,26 +92,3 @@ class FlowStats:
             return 0.0
         deltas = [abs(b - a) for a, b in zip(data, data[1:])]
         return math.fsum(deltas) / len(deltas)
-
-    def flows_seen(self) -> List[str]:
-        return sorted({s.flow for s in self.samples})
-
-
-class PacketTracer:
-    """Raw event log: (time, event, packet uid, detail).
-
-    Attach to links/nodes manually in tests where packet-level ordering
-    matters; not used on hot paths by default.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[Tuple[float, str, int, str]] = []
-
-    def log(self, time: float, event: str, packet: Packet, detail: str = "") -> None:
-        self.events.append((time, event, packet.uid, detail))
-
-    def of_kind(self, event: str) -> List[Tuple[float, str, int, str]]:
-        return [e for e in self.events if e[1] == event]
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -97,7 +97,6 @@ class MptcpSender:
         self._connected = 0
         self._pending_bytes = 0
         self._dsn = 0                     # next fresh data-sequence byte
-        self._assigned: Dict[int, int] = {}  # subflow -> total conn bytes assigned
         #: DSN intervals awaiting subflow assignment, in send order.
         #: Re-injected intervals go to the front (retransmit priority).
         self._send_queue: Deque[Tuple[int, int]] = deque()
@@ -109,7 +108,6 @@ class MptcpSender:
         self.reinjected_bytes = 0
         self.on_established: Optional[Callable[[], None]] = None
         for i, subflow in enumerate(subflows):
-            self._assigned[i] = 0
             self.dsn_log.append([])
             subflow.on_established = self._make_established(i)
 
@@ -209,7 +207,6 @@ class MptcpSender:
             )
             self.dsn_log[index].extend(self._take(chunk))
             subflow.send(chunk)
-            self._assigned[index] += chunk
             self._pending_bytes -= chunk
 
     def _take(self, nbytes: int) -> List[Tuple[int, int]]:
@@ -227,15 +224,6 @@ class MptcpSender:
                 self._send_queue.appendleft((start + remaining, end))
                 remaining = 0
         return out
-
-    # ------------------------------------------------------------------
-    @property
-    def bytes_acked(self) -> int:
-        return sum(s.snd_una for s in self.subflows)
-
-    def subflow_share(self, index: int) -> float:
-        total = sum(self._assigned.values())
-        return self._assigned[index] / total if total else 0.0
 
 
 class MptcpReceiver:

@@ -70,12 +70,6 @@ class ReservedQueue(QueueDiscipline):
             flow=flow, rate_bps=rate_bps, bucket_bits=burst, max_burst_bits=burst,
         )
 
-    def remove_reservation(self, flow: str) -> None:
-        reservation = self._reservations.pop(flow, None)
-        if reservation is not None:
-            # Stranded packets fall back to best effort.
-            self._best_effort.extend(reservation.queue)
-
     def reserved_rate_bps(self) -> float:
         return math.fsum(r.rate_bps for r in self._reservations.values())
 
@@ -155,7 +149,6 @@ class ReservationTable:
     def __init__(self, net: Network, admission_fraction: float = 0.8) -> None:
         self.net = net
         self.admission_fraction = admission_fraction
-        self.reservations: Dict[str, List[Link]] = {}
 
     def reserve_path(self, src: str, dst: str, flow: str, rate_bps: float) -> List[Link]:
         """Install a guaranteed rate for ``flow`` on every link of the
@@ -175,13 +168,7 @@ class ReservationTable:
             if not isinstance(link.queue, ReservedQueue):
                 link.queue = self._convert(link.queue)
             link.queue.add_reservation(flow, rate_bps)
-        self.reservations[flow] = links
         return links
-
-    def release(self, flow: str) -> None:
-        for link in self.reservations.pop(flow, []):
-            if isinstance(link.queue, ReservedQueue):
-                link.queue.remove_reservation(flow)
 
     @staticmethod
     def _convert(old_queue: QueueDiscipline) -> ReservedQueue:

@@ -406,6 +406,3 @@ class TcpListener(SocketBase):
         port = self._next_port
         self._next_port += 1
         return port
-
-    def connection_for(self, peer: str, peer_port: int) -> Optional[TcpConnection]:
-        return self._conns.get((peer, peer_port))

@@ -9,7 +9,7 @@ reproduction keeps the parts of that pipeline the experiments read:
   (megacycles of detection, description, matching, RANSAC and
   rendering) that prices recognition; standard library only, so
   :mod:`repro.obs` imports it on the simulation path;
-- :mod:`~repro.vision.pose` — camera pose ↔ plane homography, the
+- :mod:`~repro.vision.pose` — camera pose → plane homography, the
   geometry of overlay registration;
 - :mod:`~repro.vision.overlay` — overlay misalignment under
   motion-to-photon latency (the E10 benchmark).

@@ -1,25 +1,22 @@
-"""Camera pose from a plane homography.
+"""Plane homography from a camera pose.
 
 The point of computing a homography in MAR (Section III-B) is to anchor
 virtual content: the homography between a known planar reference and
-the camera view decomposes into the camera's rotation and translation
-relative to that plane (Malis & Vargas / Zhang's method for the
-calibrated case), which is what the renderer actually consumes.
+the camera view encodes the camera's rotation and translation relative
+to that plane, which is what the renderer actually consumes.
 
-Given intrinsics ``K`` and a homography ``H`` mapping reference-plane
-coordinates to image coordinates::
+Given intrinsics ``K``, a rotation ``R = [r1 r2 r3]`` and a translation
+``t``, the homography mapping reference-plane coordinates to image
+coordinates is::
 
     H ∝ K [r1 r2 t]
 
-so ``K^-1 H`` yields the first two rotation columns and the
-translation, up to scale.  :func:`decompose_homography` recovers them,
-orthonormalizing the rotation via SVD.
+:func:`homography_from_pose` builds it; the overlay model
+(:mod:`~repro.vision.overlay`) uses it to place content in a moving
+camera's view.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -35,29 +32,6 @@ def default_intrinsics(width: int = 320, height: int = 240,
     )
 
 
-@dataclass(frozen=True)
-class Pose:
-    """A rigid camera pose relative to the reference plane."""
-
-    rotation: np.ndarray      # 3x3, orthonormal, det +1
-    translation: np.ndarray   # 3-vector, unit-normalized plane distance
-
-    @property
-    def yaw_pitch_roll(self) -> Tuple[float, float, float]:
-        """ZYX Euler angles in radians."""
-        r = self.rotation
-        pitch = -np.arcsin(np.clip(r[2, 0], -1.0, 1.0))
-        roll = np.arctan2(r[2, 1], r[2, 2])
-        yaw = np.arctan2(r[1, 0], r[0, 0])
-        return float(yaw), float(pitch), float(roll)
-
-    def angle_to(self, other: "Pose") -> float:
-        """Geodesic rotation distance in radians."""
-        relative = self.rotation.T @ other.rotation
-        cos_angle = (np.trace(relative) - 1.0) / 2.0
-        return float(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
-
-
 def homography_from_pose(k: np.ndarray, rotation: np.ndarray,
                          translation: np.ndarray) -> np.ndarray:
     """Forward model: H ∝ K [r1 r2 t], normalized to H[2,2] = 1."""
@@ -65,35 +39,6 @@ def homography_from_pose(k: np.ndarray, rotation: np.ndarray,
     if abs(h[2, 2]) < 1e-12:
         raise ValueError("degenerate pose (plane through camera center)")
     return h / h[2, 2]
-
-
-def decompose_homography(h: np.ndarray, k: np.ndarray) -> Pose:
-    """Recover the camera pose from a plane homography.
-
-    Returns the pose with the camera in front of the plane
-    (``t_z > 0``); raises ``ValueError`` on degenerate input.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    a = np.linalg.inv(k) @ h
-    # Scale: the rotation columns are unit length.
-    norm = (np.linalg.norm(a[:, 0]) + np.linalg.norm(a[:, 1])) / 2.0
-    if norm < 1e-12:
-        raise ValueError("degenerate homography")
-    a = a / norm
-    r1, r2, t = a[:, 0], a[:, 1], a[:, 2]
-    r3 = np.cross(r1, r2)
-    rough = np.column_stack([r1, r2, r3])
-    # Orthonormalize: nearest rotation in Frobenius norm.
-    u, _, vt = np.linalg.svd(rough)
-    rotation = u @ vt
-    if np.linalg.det(rotation) < 0:
-        u[:, -1] = -u[:, -1]
-        rotation = u @ vt
-    if t[2] < 0:
-        # The other sign solution: camera behind the plane — flip.
-        rotation = np.column_stack([-rotation[:, 0], -rotation[:, 1], rotation[:, 2]])
-        t = -t
-    return Pose(rotation=rotation, translation=t)
 
 
 def rotation_about(axis: str, angle: float) -> np.ndarray:

@@ -6,7 +6,7 @@
 - :mod:`~repro.wireless.wifi` — an 802.11 DCF airtime model exhibiting
   the performance-anomaly of Heusse et al. (Figure 2).
 - :mod:`~repro.wireless.d2d` — LTE-Direct / WiFi-Direct device-to-device
-  links with range and mobility effects.
+  rates with range and mobility effects, and their energy cross-over.
 - :mod:`~repro.wireless.mobility` / :mod:`~repro.wireless.handover` —
   the city coverage study of Section IV-A4 (WiFi nominally available
   98.9 % of the time but usable only 53.8 %).
@@ -29,7 +29,7 @@ from repro.wireless.profiles import (
 )
 from repro.wireless.wifi import WifiCell, WifiStation, anomaly_throughput
 from repro.wireless.dcf import DcfChannel, DcfStation
-from repro.wireless.d2d import D2DLink, d2d_energy_per_bit
+from repro.wireless.d2d import d2d_energy_per_bit
 from repro.wireless.mobility import RandomWaypoint, Waypoint
 from repro.wireless.handover import CoverageMap, ConnectivityTrace
 
@@ -52,7 +52,6 @@ __all__ = [
     "anomaly_throughput",
     "DcfChannel",
     "DcfStation",
-    "D2DLink",
     "d2d_energy_per_bit",
     "RandomWaypoint",
     "Waypoint",

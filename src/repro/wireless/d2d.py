@@ -6,20 +6,17 @@ with many users) versus WiFi-Direct (~200 m, ~500 Mb/s, cheaper, more
 energy-efficient for small transfers, strongly mobility-sensitive per
 Chatzopoulos et al. [41]).
 
-:class:`D2DLink` instantiates a duplex link between two devices from a
-D2D :class:`~repro.wireless.profiles.AccessProfile`, derating the rate
-with distance and relative mobility.  :func:`d2d_energy_per_bit`
-encodes the energy cross-over reported in [40].
+:func:`rate_at_distance` derates a D2D
+:class:`~repro.wireless.profiles.AccessProfile`'s rate with distance and
+relative mobility.  :func:`d2d_energy_per_bit` encodes the energy
+cross-over reported in [40].
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.simnet.link import Link
-from repro.simnet.network import Network
-from repro.simnet.queues import DropTailQueue
-from repro.wireless.profiles import AccessProfile, LTE_DIRECT, WIFI_DIRECT
+from repro.wireless.profiles import AccessProfile, LTE_DIRECT
 
 
 class OutOfRangeError(ValueError):
@@ -49,45 +46,6 @@ def rate_at_distance(profile: AccessProfile, distance_m: float, mobility_ms: flo
     sensitivity = 0.03 if profile is LTE_DIRECT else 0.06
     mobility_derate = max(0.2, 1.0 - sensitivity * mobility_ms)
     return profile.down_mean * distance_derate * mobility_derate
-
-
-class D2DLink:
-    """A duplex device-to-device link between two hosts."""
-
-    def __init__(
-        self,
-        net: Network,
-        a: str,
-        b: str,
-        profile: AccessProfile = WIFI_DIRECT,
-        distance_m: float = 20.0,
-        mobility_ms: float = 0.0,
-        buffer_packets: int = 100,
-    ) -> None:
-        if not profile.d2d:
-            raise ValueError(f"{profile.name} is not a D2D technology")
-        self.profile = profile
-        self.distance_m = distance_m
-        self.rate_bps = rate_at_distance(profile, distance_m, mobility_ms)
-        sim = net.sim
-        common = dict(
-            rate_bps=self.rate_bps,
-            delay=profile.rtt / 2,
-            jitter=profile.rtt_jitter / 2,
-            loss=profile.loss,
-        )
-        self.ab = Link(sim, net[a], net[b], queue=DropTailQueue(buffer_packets),
-                       name=f"{profile.name}:{a}->{b}", **common)
-        self.ba = Link(sim, net[b], net[a], queue=DropTailQueue(buffer_packets),
-                       name=f"{profile.name}:{b}->{a}", **common)
-        net.links.extend([self.ab, self.ba])
-
-    def update_geometry(self, distance_m: float, mobility_ms: float = 0.0) -> None:
-        """Re-derate the link after the devices moved."""
-        self.distance_m = distance_m
-        self.rate_bps = rate_at_distance(self.profile, distance_m, mobility_ms)
-        self.ab.rate_bps = self.rate_bps
-        self.ba.rate_bps = self.rate_bps
 
 
 def d2d_energy_per_bit(profile: AccessProfile, n_peers: int, transfer_bytes: int) -> float:

@@ -23,9 +23,6 @@ class Waypoint:
     x: float
     y: float
 
-    def distance_to(self, other: "Waypoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 class RandomWaypoint:
     """Random-waypoint mobility in a ``width``×``height`` metre area.
@@ -85,12 +82,3 @@ class RandomWaypoint:
                 samples.append(Waypoint(t, x, y))
                 t += tick
         return samples
-
-    @staticmethod
-    def speeds(trajectory: List[Waypoint]) -> List[float]:
-        """Instantaneous speed (m/s) between consecutive samples."""
-        out = []
-        for a, b in zip(trajectory, trajectory[1:]):
-            dt = b.t - a.t
-            out.append(a.distance_to(b) / dt if dt > 0 else 0.0)
-        return out

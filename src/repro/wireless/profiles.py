@@ -77,11 +77,6 @@ class LoadFactors:
     delay_factor: float
     extra_loss: float
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.share == 1.0 and self.delay_factor == 1.0
-                and self.extra_loss == 0.0)
-
 
 def load_factors(utilization: float) -> LoadFactors:
     """Service-degradation factors at background utilization ρ.
@@ -130,10 +125,6 @@ class AccessProfile:
     #: True when the technology is device-to-device (no infrastructure).
     d2d: bool = False
 
-    @property
-    def asymmetry_ratio(self) -> float:
-        return self.down_mean / self.up_mean
-
     def meets_mar_uplink(self) -> bool:
         """Does the *measured mean* uplink carry a minimal AR video feed?"""
         return self.up_mean >= MAR_MIN_UPLINK_BPS
@@ -151,18 +142,6 @@ class AccessProfile:
     # ------------------------------------------------------------------
     # Exogenous-load hook (repro.scale background population coupling)
     # ------------------------------------------------------------------
-    def per_user_share(self, utilization: float) -> float:
-        """Processor-sharing capacity fraction left for one more user.
-
-        ``utilization`` is the background population's offered load as
-        a fraction of cell capacity (the fluid model's ρ).  At ρ=0 the
-        share is exactly 1.0 — the zero-background fast path must leave
-        link parameters byte-identical — and it floors at
-        :data:`MIN_LOAD_SHARE` so an overloaded cell degrades instead
-        of dividing by zero.
-        """
-        return load_factors(utilization).share
-
     def under_load(self, utilization: float) -> "AccessProfile":
         """Derive the profile one *additional* user experiences when a
         background population already fills ``utilization`` of the cell.
@@ -171,7 +150,7 @@ class AccessProfile:
         fluid background tier press on event-level foreground sessions:
 
         - throughputs scale by the processor-sharing residue
-          :meth:`per_user_share` (802.11 DCF and cellular schedulers
+          ``load_factors(ρ).share`` (802.11 DCF and cellular schedulers
           both approximate equal time/resource shares);
         - RTT and jitter inflate by the M/M/1-style queueing factor
           ``1 + ρ/(1-ρ)`` (capped via :data:`MIN_LOAD_SHARE`), the

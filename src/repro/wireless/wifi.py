@@ -101,10 +101,6 @@ class WifiCell:
         """Change a station's PHY rate (e.g. it moved away from the AP)."""
         self.stations[name].phy_rate_bps = phy_rate_bps
 
-    def set_backlogged(self, name: str, backlogged: bool) -> None:
-        self.stations[name].backlogged = backlogged
-        self._kick()
-
     def _kick(self) -> None:
         if not self._channel_busy and any(s.backlogged for s in self.stations.values()):
             self._channel_busy = True

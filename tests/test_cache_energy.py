@@ -3,13 +3,7 @@
 import pytest
 
 from repro.mar.cache import ObjectCache
-from repro.mar.devices import DESKTOP, SMART_GLASSES, SMARTPHONE
-from repro.mar.energy import (
-    EnergyModel,
-    JOULES_PER_MEGACYCLE,
-    RADIO_JOULES_PER_BYTE,
-    battery_life_hours,
-)
+from repro.mar.energy import EnergyModel, JOULES_PER_MEGACYCLE, RADIO_JOULES_PER_BYTE
 
 
 class TestObjectCache:
@@ -33,13 +27,12 @@ class TestObjectCache:
         cache = ObjectCache(capacity_bytes=500)
         cache.request("huge", 1000)
         assert "huge" not in cache
-        assert cache.used_bytes == 0
 
     def test_byte_budget_respected(self):
         cache = ObjectCache(capacity_bytes=2500)
         for key in "abcde":
             cache.request(key, 1000)
-        assert cache.used_bytes <= 2500
+        assert [key for key in "abcde" if key in cache] == ["d", "e"]
 
     def test_prefetch_warms(self):
         cache = ObjectCache(capacity_bytes=10_000)
@@ -56,12 +49,6 @@ class TestObjectCache:
 
     def test_hit_ratio_empty(self):
         assert ObjectCache(1000).hit_ratio == 0.0
-
-    def test_reset_stats(self):
-        cache = ObjectCache(1000)
-        cache.request("a", 100)
-        cache.reset_stats()
-        assert cache.hits == 0 and cache.misses == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -94,26 +81,3 @@ class TestEnergyModel:
         assert e.total(10.0) == pytest.approx(9.0)  # 0.9 W baseline
 
 
-class TestBatteryLife:
-    def test_mains_powered_returns_none(self):
-        assert battery_life_hours(DESKTOP, 100, 0, 0) is None
-
-    def test_glasses_die_faster_than_phone(self):
-        glasses = battery_life_hours(SMART_GLASSES, 200, 10_000, 1_000)
-        phone = battery_life_hours(SMARTPHONE, 200, 10_000, 1_000)
-        assert glasses < phone
-
-    def test_lte_offload_shortens_life_vs_wifi(self):
-        wifi = battery_life_hours(SMARTPHONE, 100, 500_000, 10_000, radio="wifi")
-        lte = battery_life_hours(SMARTPHONE, 100, 500_000, 10_000, radio="lte")
-        assert lte < wifi
-
-    def test_offloading_can_extend_life_on_wifi(self):
-        # Local: heavy compute. Offload: light compute + WiFi radio.
-        local = battery_life_hours(SMARTPHONE, 12_000, 0, 0)
-        offload = battery_life_hours(SMARTPHONE, 1_200, 400_000, 20_000, radio="wifi")
-        assert offload > local
-
-    def test_idle_life_in_plausible_range(self):
-        hours = battery_life_hours(SMARTPHONE, 0, 0, 0, bursts_per_s=0)
-        assert 6 <= hours <= 16  # Table I: 6-8 h of active use

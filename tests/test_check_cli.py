@@ -11,6 +11,7 @@ def test_breaker_run_exits_zero_and_writes_summary(tmp_path, capsys):
     rc = main(["check", "--harness", "breaker", "--out", str(tmp_path)])
     assert rc == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["seed"] == 0  # check's default; obs defaults to 11
     assert summary["total_states"] > 0
     assert summary["harnesses"][0]["harness"] == "breaker"
     assert summary["harnesses"][0]["violations"] == []

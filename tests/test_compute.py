@@ -8,9 +8,7 @@ from repro.mar.compute import (
     feasible_locally,
     local_delay,
     local_with_db_delay,
-    max_latency_for_deadline,
     offloading_delay,
-    offloading_wins,
 )
 from repro.mar.devices import CLOUD, DESKTOP, SMART_GLASSES, SMARTPHONE
 
@@ -68,10 +66,12 @@ class TestLocalWithDb:
 
 class TestOffloading:
     def test_offloading_wins_on_weak_device_good_net(self):
-        assert offloading_wins(SMART_GLASSES, CLOUD, GAMING, GOOD_NET)
+        assert (offloading_delay(SMART_GLASSES, CLOUD, GAMING, GOOD_NET)
+                < local_delay(SMART_GLASSES, GAMING))
 
     def test_offloading_loses_on_strong_device_bad_net(self):
-        assert not offloading_wins(DESKTOP, CLOUD, GAMING, BAD_NET)
+        assert (offloading_delay(DESKTOP, CLOUD, GAMING, BAD_NET)
+                >= local_delay(DESKTOP, GAMING))
 
     def test_high_latency_blows_deadline(self):
         delay = offloading_delay(SMARTPHONE, CLOUD, GAMING, BAD_NET)
@@ -107,24 +107,3 @@ class TestOffloading:
             offloading_delay(SMARTPHONE, CLOUD, GAMING, GOOD_NET, local_fraction=2.0)
 
 
-class TestLatencyBudget:
-    def test_max_latency_positive_for_feasible_config(self):
-        budget = max_latency_for_deadline(SMART_GLASSES, CLOUD, ORIENTATION,
-                                          bandwidth_up_bps=20e6,
-                                          bandwidth_down_bps=50e6)
-        assert budget > 0
-
-    def test_round_trip_at_budget_meets_deadline(self):
-        l_max = max_latency_for_deadline(SMART_GLASSES, CLOUD, ORIENTATION,
-                                         bandwidth_up_bps=20e6,
-                                         bandwidth_down_bps=50e6)
-        at_budget = ExecutionBudget(20e6, 50e6, latency=l_max)
-        assert offloading_delay(SMART_GLASSES, CLOUD, ORIENTATION, at_budget) \
-            == pytest.approx(ORIENTATION.deadline)
-
-    def test_negative_budget_for_impossible_config(self):
-        # Glasses can't even run the local fraction in time on 2G-ish net.
-        budget = max_latency_for_deadline(SMART_GLASSES, CLOUD, GAMING,
-                                          bandwidth_up_bps=100e3,
-                                          bandwidth_down_bps=500e3)
-        assert budget < 0

@@ -7,7 +7,6 @@ from repro.mar.dataplan import (
     TYPICAL_PLANS,
     cheapest_plan,
     monthly_cost_of_usage,
-    session_metered_bytes,
 )
 
 
@@ -24,28 +23,9 @@ class TestDataPlan:
         plan = TYPICAL_PLANS["throttled"]
         assert plan.cost_of(100e9) == plan.monthly_fee
 
-    def test_marginal_cost(self):
-        plan = DataPlan("p", monthly_fee=20.0, quota_bytes=5e9, overage_per_gb=10.0)
-        assert plan.marginal_cost_per_gb(1e9) == 0.0
-        assert plan.marginal_cost_per_gb(6e9) == 10.0
-
     def test_quota_fraction(self):
         plan = TYPICAL_PLANS["small"]
         assert plan.quota_fraction(1e9) == pytest.approx(0.5)
-
-
-class TestSessionBytes:
-    def test_symmetric_accounting(self):
-        b = session_metered_bytes(uplink_bps=8e6, downlink_bps=2e6,
-                                  duration_s=100, metered_fraction=0.5)
-        assert b == pytest.approx((10e6 / 8) * 100 * 0.5)
-
-    def test_wifi_only_costs_nothing(self):
-        assert session_metered_bytes(8e6, 2e6, 3600, 0.0) == 0.0
-
-    def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            session_metered_bytes(1e6, 1e6, 10, 1.5)
 
 
 class TestMonthlyEconomics:
@@ -53,8 +33,8 @@ class TestMonthlyEconomics:
         """One hour/day of aggregate-policy MAR (~50 % on LTE at ~9 Mb/s
         up+down) costs far more than the WiFi-preferred habit — the
         economics behind the paper's policy 2 default."""
-        aggregate_daily = session_metered_bytes(8e6, 1e6, 3600, 0.55)
-        preferred_daily = session_metered_bytes(8e6, 1e6, 3600, 0.06)
+        aggregate_daily = (8e6 + 1e6) / 8 * 3600 * 0.55
+        preferred_daily = (8e6 + 1e6) / 8 * 3600 * 0.06
         plan = TYPICAL_PLANS["medium"]
         aggressive = monthly_cost_of_usage(plan, aggregate_daily)
         frugal = monthly_cost_of_usage(plan, preferred_daily)

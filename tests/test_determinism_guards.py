@@ -45,7 +45,8 @@ import pytest
 
 from repro.check import HARNESSES, Budget, explore
 from repro.check.harnesses import DEFAULT_HARNESSES
-from repro.fleet.campaign import get_scenario, scenario_names
+from fleet_helpers import scenario_names
+from repro.fleet.campaign import get_scenario
 from repro.obs import OBS_SCENARIOS, run_obs_scenario
 from repro.simnet.engine import Simulator
 from test_import_budget import SHARDS, SRC

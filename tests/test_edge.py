@@ -1,13 +1,13 @@
 """Tests for edge-datacenter placement (Section VI-F)."""
 
+import itertools
 import math
 
 import pytest
 
-from repro.edge.assignment import assign_users, failover_order
+from repro.edge.assignment import assign_users
 from repro.edge.placement import (
     PlacementProblem,
-    solve_exact,
     solve_greedy,
     solve_local_search,
     solve_lp_rounding,
@@ -19,6 +19,16 @@ def small_city(seed=1, **kw):
     defaults = dict(n_users=60, n_sites=16, seed=seed)
     defaults.update(kw)
     return CityTopology.random_city(**defaults)
+
+
+def min_cover_size(problem):
+    """Size of the smallest covering site set, by exhaustive search (the
+    ground truth the heuristics are checked against); None if none covers."""
+    for k in range(1, problem.n_sites + 1):
+        for combo in itertools.combinations(range(problem.n_sites), k):
+            if problem.is_cover(set(combo)):
+                return k
+    return None
 
 
 class TestTopology:
@@ -74,15 +84,10 @@ class TestSolvers:
     def test_exact_optimal_on_tiny_instance(self):
         topo = small_city(n_users=25, n_sites=9)
         problem = PlacementProblem(topo)
-        exact = solve_exact(problem)
-        assert exact.feasible
+        optimum = min_cover_size(problem)
+        assert optimum is not None
         for solver in (solve_greedy, solve_local_search, solve_lp_rounding):
-            assert solver(problem).n_datacenters >= exact.n_datacenters
-
-    def test_exact_refuses_large_instances(self):
-        problem = PlacementProblem(small_city(n_sites=25))
-        with pytest.raises(ValueError):
-            solve_exact(problem)
+            assert solver(problem).n_datacenters >= optimum
 
     def test_infeasible_instance_reported(self):
         users = [UserSite("u", 0, 0, latency_budget=0.0001)]
@@ -149,49 +154,3 @@ class TestAssignment:
         assert assignment.mean_latency() < 0.01
 
 
-class TestFailoverOrder:
-    """Ranked backup candidates for a user whose site crashed (§VI-B
-    resilience applied to §VI-E placement)."""
-
-    def make(self):
-        users = [UserSite("u", 0, 0, latency_budget=0.004, demand=1.0)]
-        sites = [
-            CandidateSite("primary", 0.1, 0, capacity=5.0),
-            CandidateSite("near", 0.5, 0, capacity=5.0),
-            CandidateSite("far", 2.0, 0, capacity=5.0),
-            CandidateSite("over-budget", 40.0, 0, capacity=5.0),
-        ]
-        topo = CityTopology(users, sites)
-        assignment = assign_users(topo, {0, 1, 2, 3})
-        return topo, assignment
-
-    def test_excludes_primary_and_ranks_by_latency(self):
-        topo, assignment = self.make()
-        order = failover_order(topo, {0, 1, 2, 3}, 0, assignment)
-        assert assignment.mapping[0] == 0              # attached to primary
-        assert 0 not in order
-        assert order[:2] == [1, 2]                     # nearest backups first
-
-    def test_over_budget_sites_rank_last_but_appear(self):
-        topo, assignment = self.make()
-        order = failover_order(topo, {0, 1, 2, 3}, 0, assignment)
-        assert order[-1] == 3                          # degraded beats nothing
-
-    def test_full_sites_are_skipped(self):
-        users = [UserSite("u0", 0, 0, latency_budget=1.0, demand=1.0),
-                 UserSite("u1", 1, 0, latency_budget=1.0, demand=1.0)]
-        sites = [CandidateSite("a", 0, 0, capacity=1.0),
-                 CandidateSite("b", 1, 0, capacity=1.0)]
-        topo = CityTopology(users, sites)
-        assignment = assign_users(topo, {0, 1})
-        # Both sites full: u0's only backup (b) has no spare capacity.
-        assert failover_order(topo, {0, 1}, 0, assignment) == []
-
-    def test_k_truncates(self):
-        topo, assignment = self.make()
-        assert len(failover_order(topo, {0, 1, 2, 3}, 0, assignment, k=1)) == 1
-
-    def test_without_assignment_all_opened_sites_rank(self):
-        topo, _ = self.make()
-        order = failover_order(topo, {1, 2}, 0)
-        assert order == [1, 2]

@@ -165,11 +165,6 @@ def test_child_rng_rejects_a_repeated_tag():
     restored.child_rng("other")
 
 
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 # ----------------------------------------------------------------------
 # Hot-path machinery: compaction, O(1) pending, reschedule, clock rules
 # ----------------------------------------------------------------------
@@ -185,7 +180,7 @@ def test_compaction_triggers_and_preserves_events():
     assert sim.compactions >= 1
     # Dead entries stay bounded by the trigger threshold instead of
     # accumulating all 40 cancellations.
-    assert sim.cancelled_in_heap < 8
+    assert sim.heap_size - sim.pending < 8
     assert sim.heap_size <= len(survivors) + 8
     sim.run()
     assert keep == [0, 1, 2, 3]
@@ -196,7 +191,7 @@ def test_no_compaction_below_min_threshold():
     for i in range(10):
         sim.schedule(1.0 + i, lambda: None).cancel()
     assert sim.compactions == 0
-    assert sim.cancelled_in_heap == 10
+    assert sim.heap_size - sim.pending == 10
 
 
 def test_pending_counter_consistent_under_interleaving():
@@ -224,7 +219,7 @@ def test_cancel_is_idempotent_for_counters():
     e.cancel()
     e.cancel()
     assert sim.pending == 0
-    assert sim.cancelled_in_heap == 1
+    assert sim.heap_size - sim.pending == 1
 
 
 def test_cancel_after_fire_is_noop():
@@ -366,9 +361,9 @@ def test_next_event_time_skips_cancelled():
     sim = Simulator()
     e1 = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    assert sim.next_event_time == 1.0
+    assert sim.pending_ties()[0].time == 1.0
     e1.cancel()
-    assert sim.next_event_time == 2.0
+    assert sim.pending_ties()[0].time == 2.0
 
 
 def test_trace_hook_sees_fired_events_only():
@@ -433,15 +428,9 @@ def _drive_fire_event(sim):
         sim.fire_event(ties[0])
 
 
-def _drive_step(sim):
-    while sim.step():
-        pass
-
-
 def test_run_step_and_fire_event_observe_identically():
     by_run = _observed_ring(lambda sim: sim.run())
     assert by_run[0] and by_run[2] == len(by_run[0])
-    assert _observed_ring(_drive_step) == by_run
     assert _observed_ring(_drive_fire_event) == by_run
 
 

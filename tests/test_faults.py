@@ -42,7 +42,8 @@ class TestFaultEvent:
         plan = (
             FaultPlan()
             .blackout(1.0, 2.0, ["l1"])
-            .loss_burst(2.0, 1.0, ["l1"], loss=0.25)
+            .add(FaultEvent(kind="loss-burst", start=2.0, duration=1.0,
+                            links=("l1",), loss=0.25))
             .server_crash(0.5, None, ["srv"])
         )
         assert len(plan) == 3
@@ -96,12 +97,15 @@ class TestRestoreOnExpiry:
     def test_overlapping_faults_compose_and_unwind(self):
         sim, net = two_host_net()
         link = net.path_links("a", "b")[0]
-        plan = (
-            FaultPlan()
-            .loss_burst(1.0, 3.0, [link], loss=0.5)
-            .bandwidth_crush(2.0, 3.0, [link], factor=0.1)
-            .loss_burst(2.0, 1.0, [link], loss=0.5)
-        )
+        links = (link.name,)
+        plan = FaultPlan([
+            FaultEvent(kind="loss-burst", start=1.0, duration=3.0,
+                       links=links, loss=0.5),
+            FaultEvent(kind="bandwidth-crush", start=2.0, duration=3.0,
+                       links=links, rate_factor=0.1),
+            FaultEvent(kind="loss-burst", start=2.0, duration=1.0,
+                       links=links, loss=0.5),
+        ])
         FaultInjector(net).apply(plan)
         sim.run(until=2.5)
         # Two independent 50% losses compose to 75%; rate crushed.
@@ -125,7 +129,6 @@ class TestRestoreOnExpiry:
         sim.run(until=100.0)
         assert link.loss == 1.0
         assert injector.expired == 0
-        assert injector.outage_windows() == [(1.0, None)]
 
 
 class TestNodeFaults:
@@ -192,8 +195,9 @@ class TestEventConstruction:
                        extra_delay=float("nan"))
 
     def test_roundtrips_through_dict(self):
-        event = FaultEvent.delay_spike(1.0, 2.0, ["l1", "l2"],
-                                       extra_delay=0.2, extra_jitter=0.05)
+        event = FaultEvent(kind="delay-spike", start=1.0, duration=2.0,
+                           links=("l1", "l2"), extra_delay=0.2,
+                           extra_jitter=0.05)
         assert FaultEvent.from_dict(event.to_dict()) == event
         plan = FaultPlan().blackout(1.0, 2.0, ["l1"]).server_crash(0.5, None, ["s"])
         rebuilt = FaultPlan.from_dict(plan.to_dict())
@@ -211,18 +215,23 @@ class TestPlanValidation:
             plan.validate()
 
     def test_equal_events_rejected(self):
-        plan = (FaultPlan()
-                .loss_burst(1.0, 1.0, ["l1"], loss=0.5)
-                .loss_burst(1.0, 1.0, ["l1"], loss=0.5))
+        plan = FaultPlan([
+            FaultEvent(kind="loss-burst", start=1.0, duration=1.0,
+                       links=("l1",), loss=0.5),
+            FaultEvent(kind="loss-burst", start=1.0, duration=1.0,
+                       links=("l1",), loss=0.5),
+        ])
         with pytest.raises(FaultPlanError):
             plan.validate()
 
     def test_distinct_overlapping_events_are_legal(self):
-        plan = (FaultPlan()
-                .loss_burst(1.0, 3.0, ["l1"], loss=0.5)
-                .loss_burst(2.0, 3.0, ["l1"], loss=0.5)
-                .server_crash(1.0, 2.0, ["b"])
-                .server_crash(2.0, 2.0, ["b"]))
+        plan = FaultPlan([
+            FaultEvent(kind="loss-burst", start=1.0, duration=3.0,
+                       links=("l1",), loss=0.5),
+            FaultEvent(kind="loss-burst", start=2.0, duration=3.0,
+                       links=("l1",), loss=0.5),
+        ])
+        plan.server_crash(1.0, 2.0, ["b"]).server_crash(2.0, 2.0, ["b"])
         assert plan.validate() is plan
 
     def test_apply_validates_by_default(self):
@@ -237,18 +246,6 @@ class TestPlanValidation:
 
 
 class TestIntrospection:
-    def test_timeline_and_active_faults(self):
-        sim, net = two_host_net()
-        link = net.path_links("a", "b")[0]
-        injector = FaultInjector(net)
-        event = FaultEvent.loss_burst(1.0, 2.0, [link], loss=0.2)
-        injector.apply(FaultPlan().add(event))
-        sim.run(until=1.5)
-        assert injector.active_faults() == [event]
-        sim.run(until=4.0)
-        assert injector.active_faults() == []
-        assert injector.outage_windows() == [(1.0, 3.0)]
-
     def test_path_links_helper_covers_both_directions(self):
         sim, net = two_host_net()
         links = path_links(net, "a", "b")

@@ -12,12 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.aggregate import (
-    Aggregate,
-    FixedBinHistogram,
-    StreamingMoments,
-    approx_equal_moments,
-)
+from fleet_helpers import approx_equal_moments
+from repro.fleet.aggregate import Aggregate, FixedBinHistogram, StreamingMoments
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -279,10 +275,12 @@ class TestOrderedReducer:
         # worst case: index 0 arrives last -> everything buffers
         for i in (1, 2, 3, 4, 5):
             reducer.offer(i, aggs[i])
-        assert reducer.pending == 5 and reducer.merged_through == 0
+        assert reducer.pending == 5
+        assert reducer.aggregate.to_json() == Aggregate().to_json()
         reducer.offer(0, aggs[0])
-        assert reducer.pending == 0 and reducer.merged_through == 6
+        assert reducer.pending == 0
         assert reducer.max_buffered == 6
+        assert reducer.finish().counts == {"sessions": 6}
 
     def test_double_offer_rejected(self):
         from repro.fleet.aggregate import OrderedReducer

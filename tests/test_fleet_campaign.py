@@ -2,12 +2,12 @@
 
 import pytest
 
+from fleet_helpers import scenario_names
 from repro.fleet import (
     Campaign,
     demo_campaigns,
     get_scenario,
     run_shard,
-    scenario_names,
     shard_seed,
 )
 from repro.fleet.campaign import SCHEMA_VERSION, stable_hash

@@ -29,6 +29,7 @@ from repro.fleet import (
 from repro.fleet import flight as flight_recorder
 from repro.fleet.cache import MERGED_NAME
 from repro.fleet.workers import MAX_BATCH, OVERSUBSCRIBE, _ShardState
+from fleet_helpers import batch_cost_efficiency
 
 FAST_BACKOFF = dict(backoff_base=0.002, backoff_cap=0.02)
 
@@ -234,8 +235,10 @@ class TestFailureModes:
         fn = get_scenario(c.scenario).fn
         good = {s.point_label: fn(s.seed, s.param_dict())
                 for s in shards if s.tag != bad}
-        assert r.aggregate.to_json() == Aggregate.merged(
-            good.values()).to_json()
+        merged = Aggregate()
+        for agg in good.values():
+            merged.merge(agg)
+        assert r.aggregate.to_json() == merged.to_json()
         for label, agg in good.items():
             assert r.per_point[label].to_json() == agg.to_json()
 
@@ -444,8 +447,6 @@ class TestHierarchicalShardEfficiency:
     cost next to their plain cohort siblings."""
 
     def _efficiency(self, campaign, workers):
-        from repro.fleet.workers import batch_cost_efficiency
-
         scenario = get_scenario(campaign.scenario)
         states = [_ShardState(s) for s in campaign.shards()]
         batches = plan_batches(states, workers=workers, scenario=scenario)
@@ -481,8 +482,6 @@ class TestHierarchicalShardEfficiency:
         assert scenario.shard_cost(p0) > scenario.shard_cost(p1) > 0
 
     def test_efficiency_helper_degenerate_cases(self):
-        from repro.fleet.workers import batch_cost_efficiency
-
         assert batch_cost_efficiency([], None) == 1.0
         states = [_ShardState(s) for s in city_grid_states()]
         # Count-based fallback when no scenario is supplied.

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.simnet.engine import Simulator
-from repro.simnet.flows import BulkSource, CBRSource, OnOffSource, PacketSink, PoissonSource
+from repro.simnet.flows import CBRSource, PacketSink
 from repro.simnet.network import Network
 from repro.simnet.packet import Packet
-from repro.simnet.trace import FlowStats, PacketTracer
+from repro.simnet.trace import FlowStats
 
 
 def two_hosts(rate=10e6, delay=0.001):
@@ -43,47 +43,6 @@ class TestCBR:
             CBRSource(net["a"], "b", 80, rate_bps=0)
 
 
-class TestPoisson:
-    def test_mean_rate(self):
-        sim, net = two_hosts(rate=100e6)
-        sink = PacketSink(net["b"], 80)
-        PoissonSource(net["a"], "b", 80, rate_pps=200, packet_size=100)
-        sim.run(until=20.0)
-        pps = sink.stats.packets_total / 20.0
-        assert pps == pytest.approx(200, rel=0.15)
-
-    def test_interarrivals_vary(self):
-        sim, net = two_hosts(rate=100e6)
-        sink = PacketSink(net["b"], 80)
-        PoissonSource(net["a"], "b", 80, rate_pps=100, packet_size=100)
-        sim.run(until=5.0)
-        times = [s.time for s in sink.stats.samples]
-        gaps = {round(b - a, 6) for a, b in zip(times, times[1:])}
-        assert len(gaps) > 10
-
-
-class TestOnOff:
-    def test_produces_bursts(self):
-        sim, net = two_hosts(rate=100e6)
-        sink = PacketSink(net["b"], 80)
-        OnOffSource(net["a"], "b", 80, peak_rate_bps=10e6, mean_on=0.5, mean_off=0.5)
-        sim.run(until=30.0)
-        series = sink.stats.throughput_timeseries(0.5)
-        rates = [r for _, r in series]
-        assert any(r == 0 for r in rates)          # off periods
-        assert any(r > 1e6 for r in rates)         # bursts
-
-
-class TestBulk:
-    def test_window_clocked_by_echo(self):
-        sim, net = two_hosts()
-        PacketSink(net["b"], 80, echo_port=81)
-        src = BulkSource(net["a"], "b", 80, window=5, total_packets=50, src_port=81)
-        sim.run(until=30.0)
-        assert src.complete
-        assert src.packets_sent == 50
-
-
 class TestFlowStats:
     def test_mean_delay(self):
         stats = FlowStats()
@@ -109,7 +68,7 @@ class TestFlowStats:
         stats.record(Packet(src="a", dst="b", size=100, flow="x"), 1.0)
         stats.record(Packet(src="a", dst="b", size=200, flow="y"), 1.0)
         assert stats.bytes_between(0, 2, flow="x") == 100
-        assert stats.flows_seen() == ["x", "y"]
+        assert stats.bytes_between(0, 2, flow="y") == 200
 
     def test_throughput_timeseries_covers_window(self):
         stats = FlowStats()
@@ -126,11 +85,3 @@ class TestFlowStats:
         assert stats.throughput_timeseries(1.0) == []
 
 
-class TestPacketTracer:
-    def test_log_and_filter(self):
-        tracer = PacketTracer()
-        p = Packet(src="a", dst="b", size=1)
-        tracer.log(0.0, "enqueue", p)
-        tracer.log(0.1, "drop", p, "full")
-        assert len(tracer) == 2
-        assert len(tracer.of_kind("drop")) == 1

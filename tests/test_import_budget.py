@@ -65,9 +65,10 @@ SHARDS = {
 }
 
 RUN_FLEET_SHARDS = f"""
-from repro.fleet.campaign import get_scenario, scenario_names
+import repro.fleet.scenarios
+from repro.fleet.campaign import _SCENARIOS, get_scenario
 shards = {SHARDS!r}
-assert sorted(shards) == scenario_names(), scenario_names()
+assert sorted(shards) == sorted(_SCENARIOS), sorted(_SCENARIOS)
 for name, params in shards.items():
     agg = get_scenario(name).fn(3, params)
     if name == "city_coverage":

@@ -2,7 +2,7 @@
 public API, each test crossing several packages.
 
 These are the "does the system hang together" tests: access profiles
-feeding the protocol, the protocol feeding QoE and battery life, edge
+feeding the protocol, the protocol feeding QoE, edge
 placement feeding sessions — the way a downstream user would actually
 compose the library.
 """
@@ -16,21 +16,13 @@ from repro.edge import (
     assign_users,
     solve_local_search,
 )
-from repro.mar import (
-    APP_ARCHETYPES,
-    CLOUD,
-    SMARTPHONE,
-    FullOffload,
-    OffloadExecutor,
-    battery_life_hours,
-)
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.wireless.profiles import LTE
 
 
 class TestNetworkToQoEChain:
-    """Access profile → scenario → MARTP → QoE → battery."""
+    """Access profile → scenario → MARTP → QoE."""
 
     def test_lte_profile_numbers_flow_into_session_quality(self):
         # Build the Table II cloud-LTE scenario from the LTE profile's
@@ -48,23 +40,6 @@ class TestNetworkToQoEChain:
         # workload, degraded but functional.
         assert 0.3 < report.mean_video_quality <= 1.0
         assert mos_score(report) > 3.0
-
-    def test_session_energy_projects_battery_life(self):
-        sim = Simulator(seed=24)
-        net = Network(sim)
-        net.add_host("client")
-        net.add_host("server")
-        net.add_duplex("server", "client", 80e6, 20e6, delay=0.015)
-        net.build_routes()
-        executor = OffloadExecutor(net, "client", "server",
-                                   APP_ARCHETYPES["gaming"], FullOffload(),
-                                   SMARTPHONE, server_device=CLOUD, radio="lte")
-        result = executor.run(n_frames=150)
-        duration = 150 / APP_ARCHETYPES["gaming"].fps
-        avg_mc = result.energy.compute_joules / 0.0008 / duration
-        avg_tx = result.energy.radio_joules and 40_000  # bytes/s scale
-        life = battery_life_hours(SMARTPHONE, avg_mc, avg_tx, 5_000, radio="lte")
-        assert 1.0 < life < 20.0
 
 
 class TestEdgeToSessionChain:

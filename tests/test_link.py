@@ -168,7 +168,7 @@ class TestDuplexLink:
         a = Collector(sim, "a")
         b = Collector(sim, "b")
         duplex = DuplexLink(sim, a, b, rate_down_bps=8e6, rate_up_bps=1e6)
-        assert duplex.asymmetry_ratio == pytest.approx(8.0)
+        assert duplex.down.rate_bps / duplex.up.rate_bps == pytest.approx(8.0)
 
     def test_directions_independent(self):
         sim = Simulator()
@@ -184,7 +184,7 @@ class TestDuplexLink:
     def test_symmetric_default(self):
         sim = Simulator()
         duplex = DuplexLink(sim, Collector(sim, "a"), Collector(sim, "b"), 5e6)
-        assert duplex.asymmetry_ratio == 1.0
+        assert duplex.down.rate_bps == duplex.up.rate_bps == 5e6
 
 
 class TestVariableRateLink:

@@ -1,11 +1,8 @@
-"""Tests for D2D links: rate, traffic and energy."""
+"""Tests for D2D links: rate and energy."""
 
 import pytest
 
-from repro.simnet.engine import Simulator
-from repro.simnet.network import Network
-from repro.simnet.packet import Packet
-from repro.wireless.d2d import D2DLink, OutOfRangeError, d2d_energy_per_bit, rate_at_distance
+from repro.wireless.d2d import OutOfRangeError, d2d_energy_per_bit, rate_at_distance
 from repro.wireless.profiles import LTE, LTE_DIRECT, WIFI_DIRECT
 
 
@@ -33,42 +30,6 @@ class TestD2DRate:
     def test_non_d2d_profile_rejected(self):
         with pytest.raises(ValueError):
             rate_at_distance(LTE, 10.0)
-
-
-class TestD2DLink:
-    def make(self, profile=WIFI_DIRECT, distance=20.0):
-        sim = Simulator(seed=2)
-        net = Network(sim)
-        net.add_host("a")
-        net.add_host("b")
-        link = D2DLink(net, "a", "b", profile=profile, distance_m=distance)
-        net.build_routes()
-        return sim, net, link
-
-    def test_bidirectional_traffic(self):
-        sim, net, _ = self.make()
-        got_a, got_b = [], []
-        net["a"].default_handler = got_a.append
-        net["b"].default_handler = got_b.append
-        net["a"].send(Packet(src="a", dst="b", size=500, dst_port=1))
-        net["b"].send(Packet(src="b", dst="a", size=500, dst_port=1))
-        sim.run(until=1.0)
-        assert got_a and got_b
-
-    def test_update_geometry_rescales(self):
-        sim, net, link = self.make(distance=10.0)
-        before = link.rate_bps
-        link.update_geometry(distance_m=150.0)
-        assert link.rate_bps < before
-        assert link.ab.rate_bps == link.rate_bps
-
-    def test_infrastructure_profile_rejected(self):
-        sim = Simulator()
-        net = Network(sim)
-        net.add_host("a")
-        net.add_host("b")
-        with pytest.raises(ValueError):
-            D2DLink(net, "a", "b", profile=LTE)
 
 
 class TestD2DEnergy:

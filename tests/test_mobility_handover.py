@@ -10,6 +10,12 @@ from repro.wireless.handover import AccessPoint, ConnectivityTrace, CoverageMap
 from repro.wireless.mobility import RandomWaypoint, Waypoint
 
 
+def step_speeds(trajectory):
+    """Speed (m/s) between consecutive samples of a trajectory."""
+    return [math.hypot(b.x - a.x, b.y - a.y) / (b.t - a.t) if b.t > a.t else 0.0
+            for a, b in zip(trajectory, trajectory[1:])]
+
+
 class TestRandomWaypoint:
     def test_trajectory_covers_duration(self):
         traj = RandomWaypoint(seed=1).trajectory(600, tick=1.0)
@@ -24,7 +30,7 @@ class TestRandomWaypoint:
     def test_speeds_bounded(self):
         model = RandomWaypoint(v_min=1.0, v_max=2.0, max_pause=0.0, seed=3)
         traj = model.trajectory(300, tick=1.0)
-        speeds = RandomWaypoint.speeds(traj)
+        speeds = step_speeds(traj)
         moving = [s for s in speeds if s > 0.01]
         assert moving
         assert max(moving) <= 2.5  # tick quantization tolerance
@@ -32,7 +38,7 @@ class TestRandomWaypoint:
     def test_pauses_produce_zero_speed(self):
         model = RandomWaypoint(max_pause=100.0, seed=4)
         traj = model.trajectory(600, tick=1.0)
-        speeds = RandomWaypoint.speeds(traj)
+        speeds = step_speeds(traj)
         assert any(s == 0.0 for s in speeds)
 
     def test_deterministic_per_seed(self):

@@ -156,7 +156,7 @@ class TestRouting:
         net.add_duplex("a", "r", 100e6)
         net.add_duplex("r", "b", 3e6)
         net.build_routes()
-        assert net.bottleneck_rate("a", "b") == 3e6
+        assert min(l.rate_bps for l in net.path_links("a", "b")) == 3e6
 
     def test_end_to_end_delivery_over_two_hops(self):
         sim, net = self.make_diamond()

@@ -11,11 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.aggregate import (
-    Aggregate,
-    aggregate_from_registry,
-    approx_equal_moments,
-)
+from fleet_helpers import approx_equal_moments
+from repro.fleet.aggregate import Aggregate, aggregate_from_registry
 from repro.obs.registry import MetricsRegistry
 
 finite = st.floats(min_value=0.0, max_value=100.0,

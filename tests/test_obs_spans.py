@@ -135,11 +135,11 @@ class TestFrameTrace:
     def test_outcome_recorded_on_root(self):
         _, trace = self.build()
         assert trace.root.attrs["outcome"] == "offloaded"
-        assert trace.finished
+        assert trace.root.finished
 
     def test_breakdown_buckets(self):
         _, trace = self.build()
-        b = trace.breakdown()
+        b = breakdown(trace.root)
         assert b["total"] == pytest.approx(0.069)
         assert b["stages"]["local"] == pytest.approx(0.030)
         assert b["stages"]["uplink"] == pytest.approx(0.018)

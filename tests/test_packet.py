@@ -35,21 +35,6 @@ def test_uids_unique_and_increasing():
     assert b.uid > a.uid
 
 
-def test_copy_gets_fresh_uid_and_isolated_payload():
-    p = Packet(src="a", dst="b", size=10, payload={"k": 1})
-    q = p.copy()
-    assert q.uid != p.uid
-    q.payload["k"] = 2
-    assert p.payload["k"] == 1
-
-
-def test_copy_overrides():
-    p = Packet(src="a", dst="b", size=10)
-    q = p.copy(dst="c", size=20)
-    assert (q.dst, q.size) == ("c", 20)
-    assert q.src == "a"
-
-
 def test_header_constants():
     assert IP_UDP_HEADER == 28
     assert IP_TCP_HEADER == 40
@@ -106,19 +91,6 @@ def test_equality_is_field_wise_and_includes_uid():
 def test_no_ad_hoc_attributes():
     with pytest.raises(AttributeError):
         Packet("a", "b", 10).colour = "red"
-
-
-def test_copy_keeps_wire_fields_and_resets_transit_state():
-    p = Packet("a", "b", 10, 1, 2, "ack", "f", {"k": [1]}, created_at=0.5,
-               enqueued_at=0.7, hops=2, ecn=True)
-    q = p.copy()
-    assert (q.src, q.dst, q.size, q.src_port, q.dst_port) == ("a", "b", 10, 1, 2)
-    assert (q.kind, q.flow, q.created_at, q.ecn) == ("ack", "f", 0.5, True)
-    assert (q.enqueued_at, q.hops) == (0.0, 0)
-    assert q.uid > p.uid
-    # shallow: a fresh mapping over the same values
-    assert q.payload == p.payload and q.payload is not p.payload
-    assert q.payload["k"] is p.payload["k"]
 
 
 def test_deepcopy_and_pickle_round_trip():

@@ -1,6 +1,5 @@
-"""Tests for pose decomposition and network monitors."""
+"""Tests for the pose helpers and network monitors."""
 
-import numpy as np
 import pytest
 
 from repro.obs import LinkMonitor, MetricsRegistry, QueueMonitor
@@ -8,81 +7,10 @@ from repro.simnet.engine import Simulator
 from repro.simnet.flows import CBRSource, PacketSink
 from repro.simnet.network import Network
 from repro.simnet.queues import DropTailQueue
-from repro.vision.pose import (
-    decompose_homography,
-    default_intrinsics,
-    homography_from_pose,
-    rotation_about,
-)
+from repro.vision.pose import rotation_about
 
 
 class TestPose:
-    K = default_intrinsics()
-
-    def make_pose(self, yaw=0.1, pitch=-0.05, roll=0.03, t=(0.2, -0.1, 2.0)):
-        rotation = (rotation_about("z", yaw) @ rotation_about("y", pitch)
-                    @ rotation_about("x", roll))
-        return rotation, np.array(t)
-
-    def test_round_trip_recovery(self):
-        rotation, translation = self.make_pose()
-        h = homography_from_pose(self.K, rotation, translation)
-        pose = decompose_homography(h, self.K)
-        assert np.allclose(pose.rotation, rotation, atol=1e-9)
-        # Translation recovered up to the plane-distance scale.
-        scale = translation[2] / pose.translation[2]
-        assert np.allclose(pose.translation * scale, translation, atol=1e-9)
-
-    def test_rotation_is_orthonormal(self):
-        rotation, translation = self.make_pose(yaw=0.5, pitch=0.3)
-        h = homography_from_pose(self.K, rotation, translation)
-        pose = decompose_homography(h, self.K)
-        assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3), atol=1e-9)
-        assert np.linalg.det(pose.rotation) == pytest.approx(1.0)
-
-    def test_camera_kept_in_front_of_plane(self):
-        rotation, translation = self.make_pose()
-        h = homography_from_pose(self.K, rotation, translation)
-        # Scale flips are unobservable in H; decomposition must still
-        # return t_z > 0.
-        pose = decompose_homography(-2.5 * h, self.K)
-        assert pose.translation[2] > 0
-
-    def test_euler_angles_match_construction(self):
-        rotation, translation = self.make_pose(yaw=0.2, pitch=-0.1, roll=0.05)
-        h = homography_from_pose(self.K, rotation, translation)
-        pose = decompose_homography(h, self.K)
-        yaw, pitch, roll = pose.yaw_pitch_roll
-        assert yaw == pytest.approx(0.2, abs=1e-6)
-        assert pitch == pytest.approx(-0.1, abs=1e-6)
-        assert roll == pytest.approx(0.05, abs=1e-6)
-
-    def test_angle_to_self_is_zero(self):
-        rotation, translation = self.make_pose()
-        h = homography_from_pose(self.K, rotation, translation)
-        pose = decompose_homography(h, self.K)
-        assert pose.angle_to(pose) == pytest.approx(0.0, abs=1e-6)
-
-    def test_angle_between_distinct_poses(self):
-        r1, t = self.make_pose(yaw=0.0)
-        r2, _ = self.make_pose(yaw=0.4)
-        p1 = decompose_homography(homography_from_pose(self.K, r1, t), self.K)
-        p2 = decompose_homography(homography_from_pose(self.K, r2, t), self.K)
-        assert p1.angle_to(p2) == pytest.approx(0.4, abs=1e-6)
-
-    def test_noisy_homography_still_close(self):
-        rotation, translation = self.make_pose()
-        h = homography_from_pose(self.K, rotation, translation)
-        rng = np.random.default_rng(0)
-        noisy = h + rng.normal(0, 1e-4, (3, 3))
-        pose = decompose_homography(noisy, self.K)
-        true_pose = decompose_homography(h, self.K)
-        assert pose.angle_to(true_pose) < 0.01
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_homography(np.zeros((3, 3)), self.K)
-
     def test_rotation_about_validation(self):
         with pytest.raises(ValueError):
             rotation_about("q", 0.1)

@@ -73,11 +73,11 @@ class TestMarReadiness:
 
 class TestAsymmetry:
     def test_cellular_profiles_asymmetric(self):
-        assert LTE.asymmetry_ratio > 1.0
-        assert FIVE_G.asymmetry_ratio == pytest.approx(6.0)
+        assert LTE.down_mean / LTE.up_mean > 1.0
+        assert FIVE_G.down_mean / FIVE_G.up_mean == pytest.approx(6.0)
 
     def test_wifi_symmetric(self):
-        assert WIFI_N.asymmetry_ratio == 1.0
+        assert WIFI_N.down_mean == WIFI_N.up_mean
 
 
 class TestBuildDuplex:

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import percentile, summarize
@@ -107,7 +109,7 @@ def test_allocation_invariants(streams, budget):
             assert rate >= spec.min_rate_bps - 1e-6
     # Without overcommit, the budget is respected.
     if not alloc.overcommitted:
-        assert alloc.total_bps <= budget + 1e-6
+        assert math.fsum(alloc.rates_bps.values()) <= budget + 1e-6
 
 
 @given(stream_sets(), st.floats(min_value=0.0, max_value=1e8),
@@ -124,7 +126,7 @@ def test_allocation_monotone_in_budget(streams, b1, b2):
     ctl = DegradationController(streams)
     a_lo = ctl.allocate(lo)
     a_hi = ctl.allocate(hi)
-    assert a_hi.total_bps >= a_lo.total_bps - 1e-6
+    assert math.fsum(a_hi.rates_bps.values()) >= math.fsum(a_lo.rates_bps.values()) - 1e-6
 
 
 @given(stream_sets(), st.floats(min_value=0.0, max_value=1e8))
@@ -187,9 +189,12 @@ def test_fec_recovers_any_single_loss_per_group(group_size, n_messages, data):
        st.integers(min_value=100, max_value=2000))
 def test_cache_never_exceeds_capacity(requests, capacity):
     cache = ObjectCache(capacity_bytes=capacity)
+    resident = {}  # a hit keeps the size the object was admitted with
     for key, size in requests:
+        if key not in cache:
+            resident[key] = size
         cache.request(key, size)
-        assert cache.used_bytes <= capacity
+        assert sum(s for k, s in resident.items() if k in cache) <= capacity
     assert cache.hits + cache.misses == len(requests)
 
 

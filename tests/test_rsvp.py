@@ -48,14 +48,6 @@ class TestReservedQueue:
         assert not q.enqueue(make_packet(), 0.0)
         assert q.drops == 1
 
-    def test_remove_reservation_preserves_packets(self):
-        q = ReservedQueue()
-        q.add_reservation("vip", rate_bps=1e6)
-        q.enqueue(make_packet("vip"), 0.0)
-        q.remove_reservation("vip")
-        assert len(q) == 1
-        assert q.dequeue(1.0) is not None
-
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             ReservedQueue().add_reservation("x", rate_bps=0)
@@ -87,13 +79,6 @@ class TestReservationTable:
             table.reserve_path("a", "b", "two", 4e6)  # 9 > 8 admittable
         # Nothing was partially installed.
         assert net.path_links("a", "b")[0].queue.reserved_rate_bps() == 5e6
-
-    def test_release(self):
-        sim, net = self.make_net()
-        table = ReservationTable(net)
-        table.reserve_path("a", "b", "mar", 2e6)
-        table.release("mar")
-        assert net.path_links("a", "b")[0].queue.reserved_rate_bps() == 0.0
 
     def test_reserved_flow_latency_protected_under_congestion(self):
         """A reserved MAR flow keeps low delay while bulk floods the link."""

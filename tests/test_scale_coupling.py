@@ -195,7 +195,6 @@ class TestLoadHooks:
 
     def test_load_factors_identity_at_zero(self):
         f = load_factors(0.0)
-        assert f.is_identity
         assert (f.share, f.delay_factor, f.extra_loss) == (1.0, 1.0, 0.0)
 
     def test_monotone_degradation(self):

@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.aggregate import (
-    Aggregate,
-    aggregate_from_registry,
-    approx_equal_moments,
-)
+from fleet_helpers import approx_equal_moments
+from repro.fleet.aggregate import Aggregate, aggregate_from_registry
 from repro.obs import MetricsRegistry
 from repro.scale.population import (
     CONTENTION_RHO,
@@ -30,6 +27,7 @@ from repro.wireless.profiles import (
     MAR_MAX_RTT,
     MAR_MIN_UPLINK_BPS,
     MIN_LOAD_SHARE,
+    load_factors,
 )
 
 
@@ -113,7 +111,6 @@ class TestTimeline:
         tl = run_cell(spec, seed=4, duration=30.0).timeline
         assert all(rho == 0.0 for _t, _n, rho in tl.samples)
         assert tl.service_fraction == 1.0
-        assert tl.mean_utilization(0.0, 30.0) == 0.0
 
     def test_window_and_utilization_at(self):
         tl = run_cell(make_spec(), seed=7, duration=20.0).timeline
@@ -122,9 +119,6 @@ class TestTimeline:
         window = tl.window(t_mid, t_mid + 5.0)
         assert window[0] == (t_mid, rho_mid)
         assert all(t_mid <= t < t_mid + 5.0 for t, _ in window)
-        # piecewise-constant mean sits inside the sample range
-        rhos = [r for _t, r in window]
-        assert min(rhos) <= tl.mean_utilization(t_mid, t_mid + 5.0) <= max(rhos)
 
     def test_mar_ready_fraction_bounds(self):
         quiet = run_cell(make_spec(profile="5G(KPI)", load=0.0,
@@ -242,7 +236,7 @@ def reference_aggregate(process):
     for _t, n, rho in tl.samples:
         rho_moment.add(rho)
         users_moment.add(n)
-        share_moment.add(profile.up_mean * profile.per_user_share(rho))
+        share_moment.add(profile.up_mean * load_factors(rho).share)
     agg.moment("scale.service_fraction").add(tl.service_fraction)
     agg.moment("scale.mar_ready_fraction").add(
         reference_mar_ready_fraction(tl))

@@ -86,7 +86,8 @@ class TestGridWorld:
 class TestMarkovPredictor:
     def test_predicts_learned_transition(self):
         predictor = MarkovPredictor()
-        predictor.train([(0, 0), (0, 1), (0, 0), (0, 1), (0, 0), (1, 0)])
+        for cell in [(0, 0), (0, 1), (0, 0), (0, 1), (0, 0), (1, 0)]:
+            predictor.observe(cell)
         assert predictor.predict((0, 0))[0] == (0, 1)
 
     def test_unseen_cell_predicts_nothing(self):
@@ -94,7 +95,8 @@ class TestMarkovPredictor:
 
     def test_self_transitions_ignored(self):
         predictor = MarkovPredictor()
-        predictor.train([(0, 0), (0, 0), (0, 0), (1, 0)])
+        for cell in [(0, 0), (0, 0), (0, 0), (1, 0)]:
+            predictor.observe(cell)
         assert predictor.predict((0, 0)) == [(1, 0)]
 
 

@@ -50,29 +50,11 @@ class TestVideoSource:
         assert src.frame(0).size_bytes == 20000
         assert src.frame(1).size_bytes == 4000
 
-    def test_bitrate_formula(self):
-        src = VideoSource(fps=30, gop=10, ref_bytes=10000, inter_bytes=1000)
-        per_gop = 10000 + 9 * 1000
-        assert src.bitrate_bps == pytest.approx(per_gop * 8 * 3)
-
     def test_frames_iterator_duration(self):
         src = VideoSource(fps=30)
         frames = list(src.frames(2.0))
         assert len(frames) == 60
         assert frames[-1].timestamp == pytest.approx(59 / 30)
-
-    def test_scale_quality(self):
-        src = VideoSource(ref_bytes=20000, inter_bytes=4000)
-        half = src.scale_quality(0.5)
-        assert half.ref_bytes == 10000
-        assert half.inter_bytes == 2000
-        assert half.bitrate_bps == pytest.approx(src.bitrate_bps / 2, rel=0.01)
-
-    def test_scale_quality_validation(self):
-        with pytest.raises(ValueError):
-            VideoSource().scale_quality(0.0)
-        with pytest.raises(ValueError):
-            VideoSource().scale_quality(1.5)
 
     def test_gop_validation(self):
         with pytest.raises(ValueError):

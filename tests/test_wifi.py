@@ -88,16 +88,6 @@ class TestWifiCell:
         predicted = anomaly_throughput([54e6])[0]
         assert a.throughput_bps(0, 5) == pytest.approx(predicted, rel=0.05)
 
-    def test_backlog_toggle_restarts_service(self):
-        sim = Simulator(seed=5)
-        cell = WifiCell(sim)
-        a = cell.add_station(WifiStation("a", 54e6, backlogged=False))
-        sim.run(until=1.0)
-        assert a.frames_sent == 0
-        cell.set_backlogged("a", True)
-        sim.run(until=2.0)
-        assert a.frames_sent > 0
-
     def test_duplicate_station_rejected(self):
         sim = Simulator()
         cell = WifiCell(sim)
