@@ -45,8 +45,8 @@ def run_discipline(make_queue, seed=91):
 def test_a1_uplink_queue_discipline(benchmark, record_result):
     disciplines = {
         "DropTail(1000)": lambda: DropTailQueue(1000),
-        "CoDel": lambda: CoDelQueue(capacity=1000),
-        "FQ-CoDel": lambda: FQCoDelQueue(capacity=1000),
+        "CoDel": lambda: CoDelQueue(),
+        "FQ-CoDel": lambda: FQCoDelQueue(),
     }
     outcome = run_once(
         benchmark, lambda: {n: run_discipline(q) for n, q in disciplines.items()}

@@ -44,8 +44,7 @@ def commute(repeats=8):
 
 
 def run_policies():
-    world = GridWorld(cell_size=150.0, objects_per_cell=5,
-                      object_bytes=100_000, seed=3)
+    world = GridWorld(seed=3)
     path = commute()
     out = {}
     for policy in ("none", "neighbours", "markov"):

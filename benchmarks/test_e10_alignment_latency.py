@@ -29,7 +29,7 @@ LATENCIES = [0.0, 0.007, 0.020, 0.0375, 0.075, 0.120, 0.250]
 def run_profile():
     camera = PanningCamera()
     profile = misalignment_profile(camera, LATENCIES)
-    threshold_latency = acceptable_latency(camera, max_error_px=5.0)
+    threshold_latency = acceptable_latency(camera)
     return camera, profile, threshold_latency
 
 

@@ -41,7 +41,7 @@ def run_walks():
     traces = []
     for seed in SEEDS:
         coverage = CoverageMap.urban(seed=seed)
-        walk = RandomWaypoint(seed=seed).trajectory(WALK_SECONDS, tick=1.0)
+        walk = RandomWaypoint(seed=seed).trajectory(WALK_SECONDS)
         traces.append(coverage.connectivity(walk))
     return traces
 

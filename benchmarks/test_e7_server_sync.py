@@ -17,12 +17,11 @@ import pytest
 from conftest import run_once
 
 from repro.analysis.report import ascii_table, format_time
-from repro.edge.sync import SyncGroup
+from repro.edge.sync import SYNC_UPDATE_BYTES as UPDATE_BYTES, SyncGroup
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 
 UPDATES = 60
-UPDATE_BYTES = 800
 
 
 def run_group(n, seed=141):
@@ -38,7 +37,7 @@ def run_group(n, seed=141):
             delay = rng.uniform(0.002, 0.012)
             net.add_duplex(a, b, 1e9, delay=delay)
     net.build_routes()
-    group = SyncGroup(net, names, update_bytes=UPDATE_BYTES)
+    group = SyncGroup(net, names)
     for i in range(UPDATES):
         sim.schedule(i * 0.05, group.publish, names[i % n])
     sim.run(until=UPDATES * 0.05 + 1.0)

@@ -20,7 +20,7 @@ EXCERPT = 180  # seconds of the walk to replay
 def wifi_usability_trace(seed: int = 15):
     """Per-second WiFi usability along a city walk."""
     coverage = CoverageMap.urban(seed=seed)
-    walk = RandomWaypoint(seed=seed).trajectory(EXCERPT, tick=1.0)
+    walk = RandomWaypoint(seed=seed).trajectory(EXCERPT)
     trace = coverage.connectivity(walk)
     return [tick.usable for tick in trace.ticks]
 

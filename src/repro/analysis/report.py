@@ -270,16 +270,18 @@ def fleet_telemetry_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+#: Character columns and rows of a :class:`Figure`'s plotting canvas.
+FIGURE_WIDTH = 72
+FIGURE_HEIGHT = 16
+
+
 class Figure:
     """An ASCII line 'figure': named series over a shared x axis."""
 
-    def __init__(self, title: str, x_label: str = "t", y_label: str = "y",
-                 width: int = 72, height: int = 16) -> None:
+    def __init__(self, title: str, x_label: str = "t", y_label: str = "y") -> None:
         self.title = title
         self.x_label = x_label
         self.y_label = y_label
-        self.width = width
-        self.height = height
         self.series: List[Tuple[str, List[Tuple[float, float]]]] = []
 
     def add_series(self, name: str, points: List[Tuple[float, float]]) -> None:
@@ -299,13 +301,14 @@ class Figure:
             x_hi = x_lo + 1.0
         if y_hi == y_lo:
             y_hi = y_lo + 1.0
-        canvas = [[" "] * self.width for _ in range(self.height)]
+        width, height = FIGURE_WIDTH, FIGURE_HEIGHT
+        canvas = [[" "] * width for _ in range(height)]
         for si, (_, pts) in enumerate(self.series):
             glyph = glyphs[si % len(glyphs)]
             for x, y in pts:
-                col = int((x - x_lo) / (x_hi - x_lo) * (self.width - 1))
-                row = int((y - y_lo) / (y_hi - y_lo) * (self.height - 1))
-                canvas[self.height - 1 - row][col] = glyph
+                col = int((x - x_lo) / (x_hi - x_lo) * (width - 1))
+                row = int((y - y_lo) / (y_hi - y_lo) * (height - 1))
+                canvas[height - 1 - row][col] = glyph
         lines = [self.title]
         legend = "  ".join(
             f"{glyphs[i % len(glyphs)]}={name}" for i, (name, _) in enumerate(self.series)
@@ -314,6 +317,6 @@ class Figure:
         lines.append(f"y: {self.y_label}  [{y_lo:.3g} .. {y_hi:.3g}]")
         for row in canvas:
             lines.append("|" + "".join(row))
-        lines.append("+" + "-" * self.width)
+        lines.append("+" + "-" * width)
         lines.append(f"x: {self.x_label}  [{x_lo:.3g} .. {x_hi:.3g}]")
         return "\n".join(lines)

@@ -31,6 +31,13 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+#: The one canonical-JSON setting (sorted keys, no whitespace): the
+#: fleet's aggregates, specs, cache and telemetry documents and every
+#: :mod:`repro.obs` export dump with it, so the same data gives the same
+#: bytes.  It lives here because both packages import this module at
+#: load time and :mod:`repro.fleet` must not load :mod:`repro.obs`.
+CANONICAL_JSON = {"sort_keys": True, "separators": (",", ":")}
+
 
 def mean(data: Iterable[float]) -> float:
     """Arithmetic mean; NaN for empty input."""

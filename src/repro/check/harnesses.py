@@ -149,7 +149,7 @@ class BreakerHarness(Harness):
         sim = Simulator(seed=seed)
         breaker = self._breaker_cls(
             clock=SimClock(sim), failure_threshold=2,
-            cooldown=0.2, cooldown_factor=2.0, cooldown_cap=0.8,
+            cooldown=0.2, cooldown_cap=0.8,
         )
         return World(sim=sim, chooser=Chooser(),
                      roots={"breaker": breaker, "model": _BreakerModel()})

@@ -341,8 +341,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     """Explore harness event orderings and fault placements
     (docs/CHECKING.md).
 
-    Exits 0 when every harness explored clean — with ``--selfcheck``,
-    when the seeded violation was found and its normal-engine replay
+    Exits 0 when every harness explored clean — with ``--harness
+    selfcheck``, when the seeded violation was found and its normal-engine replay
     reproduced it byte-identically; 1 on an invariant violation (its
     counterexample, Perfetto trace and qlog are written to ``--out``) or
     a failed self-check; 3 when fewer than ``--min-states`` states were
@@ -355,9 +355,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     out_dir = pathlib.Path(args.out) if args.out else RESULTS_DIR / "check"
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.selfcheck:
-        names = ["selfcheck"]
-    elif args.harness == "all":
+    if args.harness == "all":
         names = list(DEFAULT_HARNESSES)
     else:
         names = [args.harness]
@@ -467,14 +465,12 @@ def cmd_obs(args: argparse.Namespace) -> int:
             run.breakdowns,
             title=f"{args.scenario} (seed {args.seed}) critical path"))
         print()
-    snap = snapshot(run.registry, run.tracer)
-    frames = snap.get("frames", {})
+    frames = snapshot(run.tracer)
     print("summary: " + ", ".join(
         f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
         for k, v in sorted(run.summary.items())))
-    if frames:
-        print(f"spans: {frames['spans']} total, {frames['traced']} frame "
-              f"trees, {frames['unfinished']} unfinished")
+    print(f"spans: {frames['spans']} total, {frames['traced']} frame "
+          f"trees, {frames['unfinished']} unfinished")
     print(f"[obs] artifacts: {out_dir / stem}.{{trace.json,qlog.jsonl,"
           f"metrics.json}}", file=sys.stderr)
 
@@ -618,18 +614,15 @@ def main(argv=None) -> int:
     check.add_argument("--harness", default="all",
                        choices=["all", *sorted(HARNESSES)],
                        help="harness to explore (default: all three checked "
-                            "harnesses; 'selfcheck' is the seeded-violation "
-                            "pipeline test)")
+                            "harnesses; 'selfcheck' runs the seeded-violation "
+                            "harness and verifies the full find -> export -> "
+                            "replay -> obs-trace pipeline)")
     check.add_argument("--budget", default="small", choices=sorted(BUDGETS),
                        help="exploration budget preset (default: small — "
                             "the CI gate)")
     check.add_argument("--min-states", type=int, default=0,
                        help="fail (exit 3) when fewer total states were "
                             "explored")
-    check.add_argument("--selfcheck", action="store_true",
-                       help="run the seeded-violation harness and verify the "
-                            "full find -> export -> replay -> obs-trace "
-                            "pipeline")
     check.set_defaults(func=cmd_check, seed=0)
     selftest = sub.add_parser(
         "selftest", help="determinism smoke: run one shard twice and "

@@ -158,7 +158,12 @@ class ResilienceReport:
         return self.frames_degraded / done if done else 0.0
 
 
-def mos_score(report: QoeReport, deadline_weight: float = 3.0) -> float:
+#: Weight of a missed deadline on a highest-priority interactive class in
+#: :func:`mos_score` (the heaviest non-critical penalty).
+DEADLINE_WEIGHT = 3.0
+
+
+def mos_score(report: QoeReport) -> float:
     """A 1–5 mean-opinion-score-like aggregate.
 
     Starts at 5 and subtracts for: missed deadlines on interactive
@@ -171,7 +176,7 @@ def mos_score(report: QoeReport, deadline_weight: float = 3.0) -> float:
             # Both losing critical data and starving it are catastrophic.
             score -= 4.0 * (1.0 - r.fulfillment)
         elif r.priority is Priority.HIGHEST:
-            score -= deadline_weight * (1.0 - r.in_time_ratio) * 0.5
+            score -= DEADLINE_WEIGHT * (1.0 - r.in_time_ratio) * 0.5
         else:
             score -= (1.0 - r.in_time_ratio) * 0.25
     score -= (1.0 - report.mean_video_quality) * 1.0

@@ -17,7 +17,7 @@ protocol:
 - multipath via :class:`~repro.core.scheduler.MultipathScheduler`,
   where each path is a separate (host, socket) pair so the simnet
   routes diverge;
-- the receiver returns compact feedback every ``feedback_interval``:
+- the receiver returns compact feedback every ``FEEDBACK_INTERVAL``:
   per-stream cumulative ACK + NACK list + counters, plus a timestamp
   echo per path for RTT estimation (the RTCP-inspired QoS channel).
 
@@ -43,8 +43,10 @@ from repro.transport.udp import UdpSocket
 
 MARTP_HEADER = 32
 FEEDBACK_SIZE = 160
-DEFAULT_TICK = 0.01
-DEFAULT_FEEDBACK_INTERVAL = 0.05
+#: Seconds between two pacing ticks of a :class:`MartpSender`.
+TICK = 0.01
+#: Seconds between two feedback reports of a :class:`MartpReceiver`.
+FEEDBACK_INTERVAL = 0.05
 NACK_WINDOW = 128
 
 #: Sentinel for messages that have not yet been assigned a wire
@@ -99,7 +101,6 @@ class MartpSender:
         streams: List[StreamSpec],
         policy: MultipathPolicy = MultipathPolicy.WIFI_PREFERRED,
         controller: Optional[RateController] = None,
-        tick: float = DEFAULT_TICK,
     ) -> None:
         if not paths:
             raise ValueError("need at least one path")
@@ -123,7 +124,6 @@ class MartpSender:
         floor = self.degradation.guaranteed_floor_bps() * 1.2
         for ctl in self.controllers.values():
             ctl.min_bps = max(ctl.min_bps, floor / len(paths))
-        self.tick = tick
         self._tx: Dict[int, _StreamTx] = {}
         for spec in streams:
             tx = _StreamTx(spec=spec, flow=f"martp:{spec.name}")
@@ -234,7 +234,7 @@ class MartpSender:
                 self.controllers[name].on_feedback_timeout(now)
                 self.allocation = self.degradation.allocate(self.budget_bps, now)
         budget = self.budget_bps
-        tick = self.tick
+        tick = TICK
         self._global_tokens = min(
             self._global_tokens + budget * tick,
             max(0.015 * budget, 24_000.0),
@@ -452,13 +452,11 @@ class MartpReceiver:
         host: Host,
         port: int,
         streams: List[StreamSpec],
-        feedback_interval: float = DEFAULT_FEEDBACK_INTERVAL,
         on_message: Optional[Callable[[int, int, float], None]] = None,
     ) -> None:
         self.host = host
         self.sim = host.sim
         self.socket = UdpSocket(host, port, on_receive=self._on_packet)
-        self.feedback_interval = feedback_interval
         self.on_message = on_message
         self._rx: Dict[int, _StreamRx] = {}
         for spec in streams:
@@ -524,8 +522,8 @@ class MartpReceiver:
         # timer is almost always running already, so that is tested here
         # and ``_arm_feedback`` entered only to arm it or pull it in.
         event = self._feedback_event
-        if event is None or event.time > now + self.feedback_interval:
-            self._arm_feedback(self.feedback_interval)
+        if event is None or event.time > now + FEEDBACK_INTERVAL:
+            self._arm_feedback(FEEDBACK_INTERVAL)
 
     def _deliver(self, rx: _StreamRx, seq: int, latency: float) -> None:
         if rx.spec.traffic_class.ordered:

@@ -20,6 +20,9 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.traffic import Message, StreamSpec, TrafficClass
 
+#: Retransmissions a non-critical message gets before it is abandoned.
+MAX_RETRIES = 3
+
 
 class ArqBuffer:
     """Sender-side retransmission buffer for one stream.
@@ -30,15 +33,15 @@ class ArqBuffer:
     <= created + deadline``) — late video is worthless.  For the
     CRITICAL class the deadline governs only in-time *accounting*:
     critical data "should never be discarded", so retransmission
-    persists through arbitrarily long outages (bounded by
-    ``max_retries`` per message).
+    persists through arbitrarily long outages (bounded by 16
+    retransmissions per message instead of ``MAX_RETRIES``).
     """
 
-    def __init__(self, spec: StreamSpec, max_retries: int = 3) -> None:
+    def __init__(self, spec: StreamSpec) -> None:
         self.spec = spec
         self.max_retries = (
-            max_retries if spec.traffic_class is not TrafficClass.CRITICAL
-            else max(max_retries, 16)
+            MAX_RETRIES if spec.traffic_class is not TrafficClass.CRITICAL
+            else max(MAX_RETRIES, 16)
         )
         self.enforce_deadline = spec.traffic_class is not TrafficClass.CRITICAL
         self._buffer: Dict[int, Message] = {}

@@ -57,8 +57,8 @@ class DecorrelatedBackoff:
         self._prev = base
 
     @classmethod
-    def from_tag(cls, seed: int, tag: str, base: float = 0.1,
-                 cap: float = 5.0) -> "DecorrelatedBackoff":
+    def from_tag(cls, seed: int, tag: str, base: float,
+                 cap: float) -> "DecorrelatedBackoff":
         """A backoff whose jitter stream is a pure function of
         ``(seed, tag)`` — the same derivation scheme as
         :meth:`Simulator.child_rng`, for users outside a simulator
@@ -81,13 +81,23 @@ class Liveness(enum.Enum):
     FAILED = "failed"
 
 
+#: Seconds between two heartbeat pings to one server.
+HEARTBEAT_INTERVAL = 0.25
+
+#: Consecutive unanswered heartbeats that declare a server failed.
+MISS_THRESHOLD = 3
+
+#: Factor a half-open circuit breaker's failed probe grows the cooldown by.
+COOLDOWN_FACTOR = 2.0
+
+
 class HeartbeatMonitor:
     """Ping-based liveness detection for one server.
 
-    A ping is sent every ``interval`` seconds; each ping gets an
-    RTT-adaptive deadline (``rtt.timeout()``).  Unanswered pings bump a
-    miss counter: one miss makes the server *suspect*, ``miss_threshold``
-    consecutive misses declare it *failed*.  A failed server keeps
+    A ping is sent every ``HEARTBEAT_INTERVAL`` seconds; each ping gets
+    an RTT-adaptive deadline (``rtt.timeout()``).  Unanswered pings bump
+    a miss counter: one miss makes the server *suspect*,
+    ``MISS_THRESHOLD`` consecutive misses declare it *failed*.  A failed server keeps
     being probed, but on the backoff schedule instead of every
     interval; any pong snaps the state back to healthy and resets the
     backoff.
@@ -102,26 +112,17 @@ class HeartbeatMonitor:
         sim: Simulator,
         target: str,
         send_ping: Callable[[str, float], None],
-        interval: float = 0.25,
-        miss_threshold: int = 3,
-        backoff: Optional[DecorrelatedBackoff] = None,
         on_state_change: Optional[Callable[[str, Liveness, Liveness], None]] = None,
-        rtt: Optional[RttEstimator] = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if miss_threshold < 1:
-            raise ValueError("miss_threshold must be >= 1")
         self.sim = sim
         self.target = target
         self.send_ping = send_ping
-        self.interval = interval
-        self.miss_threshold = miss_threshold
-        self.backoff = backoff or DecorrelatedBackoff(
-            sim.child_rng(f"heartbeat:{target}"), base=interval, cap=20 * interval
+        self.backoff = DecorrelatedBackoff(
+            sim.child_rng(f"heartbeat:{target}"), base=HEARTBEAT_INTERVAL,
+            cap=20 * HEARTBEAT_INTERVAL
         )
         self.on_state_change = on_state_change
-        self.rtt = rtt or RttEstimator()
+        self.rtt = RttEstimator()
         self.state = Liveness.HEALTHY
         self.misses = 0
         self.last_contact: Optional[float] = None
@@ -153,7 +154,7 @@ class HeartbeatMonitor:
         # check instead of leaving a dead timer to fire as a no-op.
         self._check_events[token] = self.sim.schedule(self.rtt.timeout(), self._check, token)
         delay = (
-            self.interval if self.state is not Liveness.FAILED
+            HEARTBEAT_INTERVAL if self.state is not Liveness.FAILED
             else self.backoff.next()
         )
         self.sim.schedule(delay, self._tick)
@@ -163,7 +164,7 @@ class HeartbeatMonitor:
         if self._outstanding.pop(token, None) is None:
             return
         self.misses += 1
-        if self.misses >= self.miss_threshold:
+        if self.misses >= MISS_THRESHOLD:
             self._transition(Liveness.FAILED)
         else:
             self._transition(Liveness.SUSPECT)
@@ -207,7 +208,7 @@ class CircuitBreaker:
     ``failure_threshold`` the breaker *opens* (requests denied).  After
     ``cooldown`` seconds :meth:`allow_request` lets exactly one probe
     through (*half-open*); a success closes the breaker, a failure
-    re-opens it with the cooldown grown by ``cooldown_factor`` (capped)
+    re-opens it with the cooldown grown by ``COOLDOWN_FACTOR`` (capped)
     so a persistently dead service is probed ever more lazily.
     """
 
@@ -216,7 +217,6 @@ class CircuitBreaker:
         clock: Callable[[], float],
         failure_threshold: int = 3,
         cooldown: float = 1.0,
-        cooldown_factor: float = 2.0,
         cooldown_cap: float = 30.0,
     ) -> None:
         if failure_threshold < 1:
@@ -224,7 +224,6 @@ class CircuitBreaker:
         self.clock = clock
         self.failure_threshold = failure_threshold
         self.base_cooldown = cooldown
-        self.cooldown_factor = cooldown_factor
         self.cooldown_cap = cooldown_cap
         self.state = BreakerState.CLOSED
         self.failures = 0
@@ -237,7 +236,7 @@ class CircuitBreaker:
         self.failures += 1
         if self.state is BreakerState.HALF_OPEN:
             # The probe failed: back off harder.
-            self._cooldown = min(self.cooldown_cap, self._cooldown * self.cooldown_factor)
+            self._cooldown = min(self.cooldown_cap, self._cooldown * COOLDOWN_FACTOR)
             self._open()
         elif self.state is BreakerState.CLOSED and self.failures >= self.failure_threshold:
             self._open()

@@ -28,13 +28,44 @@ from repro.core.metrics import QoeReport, class_report
 from repro.core.protocol import MartpReceiver, MartpSender, PathEndpoint
 from repro.core.scheduler import MultipathPolicy, PathState
 from repro.core.traffic import StreamSpec, mar_baseline_streams
-from repro.mar.video import VideoSource
+from repro.mar.video import VIDEO_FPS, VIDEO_GOP, VideoSource
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
 from repro.simnet.queues import DropTailQueue
 from repro.transport.udp import UdpSocket
 
 MARTP_PORT = 7000
+
+#: The client's MARTP socket on path ``i`` is bound to port
+#: ``FIRST_PATH_PORT + i``.
+FIRST_PATH_PORT = 6000
+
+#: Packet capacity of the client's uplink drop-tail queue.
+UPLINK_BUFFER = 1000
+
+#: :meth:`ScenarioBuilder.multipath` (Figure 5a): the lossless WiFi and
+#: LTE legs' unloaded round trips and their down/up rates.
+WIFI_RTT, LTE_RTT = 0.030, 0.070
+WIFI_DOWN_BPS, WIFI_UP_BPS = 40e6, 15e6
+LTE_DOWN_BPS, LTE_UP_BPS = 20e6, 8e6
+
+#: Round trip of the edge-to-cloud interconnect of the two-server
+#: multipath topology (n-way synchronization link).
+INTERLINK_RTT = 0.020
+
+#: :meth:`ScenarioBuilder.edge_failover`: the lossless radio link's
+#: unloaded round trip and down/up rates; one edge server per backhaul
+#: round trip, nearest first, and a distant cloud server.
+RADIO_RTT = 0.010
+RADIO_DOWN_BPS, RADIO_UP_BPS = 60e6, 20e6
+EDGE_BACKHAUL_RTTS = (0.002, 0.008)
+CLOUD_BACKHAUL_RTT = 0.050
+
+#: :meth:`ScenarioBuilder.d2d_assist` (Fig 5b–d): the cloud path's round
+#: trip and down/up rates, and the D2D link's loss rate.
+CLOUD_RTT = 0.060
+CLOUD_DOWN_BPS, CLOUD_UP_BPS = 50e6, 10e6
+D2D_LOSS = 0.005
 
 
 @dataclass
@@ -56,15 +87,14 @@ class Scenario:
         """Primary then backups — the preference order for failover."""
         return [self.server] + self.backup_servers
 
-    def path_endpoints(self, streams_port: int = MARTP_PORT,
-                       base_port: int = 6000) -> List[PathEndpoint]:
+    def path_endpoints(self) -> List[PathEndpoint]:
         endpoints = []
         for i, (host, name) in enumerate(zip(self.client_hosts, self.path_names)):
-            socket = UdpSocket(self.net[host], base_port + i)
+            socket = UdpSocket(self.net[host], FIRST_PATH_PORT + i)
             state = PathState(name=name, is_metered=self.metered.get(name, False))
             endpoints.append(
                 PathEndpoint(state=state, socket=socket, dst=self.server,
-                             dst_port=streams_port)
+                             dst_port=MARTP_PORT)
             )
         return endpoints
 
@@ -82,12 +112,10 @@ class ScenarioBuilder:
         down_bps: float = 100e6,
         up_bps: float = 50e6,
         loss: float = 0.0,
-        jitter: float = 0.0,
-        uplink_buffer: int = 1000,
         path_name: str = "wifi",
         metered: bool = False,
     ) -> Scenario:
-        """One access link; ``rtt`` is the unloaded round trip."""
+        """One jitter-free access link; ``rtt`` is the unloaded round trip."""
         sim = Simulator(seed=self.seed)
         net = Network(sim)
         net.add_host("client")
@@ -98,9 +126,8 @@ class ScenarioBuilder:
             rate_down_bps=down_bps,
             rate_up_bps=up_bps,
             delay=rtt / 2,
-            jitter=jitter / 2,
             loss=loss,
-            queue_up=DropTailQueue(uplink_buffer),
+            queue_up=DropTailQueue(UPLINK_BUFFER),
         )
         net.build_routes()
         return Scenario(
@@ -113,19 +140,7 @@ class ScenarioBuilder:
         )
 
     # ------------------------------------------------------------------
-    def multipath(
-        self,
-        wifi_rtt: float = 0.030,
-        lte_rtt: float = 0.070,
-        wifi_down_bps: float = 40e6,
-        wifi_up_bps: float = 15e6,
-        lte_down_bps: float = 20e6,
-        lte_up_bps: float = 8e6,
-        wifi_loss: float = 0.0,
-        lte_loss: float = 0.0,
-        two_servers: bool = False,
-        interlink_rtt: float = 0.020,
-    ) -> Scenario:
+    def multipath(self, two_servers: bool = False) -> Scenario:
         """WiFi + LTE attachment (Figure 5a).
 
         The client has one virtual interface host per path so simnet
@@ -142,20 +157,20 @@ class ScenarioBuilder:
         server = "server"
         net.add_host(server)
         # Access legs.
-        net.add_duplex("ap", "client-wifi", wifi_down_bps, wifi_up_bps,
-                       delay=wifi_rtt / 4, loss=wifi_loss,
-                       queue_up=DropTailQueue(1000))
-        net.add_duplex("enb", "client-lte", lte_down_bps, lte_up_bps,
-                       delay=lte_rtt / 4, loss=lte_loss,
-                       queue_up=DropTailQueue(1000))
+        net.add_duplex("ap", "client-wifi", WIFI_DOWN_BPS, WIFI_UP_BPS,
+                       delay=WIFI_RTT / 4,
+                       queue_up=DropTailQueue(UPLINK_BUFFER))
+        net.add_duplex("enb", "client-lte", LTE_DOWN_BPS, LTE_UP_BPS,
+                       delay=LTE_RTT / 4,
+                       queue_up=DropTailQueue(UPLINK_BUFFER))
         if two_servers:
             net.add_host("edge-server")
-            net.add_duplex("server", "enb", 1e9, 1e9, delay=lte_rtt / 4)
-            net.add_duplex("edge-server", "ap", 1e9, 1e9, delay=wifi_rtt / 4)
-            net.add_duplex("server", "edge-server", 1e9, 1e9, delay=interlink_rtt / 2)
+            net.add_duplex("server", "enb", 1e9, 1e9, delay=LTE_RTT / 4)
+            net.add_duplex("edge-server", "ap", 1e9, 1e9, delay=WIFI_RTT / 4)
+            net.add_duplex("server", "edge-server", 1e9, 1e9, delay=INTERLINK_RTT / 2)
         else:
-            net.add_duplex("server", "ap", 1e9, 1e9, delay=wifi_rtt / 4)
-            net.add_duplex("server", "enb", 1e9, 1e9, delay=lte_rtt / 4)
+            net.add_duplex("server", "ap", 1e9, 1e9, delay=WIFI_RTT / 4)
+            net.add_duplex("server", "enb", 1e9, 1e9, delay=LTE_RTT / 4)
         net.build_routes()
         return Scenario(
             sim=sim,
@@ -167,22 +182,13 @@ class ScenarioBuilder:
         )
 
     # ------------------------------------------------------------------
-    def edge_failover(
-        self,
-        radio_rtt: float = 0.010,
-        radio_down_bps: float = 60e6,
-        radio_up_bps: float = 20e6,
-        radio_loss: float = 0.0,
-        backhaul_rtts: Tuple[float, ...] = (0.002, 0.008),
-        cloud_backhaul_rtt: Optional[float] = 0.050,
-        uplink_buffer: int = 1000,
-    ) -> Scenario:
+    def edge_failover(self) -> Scenario:
         """A client behind one radio link with several offload targets.
 
         The access network fans out to a chain of edge servers (one per
-        entry of ``backhaul_rtts``, nearest first; a server's total RTT
-        is ``radio_rtt`` plus its backhaul) and optionally a distant
-        cloud server — the topology of the Section VI-B/VI-E churn
+        entry of ``EDGE_BACKHAUL_RTTS``, nearest first; a server's total
+        RTT is ``RADIO_RTT`` plus its backhaul) and a distant cloud
+        server — the topology of the Section VI-B/VI-E churn
         story: edge servers come and go, the radio can black out, and a
         resilient executor must walk down the candidate list before
         giving up and running locally.
@@ -193,22 +199,20 @@ class ScenarioBuilder:
         net.add_router("ap")
         net.add_duplex(
             "ap", "client",
-            rate_down_bps=radio_down_bps,
-            rate_up_bps=radio_up_bps,
-            delay=radio_rtt / 2,
-            loss=radio_loss,
-            queue_up=DropTailQueue(uplink_buffer),
+            rate_down_bps=RADIO_DOWN_BPS,
+            rate_up_bps=RADIO_UP_BPS,
+            delay=RADIO_RTT / 2,
+            queue_up=DropTailQueue(UPLINK_BUFFER),
         )
         servers: List[str] = []
-        for i, backhaul in enumerate(backhaul_rtts):
+        for i, backhaul in enumerate(EDGE_BACKHAUL_RTTS):
             name = f"edge{i}"
             net.add_host(name)
             net.add_duplex(name, "ap", 1e9, 1e9, delay=backhaul / 2)
             servers.append(name)
-        if cloud_backhaul_rtt is not None:
-            net.add_host("cloud")
-            net.add_duplex("cloud", "ap", 1e9, 1e9, delay=cloud_backhaul_rtt / 2)
-            servers.append("cloud")
+        net.add_host("cloud")
+        net.add_duplex("cloud", "ap", 1e9, 1e9, delay=CLOUD_BACKHAUL_RTT / 2)
+        servers.append("cloud")
         net.build_routes()
         return Scenario(
             sim=sim,
@@ -225,10 +229,6 @@ class ScenarioBuilder:
         self,
         d2d_rtt: float = 0.006,
         d2d_rate_bps: float = 300e6,
-        cloud_rtt: float = 0.060,
-        cloud_down_bps: float = 50e6,
-        cloud_up_bps: float = 10e6,
-        d2d_loss: float = 0.005,
     ) -> Scenario:
         """A wearable with a nearby companion plus a cloud path (Fig 5b–d).
 
@@ -244,10 +244,10 @@ class ScenarioBuilder:
         net.add_host("server")
         net.add_router("ap")
         net.add_duplex("companion", "wearable", d2d_rate_bps, d2d_rate_bps,
-                       delay=d2d_rtt / 2, loss=d2d_loss)
-        net.add_duplex("ap", "wearable", cloud_down_bps, cloud_up_bps,
-                       delay=cloud_rtt / 4, queue_up=DropTailQueue(1000))
-        net.add_duplex("server", "ap", 1e9, 1e9, delay=cloud_rtt / 4)
+                       delay=d2d_rtt / 2, loss=D2D_LOSS)
+        net.add_duplex("ap", "wearable", CLOUD_DOWN_BPS, CLOUD_UP_BPS,
+                       delay=CLOUD_RTT / 4, queue_up=DropTailQueue(UPLINK_BUFFER))
+        net.add_duplex("server", "ap", 1e9, 1e9, delay=CLOUD_RTT / 4)
         net.build_routes()
         return Scenario(
             sim=sim,
@@ -294,22 +294,20 @@ class OffloadSession:
         self._stopped = False
         self.quality_timeline: List[Tuple[float, float]] = []
 
-    def _video_for_streams(self, fps: float = 30.0, gop: int = 15) -> VideoSource:
+    def _video_for_streams(self) -> VideoSource:
         """A video source whose offered rates match the declared streams.
 
-        The reference stream (id 2) carries ``fps/gop`` I-frames per
-        second; the interframe stream (id 3) carries the rest.  Frame
-        sizes are derived so full-quality output equals each stream's
+        The reference stream (id 2) carries ``VIDEO_FPS / VIDEO_GOP``
+        I-frames per second; the interframe stream (id 3) carries the
+        rest.  Frame sizes are derived so full-quality output equals each stream's
         nominal rate — the source actually *offers* what the streams
         declare, so congestion experiments exercise real contention.
         """
         ref_rate = self._specs[2].nominal_rate_bps
         inter_rate = self._specs[3].nominal_rate_bps
-        refs_per_s = fps / gop
-        inters_per_s = fps * (gop - 1) / gop
+        refs_per_s = VIDEO_FPS / VIDEO_GOP
+        inters_per_s = VIDEO_FPS * (VIDEO_GOP - 1) / VIDEO_GOP
         return VideoSource(
-            fps=fps,
-            gop=gop,
             ref_bytes=max(1, int(ref_rate / 8 / refs_per_s)),
             inter_bytes=max(1, int(inter_rate / 8 / inters_per_s)),
         )
@@ -341,7 +339,7 @@ class OffloadSession:
             self._submit_sized(2, size)
         elif quality > 0:
             self._submit_sized(3, max(1, int(frame.size_bytes * quality)))
-        self.sim.schedule(1.0 / self.video.fps, self._next_video_frame)
+        self.sim.schedule(1.0 / VIDEO_FPS, self._next_video_frame)
 
     def _submit_sized(self, stream_id: int, total_bytes: int) -> None:
         """Submit a frame as MTU-sized messages."""

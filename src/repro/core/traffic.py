@@ -144,13 +144,17 @@ class Message:
 _fields = attrgetter(*Message.__slots__)
 
 
-def mar_baseline_streams(
-    video_nominal_bps: float = 8e6,
-    ref_frame_bps: float = 1.2e6,
-    sensor_bps: float = 40_000.0,
-    metadata_bps: float = 16_000.0,
-    deadline: float = 0.075,
-) -> List[StreamSpec]:
+#: Figure 4's stream rates, in bit/s: connection metadata, sensor data
+#: and video reference frames.
+METADATA_BPS = 16_000.0
+SENSOR_BPS = 40_000.0
+REF_FRAME_BPS = 1.2e6
+
+#: Deadline of the sensor and video streams, in seconds.
+STREAM_DEADLINE = 0.075
+
+
+def mar_baseline_streams(video_nominal_bps: float = 8e6) -> List[StreamSpec]:
     """The four-stream worked example of Section VI-B / Figure 4."""
     return [
         StreamSpec(
@@ -158,8 +162,8 @@ def mar_baseline_streams(
             name="connection-metadata",
             traffic_class=TrafficClass.CRITICAL,
             priority=Priority.HIGHEST,
-            nominal_rate_bps=metadata_bps,
-            min_rate_bps=metadata_bps,
+            nominal_rate_bps=METADATA_BPS,
+            min_rate_bps=METADATA_BPS,
             message_bytes=200,
             deadline=1.0,
         ),
@@ -168,21 +172,21 @@ def mar_baseline_streams(
             name="sensor-data",
             traffic_class=TrafficClass.FULL_BEST_EFFORT,
             priority=Priority.MEDIUM_NO_DISCARD,
-            nominal_rate_bps=sensor_bps,
-            min_rate_bps=sensor_bps * 0.1,
+            nominal_rate_bps=SENSOR_BPS,
+            min_rate_bps=SENSOR_BPS * 0.1,
             message_bytes=120,
             adjustable=True,
-            deadline=deadline,
+            deadline=STREAM_DEADLINE,
         ),
         StreamSpec(
             stream_id=2,
             name="video-reference-frames",
             traffic_class=TrafficClass.LOSS_RECOVERY,
             priority=Priority.HIGHEST,
-            nominal_rate_bps=ref_frame_bps,
-            min_rate_bps=ref_frame_bps * 0.3,
+            nominal_rate_bps=REF_FRAME_BPS,
+            min_rate_bps=REF_FRAME_BPS * 0.3,
             message_bytes=1200,
-            deadline=deadline,
+            deadline=STREAM_DEADLINE,
             fec=True,
         ),
         StreamSpec(
@@ -194,7 +198,7 @@ def mar_baseline_streams(
             min_rate_bps=0.0,
             message_bytes=1200,
             adjustable=True,
-            deadline=deadline,
+            deadline=STREAM_DEADLINE,
         ),
     ]
 

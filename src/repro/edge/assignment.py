@@ -27,8 +27,7 @@ EDGE_BACKHAUL_TIERS = (0.002, 0.008, 0.020)
 _TIER_STRIPE = (0, 1, 1, 2)
 
 
-def serving_edge_rtt(cell_id: int,
-                     tiers: "tuple" = EDGE_BACKHAUL_TIERS) -> float:
+def serving_edge_rtt(cell_id: int) -> float:
     """Backhaul RTT from cell ``cell_id`` to its serving edge site.
 
     The promotion entry point used when a background user becomes an
@@ -37,7 +36,7 @@ def serving_edge_rtt(cell_id: int,
     """
     if cell_id < 0:
         raise ValueError("cell_id must be >= 0")
-    return tiers[_TIER_STRIPE[cell_id % len(_TIER_STRIPE)]]
+    return EDGE_BACKHAUL_TIERS[_TIER_STRIPE[cell_id % len(_TIER_STRIPE)]]
 
 
 @dataclass

@@ -83,13 +83,22 @@ def solve_greedy(problem: PlacementProblem) -> PlacementResult:
     return PlacementResult(chosen, "greedy", feasible=True)
 
 
-def solve_local_search(problem: PlacementProblem, max_rounds: int = 50) -> PlacementResult:
+#: Improvement rounds :func:`solve_local_search` runs at most.
+LOCAL_SEARCH_ROUNDS = 50
+
+#: Randomized roundings :func:`solve_lp_rounding` tries, and the seed of
+#: their draws.
+LP_ROUNDINGS = 40
+LP_ROUNDING_SEED = 0
+
+
+def solve_local_search(problem: PlacementProblem) -> PlacementResult:
     """Greedy seed, then try dropping sites and 2→1 swaps."""
     seed = solve_greedy(problem)
     if not seed.feasible:
         return PlacementResult(seed.chosen, "local-search", feasible=False)
     chosen = set(seed.chosen)
-    for _ in range(max_rounds):
+    for _ in range(LOCAL_SEARCH_ROUNDS):
         improved = False
         # Drop pass: any redundant site?
         for si in sorted(chosen):
@@ -114,9 +123,7 @@ def solve_local_search(problem: PlacementProblem, max_rounds: int = 50) -> Place
     return PlacementResult(chosen, "local-search", feasible=True)
 
 
-def solve_lp_rounding(
-    problem: PlacementProblem, rounds: int = 40, seed: int = 0
-) -> PlacementResult:
+def solve_lp_rounding(problem: PlacementProblem) -> PlacementResult:
     """LP relaxation + iterated randomized rounding.
 
     Minimizes Σ x_c subject to Σ_{c covers u} x_c ≥ 1 for every user,
@@ -144,10 +151,10 @@ def solve_lp_rounding(
     if not res.success:
         return PlacementResult(set(), "lp-rounding", feasible=False)
     x = res.x
-    rng = random.Random(seed)
+    rng = random.Random(LP_ROUNDING_SEED)
     best: Optional[Set[int]] = None
     alpha = 1.5
-    for _ in range(rounds):
+    for _ in range(LP_ROUNDINGS):
         sample = {si for si in range(n_s) if rng.random() < min(1.0, alpha * x[si])}
         missing = problem.uncovered_by(sample)
         while missing:

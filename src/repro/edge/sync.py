@@ -42,16 +42,19 @@ class UpdateRecord:
         return self.completed_at - self.issued_at
 
 
+#: Bytes of one replicated state update.
+SYNC_UPDATE_BYTES = 800
+
+
 class SyncGroup:
     """Full-mesh state replication among server hosts."""
 
-    def __init__(self, net: Network, servers: List[str], update_bytes: int = 600) -> None:
+    def __init__(self, net: Network, servers: List[str]) -> None:
         if len(servers) < 2:
             raise ValueError("a sync group needs at least two servers")
         self.net = net
         self.sim = net.sim
         self.servers = list(servers)
-        self.update_bytes = update_bytes
         self._sockets: Dict[str, UdpSocket] = {
             name: UdpSocket(net[name], SYNC_PORT,
                             on_receive=self._make_receiver(name))
@@ -62,13 +65,14 @@ class SyncGroup:
         self.sync_bytes_sent = 0
 
     # ------------------------------------------------------------------
-    def publish(self, origin: str, size: Optional[int] = None) -> int:
-        """Originate an update at ``origin``; replicate to all peers."""
+    def publish(self, origin: str) -> int:
+        """Originate a ``SYNC_UPDATE_BYTES`` update at ``origin``;
+        replicate to all peers."""
         if origin not in self._sockets:
             raise KeyError(f"{origin} is not in the sync group")
         update_id = self._next_id
         self._next_id += 1
-        size = size if size is not None else self.update_bytes
+        size = SYNC_UPDATE_BYTES
         record = UpdateRecord(update_id=update_id, origin=origin, size=size,
                               issued_at=self.sim.now)
         record.acked_by.add(origin)

@@ -47,6 +47,10 @@ class CandidateSite:
     open_cost: float = 1.0
 
 
+#: Side of the square city :meth:`CityTopology.random_city` draws, km.
+CITY_WIDTH_KM = 30.0
+
+
 class CityTopology:
     """Users and candidate sites over a metro area."""
 
@@ -68,13 +72,13 @@ class CityTopology:
         cls,
         n_users: int = 120,
         n_sites: int = 24,
-        width_km: float = 30.0,
         latency_budget: float = 0.006,
         budget_jitter: float = 0.25,
-        site_capacity: float = math.inf,
         seed: int = 0,
     ) -> "CityTopology":
-        """Uniform users, grid-ish candidate sites, per-user budgets."""
+        """Uniform users, grid-ish candidate sites, per-user budgets, over
+        a ``CITY_WIDTH_KM`` square; the sites are uncapacitated."""
+        width_km = CITY_WIDTH_KM
         rng = random.Random(seed)
         users = [
             UserSite(
@@ -99,7 +103,6 @@ class CityTopology:
                         name=f"dc{idx}",
                         x=(i + 0.5) * width_km / side + jitter_x,
                         y=(j + 0.5) * width_km / side + jitter_y,
-                        capacity=site_capacity,
                     )
                 )
                 idx += 1

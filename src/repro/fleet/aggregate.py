@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.stats import FixedBinHistogram, StreamingMoments
+from repro.analysis.stats import CANONICAL_JSON, FixedBinHistogram, StreamingMoments
 
 
 class Aggregate:
@@ -66,11 +66,12 @@ class Aggregate:
             m = self.moments[name] = StreamingMoments()
         return m
 
-    def histogram(self, name: str, lo: float = 0.0, hi: float = 1.0,
+    def histogram(self, name: str, hi: float = 1.0,
                   n_bins: int = 100) -> FixedBinHistogram:
+        """The histogram ``name`` over ``[0, hi)``, created on first use."""
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = FixedBinHistogram(lo, hi, n_bins)
+            h = self.histograms[name] = FixedBinHistogram(0.0, hi, n_bins)
         return h
 
     # -- merge ---------------------------------------------------------
@@ -121,7 +122,7 @@ class Aggregate:
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace — byte-stable."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), **CANONICAL_JSON)
 
     @classmethod
     def from_json(cls, text: str) -> "Aggregate":
@@ -204,11 +205,11 @@ class OrderedReducer:
         return self.aggregate
 
 
-def aggregate_from_registry(registry, prefix: str = "obs") -> Aggregate:
+def aggregate_from_registry(registry) -> Aggregate:
     """Lift a :class:`repro.obs.registry.MetricsRegistry` into an Aggregate.
 
     Counters map to counts, gauge moments and histogram moments to
-    moments, histogram bins to histograms — all under ``<prefix>.`` so
+    moments, histogram bins to histograms — all under ``obs.`` so
     registry-derived metrics never collide with a scenario's own keys.
     Because the underlying primitives are shared
     (:mod:`repro.analysis.stats`), per-shard registries folded through
@@ -219,13 +220,13 @@ def aggregate_from_registry(registry, prefix: str = "obs") -> Aggregate:
     """
     agg = Aggregate()
     for name, counter in sorted(registry.counters.items()):
-        agg.count(f"{prefix}.{name}", counter.value)
+        agg.count(f"obs.{name}", counter.value)
     for name, gauge in sorted(registry.gauges.items()):
-        agg.moment(f"{prefix}.{name}").merge(gauge.moments)
+        agg.moment(f"obs.{name}").merge(gauge.moments)
     for name, hist in sorted(registry.histograms.items()):
-        agg.moment(f"{prefix}.{name}").merge(hist.moments)
+        agg.moment(f"obs.{name}").merge(hist.moments)
         bins = hist.bins
-        agg.histogram(f"{prefix}.{name}", bins.lo, bins.hi,
+        agg.histogram(f"obs.{name}", bins.hi,
                       len(bins.bins)).merge(bins)
     return agg
 

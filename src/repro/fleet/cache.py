@@ -55,6 +55,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.analysis.stats import CANONICAL_JSON
 from repro.fleet.aggregate import Aggregate
 from repro.fleet.campaign import stable_hash
 
@@ -236,7 +237,7 @@ class ResultCache:
              "aggregate": aggregate.to_dict(),
              "per_point": [[label, agg.to_dict()]
                            for label, agg in per_point.items()]},
-            sort_keys=True, separators=(",", ":"))
+            **CANONICAL_JSON)
         try:
             self._atomic_write(self.campaign_dir(campaign) / MERGED_NAME,
                                _seal(payload))

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
+from repro.analysis.stats import CANONICAL_JSON
 from repro.fleet.aggregate import Aggregate
 
 #: Bump when the aggregate schema or shard semantics change in a way
@@ -247,8 +248,7 @@ class Campaign:
 
     def spec_json(self) -> str:
         """Canonical spec JSON (sorted keys, no whitespace)."""
-        return json.dumps(self.spec_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return json.dumps(self.spec_dict(), **CANONICAL_JSON)
 
     def fingerprint(self) -> str:
         """Content hash of the spec + code-relevant versions (cache key).
@@ -269,8 +269,7 @@ class Campaign:
             "repro": repro.__version__,
             "scenario_version": get_scenario(self.scenario).version,
         }
-        digest = stable_hash(json.dumps(payload, sort_keys=True,
-                                        separators=(",", ":")))
+        digest = stable_hash(json.dumps(payload, **CANONICAL_JSON))
         self._fp_memo = (spec_json, digest)
         return digest
 

@@ -42,6 +42,7 @@ import pathlib
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
+from repro.analysis.stats import CANONICAL_JSON
 from repro.fleet.campaign import stable_hash
 
 #: Flight artifact schema version.
@@ -67,8 +68,7 @@ def _safe_stem(tag: str) -> str:
 class FlightRecorder:
     """Per-process ring buffer of recent engine events, spillable to disk."""
 
-    def __init__(self, out_dir, capacity: int = RING_CAPACITY,
-                 worker_id: Optional[int] = None) -> None:
+    def __init__(self, out_dir, worker_id: Optional[int] = None) -> None:
         self.out_dir = pathlib.Path(out_dir)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -76,7 +76,7 @@ class FlightRecorder:
             # Like a failed write: every artifact is dropped, no shard
             # fails (the directory's parent is a file, or read-only).
             pass
-        self.ring: deque = deque(maxlen=capacity)
+        self.ring: deque = deque(maxlen=RING_CAPACITY)
         #: the engine hook — the ring's own C-level ``append``, stored
         #: so :meth:`uninstall` can identity-check what it installed.
         #: The ring therefore holds fired ``Event`` objects; their
@@ -115,22 +115,18 @@ class FlightRecorder:
         flight recorder, it answers "what were this process's last N
         events", whichever shard fired them.
         """
-        from repro.obs.export import _CANON
-
         self.shards_seen += 1
         _write(self._spill,
-               json.dumps(self._doc(tag, attempt, "spill"), **_CANON) + "\n")
+               json.dumps(self._doc(tag, attempt, "spill"), **CANONICAL_JSON) + "\n")
 
     def dump_crash(self, tag: str, attempt: int, error: str) -> None:
         """Write a crash dump for a shard that raised."""
-        from repro.obs.export import _CANON
-
         path = self.out_dir / (
             f"flight-{len(self.crash_dumps):03d}-{_safe_stem(tag)}"
             f"-a{attempt}.json")
         doc = self._doc(tag, attempt, "crash")
         doc["error"] = error
-        if _write(path, json.dumps(doc, **_CANON) + "\n"):
+        if _write(path, json.dumps(doc, **CANONICAL_JSON) + "\n"):
             self.crash_dumps.append(str(path))
 
     # ------------------------------------------------------------------

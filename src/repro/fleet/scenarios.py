@@ -66,7 +66,7 @@ def collect_offload_aggregate(scenario, session, report) -> Aggregate:
     agg.count("sessions")
     agg.moment("mos").add(mos_score(report))
     agg.moment("video_quality").add(report.mean_video_quality)
-    latency = agg.histogram("frame_latency", 0.0, _LATENCY_HI, _LATENCY_BINS)
+    latency = agg.histogram("frame_latency", _LATENCY_HI, _LATENCY_BINS)
     for sid, cr in sorted(report.per_class.items()):
         agg.count(f"class.{cr.name}.sent", cr.sent)
         agg.count(f"class.{cr.name}.received", cr.received)
@@ -133,7 +133,7 @@ def run_wifi_anomaly_cell(seed: int, params: Dict[str, object]) -> Aggregate:
     agg = Aggregate()
     agg.count("cells")
     agg.count("stations", len(stations))
-    hist = agg.histogram("station_throughput", 0.0, _RATE_HI, _RATE_BINS)
+    hist = agg.histogram("station_throughput", _RATE_HI, _RATE_BINS)
     cell_total = 0.0
     for st, is_fast in stations:
         bps = st.throughput_bps(0.0, duration)
@@ -170,7 +170,7 @@ def run_table2_offload(seed: int, params: Dict[str, object]) -> Aggregate:
     agg = Aggregate()
     agg.count("sessions")
     agg.count("frames", result.frames_completed)
-    agg.histogram("frame_latency", 0.0, _LATENCY_HI, _LATENCY_BINS).extend(
+    agg.histogram("frame_latency", _LATENCY_HI, _LATENCY_BINS).extend(
         result.frame_latencies)
     agg.moment("frame_latency").extend(result.frame_latencies)
     agg.moment("link_rtt").extend(result.link_rtts)

@@ -54,6 +54,8 @@ import pathlib
 import time
 from typing import Any, Dict, List
 
+from repro.analysis.stats import CANONICAL_JSON
+
 try:
     import resource
 except ImportError:  # pragma: no cover - non-POSIX
@@ -84,9 +86,8 @@ class TelemetryCollector:
     finalized document in ``result.telemetry``.
     """
 
-    def __init__(self, event_cap: int = EVENT_CAP) -> None:
+    def __init__(self) -> None:
         self.epoch = time.monotonic()
-        self.event_cap = event_cap
         self.events: List[dict] = []
         self.dropped = 0
 
@@ -95,7 +96,7 @@ class TelemetryCollector:
         return time.monotonic() - self.epoch
 
     def record(self, event: dict) -> None:
-        if len(self.events) >= self.event_cap:
+        if len(self.events) >= EVENT_CAP:
             self.dropped += 1
             return
         self.events.append(event)
@@ -253,11 +254,9 @@ def worker_timeline_json(doc: dict) -> str:
 
 def write_campaign_telemetry(path, doc: dict) -> pathlib.Path:
     """Write the canonical ``campaign_telemetry.json`` document."""
-    from repro.obs.export import _CANON
-
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, **_CANON) + "\n")
+    path.write_text(json.dumps(doc, **CANONICAL_JSON) + "\n")
     return path
 
 

@@ -27,10 +27,10 @@ it — is byte-identical at any width, batching or completion order.
   is not an aggregate, is charged an attempt and re-queued alone after
   a decorrelated-jitter delay seeded from the campaign.  A dead worker
   fails every batch in flight: one shard in flight is charged; more
-  are isolated uncharged.  A batch past its deadline (``shard_timeout``
+  are isolated uncharged.  A batch past its deadline (``SHARD_TIMEOUT``
   x its length) is charged per shard and the pool's workers are killed;
   the other batches in flight re-run uncharged.  A shard out of
-  attempts is **quarantined**: left out of the merge, listed in the
+  attempts (``MAX_ATTEMPTS``) is **quarantined**: left out of the merge, listed in the
   report, replayable from its tag (``python -m repro fleet --replay``).
 
 :class:`FaultInjection` names shards that must raise or kill their
@@ -73,6 +73,17 @@ OVERSUBSCRIBE = 4
 #: Hard cap on shards per batch: bounds the blast radius of a mid-batch
 #: worker death and keeps batch timeouts/requeues reasonably granular.
 MAX_BATCH = 64
+
+#: Attempts a shard gets before it is quarantined.
+MAX_ATTEMPTS = 3
+
+#: Seconds one shard may run; a batch's deadline is this times its length.
+SHARD_TIMEOUT = 300.0
+
+#: Decorrelated-jitter delay before a failed shard's retry: base and cap,
+#: in seconds (one schedule per campaign, seeded from its base seed).
+RETRY_BACKOFF_BASE = 0.05
+RETRY_BACKOFF_CAP = 2.0
 
 
 def usable_cpus() -> int:
@@ -386,8 +397,6 @@ class _Scheduler:
     and quarantine for one campaign, over any executor."""
 
     faults: Optional[FaultInjection]
-    max_attempts: int
-    shard_timeout: float
     backoff: DecorrelatedBackoff
     telemetry: Optional[TelemetryCollector]
     record_ok: Callable[[_ShardState, Aggregate, str], None]
@@ -440,7 +449,7 @@ class _Scheduler:
                         self._event("timeout", n=len(batch))
                         for state in batch:
                             self._fail(state, f"timeout after "
-                                       f"{self.shard_timeout * len(batch):.1f}s",
+                                       f"{SHARD_TIMEOUT * len(batch):.1f}s",
                                        pending)
                     for batch, _ in in_flight.values():
                         for state in batch:
@@ -474,7 +483,7 @@ class _Scheduler:
             self.dispatched += 1
             self._event("dispatch", batch=self.dispatched, n=len(batch))
             in_flight[future] = (
-                batch, time.monotonic() + self.shard_timeout * len(batch))
+                batch, time.monotonic() + SHARD_TIMEOUT * len(batch))
         return []
 
     def _collect(self, pending: Deque[_Queued], in_flight: dict,
@@ -518,7 +527,7 @@ class _Scheduler:
         """Charge a failed attempt: quarantine the shard when it has none
         left, else re-queue it alone after a backoff delay."""
         state.errors.append(error)
-        if state.attempts >= self.max_attempts:
+        if state.attempts >= MAX_ATTEMPTS:
             self.record_quarantine(state)
             return
         self._event("retry", tag=state.spec.tag, attempt=state.attempts,
@@ -539,10 +548,6 @@ def run_campaign(
     *,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    max_attempts: int = 3,
-    shard_timeout: float = 300.0,
-    backoff_base: float = 0.05,
-    backoff_cap: float = 2.0,
     faults: Optional[FaultInjection] = None,
     progress: Optional[ProgressFn] = None,
     batch_size: Optional[int] = None,
@@ -567,8 +572,6 @@ def run_campaign(
     carry the matching flight artifact path.  Neither affects any
     aggregate byte — pinned by ``tests/test_fleet_telemetry.py``.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     shards = campaign.shards()
     scenario = get_scenario(campaign.scenario)
     t0 = time.monotonic()
@@ -648,10 +651,10 @@ def run_campaign(
             progress(len(outcomes), len(shards), time.monotonic() - t0)
 
     scheduler = _Scheduler(
-        faults, max_attempts, shard_timeout,
+        faults,
         DecorrelatedBackoff.from_tag(
             campaign.base_seed, f"fleet-retry:{campaign.name}",
-            base=backoff_base, cap=backoff_cap),
+            base=RETRY_BACKOFF_BASE, cap=RETRY_BACKOFF_CAP),
         telemetry, record_ok, record_quarantine)
     width = max(1, workers)
     installed = ({spec.tag: spec for spec in todo}, scenario.fn,

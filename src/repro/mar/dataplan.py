@@ -13,7 +13,7 @@ Section VI-D behaviours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,21 @@ TYPICAL_PLANS: Dict[str, DataPlan] = {
 }
 
 
-def monthly_cost_of_usage(plan: DataPlan, metered_bytes_per_day: float,
-                          days: int = 30) -> float:
+#: Days in the billing month :func:`monthly_cost_of_usage` projects.
+DAYS_PER_MONTH = 30
+
+
+def monthly_cost_of_usage(plan: DataPlan, metered_bytes_per_day: float) -> float:
     """Project one month of daily MAR usage onto a plan."""
-    return plan.cost_of(metered_bytes_per_day * days)
+    return plan.cost_of(metered_bytes_per_day * DAYS_PER_MONTH)
 
 
-def cheapest_plan(metered_bytes_per_month: float,
-                  plans: Optional[Dict[str, DataPlan]] = None) -> DataPlan:
-    """The plan minimizing cost at a usage level (throttled plans are
-    excluded above their quota — MAR is unusable when throttled)."""
-    plans = plans if plans is not None else TYPICAL_PLANS
+def cheapest_plan(metered_bytes_per_month: float) -> DataPlan:
+    """The :data:`TYPICAL_PLANS` plan minimizing cost at a usage level
+    (throttled plans are excluded above their quota — MAR is unusable
+    when throttled)."""
     viable = [
-        p for p in plans.values()
+        p for p in TYPICAL_PLANS.values()
         if not (p.throttles and metered_bytes_per_month > p.quota_bytes)
     ]
     if not viable:

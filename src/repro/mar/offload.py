@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import mean, percentile as sample_percentile
 from repro.core.resilience import (
+    HEARTBEAT_INTERVAL,
     BreakerState,
     CircuitBreaker,
     DecorrelatedBackoff,
@@ -41,6 +42,32 @@ from repro.transport.udp import UdpSocket
 
 #: Fragment payload size for frame/feature uploads.
 FRAGMENT_BYTES = 1200
+
+#: UDP ports of the offload client and of every offload server.
+CLIENT_PORT = 9000
+SERVER_PORT = 9001
+
+#: The client's radio, for the energy model.
+RADIO = "wifi"
+
+#: Seconds an offloaded frame may wait for its result before it is given
+#: up (the resilient executor's cap on one attempt's RTT-adaptive
+#: timeout).
+FRAME_TIMEOUT = 2.0
+
+#: Retries of one frame's upload before the resilient executor runs it
+#: locally instead.
+MAX_FRAME_RETRIES = 2
+
+#: Decorrelated-jitter backoff between two upload attempts: base and cap,
+#: in seconds.
+RETRY_BACKOFF_BASE = 0.05
+RETRY_BACKOFF_CAP = 1.0
+
+#: The resilient executor's circuit breaker: consecutive failures that
+#: trip it, and its first cooldown in seconds.
+BREAKER_FAILURES = 3
+BREAKER_COOLDOWN = 1.0
 
 #: Fraction of p(a) that is feature extraction (detect + describe).  An
 #: assumed constant, not a calibration: nothing measures it.
@@ -202,6 +229,20 @@ class SessionResult:
         return 1.0 - self.frames_completed / self.frames_sent
 
 
+def _send_fragments(socket: UdpSocket, dst: str, dst_port: int, n_bytes: int,
+                    kind: str, flow: str, frame: int, **extra) -> None:
+    """Send ``n_bytes`` to ``dst:dst_port`` as ``FRAGMENT_BYTES``
+    datagrams (a single 1-byte one when there is nothing to send), each
+    naming its frame and the fragment count the receiver waits for."""
+    n_fragments = max(1, -(-n_bytes // FRAGMENT_BYTES))
+    remaining = n_bytes
+    for _ in range(n_fragments):
+        size = min(FRAGMENT_BYTES, remaining) if remaining > 0 else 1
+        remaining -= size
+        socket.sendto(dst, dst_port, size, kind, flow, frame=frame,
+                      n_fragments=n_fragments, **extra)
+
+
 class _ServerSide:
     """Reassembles uploads, applies compute delay, returns results."""
 
@@ -246,17 +287,8 @@ class _ServerSide:
     def _respond(self, dst: str, dst_port: int, frame_id: int, download_bytes: int) -> None:
         if self.obs is not None:
             self.obs.on_download_start(frame_id, download_bytes)
-        n_fragments = max(1, -(-download_bytes // FRAGMENT_BYTES))
-        remaining = download_bytes
-        for i in range(n_fragments):
-            size = min(FRAGMENT_BYTES, remaining) if remaining > 0 else 1
-            remaining -= size
-            self.socket.sendto(
-                dst, dst_port, size,
-                kind="result-fragment",
-                frame=frame_id,
-                n_fragments=n_fragments,
-            )
+        _send_fragments(self.socket, dst, dst_port, download_bytes,
+                        "result-fragment", "", frame_id)
 
 
 class OffloadExecutor:
@@ -278,11 +310,7 @@ class OffloadExecutor:
         strategy: OffloadStrategy,
         device: Device,
         server_device: Device = CLOUD,
-        client_port: int = 9000,
-        server_port: int = 9001,
-        radio: str = "wifi",
         ping_interval: float = 1.0,
-        frame_timeout: float = 2.0,
     ) -> None:
         self.net = net
         self.sim = net.sim
@@ -290,13 +318,11 @@ class OffloadExecutor:
         self.strategy = strategy
         self.device = device
         self.server_name = server
-        self.server_port = server_port
         self.ping_interval = ping_interval
-        self.frame_timeout = frame_timeout
-        self.result = SessionResult(deadline=app.deadline, energy=EnergyModel(radio=radio))
-        self.socket = UdpSocket(net[client], client_port, on_receive=self._on_packet)
+        self.result = SessionResult(deadline=app.deadline, energy=EnergyModel(radio=RADIO))
+        self.socket = UdpSocket(net[client], CLIENT_PORT, on_receive=self._on_packet)
         self._flow = f"offload:{self.socket.host.name}"
-        self.server = _ServerSide(net, server, server_port, server_device)
+        self.server = _ServerSide(net, server, SERVER_PORT, server_device)
         self._pending: Dict[int, Dict[str, float]] = {}
         self._frame_index = 0
         #: Optional observability hooks (attach_frame_observer sets it;
@@ -333,9 +359,6 @@ class OffloadExecutor:
         cell_id: int = 0,
         app: MarApplication,
         strategy: OffloadStrategy,
-        device: Device = SMARTPHONE,
-        server_device: Device = CLOUD,
-        **kwargs,
     ) -> "OffloadExecutor":
         """Promotion entry point for the hybrid-fidelity layer.
 
@@ -347,6 +370,8 @@ class OffloadExecutor:
         (:func:`repro.edge.assignment.serving_edge_rtt`).  ``profile``
         is a :class:`repro.wireless.profiles.AccessProfile`; ``sim`` is
         a fresh simulator seeded from the promoted user's fluid state.
+        The user's device is a smartphone offloading to a cloud-class
+        edge server.
         """
         from repro.edge.assignment import serving_edge_rtt
         from repro.simnet.queues import DropTailQueue
@@ -367,8 +392,8 @@ class OffloadExecutor:
             queue_up=DropTailQueue(1000),
         )
         net.build_routes()
-        return cls(net, "client", "edge", app, strategy, device,
-                   server_device=server_device, **kwargs)
+        return cls(net, "client", "edge", app, strategy, SMARTPHONE,
+                   server_device=CLOUD)
 
     # ------------------------------------------------------------------
     def start(self, n_frames: int) -> None:
@@ -379,7 +404,7 @@ class OffloadExecutor:
         self.sim.schedule(0.0, self._ping)
 
     def _ping(self) -> None:
-        self.socket.sendto(self.server_name, self.server_port, 64, kind="ping", t=self.sim.now)
+        self.socket.sendto(self.server_name, SERVER_PORT, 64, kind="ping", t=self.sim.now)
         if self._frame_index < self.n_frames:
             self.sim.schedule(self.ping_interval, self._ping)
 
@@ -401,24 +426,12 @@ class OffloadExecutor:
             self.obs.on_upload_start(index, plan)
         generated_at = self.sim.now - self.device.execution_time(plan.local_megacycles)
         self._pending[index] = {"generated": generated_at, "got": 0, "need": 0}
-        n_fragments = max(1, -(-plan.upload_bytes // FRAGMENT_BYTES))
-        remaining = plan.upload_bytes
-        for i in range(n_fragments):
-            size = min(FRAGMENT_BYTES, remaining) if remaining > 0 else 1
-            remaining -= size
-            self.socket.sendto(
-                self.server_name,
-                self.server_port,
-                size,
-                kind="frame-fragment",
-                flow=self._flow,
-                frame=index,
-                n_fragments=n_fragments,
-                remote_megacycles=plan.remote_megacycles,
-                download_bytes=plan.download_bytes,
-            )
+        _send_fragments(self.socket, self.server_name, SERVER_PORT,
+                        plan.upload_bytes, "frame-fragment", self._flow, index,
+                        remote_megacycles=plan.remote_megacycles,
+                        download_bytes=plan.download_bytes)
         self.result.energy.on_transfer(plan.upload_bytes, new_burst=True)
-        self.sim.schedule(self.frame_timeout, self._expire_frame, index)
+        self.sim.schedule(FRAME_TIMEOUT, self._expire_frame, index)
 
     def _expire_frame(self, index: int) -> None:
         if self._pending.pop(index, None) is not None and self.obs is not None:
@@ -500,49 +513,31 @@ class ResilientOffloadExecutor(OffloadExecutor):
         app: MarApplication,
         strategy: OffloadStrategy,
         device: Device,
-        server_device: Device = CLOUD,
-        client_port: int = 9000,
-        server_port: int = 9001,
-        radio: str = "wifi",
-        heartbeat_interval: float = 0.25,
-        miss_threshold: int = 3,
-        frame_timeout: float = 2.0,
-        max_frame_retries: int = 2,
-        retry_backoff_base: float = 0.05,
-        retry_backoff_cap: float = 1.0,
-        breaker_failures: int = 3,
-        breaker_cooldown: float = 1.0,
     ) -> None:
         if not servers:
             raise ValueError("need at least one server")
         super().__init__(
-            net, client, servers[0], app, strategy, device, server_device,
-            client_port, server_port, radio,
-            ping_interval=heartbeat_interval, frame_timeout=frame_timeout,
+            net, client, servers[0], app, strategy, device, CLOUD,
+            ping_interval=HEARTBEAT_INTERVAL,
         )
         self.servers = list(servers)
         self.active_server = servers[0]
-        self.miss_threshold = miss_threshold
-        self.max_frame_retries = max_frame_retries
         self._backups = {
-            name: _ServerSide(net, name, server_port, server_device)
+            name: _ServerSide(net, name, SERVER_PORT, CLOUD)
             for name in self.servers[1:]
         }
         self._rng = net.sim.child_rng(f"resilience:{client}")
-        self._retry_base = retry_backoff_base
-        self._retry_cap = retry_backoff_cap
         self.monitors: Dict[str, HeartbeatMonitor] = {
             name: HeartbeatMonitor(
                 net.sim, name, self._send_heartbeat,
-                interval=heartbeat_interval, miss_threshold=miss_threshold,
                 on_state_change=self._on_liveness,
             )
             for name in self.servers
         }
         self.breaker = CircuitBreaker(
             clock=lambda: self.sim.now,
-            failure_threshold=breaker_failures,
-            cooldown=breaker_cooldown,
+            failure_threshold=BREAKER_FAILURES,
+            cooldown=BREAKER_COOLDOWN,
         )
         self.metrics = ResilienceMetrics()
         self.mode = ServiceMode.HEALTHY
@@ -554,7 +549,7 @@ class ResilientOffloadExecutor(OffloadExecutor):
     # Liveness plumbing
     # ------------------------------------------------------------------
     def _send_heartbeat(self, target: str, token: float) -> None:
-        self.socket.sendto(target, self.server_port, 64, kind="ping", t=token)
+        self.socket.sendto(target, SERVER_PORT, 64, kind="ping", t=token)
 
     def _on_packet(self, packet: Packet) -> None:
         if packet.kind == "pong":
@@ -666,8 +661,8 @@ class ResilientOffloadExecutor(OffloadExecutor):
             "plan": plan,
             "count": 0,
             "probe": probe,
-            "backoff": DecorrelatedBackoff(self._rng, base=self._retry_base,
-                                           cap=self._retry_cap),
+            "backoff": DecorrelatedBackoff(self._rng, base=RETRY_BACKOFF_BASE,
+                                           cap=RETRY_BACKOFF_CAP),
         }
         self._transmit_upload(index)
 
@@ -676,30 +671,18 @@ class ResilientOffloadExecutor(OffloadExecutor):
         if meta is None or index not in self._pending:
             return
         plan: FramePlan = meta["plan"]
-        n_fragments = max(1, -(-plan.upload_bytes // FRAGMENT_BYTES))
-        remaining = plan.upload_bytes
-        for _ in range(n_fragments):
-            size = min(FRAGMENT_BYTES, remaining) if remaining > 0 else 1
-            remaining -= size
-            self.socket.sendto(
-                self.active_server,
-                self.server_port,
-                size,
-                kind="frame-fragment",
-                flow=self._flow,
-                frame=index,
-                n_fragments=n_fragments,
-                remote_megacycles=plan.remote_megacycles,
-                download_bytes=plan.download_bytes,
-            )
+        _send_fragments(self.socket, self.active_server, SERVER_PORT,
+                        plan.upload_bytes, "frame-fragment", self._flow, index,
+                        remote_megacycles=plan.remote_megacycles,
+                        download_bytes=plan.download_bytes)
         self.result.energy.on_transfer(plan.upload_bytes, new_burst=True)
         self.sim.schedule(self._frame_deadline(), self._check_frame,
                           index, meta["count"])
 
     def _frame_deadline(self) -> float:
-        """RTT-adaptive per-attempt timeout, bounded by ``frame_timeout``."""
+        """RTT-adaptive per-attempt timeout, bounded by ``FRAME_TIMEOUT``."""
         rtt = self.monitors[self.active_server].rtt
-        return min(self.frame_timeout, max(0.05, 3 * rtt.timeout()))
+        return min(FRAME_TIMEOUT, max(0.05, 3 * rtt.timeout()))
 
     def _check_frame(self, index: int, attempt: int) -> None:
         if index not in self._pending:
@@ -710,7 +693,7 @@ class ResilientOffloadExecutor(OffloadExecutor):
         # State read only — the retry path must not consume the breaker's
         # half-open probe slot (allow_request mutates on cooldown expiry).
         tripped = self.breaker.state is BreakerState.OPEN
-        if meta["count"] < self.max_frame_retries and not tripped:
+        if meta["count"] < MAX_FRAME_RETRIES and not tripped:
             meta["count"] += 1
             self.sim.schedule(meta["backoff"].next(), self._transmit_upload, index)
             return

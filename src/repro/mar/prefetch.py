@@ -27,26 +27,31 @@ from repro.wireless.mobility import Waypoint
 Cell = Tuple[int, int]
 
 
+#: Side of one :class:`GridWorld` cell, in metres.
+GRID_CELL_SIZE = 150.0
+
+#: Objects anchored in one cell (±2) and their mean size in bytes
+#: (±50 %).
+OBJECTS_PER_CELL = 5
+OBJECT_BYTES = 100_000
+
+
 class GridWorld:
     """Geo-anchored content: each grid cell owns a set of objects."""
 
-    def __init__(self, cell_size: float = 150.0, objects_per_cell: int = 6,
-                 object_bytes: int = 120_000, seed: int = 0) -> None:
-        self.cell_size = cell_size
-        self.objects_per_cell = objects_per_cell
-        self.object_bytes = object_bytes
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
     def cell_of(self, point: Waypoint) -> Cell:
-        return (int(point.x // self.cell_size), int(point.y // self.cell_size))
+        return (int(point.x // GRID_CELL_SIZE), int(point.y // GRID_CELL_SIZE))
 
     def objects_in(self, cell: Cell) -> List[Tuple[str, int]]:
         """(key, size) catalog of one cell; deterministic per seed."""
         rng = random.Random(f"{self.seed}:{cell[0]}:{cell[1]}")
-        count = max(1, self.objects_per_cell + rng.randint(-2, 2))
+        count = max(1, OBJECTS_PER_CELL + rng.randint(-2, 2))
         return [
             (f"obj:{cell[0]}:{cell[1]}:{i}",
-             int(self.object_bytes * rng.uniform(0.5, 1.5)))
+             int(OBJECT_BYTES * rng.uniform(0.5, 1.5)))
             for i in range(count)
         ]
 
@@ -55,6 +60,10 @@ class GridWorld:
         return [(x + dx, y + dy)
                 for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                 if (dx, dy) != (0, 0)]
+
+
+#: Next cells the Markov policy prefetches for.
+PREFETCH_TOP_K = 3
 
 
 class MarkovPredictor:
@@ -69,12 +78,13 @@ class MarkovPredictor:
             self._transitions[self._last][cell] += 1
         self._last = cell
 
-    def predict(self, cell: Cell, k: int = 2) -> List[Cell]:
-        """The k most likely next cells (may be empty for unseen cells)."""
+    def predict(self, cell: Cell) -> List[Cell]:
+        """The ``PREFETCH_TOP_K`` most likely next cells (may be empty
+        for unseen cells)."""
         seen = self._transitions.get(cell)
         if not seen:
             return []
-        return [c for c, _ in seen.most_common(k)]
+        return [c for c, _ in seen.most_common(PREFETCH_TOP_K)]
 
 
 class PrefetchingCache:
@@ -84,7 +94,7 @@ class PrefetchingCache:
 
     - ``"none"`` — pure demand caching;
     - ``"neighbours"`` — prefetch all 8 adjacent cells (geometry only);
-    - ``"markov"`` — prefetch the predictor's top-k next cells.
+    - ``"markov"`` — prefetch the predictor's ``PREFETCH_TOP_K`` next cells.
     """
 
     def __init__(
@@ -92,16 +102,13 @@ class PrefetchingCache:
         world: GridWorld,
         capacity_bytes: int,
         policy: str = "markov",
-        predictor: Optional[MarkovPredictor] = None,
-        top_k: int = 3,
     ) -> None:
         if policy not in ("none", "neighbours", "markov"):
             raise ValueError(f"unknown policy {policy!r}")
         self.world = world
         self.cache = ObjectCache(capacity_bytes)
         self.policy = policy
-        self.predictor = predictor if predictor is not None else MarkovPredictor()
-        self.top_k = top_k
+        self.predictor = MarkovPredictor()
         self.prefetched_bytes = 0
         self._current_cell: Optional[Cell] = None
 
@@ -128,7 +135,7 @@ class PrefetchingCache:
         if self.policy == "neighbours":
             targets = self.world.neighbours(cell)
         else:
-            targets = self.predictor.predict(cell, self.top_k)
+            targets = self.predictor.predict(cell)
         items = []
         for target in targets:
             items.extend(self.world.objects_in(target))

@@ -80,10 +80,18 @@ class VideoFrame:
     timestamp: float
 
 
+#: Frame rate of a :class:`VideoSource`, in frames per second.
+VIDEO_FPS = 30.0
+
+#: Group-of-pictures length of a :class:`VideoSource`: one I-frame per
+#: this many frames.
+VIDEO_GOP = 15
+
+
 class VideoSource:
     """Deterministic GOP-structured encoded-video source.
 
-    Every ``gop`` frames an I-frame (reference) of ``ref_bytes`` is
+    Every ``VIDEO_GOP`` frames an I-frame (reference) of ``ref_bytes`` is
     produced; the remaining frames are interframes of ``inter_bytes``.
     These map directly onto MARTP's traffic classes: reference frames
     are "best effort with loss recovery / highest priority", interframes
@@ -93,29 +101,23 @@ class VideoSource:
 
     def __init__(
         self,
-        fps: float = 30.0,
-        gop: int = 15,
         ref_bytes: int = 24_000,
         inter_bytes: int = 6_000,
     ) -> None:
-        if gop < 1:
-            raise ValueError("gop must be >= 1")
-        self.fps = fps
-        self.gop = gop
         self.ref_bytes = ref_bytes
         self.inter_bytes = inter_bytes
 
     def frame(self, index: int) -> VideoFrame:
-        is_ref = index % self.gop == 0
+        is_ref = index % VIDEO_GOP == 0
         return VideoFrame(
             index=index,
             is_reference=is_ref,
             size_bytes=self.ref_bytes if is_ref else self.inter_bytes,
-            timestamp=index / self.fps,
+            timestamp=index / VIDEO_FPS,
         )
 
     def frames(self, duration: float) -> Iterator[VideoFrame]:
         """All frames with timestamp < duration."""
-        n = int(duration * self.fps)
+        n = int(duration * VIDEO_FPS)
         for i in range(n):
             yield self.frame(i)

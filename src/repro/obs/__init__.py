@@ -17,8 +17,8 @@ their instruments and their serializers:
   fleet shards fold their registries into aggregates byte-identically.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``; the same builders render the fleet's
-  worker timelines), the only qlog serializer, and plain-dict snapshots
-  for :mod:`repro.analysis.report`.
+  worker timelines), the only qlog serializer, and a plain-dict
+  span-count snapshot for the ``repro obs`` summary.
 - :mod:`repro.obs.instrument` — hooks that attach the tracer to the
   offload frame pipeline and an event log to a MARTP sender, periodic
   queue/link samplers, and collectors that snapshot link/queue/MARTP

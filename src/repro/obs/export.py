@@ -12,15 +12,13 @@ Three consumers, three formats, one deterministic source of truth:
   completions, the MARTP protocol events of an
   :class:`~repro.obs.spans.EventLog` and a metrics snapshot interleave
   into one chronological stream.
-- :func:`snapshot` — a plain dict for :mod:`repro.analysis.report`.
+- :func:`snapshot` — the tracer's span counts as a plain dict, for the
+  ``repro obs`` summary line.
 
 The trace-event builders (:func:`metadata_event`,
 :func:`complete_event`, :func:`trace_document_json`) also render the
 fleet's wall-clock worker timelines
-(:func:`repro.fleet.telemetry.worker_timeline_json`), and the
-canonical-JSON setting ``_CANON`` (defined in
-:mod:`repro.obs.registry`) is shared with the fleet's telemetry and
-flight-recorder documents.
+(:func:`repro.fleet.telemetry.worker_timeline_json`).
 
 Timestamps in the Chrome export are integer microseconds.  Durations
 are differences of *rounded endpoints*, not rounded differences: for
@@ -37,7 +35,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.registry import _CANON, MetricsRegistry
+from repro.analysis.stats import CANONICAL_JSON
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import EventLog, Tracer
 
 
@@ -73,13 +72,22 @@ def complete_event(name: str, cat: str, pid: int, tid: int, t0: float,
 def trace_document_json(events: List[dict]) -> str:
     """The canonical Chrome-trace document around ``events``."""
     return json.dumps({"displayTimeUnit": "ms", "traceEvents": events},
-                      **_CANON)
+                      **CANONICAL_JSON)
 
 
-def chrome_trace_events(tracer: Tracer, pid: int = 1,
-                        process_name: str = "repro") -> List[dict]:
+#: The Chrome trace's one process: its ``pid`` and its name.
+TRACE_PID = 1
+TRACE_PROCESS_NAME = "repro"
+
+#: Largest gap, in exported µs, between a frame's duration and the sum
+#: of its stages that :func:`reconcile_frame_spans` accepts.
+RECONCILE_TOLERANCE_US = 1
+
+
+def chrome_trace_events(tracer: Tracer) -> List[dict]:
     """Build the ``traceEvents`` list (metadata + complete events)."""
-    events = [metadata_event("process_name", pid, 0, process_name)]
+    pid = TRACE_PID
+    events = [metadata_event("process_name", pid, 0, TRACE_PROCESS_NAME)]
     named_tids = set()
     for span in tracer.spans:
         if span.parent_id is None and span.trace_id not in named_tids:
@@ -101,10 +109,9 @@ def chrome_trace_events(tracer: Tracer, pid: int = 1,
     return events
 
 
-def chrome_trace_json(tracer: Tracer, pid: int = 1,
-                      process_name: str = "repro") -> str:
+def chrome_trace_json(tracer: Tracer) -> str:
     """Canonical Chrome-trace JSON (Perfetto-loadable), byte-stable."""
-    return trace_document_json(chrome_trace_events(tracer, pid, process_name))
+    return trace_document_json(chrome_trace_events(tracer))
 
 
 def validate_chrome_trace(doc: Any) -> List[str]:
@@ -145,12 +152,12 @@ def validate_chrome_trace(doc: Any) -> List[str]:
     return problems
 
 
-def reconcile_frame_spans(tracer: Tracer, tolerance_us: int = 1) -> List[str]:
+def reconcile_frame_spans(tracer: Tracer) -> List[str]:
     """Check the stage-sum-equals-frame invariant; returns problems.
 
     For every finished frame root, the exported (integer-µs) durations
     of its stage children must sum to the root's duration within
-    ``tolerance_us``.  Because :class:`~repro.obs.spans.FrameTrace`
+    ``RECONCILE_TOLERANCE_US``.  Because :class:`~repro.obs.spans.FrameTrace`
     makes stages contiguous and :func:`chrome_trace_events` rounds
     endpoints (not differences), the telescoping sum is normally exact
     — a failure here means an instrumentation hook opened a gap or
@@ -168,10 +175,10 @@ def reconcile_frame_spans(tracer: Tracer, tolerance_us: int = 1) -> List[str]:
             problems.append(
                 f"frame {root.attrs.get('frame')}: unfinished child span")
             continue
-        if abs(child_sum - root_dur) > tolerance_us:
+        if abs(child_sum - root_dur) > RECONCILE_TOLERANCE_US:
             problems.append(
                 f"frame {root.attrs.get('frame')}: stage sum {child_sum} µs "
-                f"!= frame {root_dur} µs (±{tolerance_us} µs)")
+                f"!= frame {root_dur} µs (±{RECONCILE_TOLERANCE_US} µs)")
     return problems
 
 
@@ -219,28 +226,11 @@ def qlog_lines(tracer: Optional[Tracer] = None,
 # ----------------------------------------------------------------------
 # Plain-dict snapshot for analysis/report
 # ----------------------------------------------------------------------
-def snapshot(registry: Optional[MetricsRegistry] = None,
-             tracer: Optional[Tracer] = None) -> dict:
-    """A report-friendly dict: headline stats, no raw bins or spans."""
-    out: Dict[str, Any] = {}
-    if registry is not None:
-        out["counters"] = {k: c.value
-                           for k, c in sorted(registry.counters.items())}
-        out["gauges"] = {
-            k: {"last": g.value, "mean": g.moments.mean,
-                "count": g.moments.count}
-            for k, g in sorted(registry.gauges.items())
-        }
-        out["histograms"] = {
-            k: {"count": h.count, "mean": h.mean, "p50": h.bins.p50,
-                "p95": h.bins.p95, "p99": h.bins.p99}
-            for k, h in sorted(registry.histograms.items())
-        }
-    if tracer is not None:
-        roots = tracer.frame_roots()
-        out["frames"] = {
-            "traced": len(roots),
-            "spans": len(tracer.spans),
-            "unfinished": sum(1 for s in tracer.spans if not s.finished),
-        }
-    return out
+def snapshot(tracer: Tracer) -> dict:
+    """A report-friendly dict of the tracer's span counts: frame trees
+    traced, spans in all, spans left unfinished."""
+    return {
+        "traced": len(tracer.frame_roots()),
+        "spans": len(tracer.spans),
+        "unfinished": sum(1 for s in tracer.spans if not s.finished),
+    }

@@ -54,19 +54,17 @@ LATENCY_HI = 2.0
 LATENCY_BINS = 200
 
 
-def path_costs(net: Network, src: str, dst: str, nbytes: int,
-               fragment_bytes: int = FRAGMENT_BYTES,
-               header_bytes: int = IP_UDP_HEADER) -> Tuple[float, float]:
+def path_costs(net: Network, src: str, dst: str, nbytes: int) -> Tuple[float, float]:
     """Analytic (serialization, propagation) seconds for one payload.
 
-    Mirrors the executor's fragmentation (``fragment_bytes`` chunks, a
-    1-byte tail for empty remainders, ``header_bytes`` per fragment)
+    Mirrors the executor's fragmentation (``FRAGMENT_BYTES`` chunks, a
+    1-byte tail for empty remainders, ``IP_UDP_HEADER`` per fragment)
     and charges serialization on every link of the current route —
     exact for the single-hop access paths of the Table II scenarios, an
     upper bound when a multi-hop path pipelines fragments.
     """
-    n_fragments = max(1, -(-nbytes // fragment_bytes))
-    wire_bytes = max(nbytes, n_fragments) + n_fragments * header_bytes
+    n_fragments = max(1, -(-nbytes // FRAGMENT_BYTES))
+    wire_bytes = max(nbytes, n_fragments) + n_fragments * IP_UDP_HEADER
     serialization = 0.0
     propagation = 0.0
     for link in net.path_links(src, dst):
@@ -94,7 +92,7 @@ class FrameObserver:
                  "_path_cache", "_server_attr_cache")
 
     def __init__(self, tracer: Tracer, net: Network, client: str,
-                 server: str, app=None) -> None:
+                 server: str, app) -> None:
         self.tracer = tracer
         self.net = net
         self.client = client
@@ -156,12 +154,11 @@ class FrameObserver:
         attrs = self._server_attr_cache.get(remote_megacycles)
         if attrs is None:
             attrs = {"megacycles": remote_megacycles}
-            if self.app is not None:
-                w, h = self.app.resolution
-                costs = estimate_stage_costs(w * h).scaled_to(remote_megacycles)
-                for stage, mc in costs.as_dict().items():
-                    if mc > 0.0:
-                        attrs[f"mc_{stage}"] = round(mc, 6)
+            w, h = self.app.resolution
+            costs = estimate_stage_costs(w * h).scaled_to(remote_megacycles)
+            for stage, mc in costs.as_dict().items():
+                if mc > 0.0:
+                    attrs[f"mc_{stage}"] = round(mc, 6)
             self._server_attr_cache[remote_megacycles] = attrs
         trace.begin("server", attrs_dict=dict(attrs))
 
@@ -183,8 +180,7 @@ class FrameObserver:
         return [breakdown(root) for root in self.tracer.frame_roots()]
 
 
-def attach_frame_observer(executor: OffloadExecutor, tracer: Tracer,
-                          app=None) -> FrameObserver:
+def attach_frame_observer(executor: OffloadExecutor, tracer: Tracer) -> FrameObserver:
     """Create a :class:`FrameObserver` and plug it into ``executor``.
 
     Sets the executor's and its primary server side's ``obs`` hook
@@ -193,7 +189,7 @@ def attach_frame_observer(executor: OffloadExecutor, tracer: Tracer,
     """
     observer = FrameObserver(
         tracer, executor.net, executor.socket.host.name,
-        executor.server_name, app if app is not None else executor.app)
+        executor.server_name, executor.app)
     executor.obs = observer
     executor.server.obs = observer
     return observer
@@ -293,8 +289,16 @@ class _Sampler:
         self.sim.schedule(self.interval, self._tick)
 
 
+#: Seconds between two samples of a :class:`QueueMonitor`.
+QUEUE_SAMPLE_INTERVAL = 0.02
+
+#: Seconds between two samples of a :class:`LinkMonitor`.
+LINK_SAMPLE_INTERVAL = 0.1
+
+
 class QueueMonitor(_Sampler):
-    """A queue's occupancy, from t = 0 every ``interval`` seconds.
+    """A queue's occupancy, from t = 0 every ``QUEUE_SAMPLE_INTERVAL``
+    seconds.
 
     Each tick feeds ``queue.<name>.packets`` (histogram) and
     ``queue.<name>.bytes`` (gauge) of ``registry``.
@@ -302,11 +306,11 @@ class QueueMonitor(_Sampler):
 
     def __init__(self, sim: Simulator, queue: QueueDiscipline, *,
                  horizon: float, registry: MetricsRegistry,
-                 interval: float = 0.05, name: str = "queue") -> None:
-        super().__init__(sim, interval, horizon, first=0.0)
+                 name: str = "queue") -> None:
+        super().__init__(sim, QUEUE_SAMPLE_INTERVAL, horizon, first=0.0)
         self.queue = queue
         self._hist = registry.histogram(f"queue.{name}.packets",
-                                        0.0, 256.0, 256)
+                                        256.0, 256)
         self._gauge = registry.gauge(f"queue.{name}.bytes")
 
     def _sample(self) -> None:
@@ -317,18 +321,18 @@ class QueueMonitor(_Sampler):
 class LinkMonitor(_Sampler):
     """A link's per-interval utilization, from its cumulative counters.
 
-    The first tick is one ``interval`` in; ticks feed
+    The first tick is one ``LINK_SAMPLE_INTERVAL`` in; ticks feed
     ``link.<name>.utilization`` (histogram) and
     ``link.<name>.throughput_bps`` (gauge) of ``registry``.
     """
 
     def __init__(self, sim: Simulator, link: Link, *, horizon: float,
-                 registry: MetricsRegistry, interval: float = 0.5) -> None:
-        super().__init__(sim, interval, horizon, first=interval)
+                 registry: MetricsRegistry) -> None:
+        super().__init__(sim, LINK_SAMPLE_INTERVAL, horizon, first=LINK_SAMPLE_INTERVAL)
         self.link = link
         self._last_bytes = link.bytes_sent
         self._hist = registry.histogram(f"link.{link.name}.utilization",
-                                        0.0, 1.0, 100)
+                                        1.0, 100)
         self._gauge = registry.gauge(f"link.{link.name}.throughput_bps")
 
     def _sample(self) -> None:
@@ -358,8 +362,7 @@ def collect_links(registry: MetricsRegistry, net: Network,
             registry.gauge(f"{prefix}.utilization").set(link.utilization(elapsed))
 
 
-def collect_martp(registry: MetricsRegistry, sender, receiver,
-                  prefix: str = "martp") -> None:
+def collect_martp(registry: MetricsRegistry, sender, receiver) -> None:
     """Snapshot a MARTP sender/receiver pair (``martp.*``).
 
     Reads only public protocol state — per-stream send/shed counters,
@@ -367,23 +370,22 @@ def collect_martp(registry: MetricsRegistry, sender, receiver,
     sender's combined budget and congestion-event count — after the
     run; the protocol hot path is untouched.
     """
-    registry.gauge(f"{prefix}.budget_bps").set(sender.budget_bps)
-    registry.counter(f"{prefix}.congestion_events").inc(
+    registry.gauge("martp.budget_bps").set(sender.budget_bps)
+    registry.counter("martp.congestion_events").inc(
         sender.congestion_events)
     for stream_id in sorted(sender._tx):
         tx = sender.stream_stats(stream_id)
-        sprefix = f"{prefix}.stream.{tx.spec.name}"
+        sprefix = f"martp.stream.{tx.spec.name}"
         registry.counter(f"{sprefix}.sent").inc(tx.sent)
         registry.counter(f"{sprefix}.shed").inc(tx.dropped)
         registry.counter(f"{sprefix}.bytes_sent").inc(tx.bytes_sent)
     for stream_id in sorted(receiver._rx):
         rx = receiver.stream_stats(stream_id)
-        sprefix = f"{prefix}.stream.{rx.spec.name}"
+        sprefix = f"martp.stream.{rx.spec.name}"
         registry.counter(f"{sprefix}.received").inc(rx.received)
         registry.counter(f"{sprefix}.in_time").inc(rx.in_time)
         registry.counter(f"{sprefix}.recovered").inc(rx.recovered)
-        hist = registry.histogram(f"{sprefix}.latency", 0.0,
-                                  LATENCY_HI, LATENCY_BINS)
+        hist = registry.histogram(f"{sprefix}.latency", LATENCY_HI, LATENCY_BINS)
         # One walk per accumulator, not one ``observe`` per sample.
         hist.bins.extend(rx.latencies)
         hist.moments.extend(rx.latencies)

@@ -9,10 +9,9 @@ Three instrument types, on the mergeable primitives of
 :mod:`repro.analysis.stats`:
 
 - :class:`Counter` — monotone integer.
-- :class:`Gauge` — a sampled value; keeps the last write for in-run
-  inspection and a :class:`~repro.analysis.stats.StreamingMoments`
-  accumulator of every write.  Only the moments serialize — "last
-  written" is meaningless across merged shards.
+- :class:`Gauge` — a sampled value, kept as a
+  :class:`~repro.analysis.stats.StreamingMoments` accumulator of every
+  write ("last written" is meaningless across merged shards).
 - :class:`Histogram` — a fixed-bin
   :class:`~repro.analysis.stats.FixedBinHistogram` plus moments for
   mean/min/max.
@@ -31,12 +30,7 @@ from __future__ import annotations
 import json
 from typing import Dict
 
-from repro.analysis.stats import FixedBinHistogram, StreamingMoments
-
-#: The one canonical-JSON setting of :mod:`repro.obs` (sorted keys, no
-#: whitespace); the exporters and the fleet's telemetry and flight
-#: documents use it too.
-_CANON = {"sort_keys": True, "separators": (",", ":")}
+from repro.analysis.stats import CANONICAL_JSON, FixedBinHistogram, StreamingMoments
 
 
 class Counter:
@@ -62,25 +56,22 @@ class Counter:
 
 
 class Gauge:
-    """A sampled value: last write in-process, moments across merges."""
+    """A sampled value: the moments of every write."""
 
-    __slots__ = ("name", "value", "moments")
+    __slots__ = ("name", "moments")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0.0
         self.moments = StreamingMoments()
 
-    def set(self, value: float) -> float:
-        self.value = float(value)
-        self.moments.add(self.value)
-        return self.value
+    def set(self, value: float) -> None:
+        self.moments.add(float(value))
 
     def to_dict(self) -> dict:
         return self.moments.to_dict()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Gauge {self.name}={self.value:.6g} n={self.moments.count}>"
+        return f"<Gauge {self.name} n={self.moments.count}>"
 
 
 class Histogram:
@@ -88,9 +79,9 @@ class Histogram:
 
     __slots__ = ("name", "bins", "moments")
 
-    def __init__(self, name: str, lo: float, hi: float, n_bins: int = 100) -> None:
+    def __init__(self, name: str, hi: float, n_bins: int = 100) -> None:
         self.name = name
-        self.bins = FixedBinHistogram(lo, hi, n_bins)
+        self.bins = FixedBinHistogram(0.0, hi, n_bins)
         self.moments = StreamingMoments()
 
     def observe(self, value: float) -> None:
@@ -144,11 +135,12 @@ class MetricsRegistry:
             g = self.gauges[name] = Gauge(name)
         return g
 
-    def histogram(self, name: str, lo: float = 0.0, hi: float = 1.0,
+    def histogram(self, name: str, hi: float = 1.0,
                   n_bins: int = 100) -> Histogram:
+        """The histogram ``name`` over ``[0, hi)``, created on first use."""
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = Histogram(name, lo, hi, n_bins)
+            h = self.histograms[name] = Histogram(name, hi, n_bins)
         return h
 
     # -- serialization -------------------------------------------------
@@ -163,7 +155,7 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace — byte-stable."""
-        return json.dumps(self.to_dict(), **_CANON)
+        return json.dumps(self.to_dict(), **CANONICAL_JSON)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<MetricsRegistry counters={len(self.counters)} "

@@ -70,22 +70,20 @@ def _run_cell_offload(seed: int, frames: int) -> ObsRun:
     registry = MetricsRegistry()
     observer = attach_frame_observer(executor, tracer)
     uplink = net.path_links("client", "server")[0]
-    QueueMonitor(sim, uplink.queue, interval=0.02,
-                 horizon=duration, registry=registry, name="uplink")
-    LinkMonitor(sim, uplink, interval=0.1,
-                horizon=duration, registry=registry)
+    QueueMonitor(sim, uplink.queue, horizon=duration, registry=registry,
+                 name="uplink")
+    LinkMonitor(sim, uplink, horizon=duration, registry=registry)
 
     result = executor.run(n_frames=frames)
 
     collect_links(registry, net, elapsed=sim.now)
     registry.counter("frame.sent").inc(result.frames_sent)
     registry.counter("frame.completed").inc(result.frames_completed)
-    latency_hist = registry.histogram("frame.latency", 0.0,
-                                      LATENCY_HI, LATENCY_BINS)
+    latency_hist = registry.histogram("frame.latency", LATENCY_HI, LATENCY_BINS)
     for latency in result.frame_latencies:
         latency_hist.observe(latency)
     for rtt in result.link_rtts:
-        registry.histogram("link.rtt", 0.0, 0.5, 100).observe(rtt)
+        registry.histogram("link.rtt", 0.5, 100).observe(rtt)
 
     summary = {
         "frames": float(result.frames_completed),

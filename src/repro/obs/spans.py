@@ -95,7 +95,6 @@ class Tracer:
 
     def start_span(self, name: str, cat: str = "frame",
                    parent: Optional[Span] = None,
-                   trace_id: Optional[int] = None,
                    attrs_dict: Optional[Dict[str, Any]] = None,
                    **attrs: Any) -> Span:
         """Open a span at ``sim.now``.
@@ -105,9 +104,8 @@ class Tracer:
         ``**attrs`` form is the convenient one for call sites off the
         per-event path.
         """
-        if trace_id is None:
-            trace_id = parent.trace_id if parent is not None \
-                else self.new_trace_id()
+        trace_id = parent.trace_id if parent is not None \
+            else self.new_trace_id()
         if attrs_dict is not None:
             if attrs:
                 attrs_dict.update(attrs)
@@ -155,15 +153,14 @@ class FrameTrace:
 
     __slots__ = ("tracer", "root", "current")
 
-    def __init__(self, tracer: Tracer, frame_index: int,
-                 trace_id: Optional[int] = None, **attrs: Any) -> None:
+    def __init__(self, tracer: Tracer, frame_index: int, **attrs: Any) -> None:
         self.tracer = tracer
         self.root = tracer.start_span(
-            "frame", cat="frame", trace_id=trace_id, frame=frame_index, **attrs)
+            "frame", cat="frame", frame=frame_index, **attrs)
         self.current: Optional[Span] = None
 
     # ------------------------------------------------------------------
-    def begin(self, stage: str, cat: str = "frame",
+    def begin(self, stage: str,
               attrs_dict: Optional[Dict[str, Any]] = None,
               **attrs: Any) -> Span:
         """Close the current stage and open ``stage`` at ``sim.now``.
@@ -175,7 +172,7 @@ class FrameTrace:
         if self.current is not None:
             self.tracer.finish(self.current)
         self.current = self.tracer.start_span(
-            stage, cat=cat, parent=self.root, attrs_dict=attrs_dict, **attrs)
+            stage, cat="frame", parent=self.root, attrs_dict=attrs_dict, **attrs)
         return self.current
 
     def mark(self, name: str, **attrs: Any) -> Span:
@@ -243,30 +240,33 @@ CATEGORIES = (
 )
 
 
+#: Events an :class:`EventLog` keeps; later ones are only counted.
+EVENT_LOG_CAP = 100_000
+
+
 class EventLog:
     """A bounded, append-only log of timestamped protocol events.
 
     Each event is kept as the qlog record it exports as —
     ``{"time", "category", "name", "data"}`` — and
     :func:`repro.obs.export.qlog_lines` interleaves the records with
-    span completions.  Past ``max_events`` an event is counted in
+    span completions.  Past ``EVENT_LOG_CAP`` events one is counted in
     ``dropped`` instead of kept; :meth:`summary` (the export's
     ``meta``/``log-summary`` trailer) surfaces that, so a truncated log
     is visibly truncated.  :func:`repro.obs.instrument.instrument_sender`
     fills one from a MARTP sender.
     """
 
-    __slots__ = ("max_events", "events", "dropped")
+    __slots__ = ("events", "dropped")
 
-    def __init__(self, max_events: int = 100_000) -> None:
-        self.max_events = max_events
+    def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
         self.dropped = 0
 
     def emit(self, time: float, category: str, name: str, **data: Any) -> None:
         if category not in CATEGORIES:
             raise ValueError(f"unknown category {category!r}")
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= EVENT_LOG_CAP:
             self.dropped += 1
             return
         self.events.append({"time": time, "category": category,
@@ -276,7 +276,7 @@ class EventLog:
         """Totals an operator needs before trusting the log.
 
         ``dropped > 0`` means the stream is *incomplete* — events past
-        ``max_events`` were discarded — which silent exports would
+        ``EVENT_LOG_CAP`` were discarded — which silent exports would
         otherwise hide.
         """
         by_category: Dict[str, int] = {}

@@ -180,9 +180,12 @@ def plan_promotions(samples: Sequence[Tuple[float, float, float]],
     return episodes
 
 
+#: The application a promoted background user runs.
+PROMOTED_APP = "orientation"
+
+
 def promote_user(fluid_sim, cell_id: int, index: int, rho: float,
-                 profile: AccessProfile, *, n_frames: int = 30,
-                 app_name: str = "orientation"):
+                 profile: AccessProfile, *, n_frames: int = 30):
     """Instantiate one promoted background user as an event-level session.
 
     The user's entire event-level randomness derives from the *fluid*
@@ -205,7 +208,7 @@ def promote_user(fluid_sim, cell_id: int, index: int, rho: float,
     sim = Simulator(seed=seed)
     executor = OffloadExecutor.for_cell(
         sim, profile, rho, cell_id=cell_id,
-        app=APP_ARCHETYPES[app_name], strategy=FeatureOffload())
+        app=APP_ARCHETYPES[PROMOTED_APP], strategy=FeatureOffload())
     result = executor.run(n_frames=n_frames)
 
     agg = Aggregate()

@@ -123,7 +123,7 @@ class CellSpec:
 class CellSummary:
     """One cell's per-sample statistics, accumulated in a single pass
     (:meth:`CellTimeline.summarise`) and copied from there into the
-    registry feed and the fleet aggregate."""
+    fleet aggregate."""
 
     __slots__ = ("active_users", "utilization", "per_user_up_bps",
                  "utilization_bins", "contended", "overloaded", "mar_ready")
@@ -328,47 +328,20 @@ class CellProcess:
         tl.blocked_user_seconds = blocked
 
     # ------------------------------------------------------------------
-    # Aggregation: the obs metrics-registry feed + fleet lift
+    # Aggregation
     # ------------------------------------------------------------------
-    def registry(self):
-        """Feed this cell's fluid trajectory into a metrics registry.
-
-        Uses the observability layer's typed primitives so per-cell
-        metrics merge across shards exactly like protocol/link counters
-        do — and lift into fleet aggregates through the existing
-        ``aggregate_from_registry`` mapping under ``obs.scale.*``.
-        """
-        return self._registry(self.timeline.summarise())
-
-    def _registry(self, summary: CellSummary):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        tl = self.timeline
-        reg.counter("scale.cells").inc()
-        reg.counter("scale.users").inc(tl.distinct_users)
-        reg.counter("scale.fluid_steps").inc(len(tl.samples))
-        # Merging into a fresh instrument is an exact copy.
-        users = reg.gauge("scale.active_users")
-        users.moments.merge(summary.active_users)
-        if tl.samples:
-            users.value = tl.samples[-1][1]
-        util = reg.histogram("scale.utilization", 0.0, UTILIZATION_HI,
-                             UTILIZATION_BINS)
-        util.bins.merge(summary.utilization_bins)
-        util.moments.merge(summary.utilization)
-        reg.counter("scale.contended_samples").inc(summary.contended)
-        reg.counter("scale.overloaded_samples").inc(summary.overloaded)
-        return reg
-
     def aggregate(self):
         """This cell's mergeable shard contribution.
 
         Counts/histograms merge exactly; moments merge via the Chan et
         al. parallel formula — order-independent up to float rounding
         (pinned by a hypothesis property in tests/test_scale_population.py).
+        The ``obs.scale.*`` keys are the ones a metrics registry of this
+        cell would lift to through ``aggregate_from_registry``: its
+        counters as counts, the active-user gauge and the utilization
+        histogram as moments, and the histogram's bins.
         """
-        from repro.fleet.aggregate import Aggregate, aggregate_from_registry
+        from repro.fleet.aggregate import Aggregate
 
         tl = self.timeline
         summary = tl.summarise()
@@ -380,7 +353,15 @@ class CellProcess:
         agg.moment("scale.per_user_up_bps").merge(summary.per_user_up_bps)
         agg.moment("scale.service_fraction").add(tl.service_fraction)
         agg.moment("scale.mar_ready_fraction").add(summary.mar_ready_fraction)
-        agg.merge(aggregate_from_registry(self._registry(summary)))
+        agg.count("obs.scale.cells")
+        agg.count("obs.scale.users", tl.distinct_users)
+        agg.count("obs.scale.fluid_steps", len(tl.samples))
+        agg.count("obs.scale.contended_samples", summary.contended)
+        agg.count("obs.scale.overloaded_samples", summary.overloaded)
+        agg.moment("obs.scale.active_users").merge(summary.active_users)
+        agg.moment("obs.scale.utilization").merge(summary.utilization)
+        agg.histogram("obs.scale.utilization", UTILIZATION_HI,
+                      UTILIZATION_BINS).merge(summary.utilization_bins)
         return agg
 
 

@@ -276,13 +276,19 @@ def city_coverage_campaign(budget: str = "small", city_seed: int = 7,
     )
 
 
-def cell_contention_campaign(seeds: int = 8, base_seed: int = 29) -> Campaign:
+#: Replicates per load factor of the ``cell_contention`` campaign, and
+#: the campaign's base seed.
+CONTENTION_SEEDS = 8
+CONTENTION_BASE_SEED = 29
+
+
+def cell_contention_campaign() -> Campaign:
     """One cell swept across equilibrium load factors, N replicates."""
     return Campaign(
         name="cell_contention",
         scenario="cell_contention",
-        seeds=seeds,
-        base_seed=base_seed,
+        seeds=CONTENTION_SEEDS,
+        base_seed=CONTENTION_BASE_SEED,
         grid={"load": [0.3, 0.6, 0.9, 1.2]},
         params={"fluid_duration": 120.0, "duration": 1.0},
     )

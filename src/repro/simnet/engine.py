@@ -12,8 +12,8 @@ The heap stores ``(time, seq, event)`` tuples so ``heapq`` compares
 plain tuples in C instead of calling a Python ``__lt__`` per sift.
 Cancellation is *lazy*: a cancelled event keeps its heap entry and is
 skipped when popped, but the simulator counts dead entries and compacts
-the heap (filter + heapify) once they exceed both ``compact_min`` and
-``compact_ratio`` of the heap — so long ``run(until=...)`` window loops
+the heap (filter + heapify) once they exceed both ``COMPACT_MIN`` and
+``COMPACT_RATIO`` of the heap — so long ``run(until=...)`` window loops
 no longer accumulate cancelled timers (TCP/QUIC RTO re-arms, heartbeat
 deadlines) across windows.  Compaction never reorders firings: pop
 order is the total order ``(time, seq)`` regardless of the heap's
@@ -175,6 +175,14 @@ class Checkpoint:
         return self._frozen is None
 
 
+#: Never compact while fewer than this many cancelled entries sit in the
+#: heap (compaction is O(n); tiny heaps are not worth it).
+COMPACT_MIN = 64
+
+#: Compact once cancelled entries exceed this fraction of the heap.
+COMPACT_RATIO = 0.5
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -185,16 +193,9 @@ class Simulator:
         stochastic components in the reproduction draw from
         :attr:`rng` (or a child RNG derived from it) so a run is a pure
         function of its seed.
-    compact_min:
-        Never compact while fewer than this many cancelled entries sit
-        in the heap (compaction is O(n); tiny heaps are not worth it).
-    compact_ratio:
-        Compact once cancelled entries exceed this fraction of the
-        heap.
     """
 
-    def __init__(self, seed: int = 0, compact_min: int = 64,
-                 compact_ratio: float = 0.5) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.seed = seed
         self.rng = random.Random(seed)
@@ -204,8 +205,6 @@ class Simulator:
         self._running = False
         self._pending = 0      # live (not cancelled, not fired) events
         self._cancelled = 0    # cancelled entries still in the heap
-        self.compact_min = compact_min
-        self.compact_ratio = compact_ratio
         # Counters (cheap; exposed for benchmarks and tests).
         self.events_scheduled = 0
         self.events_fired = 0
@@ -312,8 +311,8 @@ class Simulator:
     def _note_cancel(self) -> None:
         self._pending -= 1
         self._cancelled += 1
-        if (self._cancelled >= self.compact_min
-                and self._cancelled >= self.compact_ratio * len(self._heap)):
+        if (self._cancelled >= COMPACT_MIN
+                and self._cancelled >= COMPACT_RATIO * len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:

@@ -310,16 +310,14 @@ class FaultInjector:
         self.expired = 0
 
     # ------------------------------------------------------------------
-    def apply(self, plan: FaultPlan, validate: bool = True) -> None:
+    def apply(self, plan: FaultPlan) -> None:
         """Schedule every event of the plan.
 
         The plan is validated first (see :meth:`FaultPlan.validate`) so
         a doubled event fails loudly here instead of silently composing
-        with itself mid-run; pass ``validate=False`` only when the plan
-        was already validated.
+        with itself mid-run.
         """
-        if validate:
-            plan.validate()
+        plan.validate()
         for event in plan:
             self.schedule(event)
 

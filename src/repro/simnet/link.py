@@ -173,19 +173,25 @@ class Link:
         return f"<Link {self.name} {self.rate_bps / 1e6:.1f}Mb/s {self.delay * 1e3:.1f}ms>"
 
 
+#: Seconds between two rate updates of a :class:`VariableRateLink`.
+RATE_UPDATE_INTERVAL = 0.5
+
+#: Relaxation of a :class:`VariableRateLink`'s rate toward its mean.
+RATE_ALPHA = 0.5
+
+
 class VariableRateLink(Link):
     """A link whose rate follows a clamped AR(1) process.
 
-    Every ``update_interval`` seconds the rate moves toward
-    ``mean_rate_bps`` with relaxation ``alpha`` plus lognormal noise of
+    Every ``RATE_UPDATE_INTERVAL`` seconds the rate moves toward
+    ``mean_rate_bps`` with relaxation ``RATE_ALPHA`` plus lognormal noise of
     scale ``sigma``, clamped to ``[min_rate_bps, max_rate_bps]``.  This
     captures the "abrupt changes of several orders of magnitude"
     reported for HSPA+/LTE in Section IV-A without modeling PHY detail.
     """
 
     __slots__ = (
-        "mean_rate_bps", "min_rate_bps", "max_rate_bps", "sigma", "alpha",
-        "update_interval", "rate_history",
+        "mean_rate_bps", "min_rate_bps", "max_rate_bps", "sigma", "rate_history",
     )
 
     def __init__(
@@ -197,8 +203,6 @@ class VariableRateLink(Link):
         min_rate_bps: float,
         max_rate_bps: float,
         sigma: float = 0.3,
-        alpha: float = 0.5,
-        update_interval: float = 0.5,
         **kwargs,
     ) -> None:
         super().__init__(sim, src, dst, rate_bps=mean_rate_bps, **kwargs)
@@ -208,18 +212,16 @@ class VariableRateLink(Link):
         self.min_rate_bps = min_rate_bps
         self.max_rate_bps = max_rate_bps
         self.sigma = sigma
-        self.alpha = alpha
-        self.update_interval = update_interval
         self.rate_history: list = [(0.0, mean_rate_bps)]
-        sim.schedule(update_interval, self._update_rate)
+        sim.schedule(RATE_UPDATE_INTERVAL, self._update_rate)
 
     def _update_rate(self) -> None:
         noise = self._rng.lognormvariate(0.0, self.sigma)
-        proposal = self.rate_bps * (1 - self.alpha) + self.mean_rate_bps * self.alpha
+        proposal = self.rate_bps * (1 - RATE_ALPHA) + self.mean_rate_bps * RATE_ALPHA
         proposal *= noise
         self.rate_bps = min(self.max_rate_bps, max(self.min_rate_bps, proposal))
         self.rate_history.append((self.sim.now, self.rate_bps))
-        self.sim.schedule(self.update_interval, self._update_rate)
+        self.sim.schedule(RATE_UPDATE_INTERVAL, self._update_rate)
 
 
 class DuplexLink:
@@ -244,10 +246,9 @@ class DuplexLink:
         loss: float = 0.0,
         queue_down: Optional[QueueDiscipline] = None,
         queue_up: Optional[QueueDiscipline] = None,
-        name: str = "",
     ) -> None:
         rate_up_bps = rate_up_bps if rate_up_bps is not None else rate_down_bps
-        base = name or f"{a.name}<->{b.name}"
+        base = f"{a.name}<->{b.name}"
         # "down" carries traffic toward ``b`` (the client side by
         # convention), "up" carries traffic from ``b`` toward ``a``.
         self.down = Link(

@@ -49,12 +49,11 @@ class Network:
         b: str,
         rate_bps: float,
         delay: float = 0.0,
-        jitter: float = 0.0,
         loss: float = 0.0,
         queue: Optional[QueueDiscipline] = None,
     ) -> Link:
-        """Add one unidirectional link from ``a`` to ``b``."""
-        link = Link(self.sim, self.nodes[a], self.nodes[b], rate_bps, delay, jitter, loss, queue)
+        """Add one unidirectional, jitter-free link from ``a`` to ``b``."""
+        link = Link(self.sim, self.nodes[a], self.nodes[b], rate_bps, delay, 0.0, loss, queue)
         self.links.append(link)
         return link
 

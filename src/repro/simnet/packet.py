@@ -43,8 +43,14 @@ class Packet:
         Protocol headers / application data (never serialized).
     created_at:
         Simulation time at which the packet entered the network.
+    enqueued_at:
+        When a queue last took the packet (0.0 until one does).
     hops:
-        Number of links traversed so far.
+        Number of links traversed so far (0 at construction).
+    uid:
+        A process-wide serial number, assigned at construction.
+    ecn:
+        Congestion-experienced mark (False at construction).
     """
 
     # One is built per datagram, so construction is a single
@@ -66,10 +72,6 @@ class Packet:
         flow: str = "",
         payload: Optional[Dict[str, Any]] = None,
         created_at: float = 0.0,
-        enqueued_at: float = 0.0,
-        hops: int = 0,
-        uid: Optional[int] = None,
-        ecn: bool = False,
     ) -> None:
         if size <= 0:
             raise ValueError(f"packet size must be positive, got {size}")
@@ -82,10 +84,10 @@ class Packet:
         self.flow = flow or f"{src}:{src_port}->{dst}:{dst_port}"
         self.payload = {} if payload is None else payload
         self.created_at = created_at
-        self.enqueued_at = enqueued_at
-        self.hops = hops
-        self.uid = next(_packet_ids) if uid is None else uid
-        self.ecn = ecn
+        self.enqueued_at = 0.0
+        self.hops = 0
+        self.uid = next(_packet_ids)
+        self.ecn = False
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -120,18 +120,35 @@ class _CoDelState:
         return False
 
 
+#: CoDel's target sojourn time (RFC 8289 default: 5 ms).
+CODEL_TARGET = 0.005
+
+#: CoDel's interval (RFC 8289 default: 100 ms).
+CODEL_INTERVAL = 0.1
+
+#: Hard packet capacity of the CoDel and FQ-CoDel queues (bounds memory).
+AQM_CAPACITY = 1000
+
+#: FQ-CoDel's deficit round-robin quantum, in bytes (one MTU frame).
+FQ_QUANTUM = 1514
+
+#: Number of FQ-CoDel flow buckets packets hash into.
+FQ_BUCKETS = 1024
+
+
 class CoDelQueue(QueueDiscipline):
     """Controlled-Delay active queue management.
 
-    Parameters follow the RFC 8289 defaults: ``target`` 5 ms sojourn,
-    ``interval`` 100 ms.  A hard ``capacity`` bounds memory.
+    Parameters follow the RFC 8289 defaults (``CODEL_TARGET`` 5 ms
+    sojourn, ``CODEL_INTERVAL`` 100 ms).  A hard ``AQM_CAPACITY`` bounds
+    memory.
     """
 
-    def __init__(self, target: float = 0.005, interval: float = 0.1, capacity: int = 1000) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.capacity = capacity
+        self.capacity = AQM_CAPACITY
         self._q: Deque[Packet] = deque()
-        self._state = _CoDelState(target, interval)
+        self._state = _CoDelState(CODEL_TARGET, CODEL_INTERVAL)
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         if len(self._q) >= self.capacity:
@@ -170,36 +187,25 @@ class _FlowBucket:
 class FQCoDelQueue(QueueDiscipline):
     """Flow-queuing CoDel (RFC 8290, simplified).
 
-    Packets hash by their ``flow`` label into ``n_buckets`` buckets.
+    Packets hash by their ``flow`` label into ``FQ_BUCKETS`` buckets.
     New (recently idle) flows get one quantum of priority service, which
     is what protects a thin latency-critical MAR flow from a bulk upload
     sharing the uplink.
     """
 
-    def __init__(
-        self,
-        target: float = 0.005,
-        interval: float = 0.1,
-        capacity: int = 1000,
-        quantum: int = 1514,
-        n_buckets: int = 1024,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.capacity = capacity
-        self.quantum = quantum
-        self.n_buckets = n_buckets
-        self.target = target
-        self.interval = interval
+        self.capacity = AQM_CAPACITY
         self._buckets: Dict[int, _FlowBucket] = {}
         self._new_flows: "OrderedDict[int, None]" = OrderedDict()
         self._old_flows: "OrderedDict[int, None]" = OrderedDict()
         self._len = 0
 
     def _bucket_for(self, packet: Packet) -> Tuple[int, _FlowBucket]:
-        idx = hash(packet.flow) % self.n_buckets
+        idx = hash(packet.flow) % FQ_BUCKETS
         bucket = self._buckets.get(idx)
         if bucket is None:
-            bucket = _FlowBucket(self.target, self.interval)
+            bucket = _FlowBucket(CODEL_TARGET, CODEL_INTERVAL)
             self._buckets[idx] = bucket
         return idx, bucket
 
@@ -228,7 +234,7 @@ class FQCoDelQueue(QueueDiscipline):
         self.byte_count += packet.size
         self._len += 1
         if was_empty and idx not in self._new_flows and idx not in self._old_flows:
-            bucket.deficit = self.quantum
+            bucket.deficit = FQ_QUANTUM
             self._new_flows[idx] = None
         return True
 
@@ -260,7 +266,7 @@ class FQCoDelQueue(QueueDiscipline):
                 self._old_flows.pop(idx, None)
                 continue
             if bucket.deficit <= 0:
-                bucket.deficit += self.quantum
+                bucket.deficit += FQ_QUANTUM
                 self._rotate(idx, from_new)
                 continue
             packet = bucket.q.popleft()

@@ -101,12 +101,20 @@ class TraceReplayLink(Link):
         return self._rate_at(self.sim.now) <= 0.0
 
 
-def commute_trace(
-    good_bps: float = 15e6,
-    driving_bps: float = 4e6,
-    tunnel_seconds: float = 8.0,
-    segment_seconds: float = 20.0,
-) -> List[RatePoint]:
+#: The commute trace's rate with good signal at a stop, in bit/s.
+COMMUTE_GOOD_BPS = 15e6
+
+#: The commute trace's degraded rate while driving, in bit/s.
+COMMUTE_DRIVING_BPS = 4e6
+
+#: Seconds of total outage in the commute trace's tunnel.
+COMMUTE_TUNNEL_SECONDS = 8.0
+
+#: Seconds of each stop and driving segment of the commute trace.
+COMMUTE_SEGMENT_SECONDS = 20.0
+
+
+def commute_trace() -> List[RatePoint]:
     """A synthetic bus-commute LTE trace: stop → drive → tunnel → drive.
 
     One loop: good signal at a stop, degraded while moving, a total
@@ -115,14 +123,14 @@ def commute_trace(
     budget plus graceful degradation.
     """
     t0 = 0.0
-    t1 = t0 + segment_seconds              # stop (good)
-    t2 = t1 + segment_seconds              # driving (degraded)
-    t3 = t2 + tunnel_seconds               # tunnel (outage)
-    t4 = t3 + segment_seconds              # driving again
+    t1 = t0 + COMMUTE_SEGMENT_SECONDS      # stop (good)
+    t2 = t1 + COMMUTE_SEGMENT_SECONDS      # driving (degraded)
+    t3 = t2 + COMMUTE_TUNNEL_SECONDS       # tunnel (outage)
+    t4 = t3 + COMMUTE_SEGMENT_SECONDS      # driving again
     return [
-        (t0, good_bps),
-        (t1, driving_bps),
+        (t0, COMMUTE_GOOD_BPS),
+        (t1, COMMUTE_DRIVING_BPS),
         (t2, 0.0),
-        (t3, driving_bps),
-        (t4, good_bps),
+        (t3, COMMUTE_DRIVING_BPS),
+        (t4, COMMUTE_GOOD_BPS),
     ]

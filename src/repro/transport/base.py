@@ -79,19 +79,26 @@ class Reassembly:
         return advances
 
 
+#: :meth:`RttEstimator.timeout` before the first RTT sample, in seconds.
+RTT_INITIAL_TIMEOUT = 0.2
+
+#: Lower clamp of :meth:`RttEstimator.timeout`, in seconds.
+RTT_TIMEOUT_FLOOR = 0.02
+
+#: Upper clamp of :meth:`RttEstimator.timeout`, in seconds.
+RTT_TIMEOUT_CAP = 2.0
+
+
 class RttEstimator:
     """Smoothed RTT and variance (RFC 6298 constants).
 
     ``timeout()`` returns ``srtt + 4·rttvar`` clamped to
-    ``[floor, cap]`` — the heartbeat's liveness timer (TCP and QUIC
-    clamp their own).  Before any sample the timer sits at ``initial``.
+    ``[RTT_TIMEOUT_FLOOR, RTT_TIMEOUT_CAP]`` — the heartbeat's liveness
+    timer (TCP and QUIC clamp their own).  Before any sample the timer
+    sits at ``RTT_INITIAL_TIMEOUT``.
     """
 
-    def __init__(self, initial: float = 0.2, floor: float = 0.02,
-                 cap: float = 2.0) -> None:
-        self.initial = initial
-        self.floor = floor
-        self.cap = cap
+    def __init__(self) -> None:
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
         self.samples = 0
@@ -109,5 +116,5 @@ class RttEstimator:
 
     def timeout(self) -> float:
         if self.srtt is None:
-            return self.initial
-        return min(self.cap, max(self.floor, self.srtt + 4 * self.rttvar))
+            return RTT_INITIAL_TIMEOUT
+        return min(RTT_TIMEOUT_CAP, max(RTT_TIMEOUT_FLOOR, self.srtt + 4 * self.rttvar))

@@ -238,8 +238,7 @@ class MptcpReceiver:
     the original behaviour.
     """
 
-    def __init__(self, host: Host, ports: List[int],
-                 sender: Optional[MptcpSender] = None) -> None:
+    def __init__(self, host: Host, ports: List[int]) -> None:
         self.host = host
         self.sim = host.sim
         self.bytes_received = 0
@@ -255,8 +254,6 @@ class MptcpReceiver:
                         on_accept=functools.partial(self._on_accept, i))
             for i, port in enumerate(ports)
         ]
-        if sender is not None:
-            self.attach_sender(sender)
 
     def attach_sender(self, sender: MptcpSender) -> None:
         """Wire the sender whose ``dsn_log`` describes subflow payloads."""

@@ -30,6 +30,13 @@ from repro.simnet.packet import Packet
 from repro.simnet.queues import QueueDiscipline
 
 
+#: A reservation's token bucket holds this many seconds of its rate.
+BURST_SECONDS = 0.05
+
+#: The share of each link's capacity reservations may promise away.
+ADMISSION_FRACTION = 0.8
+
+
 class AdmissionError(RuntimeError):
     """The requested reservation exceeds a link's admittable capacity."""
 
@@ -52,10 +59,9 @@ class ReservedQueue(QueueDiscipline):
     so idle reservations cannot save up unbounded credit.
     """
 
-    def __init__(self, capacity: int = 1000, burst_seconds: float = 0.05) -> None:
+    def __init__(self, capacity: int = 1000) -> None:
         super().__init__()
         self.capacity = capacity
-        self.burst_seconds = burst_seconds
         self._reservations: Dict[str, _Reservation] = {}
         self._best_effort: Deque[Packet] = deque()
         self._last_refill = 0.0
@@ -65,7 +71,7 @@ class ReservedQueue(QueueDiscipline):
     def add_reservation(self, flow: str, rate_bps: float) -> None:
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
-        burst = rate_bps * self.burst_seconds
+        burst = rate_bps * BURST_SECONDS
         self._reservations[flow] = _Reservation(
             flow=flow, rate_bps=rate_bps, bucket_bits=burst, max_burst_bits=burst,
         )
@@ -142,13 +148,12 @@ class ReservedQueue(QueueDiscipline):
 class ReservationTable:
     """Network-wide reservation bookkeeping with admission control.
 
-    ``admission_fraction`` bounds how much of each link's capacity may
+    ``ADMISSION_FRACTION`` bounds how much of each link's capacity may
     be promised away (the rest stays best-effort).
     """
 
-    def __init__(self, net: Network, admission_fraction: float = 0.8) -> None:
+    def __init__(self, net: Network) -> None:
         self.net = net
-        self.admission_fraction = admission_fraction
 
     def reserve_path(self, src: str, dst: str, flow: str, rate_bps: float) -> List[Link]:
         """Install a guaranteed rate for ``flow`` on every link of the
@@ -159,7 +164,7 @@ class ReservationTable:
         for link in links:
             queue = link.queue
             already = queue.reserved_rate_bps() if isinstance(queue, ReservedQueue) else 0.0
-            if already + rate_bps > link.rate_bps * self.admission_fraction:
+            if already + rate_bps > link.rate_bps * ADMISSION_FRACTION:
                 raise AdmissionError(
                     f"link {link.name} cannot admit {rate_bps / 1e6:.2f} Mb/s "
                     f"(reserved {already / 1e6:.2f} of {link.rate_bps / 1e6:.2f})"

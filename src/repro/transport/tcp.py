@@ -32,6 +32,16 @@ from repro.transport.base import Reassembly, RttEstimator, SocketBase
 MSS = 1460
 ACK_SIZE = IP_TCP_HEADER
 
+#: The receiver's advertised window, in bytes (never the bottleneck).
+RWND = 10_000_000
+
+#: Floor of the retransmission timeout, in seconds.
+MIN_RTO = 0.2
+
+#: The first local port a :class:`TcpListener` gives an accepted
+#: connection (the next free one above it after that).
+FIRST_ACCEPT_PORT = 40000
+
 # States
 CLOSED = "closed"
 SYN_SENT = "syn-sent"
@@ -61,19 +71,12 @@ class TcpConnection(SocketBase):
         dst: str,
         dst_port: int,
         mss: int = MSS,
-        rwnd: int = 10_000_000,
-        min_rto: float = 0.2,
-        delayed_ack: bool = True,
-        on_data: Optional[Callable[[int], None]] = None,
     ) -> None:
         super().__init__(host, port)
         self.dst = dst
         self.dst_port = dst_port
         self.mss = mss
-        self.rwnd = rwnd
-        self.min_rto = min_rto
-        self.delayed_ack = delayed_ack
-        self.on_data = on_data
+        self.on_data: Optional[Callable[[int], None]] = None
         self.state = CLOSED
         self.on_established: Optional[Callable[[], None]] = None
         self.on_complete: Optional[Callable[[], None]] = None
@@ -155,7 +158,7 @@ class TcpConnection(SocketBase):
         return max(0, limit - self.snd_nxt)
 
     def _window(self) -> int:
-        return int(min(self.cwnd, self.rwnd))
+        return int(min(self.cwnd, RWND))
 
     def _try_send(self) -> None:
         if self.state != ESTABLISHED:
@@ -270,14 +273,14 @@ class TcpConnection(SocketBase):
                 self.bytes_delivered += advance
                 if self.on_data is not None:
                     self.on_data(advance)
-        if in_order and self.delayed_ack:
+        if in_order:
             self._ack_pending += 1
             if self._ack_pending >= 2:
                 self._emit_ack()
             elif self._ack_event is None:
                 self._ack_event = self.sim.schedule(0.04, self._emit_ack)
         else:
-            # Out-of-order (or delayed-ack off): ACK immediately so the
+            # Out-of-order: ACK immediately so the
             # sender sees dupacks quickly.
             self._emit_ack()
 
@@ -309,7 +312,7 @@ class TcpConnection(SocketBase):
         sent = self._send_times.get(self.snd_una)
         if sent is not None and not sent[1]:
             self.rtt.sample(self.sim.now - sent[0])
-            self.rto = max(self.min_rto, self.rtt.srtt + 4 * self.rtt.rttvar)
+            self.rto = max(MIN_RTO, self.rtt.srtt + 4 * self.rtt.rttvar)
             self._backoff = 1
         # No seq below snd_una is sent again: the acked ones top the heap.
         sent_seqs = self._sent_seqs
@@ -372,11 +375,10 @@ class TcpListener(SocketBase):
         host: Host,
         port: int,
         on_accept: Optional[Callable[[TcpConnection], None]] = None,
-        next_port: int = 40000,
     ) -> None:
         super().__init__(host, port)
         self.on_accept = on_accept
-        self._next_port = next_port
+        self._next_port = FIRST_ACCEPT_PORT
         self._conns: Dict[Tuple[str, int], TcpConnection] = {}
 
     def on_packet(self, packet: Packet) -> None:

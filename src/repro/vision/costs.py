@@ -60,9 +60,12 @@ class StageCosts:
         )
 
 
+#: RANSAC iterations :func:`estimate_stage_costs` prices.
+RANSAC_ITERS = 400
+
+
 def estimate_stage_costs(n_pixels: int, n_keypoints: int = 300,
-                         n_ref_keypoints: int = 300,
-                         ransac_iters: int = 400) -> StageCosts:
+                         n_ref_keypoints: int = 300) -> StageCosts:
     """Analytic per-stage cost of full recognition, without running it.
 
     Applies the module's cycle constants to nominal workload sizes,
@@ -74,6 +77,6 @@ def estimate_stage_costs(n_pixels: int, n_keypoints: int = 300,
         detect=n_pixels * CYCLES_PER_PIXEL_DETECT / 1e6,
         describe=n_keypoints * CYCLES_PER_KEYPOINT_DESCRIBE / 1e6,
         match=n_keypoints * n_ref_keypoints * CYCLES_PER_MATCH_PAIR / 1e6,
-        ransac=ransac_iters * CYCLES_PER_RANSAC_ITER / 1e6,
+        ransac=RANSAC_ITERS * CYCLES_PER_RANSAC_ITER / 1e6,
         render=n_pixels * CYCLES_PER_PIXEL_RENDER / 1e6,
     )

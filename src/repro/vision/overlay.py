@@ -89,37 +89,40 @@ class PanningCamera:
         return math.degrees(2 * math.pi * self.yaw_amplitude / self.period)
 
 
-def misalignment_px(
-    h_current: np.ndarray,
-    h_stale: np.ndarray,
-    anchor: np.ndarray = DEFAULT_ANCHOR,
-) -> float:
-    """Mean corner displacement (pixels) between the overlay's true and
-    rendered positions."""
-    true_px = apply_homography(h_current, anchor)
-    drawn_px = apply_homography(h_stale, anchor)
+def misalignment_px(h_current: np.ndarray, h_stale: np.ndarray) -> float:
+    """Mean displacement (pixels) of the ``DEFAULT_ANCHOR`` corners
+    between the overlay's true and rendered positions."""
+    true_px = apply_homography(h_current, DEFAULT_ANCHOR)
+    drawn_px = apply_homography(h_stale, DEFAULT_ANCHOR)
     return float(np.linalg.norm(true_px - drawn_px, axis=1).mean())
+
+
+#: Seconds between two display refreshes (a 60 Hz display).
+DISPLAY_DT = 1.0 / 60.0
+
+#: :func:`acceptable_latency`: the mean misalignment users start to
+#: notice (5 px on a 320-wide frame), the search's resolution and its
+#: upper bound, in seconds.
+MAX_ERROR_PX = 5.0
+LATENCY_RESOLUTION = 0.001
+LATENCY_CEILING = 0.5
 
 
 def misalignment_profile(
     camera: PanningCamera,
     latencies: Sequence[float],
     duration: float = 5.0,
-    dt: float = 1.0 / 60.0,
-    anchor: np.ndarray = DEFAULT_ANCHOR,
 ) -> List[Tuple[float, float, float]]:
     """(latency, mean_error_px, p95_error_px) over a motion episode.
 
-    Samples the camera at display rate; for each latency L the renderer
-    uses the homography from t − L.
+    Samples the camera at display rate (``DISPLAY_DT``); for each
+    latency L the renderer uses the homography from t − L.
     """
     out: List[Tuple[float, float, float]] = []
-    times = np.arange(max(latencies), duration, dt)
+    times = np.arange(max(latencies), duration, DISPLAY_DT)
     for latency in latencies:
         errors = [
-            misalignment_px(
-                camera.homography_at(t), camera.homography_at(t - latency), anchor
-            )
+            misalignment_px(camera.homography_at(t), camera.homography_at(t - latency))
             for t in times
         ]
         errors.sort()
@@ -129,22 +132,18 @@ def misalignment_profile(
     return out
 
 
-def acceptable_latency(
-    camera: PanningCamera,
-    max_error_px: float = 5.0,
-    resolution: float = 0.001,
-    ceiling: float = 0.5,
-) -> float:
-    """Largest motion-to-photon latency keeping mean error ≤ threshold.
+def acceptable_latency(camera: PanningCamera) -> float:
+    """Largest motion-to-photon latency keeping mean error ≤
+    ``MAX_ERROR_PX``.
 
     Binary-searches the misalignment profile; 5 px on a 320-wide frame
     is roughly the registration error users start noticing.
     """
-    lo, hi = 0.0, ceiling
-    while hi - lo > resolution:
+    lo, hi = 0.0, LATENCY_CEILING
+    while hi - lo > LATENCY_RESOLUTION:
         mid = (lo + hi) / 2
         (_, mean_error, _), = misalignment_profile(camera, [mid], duration=3.0)
-        if mean_error <= max_error_px:
+        if mean_error <= MAX_ERROR_PX:
             lo = mid
         else:
             hi = mid

@@ -21,13 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def default_intrinsics(width: int = 320, height: int = 240,
-                       fov_deg: float = 65.0) -> np.ndarray:
-    """A plausible pinhole camera matrix for a given image size/FOV."""
-    focal = (width / 2) / np.tan(np.radians(fov_deg) / 2)
+#: The default camera: image width and height in pixels, horizontal
+#: field of view in degrees.
+IMAGE_WIDTH, IMAGE_HEIGHT = 320, 240
+FOV_DEG = 65.0
+
+
+def default_intrinsics() -> np.ndarray:
+    """A plausible pinhole camera matrix for the default image size/FOV."""
+    focal = (IMAGE_WIDTH / 2) / np.tan(np.radians(FOV_DEG) / 2)
     return np.array(
-        [[focal, 0.0, width / 2.0],
-         [0.0, focal, height / 2.0],
+        [[focal, 0.0, IMAGE_WIDTH / 2.0],
+         [0.0, focal, IMAGE_HEIGHT / 2.0],
          [0.0, 0.0, 1.0]]
     )
 

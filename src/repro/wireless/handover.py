@@ -11,7 +11,7 @@ walks a mobility trace through it and classifies every tick:
 
 - ``in_range`` — at least one AP's radio footprint covers the walker;
 - ``usable`` — the best AP is open, its backhaul works, association
-  (``assoc_time``) has completed since entering it, and the walker is
+  (``ASSOC_TIME``) has completed since entering it, and the walker is
   not inside a handover gap.
 
 The same map answers cellular availability with a hashed Bernoulli
@@ -25,7 +25,27 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.wireless.mobility import Waypoint
+from repro.wireless.mobility import AREA_HEIGHT, AREA_WIDTH, Waypoint
+
+#: Share of the cellular layer's grid cells that have coverage.
+CELLULAR_COVERAGE = 0.9923
+
+#: Side of one cell of the cellular coverage grid, in metres.
+CELLULAR_GRID = 100.0
+
+#: :meth:`CoverageMap.urban`: APs scattered over the area, their
+#: footprint radius (m), and the shares that are open and that have a
+#: working backhaul.
+URBAN_N_APS = 420
+URBAN_AP_RADIUS = 110.0
+URBAN_OPEN_FRACTION = 0.27
+URBAN_BACKHAUL_OK_FRACTION = 0.9
+
+#: Seconds of scan + associate + DHCP before a joined AP is usable.
+ASSOC_TIME = 8.0
+
+#: Extra dead seconds when switching from one AP to another.
+HANDOVER_GAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -92,21 +112,15 @@ class ConnectivityTrace:
 
 
 class CoverageMap:
-    """APs scattered over a ``width``×``height`` area plus a cellular layer."""
+    """APs scattered over an area plus a cellular layer."""
 
     def __init__(
         self,
-        width: float = 2000.0,
-        height: float = 2000.0,
         aps: Optional[Sequence[AccessPoint]] = None,
-        cellular_coverage: float = 0.9923,
         seed: int = 0,
     ) -> None:
-        self.width = width
-        self.height = height
         #: Fixed at construction: the grid index of best_ap is built from it.
         self.aps: Tuple[AccessPoint, ...] = tuple(aps) if aps is not None else ()
-        self.cellular_coverage = cellular_coverage
         self.seed = seed
         # The grid index of best_ap: square buckets strictly wider than
         # every footprint (and at least 1 m, so zero-radius APs still
@@ -120,19 +134,10 @@ class CoverageMap:
 
     # ------------------------------------------------------------------
     @classmethod
-    def urban(
-        cls,
-        width: float = 2000.0,
-        height: float = 2000.0,
-        n_aps: int = 420,
-        radius: float = 110.0,
-        open_fraction: float = 0.27,
-        backhaul_ok_fraction: float = 0.9,
-        seed: int = 0,
-    ) -> "CoverageMap":
-        """Generate a dense urban AP deployment.
+    def urban(cls, seed: int = 0) -> "CoverageMap":
+        """Generate a dense urban AP deployment over the city area.
 
-        The defaults are tuned so that a random-waypoint walk sees WiFi
+        The ``URBAN_*`` constants are tuned so that a random-waypoint walk sees WiFi
         radio coverage ~99 % of the time while only ~55-60 % of APs
         yield a usable connection — the regime of the Wi2Me study.
         """
@@ -140,22 +145,22 @@ class CoverageMap:
         aps = [
             AccessPoint(
                 name=f"ap{i}",
-                x=rng.uniform(0, width),
-                y=rng.uniform(0, height),
-                radius=radius,
-                open=rng.random() < open_fraction,
-                backhaul_ok=rng.random() < backhaul_ok_fraction,
+                x=rng.uniform(0, AREA_WIDTH),
+                y=rng.uniform(0, AREA_HEIGHT),
+                radius=URBAN_AP_RADIUS,
+                open=rng.random() < URBAN_OPEN_FRACTION,
+                backhaul_ok=rng.random() < URBAN_BACKHAUL_OK_FRACTION,
             )
-            for i in range(n_aps)
+            for i in range(URBAN_N_APS)
         ]
-        return cls(width, height, aps, seed=seed)
+        return cls(aps, seed=seed)
 
     # ------------------------------------------------------------------
-    def cellular_at(self, p: Waypoint, grid: float = 100.0) -> bool:
+    def cellular_at(self, p: Waypoint) -> bool:
         """Deterministic Bernoulli field: dead zones on a coarse grid."""
-        cell = (int(p.x // grid), int(p.y // grid))
+        cell = (int(p.x // CELLULAR_GRID), int(p.y // CELLULAR_GRID))
         rng = random.Random(f"{self.seed}:{cell[0]}:{cell[1]}")
-        return rng.random() < self.cellular_coverage
+        return rng.random() < CELLULAR_COVERAGE
 
     def best_ap(self, p: Waypoint) -> Optional[AccessPoint]:
         """Nearest covering AP, preferring open ones.
@@ -188,16 +193,11 @@ class CoverageMap:
         covering.sort(key=lambda ap: (not ap.open, math.hypot(p.x - ap.x, p.y - ap.y)))
         return covering[0]
 
-    def connectivity(
-        self,
-        trajectory: Sequence[Waypoint],
-        assoc_time: float = 8.0,
-        handover_gap: float = 4.0,
-    ) -> ConnectivityTrace:
+    def connectivity(self, trajectory: Sequence[Waypoint]) -> ConnectivityTrace:
         """Classify every sample of a mobility trace.
 
-        ``assoc_time`` models scan+associate+DHCP when joining an AP;
-        ``handover_gap`` the additional dead time when switching APs
+        ``ASSOC_TIME`` models scan+associate+DHCP when joining an AP;
+        ``HANDOVER_GAP`` the additional dead time when switching APs
         ("handover ... can cause several seconds gaps").
         """
         trace = ConnectivityTrace()
@@ -210,7 +210,7 @@ class CoverageMap:
                 current_ap = None
                 usable_from = math.inf
             elif ap.name != current_ap:
-                penalty = assoc_time + (handover_gap if current_ap is not None else 0.0)
+                penalty = ASSOC_TIME + (HANDOVER_GAP if current_ap is not None else 0.0)
                 current_ap = ap.name
                 usable_from = p.t + penalty
             usable = (

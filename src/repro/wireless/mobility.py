@@ -14,6 +14,19 @@ import random
 from dataclasses import dataclass
 from typing import List
 
+#: The city area walkers move in (and APs are scattered over), metres.
+AREA_WIDTH = 2000.0
+AREA_HEIGHT = 2000.0
+
+#: A random-waypoint leg's speed is uniform in ``[V_MIN, V_MAX]`` m/s.
+V_MIN, V_MAX = 0.5, 2.0
+
+#: A walker pauses up to this many seconds at each destination.
+MAX_PAUSE = 60.0
+
+#: Seconds between two samples of a trajectory.
+SAMPLE_TICK = 1.0
+
 
 @dataclass(frozen=True)
 class Waypoint:
@@ -25,44 +38,32 @@ class Waypoint:
 
 
 class RandomWaypoint:
-    """Random-waypoint mobility in a ``width``×``height`` metre area.
+    """Random-waypoint mobility in the ``AREA_WIDTH``×``AREA_HEIGHT``
+    metre area.
 
     The walker picks a uniform destination and a uniform speed in
-    ``[v_min, v_max]``, walks there in a straight line, pauses up to
-    ``max_pause`` seconds, and repeats.
+    ``[V_MIN, V_MAX]``, walks there in a straight line, pauses up to
+    ``MAX_PAUSE`` seconds, and repeats.
     """
 
-    def __init__(
-        self,
-        width: float = 2000.0,
-        height: float = 2000.0,
-        v_min: float = 0.5,
-        v_max: float = 2.0,
-        max_pause: float = 60.0,
-        seed: int = 0,
-    ) -> None:
-        if v_min <= 0 or v_max < v_min:
-            raise ValueError("need 0 < v_min <= v_max")
-        self.width = width
-        self.height = height
-        self.v_min = v_min
-        self.v_max = v_max
-        self.max_pause = max_pause
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
-    def trajectory(self, duration: float, tick: float = 1.0) -> List[Waypoint]:
-        """Sample the walk every ``tick`` seconds for ``duration`` seconds."""
+    def trajectory(self, duration: float) -> List[Waypoint]:
+        """Sample the walk every ``SAMPLE_TICK`` seconds for ``duration``
+        seconds."""
+        tick = SAMPLE_TICK
         rng = self._rng
-        x = rng.uniform(0, self.width)
-        y = rng.uniform(0, self.height)
+        x = rng.uniform(0, AREA_WIDTH)
+        y = rng.uniform(0, AREA_HEIGHT)
         samples: List[Waypoint] = []
         t = 0.0
         while t < duration:
             # Choose next leg.
-            dest_x = rng.uniform(0, self.width)
-            dest_y = rng.uniform(0, self.height)
-            speed = rng.uniform(self.v_min, self.v_max)
-            pause = rng.uniform(0, self.max_pause)
+            dest_x = rng.uniform(0, AREA_WIDTH)
+            dest_y = rng.uniform(0, AREA_HEIGHT)
+            speed = rng.uniform(V_MIN, V_MAX)
+            pause = rng.uniform(0, MAX_PAUSE)
             leg_len = math.hypot(dest_x - x, dest_y - y)
             leg_time = leg_len / speed
             # Walk the leg.

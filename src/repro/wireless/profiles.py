@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.simnet.link import VariableRateLink
 from repro.simnet.network import Network
-from repro.simnet.queues import DropTailQueue, QueueDiscipline
+from repro.simnet.queues import DropTailQueue
 
 #: Minimum uplink bandwidth for "a video feed with enough information to
 #: perform advanced AR operations" (Section III-B).
@@ -97,6 +97,11 @@ def load_factors(utilization: float) -> LoadFactors:
     extra_loss = min(max(rho - 1.0, 0.0) / max(rho, 1.0), MAX_OVERLOAD_LOSS)
     return LoadFactors(share=share, delay_factor=delay_factor,
                        extra_loss=extra_loss)
+
+
+#: Packets of a profile's default uplink drop-tail buffer: the oversized
+#: ~1000 the paper calls out (Section VI-H).
+UPLINK_BUFFER_PACKETS = 1000
 
 
 @dataclass(frozen=True)
@@ -181,23 +186,19 @@ class AccessProfile:
         net: Network,
         infrastructure: str,
         device: str,
-        queue_down: Optional[QueueDiscipline] = None,
-        queue_up: Optional[QueueDiscipline] = None,
-        uplink_buffer_packets: int = 1000,
-        static: bool = False,
     ) -> Dict[str, VariableRateLink]:
         """Attach this access technology between two existing nodes.
 
         ``down`` carries infrastructure→device traffic, ``up`` the
-        reverse.  The uplink buffer defaults to the oversized ~1000
-        packets the paper calls out (Section VI-H).  With
-        ``static=True`` the rate process is frozen at the mean (useful
-        for deterministic unit tests).
+        reverse.  The uplink buffer is the oversized
+        ``UPLINK_BUFFER_PACKETS`` the paper calls out (Section VI-H).  A
+        profile with ``sigma=0`` keeps the rate process frozen at the
+        mean.
         """
         sim = net.sim
-        sigma = 0.0 if static else self.sigma
-        qd = queue_down if queue_down is not None else DropTailQueue(100)
-        qu = queue_up if queue_up is not None else DropTailQueue(uplink_buffer_packets)
+        sigma = self.sigma
+        qd = DropTailQueue(100)
+        qu = DropTailQueue(UPLINK_BUFFER_PACKETS)
         down = VariableRateLink(
             sim,
             net[infrastructure],

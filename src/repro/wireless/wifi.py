@@ -37,16 +37,16 @@ def frame_airtime(phy_rate_bps: float, payload: int = FRAME_PAYLOAD) -> float:
     return FRAME_OVERHEAD + payload * 8 / phy_rate_bps
 
 
-def anomaly_throughput(phy_rates_bps: List[float], payload: int = FRAME_PAYLOAD) -> List[float]:
+def anomaly_throughput(phy_rates_bps: List[float]) -> List[float]:
     """Closed-form per-station throughput under saturation.
 
-    With equal access probability each station sends one frame per
-    "round" of N frames, so every station's goodput is
-    ``payload / sum_i airtime_i`` — the Heusse et al. result.  Returns
-    bits/s per station (all equal).
+    With equal access probability each station sends one frame of
+    ``FRAME_PAYLOAD`` bytes per "round" of N frames, so every station's
+    goodput is ``FRAME_PAYLOAD / sum_i airtime_i`` — the Heusse et al.
+    result.  Returns bits/s per station (all equal).
     """
-    total_airtime = math.fsum(frame_airtime(r, payload) for r in phy_rates_bps)
-    per_station = payload * 8 / total_airtime
+    total_airtime = math.fsum(frame_airtime(r) for r in phy_rates_bps)
+    per_station = FRAME_PAYLOAD * 8 / total_airtime
     return [per_station for _ in phy_rates_bps]
 
 

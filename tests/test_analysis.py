@@ -95,7 +95,7 @@ class TestFormatting:
 
 class TestFigure:
     def test_render_contains_series_glyphs(self):
-        fig = Figure("demo", width=40, height=8)
+        fig = Figure("demo")
         fig.add_series("up", [(0, 0), (1, 1), (2, 2)])
         fig.add_series("down", [(0, 2), (1, 1), (2, 0)])
         out = fig.render()
@@ -107,7 +107,7 @@ class TestFigure:
         assert "(no data)" in Figure("empty").render()
 
     def test_render_flat_series(self):
-        fig = Figure("flat", width=20, height=4)
+        fig = Figure("flat")
         fig.add_series("s", [(0, 5.0), (1, 5.0)])
         out = fig.render()
         assert "*" in out

@@ -9,7 +9,7 @@ bug to the breaker itself rather than the harness or engine.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.resilience import BreakerState, CircuitBreaker
+from repro.core.resilience import COOLDOWN_FACTOR, BreakerState, CircuitBreaker
 
 
 class FakeClock:
@@ -24,7 +24,7 @@ def make_breaker():
     clock = FakeClock()
     breaker = CircuitBreaker(
         clock=clock, failure_threshold=2,
-        cooldown=0.2, cooldown_factor=2.0, cooldown_cap=0.8,
+        cooldown=0.2, cooldown_cap=0.8,
     )
     return clock, breaker
 
@@ -135,7 +135,7 @@ def test_failed_probes_grow_cooldown_geometrically_to_cap(probe_failures):
         assert breaker.allow_request()           # half-open probe
         breaker.record_failure()                 # probe fails, re-opens
         expected = min(breaker.cooldown_cap,
-                       expected * breaker.cooldown_factor)
+                       expected * COOLDOWN_FACTOR)
         assert breaker.state is BreakerState.OPEN
         assert breaker._cooldown == expected
     breaker.record_success()

@@ -20,7 +20,7 @@ def test_breaker_run_exits_zero_and_writes_summary(tmp_path, capsys):
 
 
 def test_selfcheck_writes_replayable_artifacts(tmp_path, capsys):
-    rc = main(["check", "--selfcheck", "--out", str(tmp_path)])
+    rc = main(["check", "--harness", "selfcheck", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "replay reproduced byte-identically" in out

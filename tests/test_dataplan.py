@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mar import dataplan
 from repro.mar.dataplan import (
     DataPlan,
     TYPICAL_PLANS,
@@ -50,7 +51,8 @@ class TestMonthlyEconomics:
         choice = cheapest_plan(20e9)
         assert not choice.throttles
 
-    def test_no_viable_plan_raises(self):
+    def test_no_viable_plan_raises(self, monkeypatch):
         only_throttled = {"t": TYPICAL_PLANS["throttled"]}
+        monkeypatch.setattr(dataplan, "TYPICAL_PLANS", only_throttled)
         with pytest.raises(ValueError):
-            cheapest_plan(50e9, only_throttled)
+            cheapest_plan(50e9)

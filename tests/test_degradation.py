@@ -44,7 +44,7 @@ def test_moderate_congestion_sheds_lowest_priority_first():
 
 
 def test_severe_congestion_drops_droppables_keeps_guarantees():
-    streams = mar_baseline_streams(video_nominal_bps=8e6, ref_frame_bps=1.2e6)
+    streams = mar_baseline_streams(video_nominal_bps=8e6)
     ctl = DegradationController(streams)
     meta = streams[0]
     # Budget below even metadata+sensors floors.

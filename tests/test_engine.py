@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simnet import engine
 from repro.simnet.engine import Simulator
 
 
@@ -169,8 +170,9 @@ def test_child_rng_rejects_a_repeated_tag():
 # Hot-path machinery: compaction, O(1) pending, reschedule, clock rules
 # ----------------------------------------------------------------------
 
-def test_compaction_triggers_and_preserves_events():
-    sim = Simulator(compact_min=8, compact_ratio=0.5)
+def test_compaction_triggers_and_preserves_events(monkeypatch):
+    monkeypatch.setattr(engine, "COMPACT_MIN", 8)
+    sim = Simulator()
     keep = []
     survivors = [sim.schedule(10.0 + i, keep.append, i) for i in range(4)]
     doomed = [sim.schedule(1.0 + 0.001 * i, lambda: keep.append("bad"))
@@ -186,16 +188,19 @@ def test_compaction_triggers_and_preserves_events():
     assert keep == [0, 1, 2, 3]
 
 
-def test_no_compaction_below_min_threshold():
-    sim = Simulator(compact_min=64, compact_ratio=0.0)
+def test_no_compaction_below_min_threshold(monkeypatch):
+    monkeypatch.setattr(engine, "COMPACT_RATIO", 0.0)
+    sim = Simulator()
     for i in range(10):
         sim.schedule(1.0 + i, lambda: None).cancel()
     assert sim.compactions == 0
     assert sim.heap_size - sim.pending == 10
 
 
-def test_pending_counter_consistent_under_interleaving():
-    sim = Simulator(compact_min=4, compact_ratio=0.25)
+def test_pending_counter_consistent_under_interleaving(monkeypatch):
+    monkeypatch.setattr(engine, "COMPACT_MIN", 4)
+    monkeypatch.setattr(engine, "COMPACT_RATIO", 0.25)
+    sim = Simulator()
 
     def naive_pending(s):
         return sum(1 for _, _, e in s._heap

@@ -25,6 +25,7 @@ from repro.core.session import ScenarioBuilder
 from repro.mar.application import APP_ARCHETYPES
 from repro.mar.devices import SMARTPHONE
 from repro.mar.offload import FullOffload, ResilientOffloadExecutor
+from repro.simnet import engine
 from repro.simnet.engine import Simulator
 from repro.simnet.faults import FaultInjector, FaultPlan
 from repro.simnet.network import Network
@@ -65,9 +66,8 @@ def _tcp_transfer(sim, server, client, down_bps, up_bps, jitter, loss,
     return conn
 
 
-def run_tcp_trace(seed, compact_min=64, compact_ratio=0.5):
-    sim = Simulator(seed=seed, compact_min=compact_min,
-                    compact_ratio=compact_ratio)
+def run_tcp_trace(seed):
+    sim = Simulator(seed=seed)
     log = _attach_trace(sim)
     conn = _tcp_transfer(sim, "a", "b", 8e6, 2e6, jitter=0.004, loss=0.02,
                          nbytes=400_000, windows=10, window_len=1.0)
@@ -110,10 +110,14 @@ def test_tcp_trace_differs_across_seeds():
     assert _digest(log1) != _digest(log2)
 
 
-def test_compaction_tuning_does_not_change_the_trace():
+def test_compaction_tuning_does_not_change_the_trace(monkeypatch):
     """Aggressive vs. effectively-disabled compaction: identical log."""
-    eager, _ = run_tcp_trace(7, compact_min=4, compact_ratio=0.01)
-    lazy, _ = run_tcp_trace(7, compact_min=1 << 30, compact_ratio=1.0)
+    monkeypatch.setattr(engine, "COMPACT_MIN", 4)
+    monkeypatch.setattr(engine, "COMPACT_RATIO", 0.01)
+    eager, _ = run_tcp_trace(7)
+    monkeypatch.setattr(engine, "COMPACT_MIN", 1 << 30)
+    monkeypatch.setattr(engine, "COMPACT_RATIO", 1.0)
+    lazy, _ = run_tcp_trace(7)
     assert eager == lazy
 
 

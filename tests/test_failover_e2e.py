@@ -15,7 +15,7 @@ story checked end to end:
 
 import pytest
 
-from repro.core.resilience import BreakerState, ServiceMode
+from repro.core.resilience import MISS_THRESHOLD, BreakerState, ServiceMode
 from repro.core.session import ScenarioBuilder
 from repro.mar.application import APP_ARCHETYPES
 from repro.mar.devices import SMARTPHONE
@@ -70,7 +70,7 @@ class TestFailoverEndToEnd:
     def test_detection_bounded(self, session):
         _, executor, _, report = session
         assert len(report.detection_delays) >= 1
-        bound = executor.miss_threshold * executor.ping_interval \
+        bound = MISS_THRESHOLD * executor.ping_interval \
             + executor.ping_interval + 0.5
         assert all(d <= bound for d in report.detection_delays)
 

@@ -241,8 +241,6 @@ class TestPlanValidation:
         plan = FaultPlan([event, event])
         with pytest.raises(FaultPlanError):
             FaultInjector(net).apply(plan)
-        # An explicit opt-out still exists for callers that pre-validated.
-        FaultInjector(net).apply(FaultPlan([event]), validate=False)
 
 
 class TestIntrospection:

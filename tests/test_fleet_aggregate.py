@@ -168,7 +168,7 @@ class TestExtendEqualsRepeatedAdd:
 def _fill(agg, latencies, tag_count):
     agg.count("sessions", tag_count)
     agg.moment("latency").extend(latencies)
-    agg.histogram("latency", 0.0, 10.0, 20).extend(latencies)
+    agg.histogram("latency", 10.0, 20).extend(latencies)
     return agg
 
 
@@ -194,7 +194,7 @@ class TestAggregate:
         b = Aggregate()
         b.count("only_b", 2)
         b.moment("shared").add(3.0)
-        b.histogram("h", 0, 1, 4).add(0.5)
+        b.histogram("h", 1, 4).add(0.5)
         a.merge(b)
         assert a.counts == {"only_a": 1, "only_b": 2}
         assert a.moments["shared"].count == 2
@@ -202,7 +202,7 @@ class TestAggregate:
 
     def test_merge_does_not_alias_other_histogram(self):
         b = Aggregate()
-        b.histogram("h", 0, 1, 4).add(0.5)
+        b.histogram("h", 1, 4).add(0.5)
         a = Aggregate()
         a.merge(b)
         a.histograms["h"].add(0.25)

@@ -14,6 +14,7 @@ import shutil
 import pytest
 
 from repro.fleet import Campaign, FaultInjection, ResultCache, run_campaign
+from repro.fleet import workers as fleet_workers
 from repro.fleet.cache import MERGED_NAME
 from repro.scale import city_coverage_campaign
 
@@ -146,12 +147,12 @@ def test_poisoned_cache_ends_in_the_true_result_and_a_repaired_cache(
 
 
 def test_quarantined_campaign_writes_no_merged_entry_until_it_completes(
-        tmp_path):
+        tmp_path, monkeypatch, fast_backoff):
+    monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
     c = campaign()
     cache = ResultCache(tmp_path)
     faults = FaultInjection(tags=(c.shards()[2].tag,), mode="raise")
-    broken = run_campaign(c, cache=cache, faults=faults, max_attempts=2,
-                          backoff_base=0.002, backoff_cap=0.02)
+    broken = run_campaign(c, cache=cache, faults=faults)
     assert broken.quarantined == [c.shards()[2].tag]
     assert not merged_path(cache, c).exists()
 

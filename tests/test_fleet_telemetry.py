@@ -29,11 +29,13 @@ from repro.fleet.flight import (
     handler_name,
     read_flight_dump,
 )
+from repro.fleet import flight as flight_module
+from repro.fleet import telemetry as telemetry_module
+from repro.fleet import workers as fleet_workers
 from repro.fleet.telemetry import TELEMETRY_SCHEMA
 from repro.obs import validate_chrome_trace
 from repro.scale.shards import cell_contention_campaign
 
-FAST_BACKOFF = dict(backoff_base=0.002, backoff_cap=0.02)
 
 
 def tiny_campaign(seeds=2, name="tiny-telemetry"):
@@ -73,7 +75,8 @@ class TestByteIdentity:
                     == plain.per_point[point].to_json())
 
     def test_scale_campaign_identical_with_telemetry(self, tmp_path):
-        c = cell_contention_campaign(seeds=1)
+        c = cell_contention_campaign()
+        c.seeds = 1
         plain = run_campaign(c, workers=1)
         armed = instrumented(c, tmp_path, workers=1)
         assert armed.aggregate.to_json() == plain.aggregate.to_json()
@@ -130,8 +133,9 @@ class TestTelemetryDocument:
         assert doc["flight"]["spills"] >= 1
         assert doc["flight"]["events"] > 0
 
-    def test_event_cap_drops_but_counts(self):
-        collector = TelemetryCollector(event_cap=2)
+    def test_event_cap_drops_but_counts(self, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "EVENT_CAP", 2)
+        collector = TelemetryCollector()
         for i in range(5):
             collector.record({"ev": "retry", "t": float(i)})
         assert len(collector.events) == 2
@@ -171,14 +175,14 @@ class TestWorkerTimeline:
         tags = {e["name"] for e in slices}
         assert tags == {s.tag for s in tiny_campaign(seeds=3).shards()}
 
-    def test_timeline_of_faulted_run_still_validates(self, tmp_path):
+    def test_timeline_of_faulted_run_still_validates(self, tmp_path, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = tiny_campaign()
         tag = c.shards()[1].tag
         telemetry = TelemetryCollector()
         result = run_campaign(
             c, workers=1, telemetry=telemetry,
-            faults=FaultInjection(tags=(tag,), mode="raise"),
-            max_attempts=2, **FAST_BACKOFF)
+            faults=FaultInjection(tags=(tag,), mode="raise"))
         assert result.quarantined == [tag]
         timeline = worker_timeline_json(result.telemetry)
         assert validate_chrome_trace(timeline) == []
@@ -189,12 +193,13 @@ class TestWorkerTimeline:
 
 
 class TestQuarantineRecords:
-    def test_record_carries_scenario_attempts_and_traceback(self, tmp_path):
+    def test_record_carries_scenario_attempts_and_traceback(
+            self, tmp_path, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 3)
         c = tiny_campaign()
         tag = c.shards()[2].tag
         result = run_campaign(
-            c, workers=1, faults=FaultInjection(tags=(tag,), mode="raise"),
-            max_attempts=3, flight_dir=tmp_path, **FAST_BACKOFF)
+            c, workers=1, faults=FaultInjection(tags=(tag,), mode="raise"), flight_dir=tmp_path)
         outcome = next(o for o in result.outcomes if o.tag == tag)
         assert outcome.status == "quarantined"
         assert outcome.scenario == "table2_offload"
@@ -203,13 +208,13 @@ class TestQuarantineRecords:
         assert "Traceback (most recent call last)" in outcome.errors[-1]
         assert outcome.error  # last error is still summarized
 
-    def test_pooled_kill_leaves_quarantine_and_flight(self, tmp_path):
+    def test_pooled_kill_leaves_quarantine_and_flight(self, tmp_path, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = tiny_campaign(seeds=3)
         tag = c.shards()[2].tag
         result = run_campaign(
             c, workers=2, batch_size=2,
-            faults=FaultInjection(tags=(tag,), mode="kill"),
-            max_attempts=2, flight_dir=tmp_path, **FAST_BACKOFF)
+            faults=FaultInjection(tags=(tag,), mode="kill"), flight_dir=tmp_path)
         assert result.quarantined == [tag]
         outcome = next(o for o in result.outcomes if o.tag == tag)
         assert outcome.flight is not None
@@ -219,12 +224,12 @@ class TestQuarantineRecords:
 
 
 class TestFlightRecorder:
-    def test_crash_dump_written_on_raise(self, tmp_path):
+    def test_crash_dump_written_on_raise(self, tmp_path, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = tiny_campaign()
         tag = c.shards()[2].tag  # warm ring: two shards ran before it
         result = run_campaign(
-            c, workers=1, faults=FaultInjection(tags=(tag,), mode="raise"),
-            max_attempts=2, flight_dir=tmp_path, **FAST_BACKOFF)
+            c, workers=1, faults=FaultInjection(tags=(tag,), mode="raise"), flight_dir=tmp_path)
         assert result.quarantined == [tag]
         outcome = next(o for o in result.outcomes if o.tag == tag)
         assert outcome.flight is not None
@@ -236,8 +241,9 @@ class TestFlightRecorder:
         for row in doc["ring"]:
             assert set(row) == {"t", "seq", "fn"}
 
-    def test_ring_rolls_across_shards_and_spills(self, tmp_path):
-        recorder = FlightRecorder(tmp_path, capacity=4, worker_id=7)
+    def test_ring_rolls_across_shards_and_spills(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flight_module, "RING_CAPACITY", 4)
+        recorder = FlightRecorder(tmp_path, worker_id=7)
 
         class FakeEvent:
             def __init__(self, i):
@@ -259,15 +265,16 @@ class TestFlightRecorder:
         assert [r["seq"] for r in doc["ring"]] == [5, 6, 7, 8]
         assert doc["shards_seen"] == 3
 
-    def test_collect_prefers_most_informative_artifact(self, tmp_path):
-        recorder = FlightRecorder(tmp_path, capacity=8, worker_id=1)
+    def test_collect_prefers_most_informative_artifact(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flight_module, "RING_CAPACITY", 8)
+        recorder = FlightRecorder(tmp_path, worker_id=1)
 
         class FakeEvent:
             time, seq, fn = 0.5, 1, tiny_campaign
 
         recorder.hook(FakeEvent())
         recorder.begin_shard("victim", 0)  # spill with 1 ring event
-        empty = FlightRecorder(tmp_path, capacity=8, worker_id=2)
+        empty = FlightRecorder(tmp_path, worker_id=2)
         empty.begin_shard("victim", 1)     # fresh retry worker, empty ring
         found = collect_flight_dump(tmp_path, "victim")
         assert found is not None

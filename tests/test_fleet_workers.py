@@ -27,11 +27,10 @@ from repro.fleet import (
     usable_cpus,
 )
 from repro.fleet import flight as flight_recorder
+from repro.fleet import workers as fleet_workers
 from repro.fleet.cache import MERGED_NAME
 from repro.fleet.workers import MAX_BATCH, OVERSUBSCRIBE, _ShardState
 from fleet_helpers import batch_cost_efficiency
-
-FAST_BACKOFF = dict(backoff_base=0.002, backoff_cap=0.02)
 
 
 def tiny_campaign(seeds=2, name="tiny"):
@@ -99,16 +98,15 @@ class TestDeterminism:
                         == serial.per_point[point].to_json()), label
             assert fleet_report(r) == fleet_report(serial), label
 
-    def test_identical_under_injected_worker_kill(self):
+    def test_identical_under_injected_worker_kill(self, monkeypatch, fast_backoff):
         """A quarantined culprit leaves the same bytes in every mode."""
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = tiny_campaign(seeds=3)  # 6 shards
         tag = c.shards()[2].tag
         serial = run_campaign(c, workers=1,
-                              faults=FaultInjection(tags=(tag,), mode="raise"),
-                              max_attempts=2, **FAST_BACKOFF)
+                              faults=FaultInjection(tags=(tag,), mode="raise"))
         batched = run_campaign(c, workers=2, batch_size=3,
-                               faults=FaultInjection(tags=(tag,), mode="kill"),
-                               max_attempts=2, **FAST_BACKOFF)
+                               faults=FaultInjection(tags=(tag,), mode="kill"))
         assert serial.quarantined == batched.quarantined == [tag]
         # Aggregates (and per-point bytes) are identical; the rendered
         # report differs only in the quarantine error text, which
@@ -138,11 +136,11 @@ class TestDeterminism:
 
 
 class TestFaultTolerance:
-    def test_transient_fault_is_retried(self):
+    def test_transient_fault_is_retried(self, fast_backoff):
         c = tiny_campaign()
         tag = c.shards()[1].tag
         faults = FaultInjection(tags=(tag,), mode="raise", fail_attempts=1)
-        r = run_campaign(c, workers=1, faults=faults, **FAST_BACKOFF)
+        r = run_campaign(c, workers=1, faults=faults)
         assert r.quarantined == []
         outcome = next(o for o in r.outcomes if o.tag == tag)
         assert outcome.attempts == 2
@@ -150,53 +148,49 @@ class TestFaultTolerance:
         clean = run_campaign(c, workers=1)
         assert r.aggregate.to_json() == clean.aggregate.to_json()
 
-    def test_persistent_fault_quarantined_serial(self):
+    def test_persistent_fault_quarantined_serial(self, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 3)
         c = tiny_campaign()
         tag = c.shards()[0].tag
         faults = FaultInjection(tags=(tag,), mode="raise")
-        r = run_campaign(c, workers=1, faults=faults, max_attempts=3,
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=1, faults=faults)
         assert r.quarantined == [tag]
         assert r.completed == len(r.outcomes) - 1
         outcome = next(o for o in r.outcomes if o.tag == tag)
         assert outcome.attempts == 3 and "injected" in outcome.error
 
-    def test_killed_worker_quarantined_without_failing_campaign(self):
+    def test_killed_worker_quarantined_without_failing_campaign(self, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 3)
         c = tiny_campaign()
         tag = c.shards()[0].tag
         faults = FaultInjection(tags=(tag,), mode="kill")
-        r = run_campaign(c, workers=2, faults=faults, max_attempts=3,
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=2, faults=faults)
         assert r.quarantined == [tag]          # only the culprit
         assert r.completed == len(r.outcomes) - 1
         # the quarantined shard is individually replayable from its tag
         replayed = run_shard(c, tag)
         assert replayed.counts["sessions"] == 1
 
-    def test_kill_downgrades_to_raise_in_serial_fallback(self):
+    def test_kill_downgrades_to_raise_in_serial_fallback(self, monkeypatch, fast_backoff):
         """A kill-fault must never take down the serial caller."""
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = tiny_campaign()
         tag = c.shards()[0].tag
         faults = FaultInjection(tags=(tag,), mode="kill")
-        r = run_campaign(c, workers=1, faults=faults, max_attempts=2,
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=1, faults=faults)
         assert r.quarantined == [tag]
 
-    def test_quarantine_excluded_from_merge(self):
+    def test_quarantine_excluded_from_merge(self, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = tiny_campaign()
         tag = c.shards()[0].tag
         faults = FaultInjection(tags=(tag,), mode="raise")
-        r = run_campaign(c, workers=1, faults=faults, max_attempts=2,
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=1, faults=faults)
         clean = run_campaign(c, workers=1)
         assert (r.aggregate.counts["sessions"]
                 == clean.aggregate.counts["sessions"] - 1)
 
-    def test_bad_max_attempts_rejected(self):
-        with pytest.raises(ValueError):
-            run_campaign(tiny_campaign(), max_attempts=0)
-
-    def test_raise_fault_does_not_lose_batch_mates(self):
+    def test_raise_fault_does_not_lose_batch_mates(self, fast_backoff):
         """A raising shard is per-shard data; its batch-mates complete.
 
         With every shard in one batch, the faulty shard must be retried
@@ -205,8 +199,7 @@ class TestFaultTolerance:
         c = tiny_campaign(seeds=2)  # 4 shards
         tag = c.shards()[1].tag
         faults = FaultInjection(tags=(tag,), mode="raise", fail_attempts=1)
-        r = run_campaign(c, workers=2, batch_size=4, faults=faults,
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=2, batch_size=4, faults=faults)
         assert r.quarantined == []
         by_tag = {o.tag: o for o in r.outcomes}
         assert by_tag[tag].attempts == 2
@@ -220,14 +213,15 @@ class TestFailureModes:
     same way at every executor width."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_malformed_aggregate_quarantines_only_that_shard(self, workers):
+    def test_malformed_aggregate_quarantines_only_that_shard(
+            self, workers, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = Campaign(name="malformed", scenario="fleet_test_probe", seeds=1,
                      base_seed=1, grid={"n": [0, 1, 2, 3, 4, 5]},
                      params={"bad": 2})
         shards = c.shards()
         bad = shards[2].tag
-        r = run_campaign(c, workers=workers, batch_size=3, max_attempts=2,
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=workers, batch_size=3)
         assert r.quarantined == [bad]
         outcome = next(o for o in r.outcomes if o.tag == bad)
         assert "aggregate document is not a mapping" in outcome.error
@@ -244,10 +238,11 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_flight_write_error_does_not_fail_the_shard(
-            self, tmp_path, monkeypatch, workers):
+            self, tmp_path, monkeypatch, workers, fast_backoff):
         """ENOSPC on the flight directory, or a flight directory that
         cannot be created: the recorder drops its spills and crash
         dumps, and no shard is charged for them."""
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 1)
         c = tiny_campaign()
         blocker = tmp_path / "a-file"
         blocker.write_text("")
@@ -275,8 +270,8 @@ class TestFailureModes:
         # still run once.
         bad = c.shards()[1].tag
         r = run_campaign(c, workers=workers, flight_dir=flight_dir,
-                         batch_size=4, max_attempts=1,
-                         faults=FaultInjection(tags=(bad,)), **FAST_BACKOFF)
+                         batch_size=4,
+                         faults=FaultInjection(tags=(bad,)))
         assert r.quarantined == [bad]
         assert all(o.attempts == 1 for o in r.outcomes)
         assert not list(flight_dir.iterdir())
@@ -284,18 +279,18 @@ class TestFailureModes:
         # crash dump itself.
         full[:] = ["quarantine-"]
         r = run_campaign(c, workers=workers, flight_dir=flight_dir,
-                         batch_size=4, max_attempts=1,
-                         faults=FaultInjection(tags=(bad,)), **FAST_BACKOFF)
+                         batch_size=4,
+                         faults=FaultInjection(tags=(bad,)))
         assert Path(r.outcomes[1].flight).name.startswith("flight-")
 
-    def test_worker_death_charges_only_the_culprit(self):
+    def test_worker_death_charges_only_the_culprit(self, monkeypatch, fast_backoff):
         """Batch-mates of a dead worker are refunded the broken attempt:
         with one attempt each, only the culprit is quarantined."""
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 1)
         c = tiny_campaign(seeds=2)  # 4 shards
         tag = c.shards()[1].tag
-        r = run_campaign(c, workers=2, batch_size=4, max_attempts=1,
-                         faults=FaultInjection(tags=(tag,), mode="kill"),
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=2, batch_size=4,
+                         faults=FaultInjection(tags=(tag,), mode="kill"))
         assert r.quarantined == [tag]
         assert all(o.attempts == 1 for o in r.outcomes)
         assert "BrokenProcessPool" in r.outcomes[1].error
@@ -303,23 +298,24 @@ class TestFailureModes:
         assert (r.aggregate.counts["sessions"]
                 == clean.aggregate.counts["sessions"] - 1)
 
-    def test_hung_shard_is_abandoned_at_its_deadline_in_isolation(self):
-        """A shard sleeping far past ``shard_timeout`` next to a worker
+    def test_hung_shard_is_abandoned_at_its_deadline_in_isolation(self, monkeypatch, fast_backoff):
+        """A shard sleeping far past ``SHARD_TIMEOUT`` next to a worker
         killer: isolation must not join the sleeping worker."""
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(fleet_workers, "SHARD_TIMEOUT", 0.5)
         c = Campaign(name="hang", scenario="fleet_test_probe", seeds=1,
                      base_seed=1, grid={"nap": [0.0, 6.0]})
         killer, sleeper = [s.tag for s in c.shards()]
         t0 = time.monotonic()
-        r = run_campaign(c, workers=2, batch_size=2, shard_timeout=0.5,
-                         max_attempts=2,
-                         faults=FaultInjection(tags=(killer,), mode="kill"),
-                         **FAST_BACKOFF)
+        r = run_campaign(c, workers=2, batch_size=2,
+                         faults=FaultInjection(tags=(killer,), mode="kill"))
         assert time.monotonic() - t0 < 4.0
         assert r.quarantined == [killer, sleeper]
         assert r.outcomes[0].error.startswith("BrokenProcessPool")
         assert r.outcomes[1].errors == ["timeout after 0.5s"] * 2
 
-    def test_every_retry_backs_off_at_every_width(self, monkeypatch):
+    def test_every_retry_backs_off_at_every_width(self, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 3)
         draws = []
         draw = DecorrelatedBackoff.next
 
@@ -333,9 +329,8 @@ class TestFailureModes:
         per_width = {}
         for workers in (1, 2):
             draws.clear()
-            r = run_campaign(c, workers=workers, max_attempts=3,
-                             faults=FaultInjection(tags=(tag,), mode="raise"),
-                             **FAST_BACKOFF)
+            r = run_campaign(c, workers=workers,
+                             faults=FaultInjection(tags=(tag,), mode="raise"))
             assert r.quarantined == [tag]
             per_width[workers] = len(draws)
         assert per_width == {1: 2, 2: 2}
@@ -524,12 +519,13 @@ class TestCache:
         r = run_campaign(changed, workers=1, cache=ResultCache(tmp_path))
         assert r.cache_hits == 0
 
-    def test_quarantined_shards_not_cached(self, tmp_path):
+    def test_quarantined_shards_not_cached(self, tmp_path, monkeypatch, fast_backoff):
+        monkeypatch.setattr(fleet_workers, "MAX_ATTEMPTS", 2)
         c = tiny_campaign()
         tag = c.shards()[0].tag
         faults = FaultInjection(tags=(tag,), mode="raise")
         run_campaign(c, workers=1, cache=ResultCache(tmp_path),
-                     faults=faults, max_attempts=2, **FAST_BACKOFF)
+                     faults=faults)
         # re-run without the fault: only the quarantined shard executes
         r2 = run_campaign(c, workers=1, cache=ResultCache(tmp_path))
         assert r2.cache_hits == len(r2.outcomes) - 1

@@ -28,15 +28,6 @@ class TestCBR:
         rate = sink.stats.throughput_bps(1.0, 9.0)
         assert rate == pytest.approx(1e6, rel=0.05)
 
-    def test_start_stop_window(self):
-        sim, net = two_hosts()
-        sink = PacketSink(net["b"], 80)
-        CBRSource(net["a"], "b", 80, rate_bps=1e6, start=2.0, stop=4.0)
-        sim.run(until=10.0)
-        assert sink.stats.bytes_between(0.0, 1.9) == 0
-        assert sink.stats.bytes_between(2.0, 4.1) > 0
-        assert sink.stats.bytes_between(4.5, 10.0) == 0
-
     def test_invalid_rate(self):
         sim, net = two_hosts()
         with pytest.raises(ValueError):

@@ -11,12 +11,16 @@ the bandwidth bottleneck (full-frame offload can't fit; feature offload
 can), while the latency overhead of the extra hop is modest.
 """
 
+from dataclasses import replace
+
+import pytest
 
 from repro.mar.application import APP_ARCHETYPES
 from repro.mar.devices import CLOUD, SMART_GLASSES
 from repro.mar.offload import FeatureOffload, FullOffload, OffloadExecutor
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
+from repro.wireless import profiles
 from repro.wireless.profiles import BLUETOOTH, WIFI_HOME
 
 ORIENTATION = APP_ARCHETYPES["orientation"]
@@ -29,9 +33,11 @@ def glasses_topology(seed=71):
     net.add_host("glasses")
     net.add_host("phone")
     net.add_host("cloud")
-    BLUETOOTH.build_duplex(net, "phone", "glasses", static=True,
-                           uplink_buffer_packets=100)
-    WIFI_HOME.build_duplex(net, "cloud", "phone", static=True)
+    with pytest.MonkeyPatch.context() as mp:
+        # A 100-packet uplink buffer on the Bluetooth leg only.
+        mp.setattr(profiles, "UPLINK_BUFFER_PACKETS", 100)
+        replace(BLUETOOTH, sigma=0.0).build_duplex(net, "phone", "glasses")
+    replace(WIFI_HOME, sigma=0.0).build_duplex(net, "cloud", "phone")
     net.build_routes()
     return sim, net
 

@@ -125,3 +125,17 @@ topo = CityTopology.random_city(n_users=12, n_sites=4, seed=1)
 assert solve_lp_rounding(PlacementProblem(topo)).feasible
 """)
     assert loaded == ["numpy", "scipy"]
+
+
+# -- (e) the fleet stays off the observability layer --------------------
+def test_fleet_import_leaves_obs_unloaded():
+    """``repro.fleet`` takes its canonical-JSON setting from
+    ``repro.analysis.stats``, not ``repro.obs``: a fleet worker that
+    runs without telemetry never pays for loading the obs layer."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import sys, repro.fleet; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.obs')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]

@@ -71,7 +71,7 @@ class TestEdgeToSessionChain:
         net.add_duplex("edge-a", "edge-b", 1e9, delay=0.004)
         net.add_duplex("edge-a", "user", 100e6, 40e6, delay=0.003)
         net.build_routes()
-        group = SyncGroup(net, ["edge-a", "edge-b"], update_bytes=400)
+        group = SyncGroup(net, ["edge-a", "edge-b"])
         for i in range(20):
             sim.schedule(i * 0.1, group.publish, "edge-a")
         sim.run(until=5.0)

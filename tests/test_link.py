@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.engine import Simulator
+from repro.simnet import link as link_module
 from repro.simnet.link import DuplexLink, Link, VariableRateLink
 from repro.simnet.packet import Packet
 from repro.simnet.queues import DropTailQueue
@@ -188,24 +189,26 @@ class TestDuplexLink:
 
 
 class TestVariableRateLink:
-    def test_rate_stays_within_bounds(self):
+    def test_rate_stays_within_bounds(self, monkeypatch):
+        monkeypatch.setattr(link_module, "RATE_UPDATE_INTERVAL", 0.1)
         sim = Simulator(seed=2)
         src, dst = Collector(sim, "s"), Collector(sim, "d")
         link = VariableRateLink(
             sim, src, dst, mean_rate_bps=10e6, min_rate_bps=1e6, max_rate_bps=50e6,
-            sigma=0.8, update_interval=0.1,
+            sigma=0.8,
         )
         sim.run(until=20.0)
         rates = [r for _, r in link.rate_history]
         assert all(1e6 <= r <= 50e6 for r in rates)
         assert len(rates) > 100
 
-    def test_rate_varies(self):
+    def test_rate_varies(self, monkeypatch):
+        monkeypatch.setattr(link_module, "RATE_UPDATE_INTERVAL", 0.1)
         sim = Simulator(seed=2)
         src, dst = Collector(sim, "s"), Collector(sim, "d")
         link = VariableRateLink(
             sim, src, dst, mean_rate_bps=10e6, min_rate_bps=1e6, max_rate_bps=50e6,
-            sigma=0.5, update_interval=0.1,
+            sigma=0.5,
         )
         sim.run(until=5.0)
         rates = {round(r) for _, r in link.rate_history}

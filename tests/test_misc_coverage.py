@@ -3,6 +3,7 @@
 
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import CBRSource, PacketSink
+from repro.simnet import link as link_module
 from repro.simnet.link import VariableRateLink
 from repro.simnet.network import Network
 from repro.simnet.queues import DropTailQueue
@@ -93,14 +94,15 @@ class TestDcfDynamics:
 
 
 class TestVariableRateUnderLoad:
-    def test_cbr_through_varying_link_delivers_most(self):
+    def test_cbr_through_varying_link_delivers_most(self, monkeypatch):
+        monkeypatch.setattr(link_module, "RATE_UPDATE_INTERVAL", 0.25)
         sim = Simulator(seed=36)
         net = Network(sim)
         net.add_host("a")
         net.add_host("b")
         link = VariableRateLink(
             sim, net["a"], net["b"], mean_rate_bps=8e6, min_rate_bps=2e6,
-            max_rate_bps=20e6, sigma=0.5, update_interval=0.25,
+            max_rate_bps=20e6, sigma=0.5,
             queue=DropTailQueue(500), delay=0.005,
         )
         net.links.append(link)

@@ -2,10 +2,10 @@
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.wireless import handover, mobility
 from repro.wireless.handover import AccessPoint, ConnectivityTrace, CoverageMap
 from repro.wireless.mobility import RandomWaypoint, Waypoint
 
@@ -18,26 +18,31 @@ def step_speeds(trajectory):
 
 class TestRandomWaypoint:
     def test_trajectory_covers_duration(self):
-        traj = RandomWaypoint(seed=1).trajectory(600, tick=1.0)
+        traj = RandomWaypoint(seed=1).trajectory(600)
         assert len(traj) >= 590
         assert traj[0].t == 0.0
 
-    def test_positions_stay_in_area(self):
-        model = RandomWaypoint(width=100, height=100, seed=2)
-        traj = model.trajectory(600, tick=1.0)
+    def test_positions_stay_in_area(self, monkeypatch):
+        monkeypatch.setattr(mobility, "AREA_WIDTH", 100.0)
+        monkeypatch.setattr(mobility, "AREA_HEIGHT", 100.0)
+        model = RandomWaypoint(seed=2)
+        traj = model.trajectory(600)
         assert all(0 <= p.x <= 100 and 0 <= p.y <= 100 for p in traj)
 
-    def test_speeds_bounded(self):
-        model = RandomWaypoint(v_min=1.0, v_max=2.0, max_pause=0.0, seed=3)
-        traj = model.trajectory(300, tick=1.0)
+    def test_speeds_bounded(self, monkeypatch):
+        monkeypatch.setattr(mobility, "V_MIN", 1.0)
+        monkeypatch.setattr(mobility, "MAX_PAUSE", 0.0)
+        model = RandomWaypoint(seed=3)
+        traj = model.trajectory(300)
         speeds = step_speeds(traj)
         moving = [s for s in speeds if s > 0.01]
         assert moving
         assert max(moving) <= 2.5  # tick quantization tolerance
 
-    def test_pauses_produce_zero_speed(self):
-        model = RandomWaypoint(max_pause=100.0, seed=4)
-        traj = model.trajectory(600, tick=1.0)
+    def test_pauses_produce_zero_speed(self, monkeypatch):
+        monkeypatch.setattr(mobility, "MAX_PAUSE", 100.0)
+        model = RandomWaypoint(seed=4)
+        traj = model.trajectory(600)
         speeds = step_speeds(traj)
         assert any(s == 0.0 for s in speeds)
 
@@ -45,12 +50,6 @@ class TestRandomWaypoint:
         t1 = RandomWaypoint(seed=5).trajectory(100)
         t2 = RandomWaypoint(seed=5).trajectory(100)
         assert t1 == t2
-
-    def test_invalid_speeds(self):
-        with pytest.raises(ValueError):
-            RandomWaypoint(v_min=0.0)
-        with pytest.raises(ValueError):
-            RandomWaypoint(v_min=2.0, v_max=1.0)
 
 
 class TestAccessPoint:
@@ -61,9 +60,9 @@ class TestAccessPoint:
 
 
 class TestCoverageMap:
-    def walk(self, tick=1.0, **urban_kw):
-        cm = CoverageMap.urban(seed=1, **urban_kw)
-        traj = RandomWaypoint(seed=1).trajectory(1800, tick=tick)
+    def walk(self):
+        cm = CoverageMap.urban(seed=1)
+        traj = RandomWaypoint(seed=1).trajectory(1800)
         return cm.connectivity(traj)
 
     def test_in_range_fraction_near_total(self):
@@ -89,7 +88,7 @@ class TestCoverageMap:
 
     def test_closed_aps_never_usable(self):
         ap = AccessPoint("closed", 50, 50, radius=100, open=False)
-        cm = CoverageMap(100, 100, [ap])
+        cm = CoverageMap([ap])
         traj = [Waypoint(float(t), 50, 50) for t in range(60)]
         trace = cm.connectivity(traj)
         assert trace.wifi_in_range_fraction == 1.0
@@ -97,19 +96,21 @@ class TestCoverageMap:
 
     def test_association_delay_blocks_early_usability(self):
         ap = AccessPoint("open", 50, 50, radius=100)
-        cm = CoverageMap(100, 100, [ap])
+        cm = CoverageMap([ap])
         traj = [Waypoint(float(t), 50, 50) for t in range(20)]
-        trace = cm.connectivity(traj, assoc_time=8.0)
+        trace = cm.connectivity(traj)
         usable_times = [t.t for t in trace.ticks if t.usable]
         assert min(usable_times) >= 8.0
 
-    def test_handover_gap_adds_dead_time(self):
+    def test_handover_gap_adds_dead_time(self, monkeypatch):
+        monkeypatch.setattr(handover, "ASSOC_TIME", 2.0)
+        monkeypatch.setattr(handover, "HANDOVER_GAP", 5.0)
         ap1 = AccessPoint("x", 0, 0, radius=60)
         ap2 = AccessPoint("y", 100, 0, radius=60)
-        cm = CoverageMap(100, 10, [ap1, ap2])
+        cm = CoverageMap([ap1, ap2])
         # Walk from ap1 to ap2.
         traj = [Waypoint(float(t), t * 2.0, 0) for t in range(50)]
-        trace = cm.connectivity(traj, assoc_time=2.0, handover_gap=5.0)
+        trace = cm.connectivity(traj)
         assert trace.handover_count() == 1
         # After the switch there is a >= 7 s unusable window.
         switch_t = next(
@@ -160,7 +161,7 @@ def maps_and_points(draw):
     # Midpoints are equidistant from two APs in different buckets.
     points += [Waypoint(0.0, (a.x + b.x) / 2, (a.y + b.y) / 2)
                for a, b in zip(aps, aps[1:])]
-    return CoverageMap(100, 100, aps), points
+    return CoverageMap(aps), points
 
 
 class TestBestApIndex:
@@ -174,15 +175,15 @@ class TestBestApIndex:
     def test_tie_across_buckets_goes_to_the_earlier_ap(self):
         east = AccessPoint("east", 60.0, 0.0, radius=100.0)
         west = AccessPoint("west", -60.0, 0.0, radius=100.0)
-        cm = CoverageMap(100, 100, [east, west])
+        cm = CoverageMap([east, west])
         assert cm.best_ap(Waypoint(0.0, 0.0, 0.0)) is east
 
     def test_empty_map(self):
-        cm = CoverageMap(100, 100, [])
+        cm = CoverageMap([])
         assert cm.best_ap(Waypoint(0.0, 50.0, 50.0)) is None
 
     def test_urban_walk_matches_the_scan(self):
         cm = CoverageMap.urban(seed=3)
-        walk = RandomWaypoint(seed=3).trajectory(600, tick=1.0)
+        walk = RandomWaypoint(seed=3).trajectory(600)
         assert [cm.best_ap(p) for p in walk] == [
             scan_best_ap(cm.aps, p) for p in walk]

@@ -92,7 +92,7 @@ class TestExecutor:
     def test_full_offload_beats_local_for_glasses(self):
         sim, net = scenario(rtt=0.008)
         local = OffloadExecutor(net, "client", "server", GAMING, LocalOnly(),
-                                SMART_GLASSES, client_port=9100, server_port=9101)
+                                SMART_GLASSES)
         res_local = local.run(n_frames=30)
         sim2, net2 = scenario(rtt=0.008)
         off = OffloadExecutor(net2, "client", "server", GAMING, FullOffload(),
@@ -117,7 +117,7 @@ class TestExecutor:
     def test_energy_accounted(self):
         sim, net = scenario()
         ex = OffloadExecutor(net, "client", "server", GAMING, FullOffload(),
-                             SMARTPHONE, radio="lte")
+                             SMARTPHONE)
         result = ex.run(n_frames=50)
         assert result.energy.compute_joules > 0
         assert result.energy.radio_joules > 0

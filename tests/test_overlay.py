@@ -82,7 +82,7 @@ class TestMisalignment:
 class TestAcceptableLatency:
     def test_threshold_bracketed(self):
         camera = PanningCamera()
-        latency = acceptable_latency(camera, max_error_px=5.0)
+        latency = acceptable_latency(camera)
         (_, at_threshold, _), = misalignment_profile(camera, [latency],
                                                      duration=3.0)
         assert at_threshold <= 5.0
@@ -91,8 +91,6 @@ class TestAcceptableLatency:
         assert above > 5.0
 
     def test_faster_motion_demands_lower_latency(self):
-        calm = acceptable_latency(PanningCamera(yaw_amplitude=0.15),
-                                  max_error_px=5.0)
-        frantic = acceptable_latency(PanningCamera(yaw_amplitude=0.6),
-                                     max_error_px=5.0)
+        calm = acceptable_latency(PanningCamera(yaw_amplitude=0.15))
+        frantic = acceptable_latency(PanningCamera(yaw_amplitude=0.6))
         assert frantic < calm

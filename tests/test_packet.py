@@ -44,16 +44,16 @@ def test_header_constants():
 # Construction contract of the hand-written __slots__ class
 # ----------------------------------------------------------------------
 def test_positional_and_keyword_construction_agree():
-    positional = Packet("a", "b", 100, 1, 2, "ack", "f", {"k": 1}, 0.5, 0.25, 3, 77, True)
+    positional = Packet("a", "b", 100, 1, 2, "ack", "f", {"k": 1}, 0.5)
     keyword = Packet(src="a", dst="b", size=100, src_port=1, dst_port=2, kind="ack",
-                     flow="f", payload={"k": 1}, created_at=0.5, enqueued_at=0.25,
-                     hops=3, uid=77, ecn=True)
+                     flow="f", payload={"k": 1}, created_at=0.5)
+    keyword.uid = positional.uid
     assert positional == keyword
     assert (positional.src, positional.dst, positional.size) == ("a", "b", 100)
     assert (positional.src_port, positional.dst_port) == (1, 2)
     assert (positional.kind, positional.flow, positional.payload) == ("ack", "f", {"k": 1})
-    assert (positional.created_at, positional.enqueued_at) == (0.5, 0.25)
-    assert (positional.hops, positional.uid, positional.ecn) == (3, 77, True)
+    assert (positional.created_at, positional.enqueued_at) == (0.5, 0.0)
+    assert (positional.hops, positional.ecn) == (0, False)
 
 
 def test_defaults():
@@ -78,11 +78,16 @@ def test_negative_size_rejected():
 
 
 def test_equality_is_field_wise_and_includes_uid():
-    a = Packet("a", "b", 10, uid=5, payload={"k": 1})
-    assert a == Packet("a", "b", 10, uid=5, payload={"k": 1})
-    assert a != Packet("a", "b", 10, uid=6, payload={"k": 1})
-    assert a != Packet("a", "b", 11, uid=5, payload={"k": 1})
-    assert a != Packet("a", "b", 10, uid=5, payload={"k": 2})
+    def packet(size, uid, payload):
+        p = Packet("a", "b", size, payload=payload)
+        p.uid = uid
+        return p
+
+    a = packet(10, 5, {"k": 1})
+    assert a == packet(10, 5, {"k": 1})
+    assert a != packet(10, 6, {"k": 1})
+    assert a != packet(11, 5, {"k": 1})
+    assert a != packet(10, 5, {"k": 2})
     assert a != "not a packet"
     with pytest.raises(TypeError):
         hash(a)
@@ -97,7 +102,8 @@ def test_deepcopy_and_pickle_round_trip():
     import copy
     import pickle
 
-    p = Packet("a", "b", 10, 1, 2, "ack", "f", {"k": [1]}, 0.5, 0.7, 2, ecn=True)
+    p = Packet("a", "b", 10, 1, 2, "ack", "f", {"k": [1]}, 0.5)
+    p.enqueued_at, p.hops, p.ecn = 0.7, 2, True
     for clone in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert clone == p and clone is not p
         assert clone.uid == p.uid

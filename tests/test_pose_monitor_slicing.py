@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import LinkMonitor, MetricsRegistry, QueueMonitor
+from repro.obs import LinkMonitor, MetricsRegistry, QueueMonitor, instrument
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import CBRSource, PacketSink
 from repro.simnet.network import Network
@@ -17,6 +17,12 @@ class TestPose:
 
 
 class TestMonitors:
+    @pytest.fixture(autouse=True)
+    def sample_intervals(self, monkeypatch):
+        """The sampling periods these counts were written for."""
+        monkeypatch.setattr(instrument, "QUEUE_SAMPLE_INTERVAL", 0.05)
+        monkeypatch.setattr(instrument, "LINK_SAMPLE_INTERVAL", 0.25)
+
     def loaded_link(self, rate=2e6, offered=4e6):
         sim = Simulator(seed=1)
         net = Network(sim)
@@ -32,7 +38,7 @@ class TestMonitors:
     def test_queue_monitor_sees_buildup(self):
         registry = MetricsRegistry()
         sim, link = self.loaded_link()
-        QueueMonitor(sim, link.queue, interval=0.05, horizon=3.0,
+        QueueMonitor(sim, link.queue, horizon=3.0,
                      registry=registry, name="q")
         sim.run(until=3.0)
         depth = registry.histogram("queue.q.packets")
@@ -49,7 +55,7 @@ class TestMonitors:
         net.add_host("a")
         net.add_host("b")
         link = net.add_link("a", "b", 1e6)
-        QueueMonitor(sim, link.queue, interval=0.1, horizon=1.0,
+        QueueMonitor(sim, link.queue, horizon=1.0,
                      registry=registry, name="q")
         sim.run(until=1.0)
         assert registry.histogram("queue.q.packets").moments.maximum == 0.0
@@ -58,7 +64,7 @@ class TestMonitors:
     def test_link_monitor_utilization_saturated(self):
         registry = MetricsRegistry()
         sim, link = self.loaded_link()
-        LinkMonitor(sim, link, interval=0.25, horizon=4.0, registry=registry)
+        LinkMonitor(sim, link, horizon=4.0, registry=registry)
         sim.run(until=4.0)
         assert registry.histogram(f"link.{link.name}.utilization").mean > 0.9
         peak = registry.gauge(f"link.{link.name}.throughput_bps").moments.maximum
@@ -67,14 +73,15 @@ class TestMonitors:
     def test_link_monitor_partial_load(self):
         registry = MetricsRegistry()
         sim, link = self.loaded_link(rate=10e6, offered=2e6)
-        LinkMonitor(sim, link, interval=0.25, horizon=4.0, registry=registry)
+        LinkMonitor(sim, link, horizon=4.0, registry=registry)
         sim.run(until=4.0)
         assert 0.1 < registry.histogram(f"link.{link.name}.utilization").mean < 0.35
 
-    def test_interval_validation(self):
+    def test_interval_validation(self, monkeypatch):
+        monkeypatch.setattr(instrument, "QUEUE_SAMPLE_INTERVAL", 0.0)
         sim = Simulator()
         with pytest.raises(ValueError):
-            QueueMonitor(sim, DropTailQueue(), interval=0.0, horizon=1.0,
+            QueueMonitor(sim, DropTailQueue(), horizon=1.0,
                          registry=MetricsRegistry())
 
     def test_horizon_bounds_monitor_and_drains_heap(self):
@@ -86,9 +93,9 @@ class TestMonitors:
         net.add_host("a")
         net.add_host("b")
         link = net.add_link("a", "b", 1e6)
-        QueueMonitor(sim, link.queue, interval=0.05, horizon=1.0,
+        QueueMonitor(sim, link.queue, horizon=1.0,
                      registry=registry, name="q")
-        LinkMonitor(sim, link, interval=0.25, horizon=1.0, registry=registry)
+        LinkMonitor(sim, link, horizon=1.0, registry=registry)
         sim.run()
         assert sim.now <= 1.0
         # ~1.0/interval ticks; float accumulation may shave the last one.
@@ -98,9 +105,9 @@ class TestMonitors:
     def test_monitors_feed_registry(self):
         registry = MetricsRegistry()
         sim, link = self.loaded_link()
-        QueueMonitor(sim, link.queue, interval=0.05, horizon=2.0,
+        QueueMonitor(sim, link.queue, horizon=2.0,
                      registry=registry, name="uplink")
-        LinkMonitor(sim, link, interval=0.25, horizon=2.0,
+        LinkMonitor(sim, link, horizon=2.0,
                     registry=registry)
         sim.run(until=3.0)
         depth = registry.histogram("queue.uplink.packets")

@@ -1,5 +1,7 @@
 """Unit tests for wireless access profiles (Section IV-A numbers)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simnet.engine import Simulator
@@ -86,7 +88,7 @@ class TestBuildDuplex:
         net = Network(sim)
         net.add_host("infra")
         net.add_host("phone")
-        links = LTE.build_duplex(net, "infra", "phone", static=True)
+        links = replace(LTE, sigma=0.0).build_duplex(net, "infra", "phone")
         net.build_routes()
         got = []
         net["phone"].default_handler = got.append
@@ -100,7 +102,7 @@ class TestBuildDuplex:
         net = Network(sim)
         net.add_host("infra")
         net.add_host("phone")
-        links = LTE.build_duplex(net, "infra", "phone", static=True)
+        links = replace(LTE, sigma=0.0).build_duplex(net, "infra", "phone")
         sim.run(until=10.0)
         rates = {r for _, r in links["up"].rate_history}
         assert rates == {LTE.up_mean}

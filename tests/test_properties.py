@@ -54,7 +54,7 @@ def test_droptail_conservation(capacity, sizes):
 
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(1, 1500)), max_size=120))
 def test_fqcodel_conservation(items):
-    q = FQCoDelQueue(capacity=1000)
+    q = FQCoDelQueue()
     for flow, size in items:
         q.enqueue(Packet(src="a", dst="b", size=size, flow=flow), 0.0)
     out = 0

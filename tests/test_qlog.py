@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.session import OffloadSession, ScenarioBuilder
-from repro.obs import EventLog, instrument_sender, qlog_lines
+from repro.obs import EventLog, instrument_sender, qlog_lines, spans
 
 
 def of(log, category=None, name=None):
@@ -28,8 +28,9 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog().emit(0.0, "weird", "x")
 
-    def test_cap_counts_drops(self):
-        log = EventLog(max_events=2)
+    def test_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(spans, "EVENT_LOG_CAP", 2)
+        log = EventLog()
         for i in range(5):
             log.emit(float(i), "path", "tick")
         assert len(log) == 2
@@ -55,16 +56,18 @@ class TestEventLog:
         assert s["complete"] is True
         assert s["by_category"] == {"path": 2, "shedding": 1}
 
-    def test_summary_surfaces_drops(self):
-        log = EventLog(max_events=1)
+    def test_summary_surfaces_drops(self, monkeypatch):
+        monkeypatch.setattr(spans, "EVENT_LOG_CAP", 1)
+        log = EventLog()
         log.emit(0.0, "path", "tick")
         log.emit(1.0, "path", "tick")
         s = log.summary()
         assert s["dropped"] == 1
         assert s["complete"] is False
 
-    def test_json_lines_trailer_carries_summary(self):
-        log = EventLog(max_events=2)
+    def test_json_lines_trailer_carries_summary(self, monkeypatch):
+        monkeypatch.setattr(spans, "EVENT_LOG_CAP", 2)
+        log = EventLog()
         for t in (0.5, 1.5, 2.5):
             log.emit(t, "path", "tick")
         lines = qlog_lines(log=log).splitlines()

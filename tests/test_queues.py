@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simnet import queues
 from repro.simnet.packet import Packet
 from repro.simnet.queues import CoDelQueue, DropTailQueue, FQCoDelQueue
 
@@ -45,14 +46,14 @@ class TestDropTail:
 
 class TestCoDel:
     def test_passes_packets_below_target(self):
-        q = CoDelQueue(target=0.005, interval=0.1)
+        q = CoDelQueue()
         q.enqueue(make_packet(), 0.0)
         out = q.dequeue(0.001)  # 1 ms sojourn < 5 ms target
         assert out is not None
         assert q.drops == 0
 
     def test_no_drop_before_interval_elapses(self):
-        q = CoDelQueue(target=0.005, interval=0.1)
+        q = CoDelQueue()
         q.enqueue(make_packet(), 0.0)
         q.enqueue(make_packet(), 0.0)
         q.enqueue(make_packet(), 0.0)
@@ -61,7 +62,7 @@ class TestCoDel:
         assert q.drops == 0
 
     def test_drops_under_persistent_delay(self):
-        q = CoDelQueue(target=0.005, interval=0.1, capacity=10000)
+        q = CoDelQueue()
         # Continuously refill so sojourn stays high past the interval.
         t = 0.0
         for step in range(400):
@@ -72,14 +73,15 @@ class TestCoDel:
         assert q.drops > 0
 
     def test_recovers_when_queue_drains(self):
-        q = CoDelQueue(target=0.005, interval=0.1)
+        q = CoDelQueue()
         q.enqueue(make_packet(), 0.0)
         q.dequeue(0.5)  # huge sojourn but queue is nearly empty
         # backlog <= 1500 bytes guard prevents dropping the only packet
         assert q.drops == 0
 
-    def test_hard_capacity(self):
-        q = CoDelQueue(capacity=3)
+    def test_hard_capacity(self, monkeypatch):
+        monkeypatch.setattr(queues, "AQM_CAPACITY", 3)
+        q = CoDelQueue()
         for _ in range(5):
             q.enqueue(make_packet(), 0.0)
         assert q.drops == 2
@@ -87,7 +89,7 @@ class TestCoDel:
 
 class TestFQCoDel:
     def test_flow_isolation_new_flow_priority(self):
-        q = FQCoDelQueue(quantum=1514)
+        q = FQCoDelQueue()
         # Bulk flow fills first.
         for _ in range(20):
             q.enqueue(make_packet(size=1000, flow="bulk"), 0.0)
@@ -102,8 +104,9 @@ class TestFQCoDel:
             served.append(q.dequeue(0.001).flow)
         assert "thin" in served
 
-    def test_round_robin_between_backlogged_flows(self):
-        q = FQCoDelQueue(quantum=1000)
+    def test_round_robin_between_backlogged_flows(self, monkeypatch):
+        monkeypatch.setattr(queues, "FQ_QUANTUM", 1000)
+        q = FQCoDelQueue()
         for _ in range(5):
             q.enqueue(make_packet(size=1000, flow="a"), 0.0)
             q.enqueue(make_packet(size=1000, flow="b"), 0.0)
@@ -113,8 +116,9 @@ class TestFQCoDel:
         # Service must interleave, not serve one flow's 5 packets first.
         assert flows[:5].count("a") < 5
 
-    def test_capacity_drops_from_fattest_flow(self):
-        q = FQCoDelQueue(capacity=10)
+    def test_capacity_drops_from_fattest_flow(self, monkeypatch):
+        monkeypatch.setattr(queues, "AQM_CAPACITY", 10)
+        q = FQCoDelQueue()
         for _ in range(9):
             q.enqueue(make_packet(size=1000, flow="fat"), 0.0)
         q.enqueue(make_packet(size=100, flow="thin"), 0.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import reliability
 from repro.core.reliability import ArqBuffer, FecDecoder, FecEncoder
 from repro.core.traffic import Message, Priority, StreamSpec, TrafficClass
 
@@ -41,8 +42,9 @@ class TestArq:
         assert out == []
         assert arq.abandoned == 1
 
-    def test_max_retries_enforced(self):
-        arq = ArqBuffer(make_spec(deadline=100.0), max_retries=2)
+    def test_max_retries_enforced(self, monkeypatch):
+        monkeypatch.setattr(reliability, "MAX_RETRIES", 2)
+        arq = ArqBuffer(make_spec(deadline=100.0))
         arq.store(msg(0, deadline=100.0))
         assert len(arq.nack([0], 0.1, 0.01)) == 1
         assert len(arq.nack([0], 0.2, 0.01)) == 1

@@ -27,7 +27,7 @@ class TestArqRetryExhaustion:
     def test_100_percent_loss_exhausts_retries_then_abandons(self):
         """Under total loss every retransmit is NACKed again; the buffer
         must give up after max_retries, not retry forever."""
-        buf = ArqBuffer(make_spec(), max_retries=3)
+        buf = ArqBuffer(make_spec())
         buf.store(make_message(0, deadline=100.0))   # deadline never binds
 
         sent = 0
@@ -44,7 +44,7 @@ class TestArqRetryExhaustion:
     def test_critical_class_persists_through_long_outage(self):
         """CRITICAL 'should never be discarded': no deadline expiry, and
         the retry budget is floored at 16 even if configured lower."""
-        buf = ArqBuffer(make_spec(TrafficClass.CRITICAL), max_retries=3)
+        buf = ArqBuffer(make_spec(TrafficClass.CRITICAL))
         buf.store(make_message(0, deadline=0.075))
         # Hours past the nominal deadline, it still retransmits.
         out = buf.nack([0], now=3600.0, rtt_estimate=0.5)
@@ -60,7 +60,7 @@ class TestArqRetryExhaustion:
     def test_deadline_beats_retry_budget(self):
         """A NACK arriving too late to land before the deadline abandons
         immediately, even with retries left."""
-        buf = ArqBuffer(make_spec(), max_retries=3)
+        buf = ArqBuffer(make_spec())
         buf.store(make_message(0, created_at=0.0, deadline=0.075))
         # now + rtt/2 > created + deadline -> dead on arrival.
         out = buf.nack([0], now=0.08, rtt_estimate=0.02)
@@ -121,7 +121,7 @@ class TestNackStorm:
         """A receiver re-NACKing the same hole every feedback interval
         during a loss burst must not amplify traffic beyond the retry
         budget."""
-        buf = ArqBuffer(make_spec(), max_retries=3)
+        buf = ArqBuffer(make_spec())
         for seq in range(50):
             buf.store(make_message(seq, deadline=100.0))
         total_retx = 0

@@ -22,13 +22,14 @@ from repro.mar.devices import SMARTPHONE
 from repro.mar.offload import FullOffload, ResilientOffloadExecutor
 from repro.simnet.engine import Simulator
 from repro.simnet.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.transport import base
 
 APP = APP_ARCHETYPES["orientation"]
 
 
 class TestRttEstimator:
     def test_initial_timeout_then_adapts(self):
-        est = RttEstimator(initial=0.2, floor=0.02, cap=2.0)
+        est = RttEstimator()
         assert est.timeout() == 0.2
         est.sample(0.01)
         # srtt=10ms, rttvar=5ms -> 30ms timer
@@ -36,10 +37,12 @@ class TestRttEstimator:
         for _ in range(20):
             est.sample(0.01)
         assert est.timeout() < 0.03                # variance decays
-        assert est.timeout() >= est.floor
+        assert est.timeout() >= base.RTT_TIMEOUT_FLOOR
 
-    def test_clamps(self):
-        est = RttEstimator(floor=0.05, cap=0.5)
+    def test_clamps(self, monkeypatch):
+        monkeypatch.setattr(base, "RTT_TIMEOUT_FLOOR", 0.05)
+        monkeypatch.setattr(base, "RTT_TIMEOUT_CAP", 0.5)
+        est = RttEstimator()
         est.sample(1e-6)
         assert est.timeout() == 0.05
         est.sample(10.0)
@@ -104,7 +107,7 @@ class TestCircuitBreaker:
     def test_failed_probe_grows_cooldown(self):
         self.now = 0.0
         br = CircuitBreaker(self.clock, failure_threshold=1, cooldown=1.0,
-                            cooldown_factor=2.0, cooldown_cap=3.0)
+                            cooldown_cap=3.0)
         br.record_failure()
         self.now = 1.0
         assert br.allow_request()
@@ -141,13 +144,12 @@ class PongTarget:
 
 
 class TestHeartbeatMonitor:
-    def make(self, sim, interval=0.25, miss_threshold=3, rtt=0.02):
+    def make(self, sim, rtt=0.02):
         ref = []
         target = PongTarget(sim, ref, rtt=rtt)
         transitions = []
         monitor = HeartbeatMonitor(
-            sim, "srv", target.send_ping, interval=interval,
-            miss_threshold=miss_threshold,
+            sim, "srv", target.send_ping,
             on_state_change=lambda t, o, n: transitions.append((sim.now, o, n)),
         )
         ref.append(monitor)

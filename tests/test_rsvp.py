@@ -7,6 +7,7 @@ from repro.simnet.flows import CBRSource, PacketSink
 from repro.simnet.network import Network
 from repro.simnet.packet import Packet
 from repro.simnet.queues import DropTailQueue
+from repro.transport import rsvp
 from repro.transport.rsvp import AdmissionError, ReservationTable, ReservedQueue
 
 
@@ -23,8 +24,9 @@ class TestReservedQueue:
         q.enqueue(make_packet("vip"), 0.0)
         assert q.dequeue(0.1).flow == "vip"
 
-    def test_reservation_policed_by_token_bucket(self):
-        q = ReservedQueue(burst_seconds=0.01)
+    def test_reservation_policed_by_token_bucket(self, monkeypatch):
+        monkeypatch.setattr(rsvp, "BURST_SECONDS", 0.01)
+        q = ReservedQueue()
         q.add_reservation("vip", rate_bps=8e3)  # 1000 bytes/s, burst 10 B
         q.enqueue(make_packet("vip", size=1000), 0.0)
         q.enqueue(make_packet("bulk", size=1000), 0.0)
@@ -35,8 +37,9 @@ class TestReservedQueue:
         # work-conservation path once nothing else waits.
         assert q.dequeue(2.0).flow == "vip"
 
-    def test_work_conservation_when_only_reserved_waits(self):
-        q = ReservedQueue(burst_seconds=0.001)
+    def test_work_conservation_when_only_reserved_waits(self, monkeypatch):
+        monkeypatch.setattr(rsvp, "BURST_SECONDS", 0.001)
+        q = ReservedQueue()
         q.add_reservation("vip", rate_bps=8.0)  # absurdly small
         q.enqueue(make_packet("vip"), 0.0)
         assert q.dequeue(0.01) is not None  # link never idles
@@ -73,7 +76,7 @@ class TestReservationTable:
 
     def test_admission_control_rejects_overcommit(self):
         sim, net = self.make_net(rate=10e6)
-        table = ReservationTable(net, admission_fraction=0.8)
+        table = ReservationTable(net)
         table.reserve_path("a", "b", "one", 5e6)
         with pytest.raises(AdmissionError):
             table.reserve_path("a", "b", "two", 4e6)  # 9 > 8 admittable

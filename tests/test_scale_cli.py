@@ -99,7 +99,8 @@ class TestCampaignRuns:
                 == run_shard(campaign, tag).to_json())
 
     def test_cell_contention_sweep_degrades_with_load(self):
-        campaign = cell_contention_campaign(seeds=2)
+        campaign = cell_contention_campaign()
+        campaign.seeds = 2
         result = run_campaign(campaign, workers=1)
         per_point = result.per_point
         rho = {label: agg.moments["scale.utilization"].mean

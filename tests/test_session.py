@@ -112,7 +112,7 @@ class TestOffloadSession:
             OffloadSession(sc, streams=streams)
         assert no_default_video.value.args == (missing,)
 
-        video = VideoSource(fps=30.0, gop=15, ref_bytes=5000, inter_bytes=1000)
+        video = VideoSource(ref_bytes=5000, inter_bytes=1000)
         session = OffloadSession(sc, streams=streams, video=video)
         with pytest.raises(KeyError) as in_run:
             session.run(1.0)

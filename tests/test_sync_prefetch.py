@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.edge import sync
 from repro.edge.sync import SyncGroup
+from repro.mar import prefetch
 from repro.mar.prefetch import GridWorld, MarkovPredictor, PrefetchingCache
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
+from repro.wireless import mobility
 from repro.wireless.mobility import RandomWaypoint, Waypoint
 
 
@@ -37,11 +40,12 @@ class TestSyncGroup:
         sim.run(until=1.0)
         assert group.mean_lag() == pytest.approx(0.010, abs=0.003)
 
-    def test_overhead_scales_with_group_size(self):
+    def test_overhead_scales_with_group_size(self, monkeypatch):
+        monkeypatch.setattr(sync, "SYNC_UPDATE_BYTES", 500)
         costs = {}
         for n in (2, 4, 6):
             sim, net, names = server_mesh(n=n)
-            group = SyncGroup(net, names, update_bytes=500)
+            group = SyncGroup(net, names)
             for _ in range(10):
                 group.publish(names[0])
             sim.run(until=1.0)
@@ -70,8 +74,9 @@ class TestSyncGroup:
 
 
 class TestGridWorld:
-    def test_cell_mapping(self):
-        world = GridWorld(cell_size=100.0)
+    def test_cell_mapping(self, monkeypatch):
+        monkeypatch.setattr(prefetch, "GRID_CELL_SIZE", 100.0)
+        world = GridWorld()
         assert world.cell_of(Waypoint(0, 50, 50)) == (0, 0)
         assert world.cell_of(Waypoint(0, 150, 250)) == (1, 2)
 
@@ -101,6 +106,12 @@ class TestMarkovPredictor:
 
 
 class TestPrefetchingCache:
+    @pytest.fixture(autouse=True)
+    def catalog(self, monkeypatch):
+        """The content world these hit-rate bounds were written for."""
+        monkeypatch.setattr(prefetch, "OBJECTS_PER_CELL", 6)
+        monkeypatch.setattr(prefetch, "OBJECT_BYTES", 120_000)
+
     def commute(self, repeats=6):
         """A repetitive commute path: highly predictable movement."""
         path = []
@@ -112,7 +123,7 @@ class TestPrefetchingCache:
         return path
 
     def test_markov_beats_demand_only_on_predictable_path(self):
-        world = GridWorld(cell_size=150.0, seed=2)
+        world = GridWorld(seed=2)
         path = self.commute()
         demand = PrefetchingCache(world, capacity_bytes=3_000_000, policy="none")
         markov = PrefetchingCache(world, capacity_bytes=3_000_000, policy="markov")
@@ -121,7 +132,7 @@ class TestPrefetchingCache:
         assert hit_markov > hit_demand
 
     def test_neighbour_prefetch_beats_demand_only(self):
-        world = GridWorld(cell_size=150.0, seed=2)
+        world = GridWorld(seed=2)
         path = self.commute()
         demand = PrefetchingCache(world, capacity_bytes=5_000_000, policy="none")
         neighbours = PrefetchingCache(world, capacity_bytes=5_000_000,
@@ -130,7 +141,7 @@ class TestPrefetchingCache:
 
     def test_markov_more_byte_efficient_than_neighbours(self):
         """Markov prefetches fewer speculative bytes for similar hits."""
-        world = GridWorld(cell_size=150.0, seed=2)
+        world = GridWorld(seed=2)
         path = self.commute()
         neighbours = PrefetchingCache(world, capacity_bytes=5_000_000,
                                       policy="neighbours")
@@ -140,10 +151,12 @@ class TestPrefetchingCache:
         assert hit_m >= hit_n - 0.05
         assert markov.prefetched_bytes < neighbours.prefetched_bytes
 
-    def test_random_walk_gains_less_than_commute(self):
-        world = GridWorld(cell_size=150.0, seed=2)
-        random_walk = RandomWaypoint(width=1200, height=1200, seed=4,
-                                     max_pause=0.0).trajectory(600, tick=1.0)
+    def test_random_walk_gains_less_than_commute(self, monkeypatch):
+        monkeypatch.setattr(mobility, "AREA_WIDTH", 1200.0)
+        monkeypatch.setattr(mobility, "AREA_HEIGHT", 1200.0)
+        monkeypatch.setattr(mobility, "MAX_PAUSE", 0.0)
+        world = GridWorld(seed=2)
+        random_walk = RandomWaypoint(seed=4).trajectory(600)
         commute = self.commute()
 
         def gain(path):

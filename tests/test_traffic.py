@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import traffic
 from repro.core.traffic import (
     MAR_BASELINE_STREAMS,
     Message,
@@ -145,8 +146,9 @@ class TestBaselineStreams:
         assert ref.traffic_class is TrafficClass.LOSS_RECOVERY
         assert ref.fec
 
-    def test_custom_rates_propagate(self):
-        streams = mar_baseline_streams(video_nominal_bps=1e6, sensor_bps=1000.0)
+    def test_custom_rates_propagate(self, monkeypatch):
+        monkeypatch.setattr(traffic, "SENSOR_BPS", 1000.0)
+        streams = mar_baseline_streams(video_nominal_bps=1e6)
         assert streams[3].nominal_rate_bps == 1e6
         assert streams[1].nominal_rate_bps == 1000.0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mar import video
 from repro.mar.video import (
     VideoSource,
     camera_fov_rate_bps,
@@ -40,8 +41,9 @@ class TestBandwidthEstimates:
 
 
 class TestVideoSource:
-    def test_gop_pattern(self):
-        src = VideoSource(gop=5)
+    def test_gop_pattern(self, monkeypatch):
+        monkeypatch.setattr(video, "VIDEO_GOP", 5)
+        src = VideoSource()
         flags = [src.frame(i).is_reference for i in range(10)]
         assert flags == [True, False, False, False, False] * 2
 
@@ -51,11 +53,7 @@ class TestVideoSource:
         assert src.frame(1).size_bytes == 4000
 
     def test_frames_iterator_duration(self):
-        src = VideoSource(fps=30)
+        src = VideoSource()
         frames = list(src.frames(2.0))
         assert len(frames) == 60
         assert frames[-1].timestamp == pytest.approx(59 / 30)
-
-    def test_gop_validation(self):
-        with pytest.raises(ValueError):
-            VideoSource(gop=0)

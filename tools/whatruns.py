@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""List the functions in ``src/repro`` that nothing the project runs calls.
+"""List the functions in ``src/repro`` that nothing the project runs
+calls, and the defaulted parameters that every run binds to one value.
 
-Usage: ``python tools/whatruns.py`` (about ten minutes on a 2-core host;
+Usage: ``python tools/whatruns.py`` (7 to 9 minutes on a 2-core host;
 standard library only; not part of CI).
 
 The tree is copied to a temporary directory, so the commands below do
@@ -10,11 +11,20 @@ verbs, the end-to-end benchmark at its quick sizes and every example.
 A generated ``sitecustomize.py`` records the first call of each
 ``src/repro`` code object in every process (``sys.settrace`` and
 ``threading.settrace``, one append-only file per pid, so forked fleet
-workers count).  The report lists, per module, each function whose code
-never ran, with its extent in lines.
+workers count).  The same hook watches every parameter that has a
+default in the source (nested functions included): on each entry to such
+a function it records the value each watched parameter is bound to --
+``repr`` for None, bool, int, float, str, enum members and tuples of
+these, ``<TypeName>`` for anything else -- and stops watching a parameter
+once that process has seen two values.  The report lists, per module,
+each function whose code never ran, with its extent in lines, and then
+each defaulted parameter that ran with exactly one value across every
+process.  A parameter that only ever sees one value is a constant in all
+but name.
 """
 
 import ast
+import json
 import os
 import pathlib
 import shutil
@@ -28,7 +38,8 @@ RUN = [PY, "-m", "repro"]
 COMMANDS = [
     [PY, "-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmarks",
      "--ignore=benchmarks/e2e", "--benchmark-disable"],
-    RUN + ["selftest"], RUN + ["check", "--budget", "small"], RUN + ["check", "--selfcheck"],
+    RUN + ["selftest"], RUN + ["check", "--budget", "small"],
+    RUN + ["check", "--harness", "selfcheck"],
     *(RUN + ["obs", "--scenario", s, "--check"] for s in ("cell_offload", "martp_session")),
     RUN + ["fleet", "smoke", "-w", "2", "--no-cache", "--quiet"],
     RUN + ["fleet", "anomaly", "--no-cache", "--quiet"],
@@ -41,16 +52,60 @@ COMMANDS = [
 ]
 
 HOOK = '''\
-import os, sys, threading
-_ROOT, _OUT, _seen = os.environ["WHATRUNS_SRC"], os.environ["WHATRUNS_OUT"], set()
+import enum, json, os, sys, threading, zlib
+_ROOT, _OUT = os.environ["WHATRUNS_SRC"], os.environ["WHATRUNS_OUT"]
+with open(os.environ["WHATRUNS_WATCH"]) as _f:
+    _WATCH = {(path, first): names for path, first, names in json.load(_f)}
+_done, _watched, _values = set(), {}, {}
+_SCALAR = (type(None), bool, int, float, str, enum.Enum)
+
+
+def _key(value):
+    if isinstance(value, _SCALAR) or (
+            type(value) is tuple and all(isinstance(v, _SCALAR) for v in value)):
+        text = repr(value)
+        return text if len(text) <= 60 else f"{text[:40]}...#{zlib.crc32(text.encode()):08x}"
+    return "<" + type(value).__name__ + ">"
+
+
+def _write(line):
+    with open(os.path.join(_OUT, str(os.getpid())), "a") as out:
+        out.write(line + "\\n")
+
 
 def _record(frame, event, arg):
     code = frame.f_code
-    if code not in _seen:
-        _seen.add(code)
-        if code.co_filename.startswith(_ROOT):
-            with open(os.path.join(_OUT, str(os.getpid())), "a") as out:
-                out.write(f"{code.co_filename}\\t{code.co_firstlineno}\\n")
+    if code in _done:
+        return
+    state = _watched.get(code)
+    if state is None:
+        if not code.co_filename.startswith(_ROOT):
+            _done.add(code)
+            return
+        _write(f"{code.co_filename}\\t{code.co_firstlineno}")
+        names = _WATCH.get((code.co_filename, code.co_firstlineno))
+        if not names:
+            _done.add(code)
+            return
+        # A generator re-enters through a 'call' event on every resume;
+        # only its first entry (and every entry of a plain function)
+        # starts at this offset with the parameters as bound.
+        state = _watched[code] = (frame.f_lasti, list(names))
+    start, names = state
+    if frame.f_lasti != start:
+        return
+    local = frame.f_locals
+    for name in tuple(names):
+        seen = _values.setdefault((code, name), set())
+        key = _key(local[name])
+        if key not in seen:
+            seen.add(key)
+            _write(f"{code.co_filename}\\t{code.co_firstlineno}\\t{name}\\t{key}")
+            if len(seen) > 1:
+                names.remove(name)
+    if not names:
+        _done.add(code)
+
 
 sys.settrace(_record)
 threading.settrace(_record)
@@ -77,6 +132,33 @@ def functions(path):
     return out
 
 
+def defaulted(path):
+    """(first line incl. decorators, qualified name, [parameter names])
+    of every function, nested ones included, that gives any parameter a
+    default."""
+    out = []
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+                names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+                if names:
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out.append((first, qual + child.name, names))
+                visit(child, qual + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, qual + child.name + ".")
+            else:
+                visit(child, qual)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="whatruns-") as tmp:
         tree, hook, calls = (pathlib.Path(tmp, d) for d in ("tree", "hook", "calls"))
@@ -86,15 +168,26 @@ def main() -> int:
             d.mkdir()
         (hook / "sitecustomize.py").write_text(HOOK)
         src = tree / "src" / "repro"
+        params = {(str(path), first): (qual, names) for path in sorted(src.rglob("*.py"))
+                  for first, qual, names in defaulted(path)}
+        (hook / "watch.json").write_text(json.dumps(
+            [[path, first, names] for (path, first), (_, names) in params.items()]))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook), str(tree / "src")]),
-                   WHATRUNS_SRC=str(src), WHATRUNS_OUT=str(calls))
+                   WHATRUNS_SRC=str(src), WHATRUNS_OUT=str(calls),
+                   WHATRUNS_WATCH=str(hook / "watch.json"))
         for cmd in COMMANDS:
             shown = " ".join(c if c != PY else "python" for c in cmd)
             done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL, check=False)
             print(f"[whatruns] exit {done.returncode}: {shown}", file=sys.stderr)
-        ran = {(name, int(first)) for log in calls.iterdir()
-               for name, first in (r.rsplit("\t", 1) for r in log.read_text().splitlines())}
+        ran, bound = set(), {}
+        for log in calls.iterdir():
+            for row in log.read_text().splitlines():
+                path, first, *param = row.split("\t", 3)
+                if param:
+                    bound.setdefault((path, int(first), param[0]), set()).add(param[1])
+                else:
+                    ran.add((path, int(first)))
         n_fns = n_lines = unrun_fns = unrun_lines = modules = 0
         for path in sorted(src.rglob("*.py")):
             missing = []
@@ -112,6 +205,16 @@ def main() -> int:
                     print(f"    {first:5d}  {name} ({last - first + 1})")
         print(f"{unrun_fns} of {n_fns} functions never ran ({unrun_lines} of "
               f"{n_lines} function lines, in {modules} modules)")
+        single = sorted((path, first, name, values.pop()) for (path, first, name), values
+                        in bound.items() if len(values) == 1)
+        module = None
+        for path, first, name, value in single:
+            if path != module:
+                module = path
+                print(f"{pathlib.Path(path).relative_to(tree / 'src')}: single-valued")
+            print(f"    {first:5d}  {params[path, first][0]}({name}) = {value}")
+        print(f"{len(single)} of {len(bound)} bound defaulted parameters saw one value "
+              f"({sum(len(names) for _, names in params.values())} defaulted in all)")
     return 0
 
 
