@@ -335,18 +335,6 @@ class FixedBinHistogram:
             cum += c
         return self.hi
 
-    @property
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95.0)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
     def to_dict(self) -> dict:
         return {
             "lo": self.lo,
@@ -369,7 +357,7 @@ class FixedBinHistogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Histogram [{self.lo},{self.hi}) n={self.total} "
-                f"p50={self.p50:.4g} p95={self.p95:.4g}>")
+                f"p50={self.percentile(50):.4g} p95={self.percentile(95):.4g}>")
 
 
 def jain_index(allocations: Iterable[float]) -> float:

@@ -124,7 +124,7 @@ class FecEncoder:
     """Groups a stream's messages and emits one XOR parity per group.
 
     The parity message's size is the max size in the group (XOR of
-    padded payloads).  ``overhead_ratio`` reports the bandwidth cost.
+    padded payloads).
     """
 
     def __init__(self, group_size: int = 8) -> None:
@@ -133,13 +133,10 @@ class FecEncoder:
         self.group_size = group_size
         self._current: List[Message] = []
         self.parities_emitted = 0
-        self.data_bytes = 0
-        self.parity_bytes = 0
 
     def push(self, message: Message) -> Optional[Message]:
         """Add a data message; returns a parity message on group close."""
         self._current.append(message)
-        self.data_bytes += message.size
         if len(self._current) < self.group_size:
             return None
         group = self._current
@@ -155,14 +152,7 @@ class FecEncoder:
             fec_parity=True,
         )
         self.parities_emitted += 1
-        self.parity_bytes += size
         return parity
-
-    @property
-    def overhead_ratio(self) -> float:
-        if self.data_bytes == 0:
-            return 0.0
-        return self.parity_bytes / self.data_bytes
 
 
 class FecDecoder:

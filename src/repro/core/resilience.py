@@ -126,8 +126,6 @@ class HeartbeatMonitor:
         self.state = Liveness.HEALTHY
         self.misses = 0
         self.last_contact: Optional[float] = None
-        self.pings_sent = 0
-        self.pongs_received = 0
         #: time from last successful contact to each FAILED declaration
         self.detection_delays: List[float] = []
         self._outstanding: Dict[float, float] = {}
@@ -149,7 +147,6 @@ class HeartbeatMonitor:
         token = self.sim.now
         self._outstanding[token] = token
         self.send_ping(self.target, token)
-        self.pings_sent += 1
         # Keep a handle on the deadline so an answered ping cancels its
         # check instead of leaving a dead timer to fire as a no-op.
         self._check_events[token] = self.sim.schedule(self.rtt.timeout(), self._check, token)
@@ -176,7 +173,6 @@ class HeartbeatMonitor:
         check = self._check_events.pop(token, None)
         if check is not None:
             check.cancel()
-        self.pongs_received += 1
         self.rtt.sample(self.sim.now - sent)
         self.misses = 0
         self.last_contact = self.sim.now

@@ -14,7 +14,6 @@
   simnet-driven executor measuring real per-frame latency.
 - :mod:`~repro.mar.cache` — virtual-object cache/prefetch (the x
   parameter).
-- :mod:`~repro.mar.energy` — battery-life model per strategy.
 """
 
 from repro.mar.devices import Device, CLOUD, DESKTOP, LAPTOP, SMART_GLASSES, SMARTPHONE, TABLET, all_devices
@@ -45,7 +44,6 @@ from repro.mar.offload import (
     SessionResult,
 )
 from repro.mar.cache import ObjectCache
-from repro.mar.energy import EnergyModel
 from repro.mar.dataplan import DataPlan, TYPICAL_PLANS, cheapest_plan, monthly_cost_of_usage
 from repro.mar.prefetch import GridWorld, MarkovPredictor, PrefetchingCache
 
@@ -80,7 +78,6 @@ __all__ = [
     "ResilientOffloadExecutor",
     "SessionResult",
     "ObjectCache",
-    "EnergyModel",
     "DataPlan",
     "TYPICAL_PLANS",
     "cheapest_plan",

@@ -4,8 +4,7 @@ Each :class:`Device` carries the qualitative attributes the paper
 tabulates (computing power, storage, battery life, network access,
 portability) plus the quantitative parameters the execution-cost
 equations need: an effective compute rate in cycles/second (single
-sustained CV-workload core-equivalent) and radio power draws for the
-energy model.
+sustained CV-workload core-equivalent).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.stats import mean, percentile as sample_percentile
 from repro.core.resilience import (
@@ -35,7 +35,6 @@ from repro.core.resilience import (
 )
 from repro.mar.application import MarApplication
 from repro.mar.devices import CLOUD, SMARTPHONE, Device
-from repro.mar.energy import EnergyModel
 from repro.simnet.network import Network
 from repro.simnet.packet import Packet
 from repro.transport.udp import UdpSocket
@@ -46,9 +45,6 @@ FRAGMENT_BYTES = 1200
 #: UDP ports of the offload client and of every offload server.
 CLIENT_PORT = 9000
 SERVER_PORT = 9001
-
-#: The client's radio, for the energy model.
-RADIO = "wifi"
 
 #: Seconds an offloaded frame may wait for its result before it is given
 #: up (the resilient executor's cap on one attempt's RTT-adaptive
@@ -193,7 +189,6 @@ class SessionResult:
     deadline: float = 0.0
     frames_sent: int = 0
     frames_completed: int = 0
-    energy: Optional[EnergyModel] = None
 
     @property
     def mean_latency(self) -> float:
@@ -319,7 +314,7 @@ class OffloadExecutor:
         self.device = device
         self.server_name = server
         self.ping_interval = ping_interval
-        self.result = SessionResult(deadline=app.deadline, energy=EnergyModel(radio=RADIO))
+        self.result = SessionResult(deadline=app.deadline)
         self.socket = UdpSocket(net[client], CLIENT_PORT, on_receive=self._on_packet)
         self._flow = f"offload:{self.socket.host.name}"
         self.server = _ServerSide(net, server, SERVER_PORT, server_device)
@@ -414,7 +409,6 @@ class OffloadExecutor:
         if self.obs is not None:
             self.obs.on_frame_start(index, plan)
         self.result.frames_sent += 1
-        self.result.energy.on_compute(plan.local_megacycles)
         local_time = self.device.execution_time(plan.local_megacycles)
         if plan.needs_network:
             self.sim.schedule(local_time, self._send_upload, index, plan)
@@ -430,7 +424,6 @@ class OffloadExecutor:
                         plan.upload_bytes, "frame-fragment", self._flow, index,
                         remote_megacycles=plan.remote_megacycles,
                         download_bytes=plan.download_bytes)
-        self.result.energy.on_transfer(plan.upload_bytes, new_burst=True)
         self.sim.schedule(FRAME_TIMEOUT, self._expire_frame, index)
 
     def _expire_frame(self, index: int) -> None:
@@ -452,7 +445,6 @@ class OffloadExecutor:
         if state["got"] >= state["need"]:
             generated = state.pop("generated")
             del self._pending[index]
-            self.result.energy.on_transfer(0, rx_bytes=packet.size * state["need"])
             self._complete_frame(index, generated, offloaded=True)
 
     def _complete_frame(self, index: int, generated_at: float, offloaded: bool = False) -> None:
@@ -522,10 +514,10 @@ class ResilientOffloadExecutor(OffloadExecutor):
         )
         self.servers = list(servers)
         self.active_server = servers[0]
-        self._backups = {
-            name: _ServerSide(net, name, SERVER_PORT, CLOUD)
-            for name in self.servers[1:]
-        }
+        # A backup server needs no handle here: its socket's port binding
+        # keeps it alive.
+        for name in self.servers[1:]:
+            _ServerSide(net, name, SERVER_PORT, CLOUD)
         self._rng = net.sim.child_rng(f"resilience:{client}")
         self.monitors: Dict[str, HeartbeatMonitor] = {
             name: HeartbeatMonitor(
@@ -634,7 +626,6 @@ class ResilientOffloadExecutor(OffloadExecutor):
             if self.obs is not None:
                 self.obs.on_frame_start(index, plan)
             self.result.frames_sent += 1
-            self.result.energy.on_compute(plan.local_megacycles)
             local_time = self.device.execution_time(plan.local_megacycles)
             self.sim.schedule(local_time, self._complete_degraded, index, self.sim.now)
             return
@@ -645,7 +636,6 @@ class ResilientOffloadExecutor(OffloadExecutor):
         if self.obs is not None:
             self.obs.on_frame_start(index, plan)
         self.result.frames_sent += 1
-        self.result.energy.on_compute(plan.local_megacycles)
         local_time = self.device.execution_time(plan.local_megacycles)
         if plan.needs_network:
             self.sim.schedule(local_time, self._send_upload, index, plan, probe)
@@ -675,7 +665,6 @@ class ResilientOffloadExecutor(OffloadExecutor):
                         plan.upload_bytes, "frame-fragment", self._flow, index,
                         remote_megacycles=plan.remote_megacycles,
                         download_bytes=plan.download_bytes)
-        self.result.energy.on_transfer(plan.upload_bytes, new_burst=True)
         self.sim.schedule(self._frame_deadline(), self._check_frame,
                           index, meta["count"])
 
@@ -705,7 +694,6 @@ class ResilientOffloadExecutor(OffloadExecutor):
             self.metrics.outage_begin(self.sim.now)
             self._set_mode(ServiceMode.DEGRADED_LOCAL)
         megacycles = self.app.megacycles_per_frame
-        self.result.energy.on_compute(megacycles)
         self.sim.schedule(
             self.device.execution_time(megacycles),
             self._complete_degraded, index, state["generated"],

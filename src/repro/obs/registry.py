@@ -88,23 +88,12 @@ class Histogram:
         self.bins.add(value)
         self.moments.add(value)
 
-    def percentile(self, q: float) -> float:
-        return self.bins.percentile(q)
-
-    @property
-    def count(self) -> int:
-        return self.moments.count
-
-    @property
-    def mean(self) -> float:
-        return self.moments.mean
-
     def to_dict(self) -> dict:
         return {"bins": self.bins.to_dict(), "moments": self.moments.to_dict()}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Histogram {self.name} n={self.count} "
-                f"p50={self.bins.p50:.4g}>")
+        return (f"<Histogram {self.name} n={self.moments.count} "
+                f"p50={self.bins.percentile(50):.4g}>")
 
 
 class MetricsRegistry:

@@ -32,21 +32,16 @@ frame) and reads one slot, ``_observed``, per event to decide.
 Assigning ``trace_hook`` points that slot at the bound
 :meth:`Simulator._fire`, the single definition of observed dispatch
 that :meth:`~Simulator.fire_event` also uses.  Handlers always see a
-current ``now`` / ``events_fired`` / ``pending``, and an observer
-attached while event *n* fires sees event *n + 1*.
+current ``now`` / ``events_fired``, and an observer attached while
+event *n* fires sees event *n + 1*.
 
-Clock semantics of :meth:`Simulator.run` (all three exit paths):
+Clock semantics of :meth:`Simulator.run` (both exit paths):
 
 - **drain** (no events left): the clock rests at the last fired event,
   then advances to ``until`` if one was given;
 - **until reached** (next event is later than ``until``): the clock
   advances to exactly ``until`` so back-to-back ``run(until=...)``
-  calls behave like a continuous timeline;
-- **max_events tripped**: the clock stays at the last fired event
-  whenever events at or before ``until`` remain unfired — jumping
-  ahead of unfired work would make the clock run backwards on the next
-  call.  If nothing remains at or before ``until``, it advances as in
-  the drain case.
+  calls behave like a continuous timeline.
 """
 
 from __future__ import annotations
@@ -142,10 +137,7 @@ class Checkpoint:
     :meth:`restore` materialises a live ``(sim, roots)`` pair from the
     frozen snapshot.  Each call yields an *independent* world, so one
     checkpoint supports arbitrarily many restores — the primitive the
-    :mod:`repro.check` bounded explorer forks execution with.  Pass
-    ``consume=True`` on the final restore to hand back the frozen copy
-    itself and skip one deepcopy (the checkpoint must not be restored
-    again afterwards).
+    :mod:`repro.check` bounded explorer forks execution with.
 
     Caveat: deepcopy treats plain functions and lambdas as atomic, so a
     callback that *closes over* model state keeps pointing at the
@@ -154,25 +146,14 @@ class Checkpoint:
     checkpointed; the stock simnet/transport/core components already do.
     """
 
-    __slots__ = ("_frozen", "_consumed")
+    __slots__ = ("_frozen",)
 
     def __init__(self, sim: "Simulator", roots: Any = None) -> None:
-        self._frozen: Optional[Tuple["Simulator", Any]] = copy.deepcopy((sim, roots))
-        self._consumed = False
+        self._frozen: Tuple["Simulator", Any] = copy.deepcopy((sim, roots))
 
-    def restore(self, consume: bool = False) -> Tuple["Simulator", Any]:
+    def restore(self) -> Tuple["Simulator", Any]:
         """Return a live ``(sim, roots)`` copy of the frozen world."""
-        if self._frozen is None:
-            raise RuntimeError("checkpoint already consumed")
-        if consume:
-            frozen = self._frozen
-            self._frozen = None
-            return frozen
         return copy.deepcopy(self._frozen)
-
-    @property
-    def consumed(self) -> bool:
-        return self._frozen is None
 
 
 #: Never compact while fewer than this many cancelled entries sit in the
@@ -202,13 +183,8 @@ class Simulator:
         self._rng_tags: set = set()  # every tag child_rng has issued
         self._heap: list = []  # entries: (time, seq, Event)
         self._seq = itertools.count()
-        self._running = False
-        self._pending = 0      # live (not cancelled, not fired) events
         self._cancelled = 0    # cancelled entries still in the heap
-        # Counters (cheap; exposed for benchmarks and tests).
-        self.events_scheduled = 0
         self.events_fired = 0
-        self.compactions = 0
         self._trace_hook: Optional[Callable[[Event], None]] = None
         # The one slot run() reads per event: None while no hook is
         # attached, else the bound ``_fire``.  A bound method (not a
@@ -244,8 +220,6 @@ class Simulator:
         seq = next(self._seq)
         event = Event(time, seq, fn, args, kwargs or None, self)
         heapq.heappush(self._heap, (time, seq, event))
-        self._pending += 1
-        self.events_scheduled += 1
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
@@ -255,8 +229,6 @@ class Simulator:
         seq = next(self._seq)
         event = Event(time, seq, fn, args, kwargs or None, self)
         heapq.heappush(self._heap, (time, seq, event))
-        self._pending += 1
-        self.events_scheduled += 1
         return event
 
     def reschedule(self, event: Event, delay: float) -> Event:
@@ -297,8 +269,6 @@ class Simulator:
         self._note_cancel()
         new = Event(time, seq, event.fn, event.args, event.kwargs, self)
         heapq.heappush(self._heap, (time, seq, new))
-        self._pending += 1
-        self.events_scheduled += 1
         return new
 
     def cancel(self, event: Event) -> None:
@@ -309,7 +279,6 @@ class Simulator:
     # Heap maintenance
     # ------------------------------------------------------------------
     def _note_cancel(self) -> None:
-        self._pending -= 1
         self._cancelled += 1
         if (self._cancelled >= COMPACT_MIN
                 and self._cancelled >= COMPACT_RATIO * len(self._heap)):
@@ -322,7 +291,6 @@ class Simulator:
         self._heap[:] = [entry for entry in self._heap if entry[2]._state != _CANCELLED]
         heapq.heapify(self._heap)
         self._cancelled = 0
-        self.compactions += 1
 
     def _next_entry(self):
         """Surface the next live heap entry (skimming dead and deferred
@@ -350,12 +318,11 @@ class Simulator:
     # ------------------------------------------------------------------
     def _fire(self, event: Event) -> None:
         """Fire one event, feeding the attached hook.  The only
-        definition of observed dispatch: step(), fire_event() and an
-        observed run() all come through here; run() inlines the plain
-        case (the four bookkeeping statements and the call) and nothing
+        definition of observed dispatch: fire_event() and an observed
+        run() both come through here; run() inlines the plain
+        case (the three bookkeeping statements and the call) and nothing
         else."""
         event._state = _FIRED
-        self._pending -= 1
         self.now = event.time
         self.events_fired += 1
         hook = self._trace_hook
@@ -368,63 +335,47 @@ class Simulator:
         else:
             fn(*event.args, **kw)
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the heap drains, ``until`` is reached, or
-        ``max_events`` have fired.  Returns the number of events fired
-        (cancelled entries that are popped and discarded do not count).
+    def run(self, until: Optional[float] = None) -> int:
+        """Run events until the heap drains or ``until`` is reached.
+        Returns the number of events fired (cancelled entries that are
+        popped and discarded do not count).
 
         See the module docstring for the exact clock semantics of each
         exit path.
         """
         fired = 0
-        stopped_by_max = False
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        self._running = True
-        try:
-            while heap:
-                if max_events is not None and fired >= max_events:
-                    stopped_by_max = True
-                    break
-                time, seq, event = heap[0]
-                state = event._state
-                if state == _CANCELLED:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                if event.seq != seq:
-                    heappop(heap)
-                    heappush(heap, (event.time, event.seq, event))
-                    continue
-                if until is not None and time > until:
-                    break
+        while heap:
+            time, seq, event = heap[0]
+            state = event._state
+            if state == _CANCELLED:
                 heappop(heap)
-                observed = self._observed
-                if observed is not None:
-                    observed(event)
-                else:
-                    event._state = _FIRED
-                    self._pending -= 1
-                    self.now = time
-                    self.events_fired += 1
-                    kw = event.kwargs
-                    if kw is None:
-                        event.fn(*event.args)
-                    else:
-                        event.fn(*event.args, **kw)
-                fired += 1
-        finally:
-            self._running = False
-        if until is not None and until > self.now:
-            if not stopped_by_max:
-                self.now = until
+                self._cancelled -= 1
+                continue
+            if event.seq != seq:
+                heappop(heap)
+                heappush(heap, (event.time, event.seq, event))
+                continue
+            if until is not None and time > until:
+                break
+            heappop(heap)
+            observed = self._observed
+            if observed is not None:
+                observed(event)
             else:
-                # Only jump the clock past unfired work if there is none
-                # at or before the horizon.
-                head = self._next_entry()
-                if head is None or head[0] > until:
-                    self.now = until
+                event._state = _FIRED
+                self.now = time
+                self.events_fired += 1
+                kw = event.kwargs
+                if kw is None:
+                    event.fn(*event.args)
+                else:
+                    event.fn(*event.args, **kw)
+            fired += 1
+        if until is not None and until > self.now:
+            self.now = until
         return fired
 
     # ------------------------------------------------------------------
@@ -490,11 +441,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue (O(1))."""
-        return self._pending
-
     @property
     def heap_size(self) -> int:
         """Raw heap length, including lazily-cancelled entries."""

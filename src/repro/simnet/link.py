@@ -142,7 +142,6 @@ class Link:
         self._start_transmission()
 
     def _deliver(self, packet: Packet) -> None:
-        packet.hops += 1
         self.bytes_delivered += packet.size
         self.packets_delivered += 1
         self.dst.receive(packet, self)

@@ -32,8 +32,6 @@ class Node:
         self.name = name
         self.interfaces: List["Link"] = []
         self.routes: Dict[str, "Link"] = {}
-        self.packets_forwarded = 0
-        self.packets_received = 0
         self.packets_unroutable = 0
         #: Crashed nodes (see :mod:`repro.simnet.faults`) drop every
         #: packet delivered or offered for forwarding until restart.
@@ -68,10 +66,8 @@ class Node:
             self.packets_dropped_down += 1
             return
         if packet.dst == self.name:
-            self.packets_received += 1
             self._deliver_local(packet)
         else:
-            self.packets_forwarded += 1
             link = self.routes.get(packet.dst)
             if link is None:
                 self.packets_unroutable += 1

@@ -10,11 +10,8 @@ header overhead in ``size``.
 
 from __future__ import annotations
 
-import itertools
 from operator import attrgetter
 from typing import Any, Dict, Optional
-
-_packet_ids = itertools.count(1)
 
 #: Conventional per-packet header overhead (IP + UDP), in bytes.
 IP_UDP_HEADER = 28
@@ -45,12 +42,6 @@ class Packet:
         Simulation time at which the packet entered the network.
     enqueued_at:
         When a queue last took the packet (0.0 until one does).
-    hops:
-        Number of links traversed so far (0 at construction).
-    uid:
-        A process-wide serial number, assigned at construction.
-    ecn:
-        Congestion-experienced mark (False at construction).
     """
 
     # One is built per datagram, so construction is a single
@@ -58,7 +49,7 @@ class Packet:
     # ``__post_init__`` hop) and the fields are slot-backed.
     __slots__ = (
         "src", "dst", "size", "src_port", "dst_port", "kind", "flow",
-        "payload", "created_at", "enqueued_at", "hops", "uid", "ecn",
+        "payload", "created_at", "enqueued_at",
     )
 
     def __init__(
@@ -85,9 +76,6 @@ class Packet:
         self.payload = {} if payload is None else payload
         self.created_at = created_at
         self.enqueued_at = 0.0
-        self.hops = 0
-        self.uid = next(_packet_ids)
-        self.ecn = False
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -108,7 +96,7 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Packet #{self.uid} {self.kind} {self.src}:{self.src_port}->"
+            f"<Packet {self.kind} {self.src}:{self.src_port}->"
             f"{self.dst}:{self.dst_port} {self.size}B>"
         )
 

@@ -28,14 +28,12 @@ class FlowStats:
 
     def __init__(self) -> None:
         self.samples: List[_Sample] = []
-        self.bytes_total = 0
         self.packets_total = 0
         self._time_index: List[float] = []
 
     def record(self, packet: Packet, now: float) -> None:
         self.samples.append(_Sample(now, packet.size, packet.age(now), packet.flow))
         self._time_index.append(now)
-        self.bytes_total += packet.size
         self.packets_total += 1
 
     # ------------------------------------------------------------------

@@ -105,7 +105,6 @@ class MptcpSender:
         #: for the DSN header riding in segment payloads; the receiver
         #: reads it to reassemble connection-level delivery.
         self.dsn_log: List[List[Tuple[int, int]]] = []
-        self.reinjected_bytes = 0
         self.on_established: Optional[Callable[[], None]] = None
         for i, subflow in enumerate(subflows):
             self.dsn_log.append([])
@@ -153,7 +152,6 @@ class MptcpSender:
             for start, end in reversed(stranded):
                 self._send_queue.appendleft((start, end))
                 self._pending_bytes += end - start
-                self.reinjected_bytes += end - start
         self._pump()
 
     def _stranded_intervals(self, index: int, acked_offset: int,

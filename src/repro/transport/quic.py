@@ -73,7 +73,6 @@ class QuicConnection(SocketBase):
         self.flow = f"quic:{host.name}:{port}"
         self.on_stream_data = on_stream_data
         self.established = False
-        self.handshake_rtts = 0
 
         # --- sender state ---
         self._next_pn = 0
@@ -88,7 +87,6 @@ class QuicConnection(SocketBase):
         self.rtt = RttEstimator()
         self._pto_event = None
         self.retransmits = 0
-        self.packets_sent = 0
 
         # --- receiver state ---
         self.streams: Dict[int, QuicStream] = {}
@@ -103,7 +101,6 @@ class QuicConnection(SocketBase):
         """1-RTT handshake, or 0-RTT when resuming a known server."""
         if resumed:
             self.established = True
-            self.handshake_rtts = 0
             self._flush()
         else:
             packet = self._packet(self.dst, self.dst_port, QUIC_HEADER + 48,
@@ -145,7 +142,6 @@ class QuicConnection(SocketBase):
         self.bytes_in_flight += length
         if retransmit:
             self.retransmits += 1
-        self.packets_sent += 1
         packet = self._packet(
             self.dst, self.dst_port, length + QUIC_HEADER + IP_UDP_HEADER,
             kind="quic-data",
@@ -190,7 +186,6 @@ class QuicConnection(SocketBase):
         elif kind == "quic-accept":
             if not self.established:
                 self.established = True
-                self.handshake_rtts = 1
                 self._flush()
         elif kind == "quic-data":
             self._on_data(packet)

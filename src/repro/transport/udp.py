@@ -31,8 +31,6 @@ class UdpSocket(SocketBase):
         self.on_receive = on_receive
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.datagrams_sent = 0
-        self.datagrams_received = 0
 
     def sendto(
         self,
@@ -51,11 +49,9 @@ class UdpSocket(SocketBase):
                         kind, flow, payload, self.sim.now)
         host.send(packet)
         self.bytes_sent += packet.size
-        self.datagrams_sent += 1
         return packet
 
     def on_packet(self, packet: Packet) -> None:
         self.bytes_received += packet.size
-        self.datagrams_received += 1
         if self.on_receive is not None:
             self.on_receive(packet)

@@ -1,9 +1,8 @@
-"""Tests for the object cache and the energy model."""
+"""Tests for the object cache."""
 
 import pytest
 
 from repro.mar.cache import ObjectCache
-from repro.mar.energy import EnergyModel, JOULES_PER_MEGACYCLE, RADIO_JOULES_PER_BYTE
 
 
 class TestObjectCache:
@@ -53,31 +52,4 @@ class TestObjectCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ObjectCache(0)
-
-
-class TestEnergyModel:
-    def test_compute_energy(self):
-        e = EnergyModel()
-        e.on_compute(100.0)
-        assert e.compute_joules == pytest.approx(100.0 * JOULES_PER_MEGACYCLE)
-
-    def test_lte_costs_more_than_wifi_per_byte(self):
-        wifi = EnergyModel(radio="wifi")
-        lte = EnergyModel(radio="lte")
-        wifi.on_transfer(1_000_000)
-        lte.on_transfer(1_000_000)
-        assert lte.radio_joules > wifi.radio_joules
-
-    def test_burst_tail_energy(self):
-        e = EnergyModel(radio="lte")
-        e.on_transfer(100, new_burst=True)
-        e.on_transfer(100, new_burst=False)
-        assert e.bursts == 1
-        tail_only = e.radio_joules - 200 * RADIO_JOULES_PER_BYTE["lte"]
-        assert tail_only > 0
-
-    def test_total_includes_baseline(self):
-        e = EnergyModel()
-        assert e.total(10.0) == pytest.approx(9.0)  # 0.9 W baseline
-
 

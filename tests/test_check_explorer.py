@@ -78,15 +78,6 @@ class TestCheckpoint:
         sim_a.run(until=2.0)
         assert rec_a.fired and not rec_b.fired
 
-    def test_consume_forbids_further_restores(self):
-        sim = Simulator(seed=1)
-        cp = sim.checkpoint(None)
-        assert not cp.consumed
-        cp.restore(consume=True)
-        assert cp.consumed
-        with pytest.raises(RuntimeError):
-            cp.restore()
-
 
 class TestTieExploration:
     def test_pending_ties_lists_same_deadline_events_by_seq(self):

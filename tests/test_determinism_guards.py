@@ -255,14 +255,14 @@ def first_run_events(name, monkeypatch, on_event):
     real_run = Simulator.run
     first = []
 
-    def run(sim, until=None, max_events=None):
+    def run(sim, until=None):
         if first:
-            return real_run(sim, until, max_events)
+            return real_run(sim, until)
         count = itertools.count()
         previous = sim.trace_hook
         sim.trace_hook = lambda event: on_event(sim, until, next(count), event)
         try:
-            fired = real_run(sim, until, max_events)
+            fired = real_run(sim, until)
         finally:
             sim.trace_hook = previous
         if fired:

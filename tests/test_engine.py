@@ -99,22 +99,13 @@ def test_events_scheduled_during_run_fire():
     assert sim.now == 3.0
 
 
-def test_max_events_bound():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(i * 0.1, fired.append, i)
-    count = sim.run(max_events=4)
-    assert count == 4
-    assert fired == [0, 1, 2, 3]
-
-
 def test_pending_count_excludes_cancelled():
     sim = Simulator()
     e1 = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
+    e2 = sim.schedule(2.0, lambda: None)
     e1.cancel()
-    assert sim.pending == 1
+    assert [e for _, _, e in sim._heap if not e.cancelled] == [e2]
+    assert sim.run() == 1
 
 
 def test_kwargs_passed_to_callback():
@@ -167,7 +158,7 @@ def test_child_rng_rejects_a_repeated_tag():
 
 
 # ----------------------------------------------------------------------
-# Hot-path machinery: compaction, O(1) pending, reschedule, clock rules
+# Hot-path machinery: compaction, reschedule, clock rules
 # ----------------------------------------------------------------------
 
 def test_compaction_triggers_and_preserves_events(monkeypatch):
@@ -179,11 +170,9 @@ def test_compaction_triggers_and_preserves_events(monkeypatch):
               for i in range(40)]
     for e in doomed:
         e.cancel()
-    assert sim.compactions >= 1
     # Dead entries stay bounded by the trigger threshold instead of
     # accumulating all 40 cancellations.
-    assert sim.heap_size - sim.pending < 8
-    assert sim.heap_size <= len(survivors) + 8
+    assert sim.heap_size - len(survivors) < 8
     sim.run()
     assert keep == [0, 1, 2, 3]
 
@@ -193,18 +182,16 @@ def test_no_compaction_below_min_threshold(monkeypatch):
     sim = Simulator()
     for i in range(10):
         sim.schedule(1.0 + i, lambda: None).cancel()
-    assert sim.compactions == 0
-    assert sim.heap_size - sim.pending == 10
+    assert sim.heap_size == 10
 
 
-def test_pending_counter_consistent_under_interleaving(monkeypatch):
+def test_cancelled_counter_consistent_under_interleaving(monkeypatch):
     monkeypatch.setattr(engine, "COMPACT_MIN", 4)
     monkeypatch.setattr(engine, "COMPACT_RATIO", 0.25)
     sim = Simulator()
 
-    def naive_pending(s):
-        return sum(1 for _, _, e in s._heap
-                   if not e.cancelled and not e.fired)
+    def naive_cancelled(s):
+        return sum(1 for _, _, e in s._heap if e.cancelled)
 
     events = []
     for i in range(30):
@@ -212,10 +199,10 @@ def test_pending_counter_consistent_under_interleaving(monkeypatch):
         if i % 3 == 0:
             events[i // 2].cancel()
         if i % 7 == 0:
-            sim.run(max_events=2)
-        assert sim.pending == naive_pending(sim)
+            sim.run(until=sim.now + 0.15)
+        assert sim._cancelled == naive_cancelled(sim)
     sim.run()
-    assert sim.pending == 0 == naive_pending(sim)
+    assert sim._cancelled == 0 == naive_cancelled(sim) == sim.heap_size
 
 
 def test_cancel_is_idempotent_for_counters():
@@ -223,8 +210,7 @@ def test_cancel_is_idempotent_for_counters():
     e = sim.schedule(1.0, lambda: None)
     e.cancel()
     e.cancel()
-    assert sim.pending == 0
-    assert sim.heap_size - sim.pending == 1
+    assert sim._cancelled == 1 == sim.heap_size
 
 
 def test_cancel_after_fire_is_noop():
@@ -234,7 +220,7 @@ def test_cancel_after_fire_is_noop():
     assert e.fired
     e.cancel()
     assert not e.cancelled
-    assert sim.pending == 0
+    assert sim._cancelled == 0
 
 
 def test_reschedule_later_fires_once_at_new_time():
@@ -322,35 +308,11 @@ def test_run_clock_until_exit_is_exact():
     assert sim.now == 10.0
 
 
-def test_run_clock_max_events_does_not_jump_past_unfired_work():
-    """If max_events trips while events <= until remain, the clock must
-    stay at the last fired event — otherwise the next run() would move
-    the clock backwards."""
-    sim = Simulator()
-    times = []
-    for t in (1.0, 2.0, 3.0):
-        sim.schedule(t, times.append, t)
-    fired = sim.run(until=10.0, max_events=2)
-    assert fired == 2
-    assert sim.now == 2.0  # NOT 10.0
-    sim.run(until=10.0)
-    assert times == [1.0, 2.0, 3.0]
-    assert sim.now == 10.0
-
-
-def test_run_clock_max_events_advances_when_nothing_remains_before_until():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(50.0, lambda: None)
-    sim.run(until=10.0, max_events=1)
-    assert sim.now == 10.0  # remaining work is beyond the horizon
-
-
 def test_run_counts_zero_when_only_cancelled_events_popped():
     sim = Simulator()
     for i in range(5):
         sim.schedule(1.0 + i, lambda: None).cancel()
-    assert sim.run(max_events=3) == 0
+    assert sim.run() == 0
     assert sim.heap_size == 0
 
 
@@ -421,7 +383,7 @@ def _observed_ring(drive):
     ring = _Ring(sim)
     sim.trace_hook = ring.observe
     drive(sim)
-    assert sim.pending == 0
+    assert sim.pending_ties() == []
     return ring.seen, ring.log, sim.events_fired
 
 
@@ -491,19 +453,19 @@ def test_handlers_see_current_clock_and_counters_when_unobserved():
     seen = []
 
     def probe():
-        seen.append((sim.now, sim.events_fired, sim.pending))
+        seen.append((sim.now, sim.events_fired))
 
     sim.schedule(1.0, probe)
     sim.schedule(2.0, probe)
     sim.run()
-    assert seen == [(1.0, 1, 1), (2.0, 2, 0)]
+    assert seen == [(1.0, 1), (2.0, 2)]
 
 
 def test_restored_checkpoint_observes_through_its_own_hook():
     sim = Simulator(seed=3)
     ring = _Ring(sim)
     sim.trace_hook = ring.observe
-    sim.run(max_events=4)
+    sim.run(until=0.75)  # the three lanes' first ticks and the kwargs note
     before = list(ring.seen)
     assert len(before) == 4
 

@@ -70,16 +70,16 @@ class TestFixedBinHistogram:
     def test_percentiles_monotone_and_in_range(self, a):
         h = FixedBinHistogram(-1e6, 1e6, 64).extend(a)
         if not a:
-            assert math.isnan(h.p50)
+            assert math.isnan(h.percentile(50))
             return
-        assert h.lo <= h.p50 <= h.p95 <= h.p99 <= h.hi
+        assert h.lo <= h.percentile(50) <= h.percentile(95) <= h.percentile(99) <= h.hi
 
     def test_percentile_accuracy_within_bin(self):
         h = FixedBinHistogram(0.0, 100.0, 100)
         h.extend(float(i) + 0.5 for i in range(100))
-        assert h.p50 == pytest.approx(50.0, abs=h.bin_width)
-        assert h.p95 == pytest.approx(95.0, abs=h.bin_width)
-        assert h.p99 == pytest.approx(99.0, abs=h.bin_width)
+        assert h.percentile(50) == pytest.approx(50.0, abs=h.bin_width)
+        assert h.percentile(95) == pytest.approx(95.0, abs=h.bin_width)
+        assert h.percentile(99) == pytest.approx(99.0, abs=h.bin_width)
 
     def test_out_of_range_buckets(self):
         h = FixedBinHistogram(0.0, 1.0, 10)

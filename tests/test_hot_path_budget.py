@@ -91,6 +91,7 @@ from repro.fleet.cache import MERGED_NAME
 from repro.simnet import engine
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
+from repro.simnet.packet import IP_UDP_HEADER
 from repro.transport import QuicStream
 from repro.transport.mptcp import _IntervalSet
 from repro.transport.udp import UdpSocket
@@ -176,7 +177,7 @@ def test_one_hop_datagram_stays_within_frame_and_event_budget():
 
     calls = _python_calls(sim.run)
 
-    assert rx.datagrams_received == DATAGRAMS
+    assert rx.bytes_received == DATAGRAMS * (200 + IP_UDP_HEADER)
     assert sim.events_fired == EVENTS_PER_DATAGRAM * DATAGRAMS
     per_datagram = calls / DATAGRAMS
     assert per_datagram <= FRAME_BUDGET, (

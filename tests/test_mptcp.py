@@ -163,7 +163,6 @@ def test_spurious_failover_duplicates_detected_not_recounted():
     assert receiver.bytes_received == (
         receiver.bytes_delivered_unique + receiver.duplicate_bytes
     )
-    assert sender.reinjected_bytes >= receiver.duplicate_bytes
 
 
 def test_receiver_without_sender_degrades_to_raw_counting():

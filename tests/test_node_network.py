@@ -44,7 +44,8 @@ def test_router_forwards():
     net["b"].bind(80, rec)
     net["a"].send(Packet(src="a", dst="b", size=100, dst_port=80))
     sim.run()
-    assert net["r"].packets_forwarded == 1
+    assert len(rec.packets) == 1
+    assert [link.packets_delivered for link in net.path_links("a", "b")] == [1, 1]
 
 
 def test_unbound_port_counted():

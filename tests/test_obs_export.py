@@ -206,8 +206,9 @@ class TestSnapshot:
         assert snap["unfinished"] == 0
         assert run.registry.counters["frame.completed"].value == FRAMES
         lat = run.registry.histograms["frame.latency"]
-        assert lat.count == FRAMES
-        assert 0.0 < lat.bins.p50 <= lat.bins.p95 <= lat.bins.p99
+        assert lat.moments.count == FRAMES
+        p50, p95, p99 = (lat.bins.percentile(q) for q in (50, 95, 99))
+        assert 0.0 < p50 <= p95 <= p99
 
     def test_breakdowns_cover_all_frames(self, run):
         assert len(run.breakdowns) == FRAMES

@@ -59,10 +59,10 @@ class TestPrimitives:
         h = reg.histogram("latency", 1.0, 100)
         for i in range(100):
             h.observe(i / 100.0)
-        assert h.count == 100
-        assert h.mean == pytest.approx(0.495, abs=0.01)
-        assert h.percentile(50) == pytest.approx(0.5, abs=0.02)
-        assert h.percentile(95) == pytest.approx(0.95, abs=0.02)
+        assert h.moments.count == 100
+        assert h.moments.mean == pytest.approx(0.495, abs=0.01)
+        assert h.bins.percentile(50) == pytest.approx(0.5, abs=0.02)
+        assert h.bins.percentile(95) == pytest.approx(0.95, abs=0.02)
 
 
 class TestMergeOrderIndependence:
@@ -100,5 +100,5 @@ class TestSerialization:
         assert agg.counts["obs.events"] == 3
         assert agg.histograms["obs.latency"].total == 3
         # Lifted histogram preserves binning, so percentiles agree.
-        assert agg.histograms["obs.latency"].p50 == \
-            pytest.approx(reg.histogram("latency").percentile(50))
+        assert agg.histograms["obs.latency"].percentile(50) == \
+            pytest.approx(reg.histogram("latency").bins.percentile(50))

@@ -114,14 +114,6 @@ class TestExecutor:
         assert result.loss_rate == 0.0
         assert result.frames_completed == 100
 
-    def test_energy_accounted(self):
-        sim, net = scenario()
-        ex = OffloadExecutor(net, "client", "server", GAMING, FullOffload(),
-                             SMARTPHONE)
-        result = ex.run(n_frames=50)
-        assert result.energy.compute_joules > 0
-        assert result.energy.radio_joules > 0
-
     def test_percentile_monotone(self):
         sim, net = scenario(rtt=0.036)
         ex = OffloadExecutor(net, "client", "server", GAMING, FullOffload(), SMARTPHONE)

@@ -29,12 +29,6 @@ def test_age():
     assert p.age(3.5) == pytest.approx(2.5)
 
 
-def test_uids_unique_and_increasing():
-    a = Packet(src="a", dst="b", size=1)
-    b = Packet(src="a", dst="b", size=1)
-    assert b.uid > a.uid
-
-
 def test_header_constants():
     assert IP_UDP_HEADER == 28
     assert IP_TCP_HEADER == 40
@@ -47,13 +41,11 @@ def test_positional_and_keyword_construction_agree():
     positional = Packet("a", "b", 100, 1, 2, "ack", "f", {"k": 1}, 0.5)
     keyword = Packet(src="a", dst="b", size=100, src_port=1, dst_port=2, kind="ack",
                      flow="f", payload={"k": 1}, created_at=0.5)
-    keyword.uid = positional.uid
     assert positional == keyword
     assert (positional.src, positional.dst, positional.size) == ("a", "b", 100)
     assert (positional.src_port, positional.dst_port) == (1, 2)
     assert (positional.kind, positional.flow, positional.payload) == ("ack", "f", {"k": 1})
     assert (positional.created_at, positional.enqueued_at) == (0.5, 0.0)
-    assert (positional.hops, positional.ecn) == (0, False)
 
 
 def test_defaults():
@@ -61,8 +53,7 @@ def test_defaults():
     assert (p.src_port, p.dst_port, p.kind) == (0, 0, "data")
     assert p.flow == "a:0->b:0"
     assert p.payload == {}
-    assert (p.created_at, p.enqueued_at, p.hops, p.ecn) == (0.0, 0.0, 0, False)
-    assert isinstance(p.uid, int)
+    assert (p.created_at, p.enqueued_at) == (0.0, 0.0)
 
 
 def test_default_payload_is_not_shared():
@@ -77,17 +68,14 @@ def test_negative_size_rejected():
         Packet("a", "b", -1)
 
 
-def test_equality_is_field_wise_and_includes_uid():
-    def packet(size, uid, payload):
-        p = Packet("a", "b", size, payload=payload)
-        p.uid = uid
-        return p
-
-    a = packet(10, 5, {"k": 1})
-    assert a == packet(10, 5, {"k": 1})
-    assert a != packet(10, 6, {"k": 1})
-    assert a != packet(11, 5, {"k": 1})
-    assert a != packet(10, 5, {"k": 2})
+def test_equality_is_field_wise():
+    a = Packet("a", "b", 10, payload={"k": 1})
+    assert a == Packet("a", "b", 10, payload={"k": 1})
+    assert a != Packet("a", "b", 11, payload={"k": 1})
+    assert a != Packet("a", "b", 10, payload={"k": 2})
+    b = Packet("a", "b", 10, payload={"k": 1})
+    b.enqueued_at = 0.5
+    assert a != b
     assert a != "not a packet"
     with pytest.raises(TypeError):
         hash(a)
@@ -103,9 +91,9 @@ def test_deepcopy_and_pickle_round_trip():
     import pickle
 
     p = Packet("a", "b", 10, 1, 2, "ack", "f", {"k": [1]}, 0.5)
-    p.enqueued_at, p.hops, p.ecn = 0.7, 2, True
+    p.enqueued_at = 0.7
     for clone in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert clone == p and clone is not p
-        assert clone.uid == p.uid
+        assert clone.enqueued_at == 0.7
         assert clone.payload is not p.payload
         assert clone.payload["k"] is not p.payload["k"]

@@ -43,7 +43,7 @@ class TestMonitors:
         sim.run(until=3.0)
         depth = registry.histogram("queue.q.packets")
         assert depth.moments.maximum > 50     # 2x overload builds queue
-        assert depth.mean > 10
+        assert depth.moments.mean > 10
         # Mean backlog drained at the 2 Mb/s link rate: the queuing delay.
         backlog = registry.gauge("queue.q.bytes").moments
         assert backlog.mean * 8 / 2e6 > 0.05
@@ -66,7 +66,7 @@ class TestMonitors:
         sim, link = self.loaded_link()
         LinkMonitor(sim, link, horizon=4.0, registry=registry)
         sim.run(until=4.0)
-        assert registry.histogram(f"link.{link.name}.utilization").mean > 0.9
+        assert registry.histogram(f"link.{link.name}.utilization").moments.mean > 0.9
         peak = registry.gauge(f"link.{link.name}.throughput_bps").moments.maximum
         assert peak == pytest.approx(2e6, rel=0.1)
 
@@ -75,7 +75,7 @@ class TestMonitors:
         sim, link = self.loaded_link(rate=10e6, offered=2e6)
         LinkMonitor(sim, link, horizon=4.0, registry=registry)
         sim.run(until=4.0)
-        assert 0.1 < registry.histogram(f"link.{link.name}.utilization").mean < 0.35
+        assert 0.1 < registry.histogram(f"link.{link.name}.utilization").moments.mean < 0.35
 
     def test_interval_validation(self, monkeypatch):
         monkeypatch.setattr(instrument, "QUEUE_SAMPLE_INTERVAL", 0.0)
@@ -99,8 +99,8 @@ class TestMonitors:
         sim.run()
         assert sim.now <= 1.0
         # ~1.0/interval ticks; float accumulation may shave the last one.
-        assert 19 <= registry.histogram("queue.q.packets").count <= 21
-        assert 3 <= registry.histogram(f"link.{link.name}.utilization").count <= 4
+        assert 19 <= registry.histogram("queue.q.packets").moments.count <= 21
+        assert 3 <= registry.histogram(f"link.{link.name}.utilization").moments.count <= 4
 
     def test_monitors_feed_registry(self):
         registry = MetricsRegistry()
@@ -111,9 +111,9 @@ class TestMonitors:
                     registry=registry)
         sim.run(until=3.0)
         depth = registry.histogram("queue.uplink.packets")
-        assert 39 <= depth.count <= 41
-        assert depth.percentile(95) > 50    # overloaded link builds a queue
-        util = registry.histogram(f"link.{link.name}.utilization")
+        assert 39 <= depth.moments.count <= 41
+        assert depth.bins.percentile(95) > 50    # overloaded link builds a queue
+        util = registry.histogram(f"link.{link.name}.utilization").moments
         assert 7 <= util.count <= 8
         assert util.mean > 0.9
-        assert registry.gauge("queue.uplink.bytes").moments.count == depth.count
+        assert registry.gauge("queue.uplink.bytes").moments.count == depth.moments.count

@@ -103,9 +103,10 @@ class TestFecEncoder:
 
     def test_overhead_ratio(self):
         enc = FecEncoder(group_size=4)
-        for i in range(8):
-            enc.push(msg(i))
-        assert enc.overhead_ratio == pytest.approx(0.25)
+        data = [msg(i) for i in range(8)]
+        parities = [p for m in data if (p := enc.push(m)) is not None]
+        overhead = sum(p.size for p in parities) / sum(m.size for m in data)
+        assert overhead == pytest.approx(0.25)
 
     def test_group_size_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,15 @@ once that process has seen two values.  The report lists, per module,
 each function whose code never ran, with its extent in lines, and then
 each defaulted parameter that ran with exactly one value across every
 process.  A parameter that only ever sees one value is a constant in all
-but name.
+but name.  Last come the attributes that ``src/repro`` stores on
+``self`` and that nothing which runs reads back: no attribute load of
+that name (``getattr``/``hasattr`` with a literal name included) sits in
+a ``src/repro`` function that ran, at module or class level there, or
+anywhere under ``benchmarks/`` or ``examples/``.  A ``_private`` name
+counts only ``self.`` loads inside the class that stores it, its bases
+and its subclasses.  A
+write-only attribute is state that every run pays to keep and no run
+looks at.
 """
 
 import ast
@@ -159,6 +167,87 @@ def defaulted(path):
     return out
 
 
+def attribute_uses(path):
+    """Every ``self.<name>`` store and every attribute load in one file.
+
+    Stores are ``(name, line, class)``.  Loads are ``(name, scope, class,
+    via_self)``: ``scope`` is the first line (decorators included) of the
+    innermost enclosing function or lambda, None at module or class
+    level, and a ``getattr``/``hasattr`` with a literal name is a load of
+    that name.  ``class`` is the innermost enclosing class (or None).
+    Bases map each class defined in the file to its base class names."""
+    stores, loads, bases = [], [], {}
+
+    def is_self(node):
+        return isinstance(node, ast.Name) and node.id == "self"
+
+    def visit(node, cls, scope):
+        for child in ast.iter_child_nodes(node):
+            inner_cls, inner_scope = cls, scope
+            if isinstance(child, ast.ClassDef):
+                inner_cls = child.name
+                bases[child.name] = [getattr(b, "id", getattr(b, "attr", "")) for b in child.bases]
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner_scope = min([child.lineno] + [d.lineno for d in child.decorator_list])
+            elif isinstance(child, ast.Lambda):
+                inner_scope = child.lineno
+            elif isinstance(child, ast.Attribute):
+                if isinstance(child.ctx, ast.Store) and is_self(child.value):
+                    stores.append((child.attr, child.lineno, cls))
+                elif isinstance(child.ctx, ast.Load):
+                    loads.append((child.attr, scope, cls, is_self(child.value)))
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id in ("getattr", "hasattr") and len(child.args) >= 2
+                  and isinstance(child.args[1], ast.Constant)
+                  and isinstance(child.args[1].value, str)):
+                loads.append((child.args[1].value, scope, cls, is_self(child.args[0])))
+            visit(child, inner_cls, inner_scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None, None)
+    return stores, loads, bases
+
+
+def write_only(sources, readers, ran=None):
+    """The attributes ``sources`` store on ``self`` and nothing reads:
+    ``{(class, name): [(path, line), ...]}``.
+
+    A load in ``sources`` counts at module or class level, or in a
+    function whose ``(str(path), first line)`` is in ``ran`` (in every
+    function when ``ran`` is None); any load in ``readers`` counts.  A
+    ``_private`` name counts only ``self.`` loads in the class that
+    stores it, its bases and its subclasses."""
+    stores, read, read_by_class, bases = {}, set(), set(), {}
+    for path in sources:
+        file_stores, file_loads, file_bases = attribute_uses(path)
+        bases.update(file_bases)
+        for name, line, cls in file_stores:
+            stores.setdefault((cls, name), []).append((path, line))
+        for name, scope, cls, via_self in file_loads:
+            if ran is None or scope is None or (str(path), scope) in ran:
+                read.add(name)
+                if via_self:
+                    read_by_class.add((cls, name))
+    for path in readers:
+        read.update(name for name, *_ in attribute_uses(path)[1])
+
+    def lineage(cls):
+        seen, todo = set(), [cls]
+        while todo:
+            c = todo.pop()
+            if c not in seen:
+                seen.add(c)
+                todo.extend(bases.get(c, ()))
+        return seen
+
+    def unread(cls, name):
+        if not name.startswith("_") or name.endswith("__"):
+            return name not in read
+        family = lineage(cls) | {c for c in bases if cls in lineage(c)}
+        return not any((c, name) in read_by_class for c in family)
+
+    return {key: sites for key, sites in stores.items() if unread(*key)}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="whatruns-") as tmp:
         tree, hook, calls = (pathlib.Path(tmp, d) for d in ("tree", "hook", "calls"))
@@ -215,6 +304,21 @@ def main() -> int:
             print(f"    {first:5d}  {params[path, first][0]}({name}) = {value}")
         print(f"{len(single)} of {len(bound)} bound defaulted parameters saw one value "
               f"({sum(len(names) for _, names in params.values())} defaulted in all)")
+        sources = sorted(src.rglob("*.py"))
+        readers = sorted(p for d in ("benchmarks", "examples") for p in (tree / d).rglob("*.py"))
+        unread = write_only(sources, readers, ran)
+        module = None
+        for (cls, name), sites in sorted(unread.items(), key=lambda kv: min(kv[1])):
+            path, line = min(sites)
+            if path != module:
+                module = path
+                print(f"{path.relative_to(tree / 'src')}: write-only")
+            owner = f"{cls}." if cls else ""
+            print(f"    {line:5d}  {owner}{name} ({len(sites)} writes)")
+        n_stored = len({(cls, name) for path in sources
+                        for name, _, cls in attribute_uses(path)[0]})
+        print(f"{len(unread)} of {n_stored} attributes stored on self are loaded "
+              f"nowhere that runs")
     return 0
 
 
