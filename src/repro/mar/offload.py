@@ -19,8 +19,9 @@ Table II.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import mean, percentile as sample_percentile
 from repro.core.resilience import (
@@ -319,6 +320,10 @@ class OffloadExecutor:
         self._flow = f"offload:{self.socket.host.name}"
         self.server = _ServerSide(net, server, SERVER_PORT, server_device)
         self._pending: Dict[int, Dict[str, float]] = {}
+        # (deadline, frame) per upload, in deadline order: one timer,
+        # armed at the oldest pending frame's deadline while any is
+        # listed, expires them all.
+        self._deadlines: Deque[Tuple[float, int]] = deque()
         self._frame_index = 0
         #: Optional observability hooks (attach_frame_observer sets it;
         #: every call site is None-guarded, so tracing off costs one
@@ -424,11 +429,24 @@ class OffloadExecutor:
                         plan.upload_bytes, "frame-fragment", self._flow, index,
                         remote_megacycles=plan.remote_megacycles,
                         download_bytes=plan.download_bytes)
-        self.sim.schedule(FRAME_TIMEOUT, self._expire_frame, index)
+        deadline = self.sim.now + FRAME_TIMEOUT
+        self._deadlines.append((deadline, index))
+        if len(self._deadlines) == 1:
+            self.sim.schedule_at(deadline, self._expire_frames)
 
-    def _expire_frame(self, index: int) -> None:
-        if self._pending.pop(index, None) is not None and self.obs is not None:
-            self.obs.on_frame_expired(index)
+    def _expire_frames(self) -> None:
+        """Expire every pending frame whose deadline has come, then re-arm
+        for the oldest frame still pending."""
+        deadlines = self._deadlines
+        pending = self._pending
+        now = self.sim.now
+        while deadlines and (deadlines[0][0] <= now
+                             or deadlines[0][1] not in pending):
+            _deadline, index = deadlines.popleft()
+            if pending.pop(index, None) is not None and self.obs is not None:
+                self.obs.on_frame_expired(index)
+        if deadlines:
+            self.sim.schedule_at(deadlines[0][0], self._expire_frames)
 
     def _on_packet(self, packet: Packet) -> None:
         if packet.kind == "pong":
@@ -724,10 +742,6 @@ class ResilientOffloadExecutor(OffloadExecutor):
             ServiceMode.PROBING, ServiceMode.DEGRADED_LOCAL
         ):
             self._set_mode(self._steady_mode())
-
-    def _expire_frame(self, index: int) -> None:
-        # Superseded by the retry/fallback machinery of _check_frame.
-        pass
 
     # ------------------------------------------------------------------
     def run(self, n_frames: int = 300, settle: float = 2.0) -> SessionResult:

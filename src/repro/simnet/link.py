@@ -7,11 +7,45 @@ for ``delay + jitter`` seconds.  :class:`DuplexLink` bundles two
 opposite links (possibly asymmetric — the situation of Section IV-D).
 :class:`VariableRateLink` adds the abrupt throughput changes observed on
 real wireless access networks (Section IV-A) via an AR(1) rate process.
+
+Planned departures
+------------------
+A :class:`~repro.simnet.queues.DropTailQueue` makes no decision when a
+packet leaves it: packets depart in arrival order, each as soon as the
+one before it has finished.  A link over such a queue therefore plans a
+packet's whole schedule when :meth:`Link.send` accepts it, by the
+Lindley recursion — start ``S = max(A, D_prev)``, finish
+``D = S + size·8/rate`` — then draws its fate as the event-driven link
+would at ``D`` (one ``random()`` for loss, then ``uniform(0, jitter)``
+for a delivered packet, on the link's own stream and in packet order)
+and schedules one event: its delivery, or for a lost packet the loss at
+``D``.  A datagram hop costs one event.
+
+The plan is exact, not an approximation.  The event-driven link reads
+``rate_bps`` at ``S`` and ``loss``, ``jitter`` and ``delay`` at ``D``;
+assigning a new value to any of the four replans every packet whose
+``D`` lies ahead: their deliveries are cancelled, their raw uniforms
+pushed back in front of the stream, and their fates re-derived under
+the new values.  The byte counter and the queue's length and backlog,
+read at any instant, are what the event-driven link would hold then:
+packets whose ``D`` has passed are settled lazily, on the next read or
+send.
+
+Every other discipline (CoDel, FQ-CoDel, RSVP's ``ReservedQueue``)
+decides at dequeue time, so a link over one keeps the event-driven
+path: a serialization-finish event per packet, which dequeues the next.
+So does a :class:`~repro.simnet.replay.TraceReplayLink`, whose outage
+hold decides at dequeue time whether to start.  Swapping the queue
+hands planned packets back to the event-driven path
+(:meth:`Link._unplan`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+import random
+from collections import deque
+from operator import attrgetter
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import Packet
@@ -19,6 +53,20 @@ from repro.simnet.queues import DropTailQueue, QueueDiscipline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.node import Node
+
+
+def _replanning(slot: str, doc: str) -> property:
+    """A link parameter whose assignment replans the packets it would
+    still have read it for."""
+
+    def set_(link: "Link", value) -> None:
+        if value == getattr(link, slot):
+            return          # the plan already holds under this value
+        taken = link._rewind()
+        setattr(link, slot, value)
+        link._replay(taken)
+
+    return property(attrgetter(slot), set_, doc=doc)
 
 
 class Link:
@@ -50,11 +98,24 @@ class Link:
     # subclasses and tests may still attach ad-hoc attributes (the dict
     # is only materialised when actually used).
     __slots__ = (
-        "sim", "src", "dst", "rate_bps", "delay", "jitter", "loss", "queue",
-        "name", "_rng", "_busy", "_last_delivery", "_finish_cb", "_deliver_cb",
-        "bytes_sent", "bytes_delivered", "bytes_lost", "packets_delivered",
+        "sim", "src", "dst", "_rate_bps", "_delay", "_jitter", "_loss",
+        "_queue", "name", "_rng", "_back", "_plan", "_free_at", "_busy",
+        "_last_delivery", "_finish_cb", "_deliver_cb", "_lose_cb",
+        "_bytes_sent", "bytes_delivered", "bytes_lost", "packets_delivered",
         "packets_lost", "__dict__",
     )
+
+    #: Whether a DropTail queue lets this link plan its departures.
+    _PLANS = True
+
+    rate_bps = _replanning(
+        "_rate_bps", "Serialization rate in bit/s, read when a packet starts.")
+    delay = _replanning(
+        "_delay", "Propagation delay in seconds, read when a packet finishes.")
+    jitter = _replanning(
+        "_jitter", "Jitter bound in seconds, read when a packet finishes.")
+    loss = _replanning(
+        "_loss", "Wire loss probability, read when a packet finishes.")
 
     def __init__(
         self,
@@ -75,11 +136,10 @@ class Link:
         self.sim = sim
         self.src = src
         self.dst = dst
-        self.rate_bps = float(rate_bps)
-        self.delay = delay
-        self.jitter = jitter
-        self.loss = loss
-        self.queue = queue if queue is not None else DropTailQueue()
+        self._rate_bps = float(rate_bps)
+        self._delay = delay
+        self._jitter = jitter
+        self._loss = loss
         self.name = name or f"{src.name}->{dst.name}"
         # Parallel links share a name: the second and later ones get
         # their own stream (the first keeps the plain tag).  A stand-in
@@ -88,50 +148,195 @@ class Link:
                     if link.name == self.name)
         self._rng = sim.child_rng(
             f"link:{self.name}#{twins}" if twins else f"link:{self.name}")
-        self._busy = False
+        # Raw uniforms taken back from replanned packets: the stream
+        # yields them before it draws from ``_rng`` again.
+        self._back: deque = deque()
+        # One entry per planned packet whose finish has not been settled,
+        # in packet order: (start, finish, size, packet, its delivery or
+        # loss event, loss uniform, jitter uniform or None, the clamp
+        # before it, arrival at the link).
+        self._plan: deque = deque()
+        self._free_at = 0.0       # finish of the last planned packet
+        self._busy = False        # event-driven path: a packet is serializing
         self._last_delivery = 0.0
         # Pre-bound callbacks: the hot path schedules these once per
         # packet, so avoid re-creating bound-method objects each time.
         self._finish_cb = self._finish_transmission
         self._deliver_cb = self._deliver
+        self._lose_cb = self._lose
         # Statistics.  ``bytes_sent - bytes_delivered - bytes_lost`` is
         # the in-flight byte count; wire drops land in ``bytes_lost`` /
         # ``packets_lost`` while queue drops are counted by the queue
         # discipline (surfaced via :attr:`queue_drops`).
-        self.bytes_sent = 0
+        self._bytes_sent = 0
         self.bytes_delivered = 0
         self.bytes_lost = 0
         self.packets_delivered = 0
         self.packets_lost = 0
+        self._queue: Optional[QueueDiscipline] = None
+        self.queue = queue if queue is not None else DropTailQueue()
         src.add_interface(self)
 
     # ------------------------------------------------------------------
+    @property
+    def queue(self) -> QueueDiscipline:
+        """The queue discipline.  Assigning one hands any planned packets
+        back to the old queue and the event-driven path; the link plans
+        again only over a DropTail queue assigned while it is idle."""
+        return self._queue
+
+    @queue.setter
+    def queue(self, queue: QueueDiscipline) -> None:
+        old = self._queue
+        if old is not None and old._planner is self:
+            self._unplan()
+        self._queue = queue
+        if (type(queue) is DropTailQueue and self._PLANS and not self._busy
+                and queue._planner is None and not queue._q):
+            queue._planner = self
+
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the link; returns False if the queue dropped it."""
-        accepted = self.queue.enqueue(packet, self.sim.now)
-        if accepted and not self._busy:
-            self._start_transmission()
-        return accepted
+        queue = self._queue
+        now = self.sim.now
+        if queue._planner is not self:
+            accepted = queue.enqueue(packet, now)
+            if accepted and not self._busy:
+                self._start_transmission()
+            return accepted
+        plan = self._plan
+        if plan and plan[0][1] <= now:
+            self._settle()
+        # DropTail occupancy: the planned packets that have not started.
+        queued = len(plan)
+        if queued and plan[0][0] <= now:
+            queued -= 1
+        if queued >= queue.capacity:
+            queue.drops += 1
+            return False
+        packet.enqueued_at = now
+        free = self._free_at
+        start = now if now > free else free
+        size = packet.size
+        self._schedule(packet, size, now, start,
+                       start + size * 8 / self._rate_bps)
+        return True
 
+    def _schedule(self, packet: Packet, size: int, arrived: float,
+                  start: float, finish: float) -> None:
+        """Plan one packet: draw its fate as the event-driven link does at
+        ``finish`` and schedule its delivery (or its loss)."""
+        self._free_at = finish
+        back = self._back
+        u = back.popleft() if back else self._rng.random()
+        last = self._last_delivery
+        if u < self._loss:
+            lost = self.sim.schedule_at(finish, self._lose_cb, packet)
+            self._plan.append((start, finish, size, packet, lost, u, None,
+                               last, arrived))
+            return
+        jitter = self._jitter
+        if jitter > 0:
+            # uniform(0, jitter) is 0.0 + (jitter - 0.0) * random().
+            v = back.popleft() if back else self._rng.random()
+            arrival = finish + self._delay + jitter * v
+        else:
+            v = None
+            arrival = finish + self._delay
+        # Never reorder: delivery is monotone along one link.
+        if arrival < last:
+            arrival = last
+        else:
+            self._last_delivery = arrival
+        delivery = self.sim.schedule_at(arrival, self._deliver_cb, packet)
+        self._plan.append((start, finish, size, packet, delivery, u, v,
+                           last, arrived))
+
+    def _settle(self) -> None:
+        """Retire the planned packets whose finish has passed into the
+        byte counter, which the event-driven link bumps at the start."""
+        plan = self._plan
+        now = self.sim.now
+        while plan and plan[0][1] <= now:
+            self._bytes_sent += plan.popleft()[2]
+
+    def _rewind(self) -> List[tuple]:
+        """Take back the plan of every packet whose finish lies ahead:
+        cancel its delivery and push its raw uniforms back in front of
+        the stream, as if it had not been drawn yet.  Returns the taken
+        entries, oldest first, for :meth:`_replay`."""
+        self._settle()
+        plan = self._plan
+        if not plan:
+            return []
+        taken = list(plan)
+        plan.clear()
+        raws = []
+        for _start, _finish, _size, _packet, event, u, v, _last, _arrived in taken:
+            event.cancel()
+            raws.append(u)
+            if v is not None:
+                raws.append(v)
+        self._back.extendleft(reversed(raws))
+        self._last_delivery = taken[0][7]
+        return taken
+
+    def _replay(self, taken: List[tuple]) -> None:
+        """Plan taken-back packets again under the current parameters.
+        The packet in service keeps the finish its start rate gave it;
+        each later one starts when its predecessor finishes."""
+        now = self.sim.now
+        for start, finish, size, packet, _e, _u, _v, _last, arrived in taken:
+            if start > now:
+                free = self._free_at
+                start = arrived if arrived > free else free
+                finish = start + size * 8 / self._rate_bps
+            self._schedule(packet, size, arrived, start, finish)
+
+    def _unplan(self) -> None:
+        """Hand the planned packets to the event-driven path: the one in
+        service gets its finish event, the rest go back into the queue,
+        and each draws its fate again when it finishes."""
+        queue = self._queue
+        queue._planner = None
+        now = self.sim.now
+        for start, finish, size, packet, *_ in self._rewind():
+            if start <= now:
+                self._busy = True
+                self._bytes_sent += size
+                self.sim.schedule_at(finish, self._finish_cb, packet)
+            else:
+                queue._q.append(packet)
+                queue.byte_count += size
+
+    def _draw(self) -> float:
+        """The next raw uniform of the link's stream."""
+        back = self._back
+        return back.popleft() if back else self._rng.random()
+
+    # ------------------------------------------------------------------
+    # The event-driven path (a queue that decides at dequeue time)
+    # ------------------------------------------------------------------
     def _start_transmission(self) -> None:
-        packet = self.queue.dequeue(self.sim.now)
+        packet = self._queue.dequeue(self.sim.now)
         if packet is None:
             self._busy = False
             return
         self._busy = True
         size = packet.size
-        self.bytes_sent += size
-        self.sim.schedule(size * 8 / self.rate_bps, self._finish_cb, packet)
+        self._bytes_sent += size
+        self.sim.schedule(size * 8 / self._rate_bps, self._finish_cb, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
+        back = self._back
         rng = self._rng
-        if rng.random() < self.loss:
-            self.packets_lost += 1
-            self.bytes_lost += packet.size
+        if (back.popleft() if back else rng.random()) < self._loss:
+            self._lose(packet)
         else:
-            jitter = self.jitter
-            extra = rng.uniform(0.0, jitter) if jitter > 0 else 0.0
-            arrival = self.sim.now + self.delay + extra
+            jitter = self._jitter
+            extra = (jitter * (back.popleft() if back else rng.random())
+                     if jitter > 0 else 0.0)
+            arrival = self.sim.now + self._delay + extra
             # Never reorder: delivery is monotone along one link.
             if arrival < self._last_delivery:
                 arrival = self._last_delivery
@@ -141,12 +346,27 @@ class Link:
         # Virtual on purpose: TraceReplayLink holds service in an outage.
         self._start_transmission()
 
+    def _lose(self, packet: Packet) -> None:
+        self.packets_lost += 1
+        self.bytes_lost += packet.size
+
     def _deliver(self, packet: Packet) -> None:
         self.bytes_delivered += packet.size
         self.packets_delivered += 1
         self.dst.receive(packet, self)
 
     # ------------------------------------------------------------------
+    @property
+    def bytes_sent(self) -> int:
+        """Bytes whose serialization has started."""
+        plan = self._plan
+        now = self.sim.now
+        if plan and plan[0][1] <= now:
+            self._settle()
+        if plan and plan[0][0] <= now:
+            return self._bytes_sent + plan[0][2]
+        return self._bytes_sent
+
     @property
     def backlog(self) -> int:
         """Packets currently queued (not counting the one in flight)."""
@@ -170,6 +390,21 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.rate_bps / 1e6:.1f}Mb/s {self.delay * 1e3:.1f}ms>"
+
+
+class _Stream(random.Random):
+    """A link's random stream as the event-driven link would read it
+    now: the draws taken back from planned packets first, then the
+    link's generator.  Only ``random()`` is real — the derived draws
+    (``lognormvariate`` among them) are built on it — so the seed below
+    is never drawn from."""
+
+    def __init__(self, link: Link) -> None:
+        super().__init__(0)
+        self._link = link
+
+    def random(self) -> float:
+        return self._link._draw()
 
 
 #: Seconds between two rate updates of a :class:`VariableRateLink`.
@@ -215,10 +450,14 @@ class VariableRateLink(Link):
         sim.schedule(RATE_UPDATE_INTERVAL, self._update_rate)
 
     def _update_rate(self) -> None:
-        noise = self._rng.lognormvariate(0.0, self.sigma)
+        # The draw sits between the packets finishing before now and
+        # those finishing after: take the latter's draws back first.
+        taken = self._rewind()
+        noise = _Stream(self).lognormvariate(0.0, self.sigma)
         proposal = self.rate_bps * (1 - RATE_ALPHA) + self.mean_rate_bps * RATE_ALPHA
         proposal *= noise
         self.rate_bps = min(self.max_rate_bps, max(self.min_rate_bps, proposal))
+        self._replay(taken)
         self.rate_history.append((self.sim.now, self.rate_bps))
         self.sim.schedule(RATE_UPDATE_INTERVAL, self._update_rate)
 

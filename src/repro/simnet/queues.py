@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
+from operator import itemgetter
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.simnet.packet import Packet
+
+#: A link plan entry's packet size (see ``repro.simnet.link``).
+_PLANNED_SIZE = itemgetter(2)
 
 
 class QueueDiscipline:
@@ -31,6 +35,10 @@ class QueueDiscipline:
     to transmit (or ``None`` when empty).  Implementations must count
     drops in :attr:`drops` and track :attr:`byte_count`.
     """
+
+    #: The link planning this queue's departures, if any (DropTail only;
+    #: see :mod:`repro.simnet.link`).
+    _planner = None
 
     def __init__(self) -> None:
         self.drops = 0
@@ -51,7 +59,13 @@ class QueueDiscipline:
 
 
 class DropTailQueue(QueueDiscipline):
-    """Plain FIFO with a packet-count capacity."""
+    """Plain FIFO with a packet-count capacity.
+
+    While a link plans this queue's departures (it is the ``_planner``),
+    the queued packets live in the link's plan: length and backlog are
+    read from there, and a direct ``enqueue`` or ``dequeue`` first hands
+    them back to the queue and the link's event-driven path.
+    """
 
     def __init__(self, capacity: int = 100) -> None:
         super().__init__()
@@ -61,6 +75,8 @@ class DropTailQueue(QueueDiscipline):
         self._q: Deque[Packet] = deque()
 
     def enqueue(self, packet: Packet, now: float) -> bool:
+        if self._planner is not None:
+            self._planner._unplan()
         if len(self._q) >= self.capacity:
             self.drops += 1
             return False
@@ -70,14 +86,44 @@ class DropTailQueue(QueueDiscipline):
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
+        if self._planner is not None:
+            self._planner._unplan()
         if not self._q:
             return None
         packet = self._q.popleft()
         self.byte_count -= packet.size
         return packet
 
+    # The two readings below are inline, one frame each, since monitors
+    # sample them: a planning link's queued packets are the entries of
+    # its plan that have not started serializing (the head one has once
+    # its start has passed; entries whose finish has passed are settled
+    # first).
     def __len__(self) -> int:
-        return len(self._q)
+        link = self._planner
+        if link is None:
+            return len(self._q)
+        plan = link._plan
+        now = link.sim.now
+        if plan and plan[0][1] <= now:
+            link._settle()
+        if plan and plan[0][0] <= now:
+            return len(plan) - 1
+        return len(plan)
+
+    @property
+    def backlog_bytes(self) -> int:
+        link = self._planner
+        if link is None:
+            return self.byte_count
+        plan = link._plan
+        now = link.sim.now
+        if plan and plan[0][1] <= now:
+            link._settle()
+        planned = sum(map(_PLANNED_SIZE, plan))
+        if plan and plan[0][0] <= now:
+            return planned - plan[0][2]
+        return planned
 
 
 class _CoDelState:

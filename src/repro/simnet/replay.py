@@ -35,6 +35,10 @@ class TraceReplayLink(Link):
 
     OUTAGE_FLOOR_BPS = 100.0
 
+    #: The outage hold decides at dequeue time whether to start: service
+    #: stays event-driven (see :mod:`repro.simnet.link`).
+    _PLANS = False
+
     def __init__(
         self,
         sim: Simulator,

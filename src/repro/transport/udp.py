@@ -29,8 +29,6 @@ class UdpSocket(SocketBase):
     ) -> None:
         super().__init__(host, port)
         self.on_receive = on_receive
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     def sendto(
         self,
@@ -48,10 +46,8 @@ class UdpSocket(SocketBase):
         packet = Packet(host.name, dst, size + IP_UDP_HEADER, self.port, dst_port,
                         kind, flow, payload, self.sim.now)
         host.send(packet)
-        self.bytes_sent += packet.size
         return packet
 
     def on_packet(self, packet: Packet) -> None:
-        self.bytes_received += packet.size
         if self.on_receive is not None:
             self.on_receive(packet)

@@ -131,6 +131,9 @@ class CoverageMap:
         for i, ap in enumerate(self.aps):
             key = (math.floor(ap.x / self._side), math.floor(ap.y / self._side))
             self._buckets.setdefault(key, []).append((i, ap))
+        # cellular_at's one draw per grid cell, memoised: a walk visits
+        # each cell many times, and seeding a generator is the cost.
+        self._cellular: Dict[Tuple[int, int], bool] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -159,8 +162,11 @@ class CoverageMap:
     def cellular_at(self, p: Waypoint) -> bool:
         """Deterministic Bernoulli field: dead zones on a coarse grid."""
         cell = (int(p.x // CELLULAR_GRID), int(p.y // CELLULAR_GRID))
-        rng = random.Random(f"{self.seed}:{cell[0]}:{cell[1]}")
-        return rng.random() < CELLULAR_COVERAGE
+        covered = self._cellular.get(cell)
+        if covered is None:
+            rng = random.Random(f"{self.seed}:{cell[0]}:{cell[1]}")
+            covered = self._cellular[cell] = rng.random() < CELLULAR_COVERAGE
+        return covered
 
     def best_ap(self, p: Waypoint) -> Optional[AccessPoint]:
         """Nearest covering AP, preferring open ones.

@@ -69,8 +69,10 @@ def _tcp_transfer(sim, server, client, down_bps, up_bps, jitter, loss,
 def run_tcp_trace(seed):
     sim = Simulator(seed=seed)
     log = _attach_trace(sim)
+    # 800 KB: a datagram hop is one event, so it takes twice the bytes
+    # of the two-event link's 400 KB to fire as many events (~1,100).
     conn = _tcp_transfer(sim, "a", "b", 8e6, 2e6, jitter=0.004, loss=0.02,
-                         nbytes=400_000, windows=10, window_len=1.0)
+                         nbytes=800_000, windows=10, window_len=1.0)
     return log, conn.snd_una
 
 
@@ -132,13 +134,14 @@ def test_failover_trace_is_byte_identical_across_runs():
 
 def test_tcp_bulk_transfer_outcome_is_pinned():
     """2 MB over a 20/5 Mb/s link with 0.5 % loss, seed 7: all of it
-    acknowledged, seven fast retransmits, no timeout, 5,874 events."""
+    acknowledged, seven fast retransmits, no timeout, 2,944 events
+    (5,874 while every hop fired a serialization-finish event too)."""
     sim = Simulator(seed=7)
     conn = _tcp_transfer(sim, "server", "client", 20e6, 5e6, jitter=0.002,
                          loss=0.005, nbytes=2_000_000, windows=20,
                          window_len=0.5)
     assert (conn.snd_una, conn.timeouts, conn.retransmits) == (2_000_000, 0, 7)
-    assert sim.events_fired == 5874
+    assert sim.events_fired == 2944
 
 
 def test_a10_failover_outcome_is_pinned():

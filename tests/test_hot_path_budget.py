@@ -3,26 +3,29 @@
 Wall-clock benchmarks on a shared host swing by ±20 %, which is enough
 to hide a re-added pass-through layer.  The number of Python frames one
 datagram costs is exact and host-independent, so it is pinned here:
-a one-hop UDP datagram (socket -> host -> link -> queue -> engine, then
-serialisation finish, then delivery up to the receiving socket) takes 20
-frames and 3 events.  See docs/PERF.md §1 for which calls on the path
-stay virtual and why.
+a one-hop UDP datagram (socket -> host -> link, which plans its
+departure and schedules its delivery, then the delivery up to the
+receiving socket) takes 13 frames and 2 events, the sending callback
+and the delivery.  It took 20 frames and 3 events while the link fired
+a serialisation-finish event per packet.  See docs/PERF.md §1 for which
+calls on the path stay virtual and why.
 
 The MARTP budget prices what the protocol adds on top of that
 datagram, on one ``cell_offload`` shard (seed 11, 36 ms, 12 Mb/s, 2 s:
-1,119 messages delivered in 2,626 events): Python frames per delivered
-message while the session runs — ticks, feedback and the video source
-included — and while the shard is collected into its aggregate.
+1,119 messages delivered in 1,463 events, 2,626 with the finish
+events): Python frames per delivered message while the session runs —
+ticks, feedback and the video source included — and while the shard is
+collected into its aggregate.
 
     CPython          run      collect     (before: run / collect)
-    3.9, 3.10, 3.11  27.29    0.32        38.07 / 5.31
-    3.12, 3.13       26.36    0.32        36.13 / 5.31  (3.13: 36.08)
+    3.9, 3.10, 3.11  21.95    0.34        27.29 / 0.32, 38.07 / 5.31
+    3.12, 3.13       21.01    0.33        26.36 / 0.32, 36.13 / 5.31
 
-Of the 27.3, 20 are the datagram and five the message (``submit``,
+Of the 21.95, 13 are the datagram and five the message (``submit``,
 ``_offer``, ``Message``, ``_dispatch``, ``select``); the rest is
 amortised ticks, feedback rounds and allocation.  ``MARTP_RUN_BUDGET``
-(28) notices a sixth per-message frame; ``MARTP_COLLECT_BUDGET`` (1.0)
-notices a per-sample call in any one of the post-run walks.
+(22.5) notices a sixth per-message frame; ``MARTP_COLLECT_BUDGET``
+(1.0) notices a per-sample call in any one of the post-run walks.
 docs/PERF.md §1.
 
 The second pair of budgets prices one *cached fleet shard* on a
@@ -45,19 +48,25 @@ produced the same outcome bytes as the plain one):
 
 - the full obs stack (tracer + frame observer + queue and link
   monitors) on a 120-frame ``gaming`` offload session sharing its path
-  with a MARTP session: 185,920 frames against 180,701 plain, +2.9 %
-  and 43.5 per offloaded frame (six spans and their bookkeeping).
+  with a MARTP session: 118,268 frames against 112,926 plain, +4.7 %
+  (+4.8 % on 3.12 and 3.13) and 44.5 per offloaded frame (six spans
+  and their bookkeeping).  It
+  was 185,920 against 180,701, +2.9 % and 43.5, while every datagram
+  hop fired a finish event: the plain run lost 37 % of its frames.
   ``OBS_ARMED_RATIO`` is the old "enabled may cost at most 5 %" gate
   made exact; ``OBS_FRAME_BUDGET`` is the one that notices a seventh
   span.
 - the fleet telemetry bus on a serial 16-shard ``cell_offload``
-  campaign: 48 frames per campaign and 14 per shard (17.0 per shard
-  all told, against ~4,500 to run one).
+  campaign of 1 s shards: 48 frames per campaign and 14 per shard
+  (17.0 per shard all told, against ~4,500 to run one).
 - the armed flight recorder on the same campaign: exactly one frame per
   fired event — the ``_fire`` the engine dispatches through while any
   hook is attached; the hook itself is the ring's C-level ``append`` —
-  plus 17.2 per shard to spill the ring at the shard boundary (17.3 on
-  3.12, 38.9 and 55.1 while the spill built ``pathlib`` paths per shard).
+  plus 15.3 per shard to spill the ring at the shard boundary (17.2
+  with the finish events, 38.9 and 55.1 while the spill built
+  ``pathlib`` paths per shard).  The shards run 1 s, not 0.5 s, so that
+  the campaign still fires more than 300 events per shard (527.5; 337.5
+  at 0.5 s with the finish events).
 
 The fluid tier (``repro.scale.population``) is priced per fluid
 sample, on one ``small``-budget city cell (city seed 1, cell 3: 601
@@ -97,13 +106,13 @@ from repro.transport.mptcp import _IntervalSet
 from repro.transport.udp import UdpSocket
 
 DATAGRAMS = 1000
-FRAME_BUDGET = 21
-EVENTS_PER_DATAGRAM = 3   # sending callback, serialisation finish, delivery
+FRAME_BUDGET = 14
+EVENTS_PER_DATAGRAM = 2   # sending callback, delivery
 
-MARTP_RUN_BUDGET = 28
+MARTP_RUN_BUDGET = 22.5
 MARTP_COLLECT_BUDGET = 1.0
 MARTP_MESSAGES = 1119
-MARTP_EVENTS = 2626
+MARTP_EVENTS = 1463
 MARTP_AGGREGATE_SHA256 = (
     "3f47ecb8712c00ca371af6ea0d57365ad85ffc814e5d6f65313cb5eb18e15b66")
 
@@ -161,12 +170,12 @@ def _two_host_world():
     net.add_duplex("a", "b", 10e6, 10e6, delay=0.005, jitter=0.002)
     net.build_routes()
     tx = UdpSocket(net["a"], 9000)
-    rx = UdpSocket(net["b"], 9001)
-    return sim, tx, rx
+    UdpSocket(net["b"], 9001)
+    return sim, tx, net.path_links("a", "b")[0]
 
 
 def test_one_hop_datagram_stays_within_frame_and_event_budget():
-    sim, tx, rx = _two_host_world()
+    sim, tx, link = _two_host_world()
 
     def send_one():
         tx.sendto("b", 9001, 200)
@@ -177,7 +186,7 @@ def test_one_hop_datagram_stays_within_frame_and_event_budget():
 
     calls = _python_calls(sim.run)
 
-    assert rx.bytes_received == DATAGRAMS * (200 + IP_UDP_HEADER)
+    assert link.bytes_delivered == DATAGRAMS * (200 + IP_UDP_HEADER)
     assert sim.events_fired == EVENTS_PER_DATAGRAM * DATAGRAMS
     per_datagram = calls / DATAGRAMS
     assert per_datagram <= FRAME_BUDGET, (
@@ -315,7 +324,7 @@ def test_fleet_telemetry_and_flight_recorder_stay_within_frame_budget(
         name="obs-budget", scenario="cell_offload",
         seeds=FLEET_OBS_SHARDS // 4, base_seed=1,
         grid={"rtt": [0.008, 0.036, 0.072, 0.120]},
-        params={"duration": 0.5, "up_bps": 12e6})
+        params={"duration": 1.0, "up_bps": 12e6})
     results = []
 
     def calls(**kw):

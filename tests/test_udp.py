@@ -40,13 +40,16 @@ def test_header_overhead_on_wire():
 
 def test_counters():
     sim, net = make_net()
-    receiver = UdpSocket(net["b"], 53)
+    got = []
+    UdpSocket(net["b"], 53, on_receive=got.append)
     sender = UdpSocket(net["a"], 1)
     for _ in range(3):
         sender.sendto("b", 53, 50)
     sim.run()
-    assert sender.bytes_sent == 3 * (50 + IP_UDP_HEADER)
-    assert receiver.bytes_received == 3 * (50 + IP_UDP_HEADER)
+    link, = net.path_links("a", "b")
+    assert link.bytes_sent == 3 * (50 + IP_UDP_HEADER)
+    assert link.bytes_delivered == 3 * (50 + IP_UDP_HEADER)
+    assert sum(packet.size for packet in got) == 3 * (50 + IP_UDP_HEADER)
 
 
 def test_closed_socket_raises():
